@@ -92,19 +92,6 @@ def parse_lattice(obj) -> Lattice2:
     return Lattice2(rank=2, gens=basis.float_rows(), exact=basis)
 
 
-def scaled_square_lattice(coeff, surd: int = 1) -> Lattice2:
-    """Convenience: (coeff * pi * sqrt(surd)) Z^2."""
-    c = Fraction(coeff)
-    return parse_lattice_from_exact(((c, Fraction(0)), (Fraction(0), c)), surd)
-
-
-def parse_lattice_from_exact(rows, surd: int) -> Lattice2:
-    s, d0 = squarefree_decompose(surd)
-    rows = tuple(tuple(Fraction(c) * s for c in row) for row in rows)
-    basis = ExactBasis(rows=rows, surd=d0)
-    return Lattice2(rank=2, gens=basis.float_rows(), exact=basis)
-
-
 def unimodular_image(lat: Lattice2, u) -> Lattice2:
     """Same lattice in the basis U @ C (U integer, |det U| = 1)."""
     if lat.exact is None:

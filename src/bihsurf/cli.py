@@ -319,7 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--x-range", nargs=2, type=float, default=[0.0, 2.0 * math.pi])
     e.add_argument("--y-range", nargs=2, type=float, default=[0.0, 2.0 * math.pi])
     e.add_argument("--projection", choices=["coords", "pca3"], default="coords")
-    e.add_argument("--seed", type=int, default=0)
     e.add_argument("--search-bound", type=float, default=40.0)
     e.add_argument("--out", required=True, help="output path prefix")
     e.set_defaults(func=cmd_export)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .core import GEOMETRIC_TOL, Check, DomainError, VerificationReport
 from .parameters import validate_miyata
-from .immersion import Immersion
+from .immersion import Immersion, _split_blocks
 
 _JET2 = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
 
@@ -40,24 +40,28 @@ def _sc(s, v):
 # tension / bitension from a table of ambient partials
 
 
-def _inverse_metric(table):
+def _metric(table):
+    """Induced metric g (..., 2, 2), its determinant and the inverse-metric
+    entries (g^00, g^01, g^11), from the first partials."""
     px, py = table[(1, 0)], table[(0, 1)]
     g00, g01, g11 = _dot(px, px), _dot(px, py), _dot(py, py)
     det = g00 * g11 - g01 * g01
     if np.any(det < 1e-12):
         raise DomainError("degenerate immersion: metric determinant below 1e-12")
-    return g11 / det, -g01 / det, g00 / det
+    g = np.stack([np.stack([g00, g01], axis=-1), np.stack([g01, g11], axis=-1)], axis=-2)
+    return g, det, (g11 / det, -g01 / det, g00 / det)
 
 
-def _tension_jet(table, inv):
-    """Partials up to order 2 of tau = g^{ab} psi_ab + 2 psi.
+def _tension_jet(table, inv, orders=_JET2):
+    """Partials of tau = g^{ab} psi_ab + 2 psi, keyed by (a, b) in `orders`
+    (default: all up to order 2).
 
     Valid because the induced metric of a frequency-table immersion is
     constant in (x, y); g^{ab} g_ab = 2 supplies the psi coefficient exactly.
     """
     i00, i01, i11 = inv
     jet = {}
-    for a, b in _JET2:
+    for a, b in orders:
         jet[(a, b)] = (
             _sc(i00, table[(a + 2, b)])
             + _sc(2.0 * i01, table[(a + 1, b + 1)])
@@ -67,9 +71,9 @@ def _tension_jet(table, inv):
     return jet
 
 
-def _bitension_from_table(table):
+def _tension_fields(table, inv):
+    """(tau, tau2): tension and bitension from order-<=4 partials."""
     psi = table[(0, 0)]
-    inv = _inverse_metric(table)
     i00, i01, i11 = inv
     tjet = _tension_jet(table, inv)
     tau = tjet[(0, 0)]
@@ -91,25 +95,18 @@ def _bitension_from_table(table):
     px, py = table[(1, 0)], table[(0, 1)]
     tx, ty = _dot(tau, px), _dot(tau, py)
     curv = _sc(i00 * tx + i01 * ty, px) + _sc(i01 * tx + i11 * ty, py)
-    return rough + 2.0 * tau - curv
+    return tau, rough + 2.0 * tau - curv
+
+
+def _bitension_from_table(table):
+    return _tension_fields(table, _metric(table)[2])[1]
 
 
 def tension(im: Immersion, p) -> np.ndarray:
     """tau = g^{ab} psi_ab + 2 psi (metric trace of the second fundamental
     form of the map into the sphere); equals 2H."""
     table = im.partial_table(p, 2)
-    inv = _inverse_metric(table)
-    return _tension_jet_order0(table, inv)
-
-
-def _tension_jet_order0(table, inv):
-    i00, i01, i11 = inv
-    return (
-        _sc(i00, table[(2, 0)])
-        + _sc(2.0 * i01, table[(1, 1)])
-        + _sc(i11, table[(0, 2)])
-        + 2.0 * table[(0, 0)]
-    )
+    return _tension_jet(table, _metric(table)[2], ((0, 0),))[(0, 0)]
 
 
 def bitension(im: Immersion, p) -> np.ndarray:
@@ -183,28 +180,11 @@ class CurvatureSummary:
     h_vector: np.ndarray
 
 
-def _metric(table):
-    px, py = table[(1, 0)], table[(0, 1)]
-    g = np.stack(
-        [
-            np.stack([_dot(px, px), _dot(px, py)], axis=-1),
-            np.stack([_dot(px, py), _dot(py, py)], axis=-1),
-        ],
-        axis=-2,
-    )
-    det = g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] ** 2
-    return g, det
-
-
 def _forms_from_table(table):
     psi = table[(0, 0)]
     px, py = table[(1, 0)], table[(0, 1)]
-    g, det = _metric(table)
-    if np.any(det < 1e-12):
-        raise DomainError("degenerate immersion: metric determinant below 1e-12")
-    inv00 = g[..., 1, 1] / det
-    inv01 = -g[..., 0, 1] / det
-    inv11 = g[..., 0, 0] / det
+    g, det, inv = _metric(table)
+    inv00, inv01, inv11 = inv
 
     def normal_part(w):
         w = w - _sc(_dot(w, psi), psi)
@@ -215,7 +195,7 @@ def _forms_from_table(table):
     b_xx = normal_part(table[(2, 0)])
     b_xy = normal_part(table[(1, 1)])
     b_yy = normal_part(table[(0, 2)])
-    return g, det, (inv00, inv01, inv11), b_xx, b_xy, b_yy
+    return g, det, inv, b_xx, b_xy, b_yy
 
 
 def fundamental_forms(im, p) -> FundamentalForms:
@@ -226,8 +206,8 @@ def fundamental_forms(im, p) -> FundamentalForms:
     return FundamentalForms(g=g, b_xx=b_xx, b_xy=b_xy, b_yy=b_yy)
 
 
-def _curvature_from_table(table):
-    g, det, inv, b_xx, b_xy, b_yy = _forms_from_table(table)
+def _curvature_from_forms(forms):
+    g, det, inv, b_xx, b_xy, b_yy = forms
     inv00, inv01, inv11 = inv
     h_vec = 0.5 * (_sc(inv00, b_xx) + _sc(2.0 * inv01, b_xy) + _sc(inv11, b_yy))
     h_norm = np.sqrt(_dot(h_vec, h_vec))
@@ -249,7 +229,7 @@ def mean_curvature(im, p) -> CurvatureSummary:
     """Mean curvature vector (metric trace of B over 2), Gauss-equation
     curvature for the unit-sphere ambient, and the pseudo-umbilicity residual
     max |<B_ab, H> - |H|^2 g_ab|."""
-    return _curvature_from_table(im.partial_table(p, 2))
+    return _curvature_from_forms(_forms_from_table(im.partial_table(p, 2)))
 
 
 def gaussian_brioschi_fd(im, p, step: float = 1e-3) -> float:
@@ -408,6 +388,8 @@ def verify_immersion(
     name. Includes the data-admissibility checks so a single report certifies
     one immersion.
     """
+    if samples < 1:
+        raise DomainError("samples must be a positive integer, got %r" % (samples,))
     data = im.data
     rng = np.random.default_rng(seed)
     pts = rng.uniform(-box, box, size=(samples, 2))
@@ -417,18 +399,17 @@ def verify_immersion(
     h = data.h
     lam1, lam2 = data.lambda1, data.lambda2
 
-    g, det = _metric(table)
+    forms = _forms_from_table(table)
+    g, _, inv, b_xx, b_xy, b_yy = forms
     eye = np.zeros_like(g)
     eye[..., 0, 0] = 1.0
     eye[..., 1, 1] = 1.0
 
-    _, _, inv, b_xx, b_xy, b_yy = _forms_from_table(table)
-    curv = _curvature_from_table(table)
-    t1, t2 = im.spectral_split(pts)
+    curv = _curvature_from_forms(forms)
+    t1, t2 = _split_blocks(psi, im.m)
     lap_t1 = -(table[(2, 0)] + table[(0, 2)])[..., : 2 * im.m]
     lap_t2 = -(table[(2, 0)] + table[(0, 2)])[..., 2 * im.m :]
-    tau = _tension_jet_order0(table, inv)
-    tau2 = _bitension_from_table(table)
+    tau, tau2 = _tension_fields(table, inv)
 
     normality = max(
         _maxabs(_dot(b, w))

@@ -1,6 +1,8 @@
 """Evaluatable immersions of the plane into round spheres, built from
 frequency/weight data. Every coordinate plane carries a circle
-c*(cos<w,p>, sin<w,p>), so all partial derivatives are exact trig forms.
+c*(cos<w,p>, sin<w,p>), so every partial derivative is that same cos/sin pair
+scaled by w_1^a w_2^b and turned by a+b quarter turns: one evaluation of cos
+and sin serves the whole derivative table.
 """
 
 from __future__ import annotations
@@ -66,52 +68,58 @@ class Immersion:
 
     def eval(self, p) -> np.ndarray:
         """psi(p); |psi| = 1 identically."""
+        return self._partials(p, ((0, 0),))[(0, 0)]
+
+    def _partials(self, p, orders) -> dict[tuple[int, int], np.ndarray]:
+        """Quarter-turn kernel: one cos/sin evaluation; the (a, b) partial of
+        plane c*(cos, sin) is that pair turned by a+b quarter turns (swapped
+        when a+b is odd), the turn's signs folded into c*w_1^a*w_2^b."""
         theta = self._phases(p)
-        return self._assemble(self.amplitudes * np.cos(theta), self.amplitudes * np.sin(theta))
+        cos, sin = np.cos(theta), np.sin(theta)
+        out = {}
+        for a, b in orders:
+            swap, sign_c, sign_s = _QUARTER_TURNS[(a + b) % 4]
+            factor = self.amplitudes * self.wave_vectors[:, 0] ** a * self.wave_vectors[:, 1] ** b
+            first, second = (sin, cos) if swap else (cos, sin)
+            out[(a, b)] = self._assemble((sign_c * factor) * first, (sign_s * factor) * second)
+        return out
 
     def partial(self, p, ax: tuple[int, int]) -> np.ndarray:
         """Exact partial derivative of order ax = (a, b), a+b <= 4.
 
-        Each derivative in x multiplies a plane by its w_1 and advances the
-        phase by pi/2 (likewise w_2 for y), so the result is again a closed
-        trig form, never a difference quotient.
+        Each derivative in x multiplies a plane by its w_1 and turns its
+        (cos, sin) pair a quarter turn (likewise w_2 for y), so the result is
+        again a closed trig form, never a difference quotient.
         """
         a, b = ax
         if a < 0 or b < 0 or a + b > 4:
             raise DomainError("unsupported derivative order %r (|ax| must be <= 4)" % (ax,))
-        theta = self._phases(p) + (a + b) * (math.pi / 2)
-        factor = (
-            self.amplitudes
-            * self.wave_vectors[:, 0] ** a
-            * self.wave_vectors[:, 1] ** b
-        )
-        return self._assemble(factor * np.cos(theta), factor * np.sin(theta))
+        return self._partials(p, (ax,))[ax]
 
     def partial_table(self, p, max_order: int = 4) -> dict[tuple[int, int], np.ndarray]:
-        """All partials up to total order max_order, keyed by (a, b)."""
+        """All partials up to total order max_order, keyed by (a, b); one
+        cos/sin evaluation serves every entry (see `partial`)."""
         if max_order > 4:
             raise DomainError("unsupported derivative order %d" % max_order)
-        theta = self._phases(p)
-        table = {}
-        for a in range(max_order + 1):
-            for b in range(max_order + 1 - a):
-                shifted = theta + (a + b) * (math.pi / 2)
-                factor = (
-                    self.amplitudes
-                    * self.wave_vectors[:, 0] ** a
-                    * self.wave_vectors[:, 1] ** b
-                )
-                table[(a, b)] = self._assemble(factor * np.cos(shifted), factor * np.sin(shifted))
-        return table
+        orders = [(a, b) for a in range(max_order + 1) for b in range(max_order + 1 - a)]
+        return self._partials(p, orders)
 
     def spectral_split(self, p) -> tuple[np.ndarray, np.ndarray]:
         """(psi_t1, psi_t2): low/high frequency blocks, zero-padded to full
         ambient dimension. psi_t1 + psi_t2 = eval(p)."""
-        full = self.eval(p)
-        t1 = np.zeros_like(full)
-        t1[..., : 2 * self.m] = full[..., : 2 * self.m]
-        t2 = full - t1
-        return t1, t2
+        return _split_blocks(self.eval(p), self.m)
+
+
+# k quarter turns send (cos, sin) to (cos, sin), (-sin, cos), (-cos, -sin), (sin, -cos):
+# (swap the pair?, sign of the cos slot, sign of the sin slot) for k = 0..3
+_QUARTER_TURNS = ((False, 1.0, 1.0), (True, -1.0, 1.0), (False, -1.0, -1.0), (True, 1.0, -1.0))
+
+
+def _split_blocks(full: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Zero-padded low (first m planes) and high frequency parts of `full`."""
+    t1 = np.zeros_like(full)
+    t1[..., : 2 * m] = full[..., : 2 * m]
+    return t1, full - t1
 
 
 def build(data: MiyataData, validate: bool = True) -> Immersion:

@@ -97,6 +97,14 @@ def test_verify_deterministic_bytes(tmp_path, capsys):
     assert r1.read_bytes() == r2.read_bytes()
 
 
+def test_verify_zero_samples_exit_2(tmp_path, capsys):
+    params = tmp_path / "m.json"
+    run_cli(["construct", "--preset", "sasahara", "--out", str(params)], capsys)
+    code, _, err = run_cli(["verify", "--params", str(params), "--samples", "0"], capsys)
+    assert code == 2
+    assert "samples must be a positive integer" in err
+
+
 def test_verify_malformed_input_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"h": 0.5, "mu": [[1, 0]]}')

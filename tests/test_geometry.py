@@ -342,10 +342,21 @@ def test_boruvka_degenerate():
 # the full report
 
 
-def test_verify_immersion_clean(structure_grid):
-    for _, _, im in structure_grid:
-        rep = verify_immersion(im, samples=60, seed=11)
-        assert rep.passed, [c.name for c in rep.failures()]
+def test_verify_immersion_clean(structure_grid, sasahara_immersion):
+    # far boxes too: every partial is built from one cos/sin evaluation, so
+    # the default tolerances hold at |p| ~ 1e9 as they do near the origin
+    s11 = extend_dimension(extend_dimension(from_structure(0.3, 0.45)))
+    assert s11.ambient_dim == 12
+    for im in [im for _, _, im in structure_grid] + [sasahara_immersion, s11]:
+        for box in (6.0, 1e6, 1e9):
+            rep = verify_immersion(im, samples=60, seed=11, box=box)
+            assert rep.passed, (im.data.h, im.ambient_dim, box, [c.name for c in rep.failures()])
+
+
+@pytest.mark.parametrize("samples", [0, -1])
+def test_verify_immersion_rejects_bad_sample_counts(sasahara_immersion, samples):
+    with pytest.raises(DomainError, match="samples"):
+        verify_immersion(sasahara_immersion, samples=samples)
 
 
 def test_verify_immersion_flags_broken_balance():

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bihsurf.core import DomainError
 from bihsurf.parameters import MiyataData, validate_miyata
@@ -104,6 +105,46 @@ def test_partials_match_finite_differences(rng):
     high = fd_partial_table(im, pts, step=1e-2, max_order=4)
     for ax in [(3, 0), (2, 2), (1, 3), (4, 0), (0, 4)]:
         assert np.max(np.abs(im.partial(pts, ax) - high[ax])) <= 1e-5, ax
+
+
+def _phase_shift_partial(im, p, ax):
+    """Reference partial: cos/sin re-evaluated at theta + (a+b)*pi/2 for each
+    derivative order, independent of the quarter-turn kernel."""
+    a, b = ax
+    theta = np.asarray(p, dtype=float) @ im.wave_vectors.T + (a + b) * (math.pi / 2)
+    factor = im.amplitudes * im.wave_vectors[:, 0] ** a * im.wave_vectors[:, 1] ** b
+    out = np.empty(theta.shape[:-1] + (im.ambient_dim,))
+    out[..., 0::2] = factor * np.cos(theta)
+    out[..., 1::2] = factor * np.sin(theta)
+    return out
+
+
+_points = st.lists(
+    st.tuples(st.floats(0.0, 10.0), st.floats(0.0, 2.0 * math.pi)), min_size=1, max_size=8
+).map(lambda polar: np.array([(r * math.cos(t), r * math.sin(t)) for r, t in polar]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    h=st.floats(0.05, 0.95),
+    rho_frac=st.floats(0.0, 1.0),
+    extensions=st.integers(0, 2),
+    pts=_points,
+)
+def test_partials_match_phase_shift_oracle(h, rho_frac, extensions, pts):
+    from bihsurf.parameters import rho_max
+
+    im = from_structure(h, rho_frac * rho_max(h))
+    for _ in range(extensions):
+        im = extend_dimension(im)
+    table = im.partial_table(pts, 4)
+    assert sorted(table) == sorted((a, b) for a in range(5) for b in range(5 - a))
+    for ax, got in table.items():
+        a, b = ax
+        factor = np.abs(im.amplitudes * im.wave_vectors[:, 0] ** a * im.wave_vectors[:, 1] ** b)
+        tol = 1e-12 * np.repeat(np.maximum(1.0, factor), 2)
+        assert np.all(np.abs(got - _phase_shift_partial(im, pts, ax)) <= tol), ax
+        assert np.array_equal(im.partial(pts, ax), got), ax
 
 
 def test_spectral_split_closed_form(sasahara_immersion):
