@@ -28,7 +28,7 @@ from .parameters import (
 )
 from .immersion import build, extend_dimension, sasahara_data
 from .geometry import verify_immersion
-from .periodicity import period_lattice, torus_case_ii, torus_exists
+from .periodicity import TorusVerdict, period_lattice, torus_case_ii, torus_exists
 from .admissibility import admissible, parse_lattice
 
 
@@ -175,20 +175,9 @@ def _case_ii_from_squares(a: Fraction, b: Fraction) -> dict:
     rb = rational_sqrt_exact(b)
     if ra is None or rb is None:
         raise DomainError("--a and --b must be squares of positive rationals")
-    res = torus_case_ii(ra.numerator, ra.denominator, rb.numerator, rb.denominator)
-    h = res.params.h
-    return {
-        "h": "%d/%d" % (h.numerator, h.denominator),
-        "verdict": "case_ii",
-        "witness": {
-            "p": res.params.p,
-            "q": res.params.q,
-            "r": res.params.r,
-            "t": res.params.t,
-            "condition": res.lattice_condition,
-        },
-        "generators": [list(g) for g in res.lattice.gens],
-    }
+    p, q, r, t = ra.numerator, ra.denominator, rb.numerator, rb.denominator
+    res = torus_case_ii(p, q, r, t)
+    return TorusVerdict(h=res.params.h, kind="case_ii", pqrt=(p, q, r, t), case_ii=res).to_dict()
 
 
 def cmd_admissible(args) -> int:

@@ -390,6 +390,10 @@ def verify_immersion(
     """
     if samples < 1:
         raise DomainError("samples must be a positive integer, got %r" % (samples,))
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise DomainError("seed must be a non-negative integer, got %r" % (seed,))
+    if not (math.isfinite(box) and box >= 0):
+        raise DomainError("box must be a finite non-negative number, got %r" % (box,))
     data = im.data
     rng = np.random.default_rng(seed)
     pts = rng.uniform(-box, box, size=(samples, 2))

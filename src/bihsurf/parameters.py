@@ -177,7 +177,7 @@ def rho_tilde_of(h: float, rho: float) -> float:
     _check_h(h)
     if not (-_PRE_SLACK <= rho <= math.pi / 2 + _PRE_SLACK):
         raise DomainError("rho must lie in [0, pi/2], got %r" % rho)
-    if rho <= 0.0:
+    if rho <= 0.0 or h * math.tan(rho) == 0.0:  # the product underflows for subnormal rho
         return -math.pi / 2
     if rho >= math.pi / 2:
         return 0.0

@@ -105,6 +105,14 @@ def test_verify_zero_samples_exit_2(tmp_path, capsys):
     assert "samples must be a positive integer" in err
 
 
+def test_verify_negative_seed_exit_2(tmp_path, capsys):
+    params = tmp_path / "m.json"
+    run_cli(["construct", "--preset", "sasahara", "--out", str(params)], capsys)
+    code, _, err = run_cli(["verify", "--params", str(params), "--seed", "-1"], capsys)
+    assert code == 2
+    assert "seed must be a non-negative integer" in err
+
+
 def test_verify_malformed_input_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"h": 0.5, "mu": [[1, 0]]}')
@@ -160,6 +168,12 @@ def test_torus_exists_refuses_decimal(capsys):
     code, _, err = run_cli(["torus-exists", "--h", "0.5"], capsys)
     assert code == 2
     assert "refused" in err
+
+
+def test_torus_exists_zero_search_bound_exit_2(capsys):
+    code, _, err = run_cli(["torus-exists", "--h", "3/7", "--search-bound", "0"], capsys)
+    assert code == 2
+    assert "search_bound" in err
 
 
 def test_torus_exists_from_squares(capsys):

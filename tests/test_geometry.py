@@ -359,6 +359,15 @@ def test_verify_immersion_rejects_bad_sample_counts(sasahara_immersion, samples)
         verify_immersion(sasahara_immersion, samples=samples)
 
 
+@pytest.mark.parametrize(
+    "bad", [{"seed": -1}, {"seed": 1.5}, {"box": math.nan}, {"box": math.inf}, {"box": -1.0}]
+)
+def test_verify_immersion_rejects_bad_seed_and_box(sasahara_immersion, bad):
+    (name,) = bad
+    with pytest.raises(DomainError, match=name):
+        verify_immersion(sasahara_immersion, samples=5, **bad)
+
+
 def test_verify_immersion_flags_broken_balance():
     im = build(_broken_balance(), validate=False)
     rep = verify_immersion(im, samples=60, seed=11)

@@ -97,6 +97,8 @@ def test_rho_tilde_special_cases_exact():
     for h in (0.2, 0.5, 0.9):
         assert rho_tilde_of(h, 0.0) == -math.pi / 2
         assert rho_tilde_of(h, math.pi / 2) == 0.0
+        # h * tan(rho) underflows to zero at the smallest subnormal rho
+        assert rho_tilde_of(h, 5e-324) == -math.pi / 2
     # tan(rho) = 1/h gives exactly -pi/4
     for h in (0.3, 0.7):
         assert rho_tilde_of(h, math.atan(1.0 / h)) == pytest.approx(-math.pi / 4, abs=1e-12)

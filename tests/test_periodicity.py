@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from bihsurf.core import DomainError
+from bihsurf.core import DomainError, rational_sqrt_exact
 from bihsurf.parameters import angle_family_data
 from bihsurf.immersion import build, from_structure
 from bihsurf.periodicity import (
@@ -15,6 +16,7 @@ from bihsurf.periodicity import (
     same_lattice,
     torus_case_i,
     torus_case_ii,
+    TorusVerdict,
     torus_exists,
 )
 
@@ -341,6 +343,76 @@ def test_torus_exists_not_found_within_bound():
 def test_torus_exists_rejects_bad_h():
     with pytest.raises(DomainError):
         torus_exists(Fraction(3, 2), 5)
+
+
+@pytest.mark.parametrize("bound", [0, -3, 2.5])
+def test_torus_exists_rejects_bad_search_bound(bound):
+    with pytest.raises(DomainError, match="search_bound"):
+        torus_exists(Fraction(3, 7), bound)
+
+
+def test_torus_exists_not_found_at_bound_30():
+    assert torus_exists(Fraction(3, 7), 30).kind == "not_found"
+
+
+def test_torus_exists_two_roots_smallest_witness():
+    # at h = 31/410 and a = 25/16 both roots of the quadratic give square b:
+    # (r, t) = (41, 28) and (11, 12); the smaller pair wins, as in the oracle
+    h = Fraction(31, 410)
+    assert torus_case_ii(5, 4, 41, 28).params.h == h
+    assert torus_exists(h, 41).pqrt == (5, 4, 11, 12)
+
+
+def _brute_torus_exists(h, search_bound):
+    """Oracle: try every (p, q, r, t) <= search_bound in lexicographic order
+    and return the first one whose (a, b) gives mean curvature h."""
+    h = Fraction(h)
+    root = rational_sqrt_exact((1 + h) / (1 - h))
+    if root is not None:
+        return TorusVerdict(h=h, kind="case_i", q=root, case_i=torus_case_i(root))
+    squares = {}
+    for u in range(1, search_bound + 1):
+        for w in range(1, search_bound + 1):
+            squares.setdefault((u, w), Fraction(u * u, w * w))
+    for p in range(1, search_bound + 1):
+        for q in range(1, search_bound + 1):
+            a = squares[(p, q)]
+            for r in range(1, search_bound + 1):
+                for t in range(1, search_bound + 1):
+                    b = squares[(r, t)]
+                    if (a - b) ** 2 >= 1:
+                        continue
+                    if h == (1 - (a - b) ** 2) / (1 + (a - b) ** 2 + 2 * (a + b)):
+                        return TorusVerdict(
+                            h=h,
+                            kind="case_ii",
+                            pqrt=(p, q, r, t),
+                            case_ii=torus_case_ii(p, q, r, t),
+                        )
+    return TorusVerdict(h=h, kind="not_found")
+
+
+def _h_of_squares(p, q, r, t):
+    a, b = Fraction(p * p, q * q), Fraction(r * r, t * t)
+    if (a - b) ** 2 >= 1:
+        return None
+    return (1 - (a - b) ** 2) / (1 + (a - b) ** 2 + 2 * (a + b))
+
+
+_small_denominator_h = st.integers(2, 39).flatmap(
+    lambda d: st.integers(1, d - 1).map(lambda n: Fraction(n, d))
+)
+_torus_h = st.tuples(*[st.integers(1, 9)] * 4).map(lambda pqrt: _h_of_squares(*pqrt)).filter(
+    lambda h: h is not None
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(h=st.one_of(_small_denominator_h, _torus_h), bound=st.integers(1, 10))
+def test_torus_exists_matches_brute_force_oracle(h, bound):
+    fast, slow = torus_exists(h, bound), _brute_torus_exists(h, bound)
+    assert (fast.kind, fast.pqrt, fast.q) == (slow.kind, slow.pqrt, slow.q)
+    assert fast.to_dict() == slow.to_dict()
 
 
 def test_torus_verdict_json_shape():
