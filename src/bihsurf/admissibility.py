@@ -3,7 +3,7 @@ curvature h, decide whether an immersion with that mean curvature exists, and
 construct witness weights when it does.
 
 The decision path is exact: dual-lattice points on the two relevant circles
-are enumerated with a rational quadratic form, their complex squares are
+are enumerated with an integer quadratic form, their complex squares are
 rational, and all hull / intersection predicates run on Fractions. Floats
 appear only in emitted vectors and the reconstructed witness data.
 """
@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import DomainError, ExactnessError, squarefree_decompose
+from .core import DomainError, ExactnessError, exact_rational, squarefree_decompose
 from .parameters import MiyataData, canonicalize, validate_miyata
 from .periodicity import ExactBasis, Lattice2
 
@@ -173,43 +173,60 @@ class CircleSquareSet:
     dual: DualLattice
 
 
+def _integer_scaled(values) -> tuple[int, list[int]]:
+    """(L, [L * v]) with L the lcm of the denominators of the Fractions."""
+    scale = math.lcm(*(v.denominator for v in values))
+    return scale, [v.numerator * (scale // v.denominator) for v in values]
+
+
 def circle_points(dual: DualLattice, radius_sq) -> CircleSquareSet:
     """Enumerate {w in dual : |w|^2 = radius_sq} exactly and square them.
 
-    The Gram form is positive definite, so coordinates lie in an explicit
-    box; w and -w collapse to the same square.
+    Clearing denominators turns |m w_1 + n w_2|^2 = radius_sq into
+    A m^2 + 2B mn + C n^2 = N in integers, with D0 = AC - B^2 > 0. Real
+    roots n = (-Bm +- s)/C need s^2 = CN - D0 m^2 >= 0, so each
+    |m| <= isqrt(CN // D0) costs one integer square test: O(m_max)
+    operations in all. N > 0 keeps (0, 0) off the circle. Preimages are
+    visited in (m, n) ascending order; w and -w collapse to the same
+    square, which keeps its first preimage as representative.
     """
-    radius_sq = Fraction(radius_sq)
+    radius_sq = exact_rational(radius_sq, "radius_sq")
     if radius_sq <= 0:
         raise DomainError("radius_sq must be positive")
     (qa, qb), (_, qc) = dual.gram
-    det = qa * qc - qb * qb
-    if det <= 0:
+    _, (a, b, c, big_n) = _integer_scaled((qa, qb, qc, radius_sq))
+    d0 = a * c - b * b
+    if d0 <= 0:
         raise ValueError("dual Gram form is not positive definite")
-    m_max = int(math.isqrt(int(radius_sq * qc / det))) + 1
-    n_max = int(math.isqrt(int(radius_sq * qa / det))) + 1
+    # w = (U, V) / (k sqrt(surd)) with integer U, V, so w^2 has the common
+    # denominator k^2 surd; squares are keyed and sorted by their numerators
+    k, (r00, r01, r10, r11) = _integer_scaled([x for row in dual.rows for x in row])
+    den = k * k * dual.surd
+    cn = c * big_n
+    m_max = math.isqrt(cn // d0)
     pre = []
-    squares: dict[Point, tuple[int, int]] = {}
-    r0, r1 = dual.rows
+    squares: dict[tuple[int, int], tuple[int, int]] = {}
     for m in range(-m_max, m_max + 1):
-        for n in range(-n_max, n_max + 1):
-            if (m, n) == (0, 0):
-                continue
-            if qa * m * m + 2 * qb * m * n + qc * n * n != radius_sq:
+        disc = cn - d0 * m * m
+        s = math.isqrt(disc)
+        if s * s != disc:
+            continue
+        for top in (-b * m - s, -b * m + s) if s else (-b * m,):
+            n, rem = divmod(top, c)
+            if rem:
                 continue
             pre.append((m, n))
-            u = m * r0[0] + n * r1[0]
-            v = m * r0[1] + n * r1[1]
-            sq = ((u * u - v * v) / dual.surd, 2 * u * v / dual.surd)
-            if sq not in squares:
-                squares[sq] = (m, n)
-    order = sorted(squares.keys())
+            u = m * r00 + n * r10
+            v = m * r01 + n * r11
+            squares.setdefault((u * u - v * v, 2 * u * v), (m, n))
+    order = sorted(squares)
+    points_exact = tuple((Fraction(x, den), Fraction(y, den)) for x, y in order)
     return CircleSquareSet(
         radius_sq=radius_sq,
-        points=tuple(complex(float(x), float(y)) for x, y in order),
-        points_exact=tuple(order),
+        points=tuple(complex(float(x), float(y)) for x, y in points_exact),
+        points_exact=points_exact,
         reps=tuple(squares[p] for p in order),
-        preimages=tuple(sorted(pre)),
+        preimages=tuple(pre),
         dual=dual,
     )
 
@@ -491,7 +508,7 @@ def admissible(lat: Lattice2, h) -> AdmissibleResult:
     general exact feasibility conv(A) meet -conv(G) which settles the
     remaining cases either way.
     """
-    h = Fraction(h)
+    h = exact_rational(h, "h")
     if not (0 < h < 1):
         raise DomainError("h must be a rational in (0,1), got %s" % h)
     dual = dual_lattice(lat)

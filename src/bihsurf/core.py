@@ -21,6 +21,15 @@ class ExactnessError(ValueError):
     """Exact rational data was required but not available."""
 
 
+def exact_rational(value, name: str) -> Fraction:
+    """value as a Fraction; NaN, infinities and non-numbers raise a
+    DomainError that names the parameter."""
+    try:
+        return Fraction(value)
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
+        raise DomainError("%s must be a finite rational number, got %r" % (name, value)) from exc
+
+
 def isqrt_exact(n: int) -> Optional[int]:
     """Integer square root of n if n is a perfect square, else None."""
     if n < 0:

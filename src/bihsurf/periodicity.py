@@ -8,13 +8,14 @@ only in emitted generator vectors.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 import numpy as np
 
-from .core import DomainError, rational_sqrt_exact, squarefree_decompose
+from .core import DomainError, exact_rational, rational_sqrt_exact, squarefree_decompose
 from .parameters import angle_family_data, rho_tilde_of, t_of_s
 from .immersion import Immersion, build
 
@@ -134,8 +135,11 @@ def period_lattice(im: Immersion, search_bound: float) -> Lattice2:
     evaluation (|psi(z) - psi(0)| <= 1e-9). search_bound truncates the
     reported window; the basis is Lagrange-Gauss reduced.
     """
-    if search_bound <= 0:
-        raise DomainError("search_bound must be positive")
+    if not (isinstance(search_bound, numbers.Real) and math.isfinite(search_bound)
+            and search_bound > 0):
+        raise DomainError(
+            "search_bound must be a positive finite number, got %r" % (search_bound,)
+        )
     if im.m != 1 or abs(im.data.mu[0] - 1.0) > 1e-12:
         raise ValueError("period_lattice requires canonical data (m = 1, mu_1 = 1)")
     v_rows = im.wave_vectors / (2.0 * math.pi)
@@ -464,7 +468,7 @@ def torus_exists(h, search_bound: int = 20) -> TorusVerdict:
     r^2/t^2 with r, t <= search_bound in lowest terms. |d| < 1 holds for
     both roots. The lexicographically smallest witness (p, q, r, t) wins.
     """
-    h = Fraction(h)
+    h = exact_rational(h, "h")
     if not (0 < h < 1):
         raise DomainError("h must be a rational in (0,1), got %s" % h)
     if not isinstance(search_bound, (int, np.integer)) or search_bound < 1:

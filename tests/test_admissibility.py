@@ -3,8 +3,10 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, note, settings, strategies as st
 
 from bihsurf.core import DomainError, ExactnessError
+from bihsurf.periodicity import ExactBasis, Lattice2
 from bihsurf.parameters import lift_structure, structure_params
 from bihsurf.immersion import build
 from bihsurf.geometry import verify_immersion
@@ -31,6 +33,15 @@ LAT_RECT_EXISTS = {"gens": [["pi*sqrt(5)/2", "0"], ["0", "pi*sqrt(5)"]]}
 LAT_RECT_NONE_HULL = {"gens": [["pi*sqrt(5)", "0"], ["0", "pi*sqrt(5)/5"]]}
 # dual (4/sqrt13) Z x (6/sqrt13) Z: A = {16/13}, G = {-36/13}, infeasible
 LAT_RECT_INFEASIBLE = {"gens": [["pi*sqrt(13)/2", "0"], ["0", "pi*sqrt(13)/3"]]}
+# the six test lattices, each with the h its decision tests use
+TEST_LATTICES = (
+    (LAT_2PI, F(1, 2)),
+    (LAT_PI, F(1, 2)),
+    (LAT_SQRT5, F(3, 5)),
+    (LAT_RECT_EXISTS, F(3, 5)),
+    (LAT_RECT_NONE_HULL, F(3, 5)),
+    (LAT_RECT_INFEASIBLE, F(5, 13)),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -182,6 +193,105 @@ def test_circle_points_modulus_invariant():
         for i in range(len(cp.points)):
             for j in range(i + 1, len(cp.points)):
                 assert abs(cp.points[i] - cp.points[j]) > 1e-9
+
+
+def _brute_circle_points(dual, radius_sq):
+    """Oracle: test every (m, n) of the box that bounds the ellipse
+    Q(m, n) = radius_sq, in Fractions."""
+    radius_sq = F(radius_sq)
+    (qa, qb), (_, qc) = dual.gram
+    det = qa * qc - qb * qb
+    m_max = int(math.isqrt(int(radius_sq * qc / det))) + 1
+    n_max = int(math.isqrt(int(radius_sq * qa / det))) + 1
+    pre = []
+    squares = {}
+    r0, r1 = dual.rows
+    for m in range(-m_max, m_max + 1):
+        for n in range(-n_max, n_max + 1):
+            if (m, n) == (0, 0):
+                continue
+            if qa * m * m + 2 * qb * m * n + qc * n * n != radius_sq:
+                continue
+            pre.append((m, n))
+            u = m * r0[0] + n * r1[0]
+            v = m * r0[1] + n * r1[1]
+            sq = ((u * u - v * v) / dual.surd, 2 * u * v / dual.surd)
+            if sq not in squares:
+                squares[sq] = (m, n)
+    order = sorted(squares.keys())
+    return CircleSquareSet(
+        radius_sq=radius_sq,
+        points=tuple(complex(float(x), float(y)) for x, y in order),
+        points_exact=tuple(order),
+        reps=tuple(squares[p] for p in order),
+        preimages=tuple(sorted(pre)),
+        dual=dual,
+    )
+
+
+def _scaled_image(spec, scale, u):
+    """scale times the lattice spec, given in the basis u @ (generators)."""
+    exact = parse_lattice(spec).exact
+    rows = tuple(tuple(scale * c for c in row) for row in exact.rows)
+    basis = ExactBasis(rows=rows, surd=exact.surd)
+    return unimodular_image(Lattice2(rank=2, gens=basis.float_rows(), exact=basis), u)
+
+
+def _assert_same_circle(dual, radius_sq):
+    fast, slow = circle_points(dual, radius_sq), _brute_circle_points(dual, radius_sq)
+    for field in ("radius_sq", "points", "points_exact", "reps", "preimages"):
+        assert getattr(fast, field) == getattr(slow, field), field
+
+
+_UNIMODULAR = [
+    ((a, b), (c, d))
+    for a in range(-3, 4)
+    for b in range(-3, 4)
+    for c in range(-3, 4)
+    for d in range(-3, 4)
+    if abs(a * d - b * c) == 1
+]
+_h = st.integers(2, 39).flatmap(lambda d: st.integers(1, d - 1).map(lambda n: F(n, d)))
+
+
+@st.composite
+def _lattice_and_radius(draw):
+    spec, _ = draw(st.sampled_from(TEST_LATTICES))
+    scale = draw(st.integers(1, 13))
+    u = draw(st.sampled_from(_UNIMODULAR))
+    dual = dual_lattice(_scaled_image(spec, scale, u))
+    (qa, qb), (_, qc) = dual.gram
+    # the norm of a small dual vector lies on its circle by construction
+    m, n = draw(st.integers(1, 3)), draw(st.integers(-3, 3))
+    radius_sq = draw(st.one_of(
+        _h.map(lambda h: 2 * (1 - h)),
+        _h.map(lambda h: 2 * (1 + h)),
+        st.tuples(st.integers(1, 24), st.integers(1, 12)).map(lambda pq: F(*pq)),
+        st.just(qa * m * m + 2 * qb * m * n + qc * n * n),
+    ))
+    note("scale=%d u=%s gram=%s radius_sq=%s" % (scale, u, dual.gram, radius_sq))
+    return dual, radius_sq
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_lattice_and_radius())
+def test_circle_points_match_box_scan_oracle(case):
+    _assert_same_circle(*case)
+
+
+@pytest.mark.parametrize("spec,h", TEST_LATTICES)
+def test_circle_points_skewed_scale_13_regression(spec, h):
+    dual = dual_lattice(_scaled_image(spec, 13, ((2, 1), (1, 1))))
+    assert dual.gram[0][1] != 0
+    for radius_sq in (2 * (1 - h), 2 * (1 + h)):
+        _assert_same_circle(dual, radius_sq)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, None, "x", 1j])
+def test_circle_points_rejects_non_finite_radius(bad):
+    d = dual_lattice(parse_lattice(LAT_2PI))
+    with pytest.raises(DomainError, match="radius_sq"):
+        circle_points(d, bad)
 
 
 # ---------------------------------------------------------------------------
@@ -386,6 +496,12 @@ def test_admissible_none_infeasible():
 def test_admissible_rejects_irrational_h():
     with pytest.raises(DomainError):
         admissible(parse_lattice(LAT_2PI), F(3, 2))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, None, "x", 1j])
+def test_admissible_rejects_non_finite_h(bad):
+    with pytest.raises(DomainError, match="h must be a finite rational"):
+        admissible(parse_lattice(LAT_2PI), bad)
 
 
 def test_admissible_unimodular_invariance(rng):

@@ -148,6 +148,15 @@ def test_lattice_command_sasahara(tmp_path, capsys):
     assert same_lattice(res["generators"], [(SQ2PI, 0.0), (0.0, 2 * math.pi)])
 
 
+@pytest.mark.parametrize("bound", ["inf", "nan"])
+def test_lattice_non_finite_search_bound_exit_2(tmp_path, capsys, bound):
+    params = tmp_path / "s.json"
+    run_cli(["construct", "--preset", "sasahara", "--out", str(params)], capsys)
+    code, _, err = run_cli(["lattice", "--params", str(params), "--search-bound", bound], capsys)
+    assert code == 2
+    assert "search_bound must be a positive finite number" in err
+
+
 def test_torus_exists_command_case_ii(capsys):
     code, out, _ = run_cli(["torus-exists", "--h", "1/2"], capsys)
     assert code == 0

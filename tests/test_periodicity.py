@@ -70,6 +70,12 @@ def test_period_lattice_points_return_to_start(sasahara_immersion, rng):
         assert _returns_to_start(sasahara_immersion, a * g1 + b * g2)
 
 
+@pytest.mark.parametrize("bound", [math.nan, math.inf, -math.inf, 0, -1.0, "20", 1j, None])
+def test_period_lattice_rejects_bad_search_bound(sasahara_immersion, bound):
+    with pytest.raises(DomainError, match="search_bound must be a positive finite number"):
+        period_lattice(sasahara_immersion, bound)
+
+
 def test_period_lattice_requires_canonical():
     data = angle_family_data(0.5, 0.4)
     rotated = type(data)(
@@ -343,6 +349,12 @@ def test_torus_exists_not_found_within_bound():
 def test_torus_exists_rejects_bad_h():
     with pytest.raises(DomainError):
         torus_exists(Fraction(3, 2), 5)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), None, "x"])
+def test_torus_exists_rejects_non_finite_h(bad):
+    with pytest.raises(DomainError, match="h must be a finite rational"):
+        torus_exists(bad, 5)
 
 
 @pytest.mark.parametrize("bound", [0, -3, 2.5])
