@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .core import DomainError, ExactnessError, exact_rational, squarefree_decompose
-from .parameters import MiyataData, canonicalize, validate_miyata
+from .parameters import MiyataData, canonicalize, spectral_levels, validate_miyata
 from .periodicity import ExactBasis, Lattice2
 
 Point = tuple[Fraction, Fraction]
@@ -85,11 +85,7 @@ def parse_lattice(obj) -> Lattice2:
         )
     surd = surds.pop() if surds else 1
     rows = tuple(tuple(c for (c, _) in row) for row in entries)
-    det = rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    if det == 0:
-        raise ValueError("lattice generators are linearly dependent")
-    basis = ExactBasis(rows=rows, surd=surd)
-    return Lattice2(rank=2, gens=basis.float_rows(), exact=basis)
+    return ExactBasis(rows=rows, surd=surd).lattice()
 
 
 def unimodular_image(lat: Lattice2, u) -> Lattice2:
@@ -104,8 +100,7 @@ def unimodular_image(lat: Lattice2, u) -> Lattice2:
         (a * r[0][0] + b * r[1][0], a * r[0][1] + b * r[1][1]),
         (c * r[0][0] + d * r[1][0], c * r[0][1] + d * r[1][1]),
     )
-    basis = ExactBasis(rows=rows, surd=lat.exact.surd)
-    return Lattice2(rank=2, gens=basis.float_rows(), exact=basis)
+    return ExactBasis(rows=rows, surd=lat.exact.surd).lattice()
 
 
 # ---------------------------------------------------------------------------
@@ -432,13 +427,18 @@ def witness_weights(
         return None
     n = Fraction(len(region))
     target = (sum(p[0] for p in region) / n, sum(p[1] for p in region) / n)
-    wa = {p: w for p, w in _combination_over_hull(target, hull_a)}
-    neg_target = (-target[0], -target[1])
-    hull_g = convex_hull(set_g.points_exact)
-    wg = {p: w for p, w in _combination_over_hull(neg_target, hull_g)}
-    ra = [wa.get(p, Fraction(0)) for p in set_a.points_exact]
-    rg = [wg.get(p, Fraction(0)) for p in set_g.points_exact]
-    return ra, rg
+    return _aligned_weights(set_a, hull_a, set_g, convex_hull(set_g.points_exact), target)
+
+
+def _aligned_weights(set_a, hull_a, set_g, hull_g, target: Point):
+    """Weights of target over hull_a and of -target over hull_g, aligned to
+    the point order of each set (zero for a point the combination skips)."""
+    wa = dict(_combination_over_hull(target, hull_a))
+    wg = dict(_combination_over_hull((-target[0], -target[1]), hull_g))
+    return (
+        [wa.get(p, Fraction(0)) for p in set_a.points_exact],
+        [wg.get(p, Fraction(0)) for p in set_g.points_exact],
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -480,7 +480,7 @@ def _recover_frequency(dual: DualLattice, rep: tuple[int, int], lam: float) -> c
 
 def _build_witness(h: Fraction, set_a, set_g, weights) -> Optional[MiyataData]:
     ra, rg = weights
-    lam1, lam2 = 2.0 * (1.0 - float(h)), 2.0 * (1.0 + float(h))
+    lam1, lam2 = spectral_levels(float(h))
     mu, r_w = [], []
     for k, w in enumerate(ra):
         if w != 0:
@@ -512,31 +512,26 @@ def admissible(lat: Lattice2, h) -> AdmissibleResult:
     if not (0 < h < 1):
         raise DomainError("h must be a rational in (0,1), got %s" % h)
     dual = dual_lattice(lat)
-    set_a = circle_points(dual, 2 * (1 - h))
-    set_g = circle_points(dual, 2 * (1 + h))
+    lam1, lam2 = spectral_levels(h)
+    set_a = circle_points(dual, lam1)
+    set_g = circle_points(dual, lam2)
     if not set_a.points_exact or not set_g.points_exact:
         return AdmissibleResult(VERDICT_NONE_EMPTY, h, set_a, set_g)
     origin = (Fraction(0), Fraction(0))
     hull_a = convex_hull(set_a.points_exact)
     hull_g = convex_hull(set_g.points_exact)
     if point_in_hull(origin, hull_a) and point_in_hull(origin, hull_g):
-        wa = {p: w for p, w in _combination_over_hull(origin, hull_a)}
-        wg = {p: w for p, w in _combination_over_hull(origin, hull_g)}
-        weights = (
-            [wa.get(p, Fraction(0)) for p in set_a.points_exact],
-            [wg.get(p, Fraction(0)) for p in set_g.points_exact],
-        )
-        witness = _build_witness(h, set_a, set_g, weights)
-        if witness is None:
-            return AdmissibleResult(VERDICT_UNDECIDED, h, set_a, set_g, weights)
-        return AdmissibleResult(VERDICT_EXISTS_PU, h, set_a, set_g, weights, witness)
-    joint = convex_hull(list(set_a.points_exact) + list(set_g.points_exact))
-    if not point_in_hull(origin, joint):
-        return AdmissibleResult(VERDICT_NONE_HULL, h, set_a, set_g)
-    weights = witness_weights(set_a, set_g)
-    if weights is None:
-        return AdmissibleResult(VERDICT_NONE_INFEASIBLE, h, set_a, set_g)
+        verdict = VERDICT_EXISTS_PU
+        weights = _aligned_weights(set_a, hull_a, set_g, hull_g, origin)
+    else:
+        joint = convex_hull(list(set_a.points_exact) + list(set_g.points_exact))
+        if not point_in_hull(origin, joint):
+            return AdmissibleResult(VERDICT_NONE_HULL, h, set_a, set_g)
+        weights = witness_weights(set_a, set_g)
+        if weights is None:
+            return AdmissibleResult(VERDICT_NONE_INFEASIBLE, h, set_a, set_g)
+        verdict = VERDICT_EXISTS
     witness = _build_witness(h, set_a, set_g, weights)
     if witness is None:
         return AdmissibleResult(VERDICT_UNDECIDED, h, set_a, set_g, weights)
-    return AdmissibleResult(VERDICT_EXISTS, h, set_a, set_g, weights, witness)
+    return AdmissibleResult(verdict, h, set_a, set_g, weights, witness)

@@ -6,11 +6,9 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Optional
 
-# Two verification tiers: analytic-pipeline residuals vs finite-difference ones.
 GEOMETRIC_TOL = 1e-9
-FD_TOL = 1e-5
 
 
 class DomainError(ValueError):
@@ -158,7 +156,3 @@ class VerificationReport:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)
-
-
-def make_report(entries: Iterable[tuple[str, float, float]], samples: int) -> VerificationReport:
-    return VerificationReport(tuple(Check(n, r, t) for n, r, t in entries), samples)

@@ -67,16 +67,12 @@ class MiyataData:
         return 2 * (self.m + self.mp)
 
     @property
-    def sphere_dim(self) -> int:
-        return self.ambient_dim - 1
-
-    @property
     def lambda1(self) -> float:
-        return 2.0 * (1.0 - self.h)
+        return spectral_levels(self.h)[0]
 
     @property
     def lambda2(self) -> float:
-        return 2.0 * (1.0 + self.h)
+        return spectral_levels(self.h)[1]
 
     def to_dict(self) -> dict:
         return {
@@ -91,24 +87,20 @@ class MiyataData:
         return json.dumps(self.to_dict(), indent=2)
 
 
-def make_miyata(h, mu, eta, r_weights, rp_weights) -> MiyataData:
-    return MiyataData(
-        h=float(h),
-        mu=tuple(complex(z) for z in mu),
-        eta=tuple(complex(z) for z in eta),
-        r_weights=tuple(float(w) for w in r_weights),
-        rp_weights=tuple(float(w) for w in rp_weights),
-    )
+def spectral_levels(h):
+    """(lambda1, lambda2) = (2(1-h), 2(1+h)), the squared frequency radii of
+    the low and high blocks; exact for a Fraction h."""
+    return 2 * (1 - h), 2 * (1 + h)
 
 
 def miyata_from_dict(d: dict) -> MiyataData:
     try:
-        return make_miyata(
-            d["h"],
-            [complex(re, im) for re, im in d["mu"]],
-            [complex(re, im) for re, im in d["eta"]],
-            d["R"],
-            d["Rp"],
+        return MiyataData(
+            h=float(d["h"]),
+            mu=tuple(complex(re, im) for re, im in d["mu"]),
+            eta=tuple(complex(re, im) for re, im in d["eta"]),
+            r_weights=tuple(float(w) for w in d["R"]),
+            rp_weights=tuple(float(w) for w in d["Rp"]),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError("malformed immersion data: %s" % exc) from exc
@@ -196,13 +188,11 @@ def structure_params(h: float, rho: float) -> StructureParams:
         raise DomainError(
             "rho=%r outside the structure range [0, %.17g] for h=%r" % (rho, rmax, h)
         )
-    lam1 = 2.0 * (1.0 - h)
-    lam2 = 2.0 * (1.0 + h)
     if rho <= 0.0:
         s = h / (1.0 + h)
-        return StructureParams(h, 0.0, -math.pi / 2, s, 1.0 / (1.0 + h), lam1, lam2)
+        return StructureParams(h, 0.0, -math.pi / 2, s, 1.0 / (1.0 + h), *spectral_levels(h))
     s = s_of_rho(h, rho)
-    return StructureParams(h, rho, rho_tilde_of(h, rho), s, 1.0 - s, lam1, lam2)
+    return StructureParams(h, rho, rho_tilde_of(h, rho), s, 1.0 - s, *spectral_levels(h))
 
 
 def lift_structure(sp: StructureParams) -> MiyataData:

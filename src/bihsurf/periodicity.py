@@ -9,14 +9,14 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
 import numpy as np
 
 from .core import DomainError, exact_rational, rational_sqrt_exact, squarefree_decompose
-from .parameters import angle_family_data, rho_tilde_of, t_of_s
+from .parameters import angle_family_data, rho_tilde_of, spectral_levels, t_of_s
 from .immersion import Immersion, build
 
 
@@ -40,6 +40,14 @@ class ExactBasis:
             return d * (r[i][0] * r[j][0] + r[i][1] * r[j][1])
         return ((entry(0, 0), entry(0, 1)), (entry(1, 0), entry(1, 1)))
 
+    def lattice(self) -> "Lattice2":
+        """The rank-2 lattice these rows generate, after an exact
+        independence test."""
+        (a, b), (c, d) = self.rows
+        if a * d - b * c == 0:
+            raise ValueError("lattice generators are linearly dependent")
+        return Lattice2(rank=2, gens=self.float_rows(), exact=self)
+
 
 @dataclass(frozen=True)
 class Lattice2:
@@ -53,8 +61,8 @@ class Lattice2:
         if self.rank != len(self.gens):
             raise ValueError("rank must equal the number of generators")
         if self.rank == 2:
-            d = self.gens[0][0] * self.gens[1][1] - self.gens[0][1] * self.gens[1][0]
-            if abs(d) <= 1e-12:
+            (x0, y0), (x1, y1) = self.gens
+            if abs(x0 * y1 - y0 * x1) <= 1e-12 * math.hypot(x0, y0) * math.hypot(x1, y1):
                 raise ValueError("rank-2 generators are linearly dependent")
 
     def points(self, coeff_bound: int) -> np.ndarray:
@@ -67,13 +75,6 @@ class Lattice2:
             return np.array([k * g for k in rng])
         g1, g2 = np.array(self.gens[0]), np.array(self.gens[1])
         return np.array([a * g1 + b * g2 for a in rng for b in rng])
-
-
-def lattice_from_exact(rows, surd: int) -> Lattice2:
-    basis = ExactBasis(
-        rows=tuple(tuple(Fraction(c) for c in row) for row in rows), surd=surd
-    )
-    return Lattice2(rank=2, gens=basis.float_rows(), exact=basis)
 
 
 def lagrange_gauss(u, v):
@@ -216,7 +217,7 @@ class PeriodicDirection:
 
 def direction_integrality(h: float, k0: int, k1: int, rho: float) -> float:
     """The quantity that must be an integer for (k0, k1) to close up at rho."""
-    lam1, lam2 = 2.0 * (1.0 - h), 2.0 * (1.0 + h)
+    lam1, lam2 = spectral_levels(h)
     ratio = math.sqrt(lam2 / lam1)
     rt = rho_tilde_of(h, rho)
     return (math.sin(rt) / math.sin(rho)) * (k1 - ratio * k0 * math.cos(rho)) + ratio * k0 * math.cos(rt)
@@ -237,7 +238,7 @@ def closing_ratios(h: float, s: float) -> tuple[float, float]:
 
 
 def period_vector(h: float, k0: int, k1: int, rho: float) -> tuple[float, float]:
-    lam1, lam2 = 2.0 * (1.0 - h), 2.0 * (1.0 + h)
+    lam1, lam2 = spectral_levels(h)
     tx = (2.0 * math.pi / math.sin(rho)) * (k1 / math.sqrt(lam2) - k0 * math.cos(rho) / math.sqrt(lam1))
     return (tx, 2.0 * math.pi * k0 / math.sqrt(lam1))
 
@@ -254,7 +255,7 @@ def periodic_direction_search(
     Scans a grid, brackets each integer crossing, bisects to 1e-12, and keeps
     only roots whose period vector returns psi to psi(0) within 1e-8.
     """
-    lam1, lam2 = 2.0 * (1.0 - h), 2.0 * (1.0 + h)
+    lam1, lam2 = spectral_levels(h)
     ratio = math.sqrt(lam2 / lam1)
     if abs(k1 - ratio * k0) <= 1e-12:
         raise DomainError(
@@ -309,24 +310,33 @@ def periodic_direction_search(
 
 @dataclass(frozen=True)
 class TorusParams:
-    """Exact rational data (a, b) = (p^2/q^2, r^2/t^2) and the derived mean
-    curvature h = (1-(a-b)^2)/(1+(a-b)^2+2(a+b)), with s = (1+a-b)/2."""
+    """Exact torus data derived from positive integers p, q, r, t: the
+    squares (a, b) = (p^2/q^2, r^2/t^2), the mean curvature
+    h = (1-(a-b)^2)/(1+(a-b)^2+2(a+b)) and the weight s = (1+a-b)/2."""
 
-    a: Fraction
-    b: Fraction
     p: int
     q: int
     r: int
     t: int
-    h: Fraction
-    s: Fraction
+    a: Fraction = field(init=False)
+    b: Fraction = field(init=False)
+    h: Fraction = field(init=False)
+    s: Fraction = field(init=False)
 
     def __post_init__(self):
-        if (self.a - self.b) ** 2 >= 1:
-            raise DomainError("(a-b)^2 must be < 1")
-        expect = (1 - (self.a - self.b) ** 2) / (1 + (self.a - self.b) ** 2 + 2 * (self.a + self.b))
-        if self.h != expect or not (0 < self.h < 1):
-            raise ValueError("inconsistent torus parameters")
+        for name in ("p", "q", "r", "t"):
+            v = getattr(self, name)
+            if not isinstance(v, (int, np.integer)) or v < 1:
+                raise DomainError("%s must be a positive integer, got %r" % (name, v))
+            object.__setattr__(self, name, int(v))
+        a = Fraction(self.p * self.p, self.q * self.q)
+        b = Fraction(self.r * self.r, self.t * self.t)
+        if (a - b) ** 2 >= 1:
+            raise DomainError("(a-b)^2 must be < 1, got a=%s b=%s" % (a, b))
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "h", (1 - (a - b) ** 2) / (1 + (a - b) ** 2 + 2 * (a + b)))
+        object.__setattr__(self, "s", (1 + a - b) / 2)
 
 
 @dataclass(frozen=True)
@@ -355,7 +365,7 @@ class CaseIIResult:
 def torus_case_i(q) -> CaseIResult:
     """Mean curvature h = (q^2-1)/(q^2+1) for rational q > 1, with the exact
     rank-2 period lattice of the rho = 0 member."""
-    q = Fraction(q)
+    q = exact_rational(q, "q")
     if q <= 1:
         raise DomainError("q must be a rational strictly greater than 1")
     h = (q**2 - 1) / (q**2 + 1)
@@ -364,7 +374,7 @@ def torus_case_i(q) -> CaseIResult:
     s, d = squarefree_decompose(big)
     # v1 = (2 pi / sqrt(lambda2), 0), y-generator den * (0, 2 pi / sqrt(lambda1))
     rows = ((Fraction(s, num), Fraction(0)), (Fraction(0), Fraction(s)))
-    return CaseIResult(h=h, q=q, lattice=lattice_from_exact(rows, d))
+    return CaseIResult(h=h, q=q, lattice=ExactBasis(rows, d).lattice())
 
 
 def _kernel_basis(alpha: int, beta: int, mod: int) -> tuple[tuple[int, int], tuple[int, int]]:
@@ -385,14 +395,9 @@ def torus_case_ii(p: int, q: int, r: int, t: int) -> CaseIIResult:
     """Torus member for a = p^2/q^2, b = r^2/t^2 with exact h and the closed
     generator vectors; the full period lattice follows from the integer
     congruence m q/p - n q r/(p t) in Z."""
-    if min(p, q, r, t) < 1:
-        raise DomainError("p, q, r, t must be positive integers")
-    a = Fraction(p * p, q * q)
-    b = Fraction(r * r, t * t)
-    if (a - b) ** 2 >= 1:
-        raise DomainError("(a-b)^2 must be < 1, got a=%s b=%s" % (a, b))
-    h = (1 - (a - b) ** 2) / (1 + (a - b) ** 2 + 2 * (a + b))
-    s = (1 + a - b) / 2
+    params = TorusParams(p, q, r, t)
+    p, q, r, t = params.p, params.q, params.r, params.t
+    a, b, h, s = params.a, params.b, params.h, params.s
     e = (a - b) ** 2 + a + b
     f_ = (a - b) ** 2 + 2 * (a + b) + 1
     v1 = (math.pi * math.sqrt(float(e / a)), 0.0)
@@ -411,7 +416,7 @@ def torus_case_ii(p: int, q: int, r: int, t: int) -> CaseIIResult:
     w2 = np.array([m_b * v2[0] + n_b * v1[0], m_b * v2[1] + n_b * v1[1]])
     g1, g2 = _reduced_pair(w1, w2)
     return CaseIIResult(
-        params=TorusParams(a=a, b=b, p=p, q=q, r=r, t=t, h=h, s=s),
+        params=params,
         v1=v1,
         v2=v2,
         rho=rho,

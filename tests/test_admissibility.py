@@ -74,6 +74,16 @@ def test_parse_lattice_rejects_dependent_generators():
         parse_lattice({"gens": [["2*pi", "0"], ["-2*pi", "0"]]})
 
 
+def test_parse_lattice_accepts_tiny_independent_generators():
+    # the float independence test is relative to the generator lengths, so a
+    # tiny lattice is not mistaken for a dependent one
+    lat = parse_lattice({"gens": [["pi/10000000", "0"], ["0", "pi/10000000"]]})
+    assert lat.rank == 2 and lat.exact.rows == ((F(1, 10**7), F(0)), (F(0), F(1, 10**7)))
+    assert admissible(lat, "1/2").verdict == "none_empty_circle"
+    with pytest.raises(ValueError, match="dependent"):
+        parse_lattice({"gens": [["pi/10000000", "0"], ["-pi/10000000", "0"]]})
+
+
 def test_parse_lattice_float_gens_match_exact():
     lat = parse_lattice(LAT_SQRT5)
     assert np.allclose(lat.gens, [(2 * math.pi * math.sqrt(5), 0), (0, 2 * math.pi * math.sqrt(5))])
@@ -233,8 +243,7 @@ def _scaled_image(spec, scale, u):
     """scale times the lattice spec, given in the basis u @ (generators)."""
     exact = parse_lattice(spec).exact
     rows = tuple(tuple(scale * c for c in row) for row in exact.rows)
-    basis = ExactBasis(rows=rows, surd=exact.surd)
-    return unimodular_image(Lattice2(rank=2, gens=basis.float_rows(), exact=basis), u)
+    return unimodular_image(ExactBasis(rows=rows, surd=exact.surd).lattice(), u)
 
 
 def _assert_same_circle(dual, radius_sq):

@@ -219,6 +219,79 @@ def test_admissible_command_witness(tmp_path, capsys):
     assert set(res["witness"]) == {"h", "mu", "eta", "R", "Rp"}
 
 
+LAT_STD2PI = {"gens": [["2*pi", "0"], ["0", "2*pi"]]}
+LAT_SQRT5 = {"gens": [["2*pi*sqrt(5)", "0"], ["0", "2*pi*sqrt(5)"]]}
+LAT_RECT_EXISTS = {"gens": [["pi*sqrt(5)/2", "0"], ["0", "pi*sqrt(5)"]]}
+TORUS_HALF = (
+    '{\n  "h": "1/2",\n  "verdict": "case_ii",\n  "witness": {\n    "p": 1,\n    "q": 2,\n'
+    '    "r": 1,\n    "t": 2,\n    "condition": "m*2/1 - n*2/2 in Z"\n  },\n'
+    '  "generators": [\n    [\n      4.44288293815837,\n      0.0\n    ],\n'
+    '    [\n      0.0,\n      6.28318530717959\n    ]\n  ]\n}\n'
+)
+
+
+@pytest.mark.parametrize(
+    "args, lattice, expected",
+    [
+        (["torus-exists", "--h", "1/2"], None, TORUS_HALF),
+        (["torus-exists", "--a", "1/4", "--b", "1/4"], None, TORUS_HALF),
+        (
+            ["torus-exists", "--h", "4/5"],
+            None,
+            '{\n  "h": "4/5",\n  "verdict": "case_i",\n  "witness": {\n    "q": "3/1"\n  },\n'
+            '  "generators": [\n    [\n      3.31152942193203,\n      0.0\n    ],\n'
+            '    [\n      0.0,\n      9.9345882657961\n    ]\n  ]\n}\n',
+        ),
+        (
+            ["torus-exists", "--h", "3/7", "--search-bound", "8"],
+            None,
+            '{\n  "h": "3/7",\n  "verdict": "not_found",\n  "witness": null,\n'
+            '  "generators": []\n}\n',
+        ),
+        (
+            ["admissible", "--h", "1/2"],
+            LAT_STD2PI,
+            '{\n  "h": "1/2",\n  "verdict": "none_empty_circle",\n'
+            '  "circle_counts": [\n    2,\n    0\n  ]\n}\n',
+        ),
+        (
+            ["admissible", "--h", "3/5"],
+            LAT_SQRT5,
+            '{\n  "h": "3/5",\n  "verdict": "exists_pseudo_umbilical",\n'
+            '  "circle_counts": [\n    2,\n    2\n  ],\n  "m": 2,\n  "mp": 2,\n'
+            '  "witness": {\n    "h": 0.6,\n'
+            '    "mu": [\n      [\n        -1.0,\n        0.0\n      ],\n'
+            '      [\n        0.0,\n        -1.0\n      ]\n    ],\n'
+            '    "eta": [\n      [\n        -1.0,\n        0.0\n      ],\n'
+            '      [\n        0.0,\n        -1.0\n      ]\n    ],\n'
+            '    "R": [\n      0.5,\n      0.5\n    ],\n'
+            '    "Rp": [\n      0.5,\n      0.5\n    ]\n  }\n}\n',
+        ),
+        (
+            ["admissible", "--h", "3/5"],
+            LAT_RECT_EXISTS,
+            '{\n  "h": "3/5",\n  "verdict": "exists",\n'
+            '  "circle_counts": [\n    1,\n    2\n  ],\n  "m": 1,\n  "mp": 2,\n'
+            '  "witness": {\n    "h": 0.6,\n'
+            '    "mu": [\n      [\n        1.0,\n        0.0\n      ]\n    ],\n'
+            '    "eta": [\n      [\n        1.0,\n        0.0\n      ],\n'
+            '      [\n        0.0,\n        -1.0\n      ]\n    ],\n'
+            '    "R": [\n      1.0\n    ],\n'
+            '    "Rp": [\n      0.375,\n      0.625\n    ]\n  }\n}\n',
+        ),
+    ],
+    ids=["h-1/2", "a-b-squares", "h-4/5", "h-3/7-bound-8", "std2pi", "sqrt5-pu", "rect-exists"],
+)
+def test_exact_commands_stdout_bytes(tmp_path, capsys, args, lattice, expected):
+    if lattice is not None:
+        path = tmp_path / "lattice.json"
+        path.write_text(json.dumps(lattice))
+        args = args + ["--lattice", str(path)]
+    code, out, _ = run_cli(args, capsys)
+    assert code == 0
+    assert out == expected
+
+
 def test_export_counts_and_headers(tmp_path, capsys):
     params = tmp_path / "s.json"
     run_cli(["construct", "--preset", "sasahara", "--out", str(params)], capsys)

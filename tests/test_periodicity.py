@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -236,6 +237,12 @@ def test_case_i_rejects_q_at_most_one():
         torus_case_i(Fraction(2, 3))
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), None])
+def test_case_i_rejects_non_finite_q(bad):
+    with pytest.raises(DomainError, match="q must be a finite rational"):
+        torus_case_i(bad)
+
+
 def test_case_ii_sasahara_values():
     res = torus_case_ii(1, 2, 1, 2)
     assert res.params.h == Fraction(1, 2)
@@ -246,14 +253,17 @@ def test_case_ii_sasahara_values():
     assert same_lattice(res.lattice.gens, [(SQ2PI, 0.0), (-SQ2PI, 2 * math.pi)])
 
 
-def test_case_ii_generator_closed_forms_match_trig_forms(rng):
-    # v1, v2 in terms of (a, b) equal the direct 2 pi / (sqrt(lambda) sin rho) forms
-    for _ in range(15):
-        p, q, r, t = (int(x) for x in rng.integers(1, 7, 4))
+def test_case_ii_generator_closed_forms_match_trig_forms():
+    # v1, v2 in terms of (a, b) equal the direct 2 pi / (sqrt(lambda) sin rho)
+    # forms, and h, s follow from (a, b), for every p, q, r, t <= 9
+    for p, q, r, t in itertools.product(range(1, 10), repeat=4):
         a, b = Fraction(p * p, q * q), Fraction(r * r, t * t)
         if (a - b) ** 2 >= 1:
             continue
         res = torus_case_ii(p, q, r, t)
+        assert (res.params.a, res.params.b) == (a, b)
+        assert res.params.h == _h_of_squares(p, q, r, t)
+        assert res.params.s == (1 + a - b) / 2
         h = float(res.params.h)
         lam1, lam2 = 2 * (1 - h), 2 * (1 + h)
         rho = res.rho
@@ -309,6 +319,22 @@ def test_case_ii_remark_values():
 def test_case_ii_domain_error():
     with pytest.raises(DomainError):
         torus_case_ii(3, 1, 1, 2)  # (a-b)^2 = (9 - 1/4)^2 >= 1
+
+
+@pytest.mark.parametrize(
+    "pqrt, name",
+    [((1.5, 2, 1, 2), "p"), ((1, Fraction(2), 1, 2), "q"), ((1, 2, "1", 2), "r"),
+     ((1, 2, 1, 0), "t"), ((-1, 2, 1, 2), "p")],
+)
+def test_case_ii_names_bad_parameter(pqrt, name):
+    with pytest.raises(DomainError, match="%s must be a positive integer" % name):
+        torus_case_ii(*pqrt)
+
+
+def test_case_ii_accepts_numpy_integers():
+    res = torus_case_ii(*np.array([1, 2, 1, 2]))
+    assert res.params == torus_case_ii(1, 2, 1, 2).params
+    assert type(res.params.p) is int
 
 
 # ---------------------------------------------------------------------------
