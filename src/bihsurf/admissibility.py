@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .core import DomainError, ExactnessError, exact_rational, squarefree_decompose
-from .parameters import MiyataData, canonicalize, spectral_levels, validate_miyata
+from .parameters import MiyataData, canonicalize, spectral_levels
 from .periodicity import ExactBasis, Lattice2
 
 Point = tuple[Fraction, Fraction]
@@ -29,7 +29,6 @@ VERDICT_EXISTS = "exists"
 VERDICT_NONE_EMPTY = "none_empty_circle"
 VERDICT_NONE_HULL = "none_hull"
 VERDICT_NONE_INFEASIBLE = "none_infeasible"
-VERDICT_UNDECIDED = "undecided"
 
 
 # ---------------------------------------------------------------------------
@@ -142,12 +141,6 @@ def dual_lattice(lat: Lattice2) -> DualLattice:
         return (rows[i][0] * rows[j][0] + rows[i][1] * rows[j][1]) / s
 
     gram = ((q(0, 0), q(0, 1)), (q(1, 0), q(1, 1)))
-    for i in range(2):
-        for j in range(2):
-            pairing = gens[i][0] * lat.gens[j][0] + gens[i][1] * lat.gens[j][1]
-            target = 2.0 * math.pi if i == j else 0.0
-            if abs(pairing - target) > 1e-9:
-                raise RuntimeError("dual basis failed the pairing check")
     return DualLattice(gens=gens, rows=rows, surd=s, gram=gram)
 
 
@@ -420,14 +413,19 @@ def witness_weights(
     """
     if not set_a.points_exact or not set_g.points_exact:
         return None
-    hull_a = convex_hull(set_a.points_exact)
+    hull_a, hull_g = convex_hull(set_a.points_exact), convex_hull(set_g.points_exact)
+    return _hull_weights(set_a, hull_a, set_g, hull_g)
+
+
+def _hull_weights(set_a, hull_a, set_g, hull_g):
+    """witness_weights over the already built hulls of the two sets."""
     hull_ng = convex_hull([(-x, -y) for x, y in set_g.points_exact])
     region = intersect_hulls(hull_a, hull_ng)
     if not region:
         return None
     n = Fraction(len(region))
     target = (sum(p[0] for p in region) / n, sum(p[1] for p in region) / n)
-    return _aligned_weights(set_a, hull_a, set_g, convex_hull(set_g.points_exact), target)
+    return _aligned_weights(set_a, hull_a, set_g, hull_g, target)
 
 
 def _aligned_weights(set_a, hull_a, set_g, hull_g, target: Point):
@@ -478,8 +476,19 @@ def _recover_frequency(dual: DualLattice, rep: tuple[int, int], lam: float) -> c
     return (wc / complex(0.0, math.sqrt(lam))).conjugate()
 
 
-def _build_witness(h: Fraction, set_a, set_g, weights) -> Optional[MiyataData]:
+def _build_witness(h: Fraction, set_a, set_g, weights) -> MiyataData:
+    """Float witness data for exact weights, once a Fraction check shows
+    they certify it: each list is a convex combination (sums to 1, no
+    negative entry; a zero drops its point) and sum(alpha_k A_k) +
+    sum(gamma_j G_j) = 0. The squares are distinct, as circle_points keys
+    them by exact value. The frequencies come from the float dual basis."""
     ra, rg = weights
+    if sum(ra) != 1 or sum(rg) != 1 or min(ra + rg) < 0:
+        raise RuntimeError("witness weights are not convex combinations")
+    for i in range(2):
+        total = sum(w * p[i] for w, p in zip(ra, set_a.points_exact))
+        if total + sum(w * p[i] for w, p in zip(rg, set_g.points_exact)) != 0:
+            raise RuntimeError("witness weights do not balance")
     lam1, lam2 = spectral_levels(float(h))
     mu, r_w = [], []
     for k, w in enumerate(ra):
@@ -495,9 +504,7 @@ def _build_witness(h: Fraction, set_a, set_g, weights) -> Optional[MiyataData]:
         h=float(h), mu=tuple(mu), eta=tuple(eta),
         r_weights=tuple(r_w), rp_weights=tuple(rp_w),
     )
-    if data.m == 1:
-        data = canonicalize(data)
-    return data if validate_miyata(data).passed else None
+    return canonicalize(data) if data.m == 1 else data
 
 
 def admissible(lat: Lattice2, h) -> AdmissibleResult:
@@ -527,11 +534,9 @@ def admissible(lat: Lattice2, h) -> AdmissibleResult:
         joint = convex_hull(list(set_a.points_exact) + list(set_g.points_exact))
         if not point_in_hull(origin, joint):
             return AdmissibleResult(VERDICT_NONE_HULL, h, set_a, set_g)
-        weights = witness_weights(set_a, set_g)
+        weights = _hull_weights(set_a, hull_a, set_g, hull_g)
         if weights is None:
             return AdmissibleResult(VERDICT_NONE_INFEASIBLE, h, set_a, set_g)
         verdict = VERDICT_EXISTS
     witness = _build_witness(h, set_a, set_g, weights)
-    if witness is None:
-        return AdmissibleResult(VERDICT_UNDECIDED, h, set_a, set_g, weights)
     return AdmissibleResult(verdict, h, set_a, set_g, weights, witness)

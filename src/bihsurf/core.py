@@ -123,23 +123,6 @@ class VerificationReport:
                 return c
         raise KeyError(name)
 
-    def merged(self, other: "VerificationReport") -> "VerificationReport":
-        """Associative merge: same-named checks keep the worst residual."""
-        by_name: dict[str, Check] = {c.name: c for c in self.checks}
-        order = [c.name for c in self.checks]
-        for c in other.checks:
-            if c.name in by_name:
-                prev = by_name[c.name]
-                if c.residual > prev.residual:
-                    by_name[c.name] = Check(c.name, c.residual, min(c.tolerance, prev.tolerance))
-            else:
-                by_name[c.name] = c
-                order.append(c.name)
-        return VerificationReport(
-            checks=tuple(by_name[n] for n in order),
-            sample_count=self.sample_count + other.sample_count,
-        )
-
     def to_dict(self) -> dict:
         return {
             "checks": [

@@ -453,5 +453,4 @@ def verify_immersion(
         checks = [
             Check(c.name, c.residual, tolerances.get(c.name, c.tolerance)) for c in checks
         ]
-    geo = VerificationReport(tuple(checks), samples)
-    return validate_miyata(data).merged(geo)
+    return VerificationReport(validate_miyata(data).checks + tuple(checks), samples)

@@ -41,11 +41,7 @@ class ExactBasis:
         return ((entry(0, 0), entry(0, 1)), (entry(1, 0), entry(1, 1)))
 
     def lattice(self) -> "Lattice2":
-        """The rank-2 lattice these rows generate, after an exact
-        independence test."""
-        (a, b), (c, d) = self.rows
-        if a * d - b * c == 0:
-            raise ValueError("lattice generators are linearly dependent")
+        """The rank-2 lattice these rows generate."""
         return Lattice2(rank=2, gens=self.float_rows(), exact=self)
 
 
@@ -60,7 +56,12 @@ class Lattice2:
     def __post_init__(self):
         if self.rank != len(self.gens):
             raise ValueError("rank must equal the number of generators")
-        if self.rank == 2:
+        # exact rows are tested exactly: a skewed basis can look dependent in floats
+        if self.rank == 2 and self.exact is not None:
+            (a, b), (c, d) = self.exact.rows
+            if a * d - b * c == 0:
+                raise ValueError("lattice generators are linearly dependent")
+        elif self.rank == 2:
             (x0, y0), (x1, y1) = self.gens
             if abs(x0 * y1 - y0 * x1) <= 1e-12 * math.hypot(x0, y0) * math.hypot(x1, y1):
                 raise ValueError("rank-2 generators are linearly dependent")

@@ -1,3 +1,5 @@
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -24,3 +26,18 @@ def structure_grid():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20240817)
+
+
+# hypothesis imports libcst to report a failing example, and libcst's import
+# warns through mypy_extensions; that warning is not the test's own
+_ERROR_ON_WARNINGS = pytest.mark.filterwarnings(
+    "error", "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning"
+)
+
+
+def pytest_collection_modifyitems(config, items):
+    """Any warning raised by a test under tests/ fails it."""
+    here = pathlib.Path(__file__).parent
+    for item in items:
+        if here in item.path.parents:
+            item.add_marker(_ERROR_ON_WARNINGS, append=False)

@@ -7,9 +7,10 @@ from hypothesis import given, note, settings, strategies as st
 
 from bihsurf.core import DomainError, ExactnessError
 from bihsurf.periodicity import ExactBasis, Lattice2
-from bihsurf.parameters import lift_structure, structure_params
+from bihsurf.parameters import lift_structure, structure_params, validate_miyata
 from bihsurf.immersion import build
 from bihsurf.geometry import verify_immersion
+from bihsurf import admissibility
 from bihsurf.admissibility import (
     CircleSquareSet,
     admissible,
@@ -488,6 +489,14 @@ def test_admissible_rect_exists_matches_structure_member():
         assert float(np.max(np.abs(im.eval(np.array(g)) - psi0))) <= 1e-8
 
 
+def test_admissible_builds_each_hull_once(monkeypatch):
+    calls = []
+    real = admissibility.convex_hull
+    monkeypatch.setattr(admissibility, "convex_hull", lambda pts: calls.append(1) or real(pts))
+    assert admissible(parse_lattice(LAT_RECT_EXISTS), F(3, 5)).verdict == "exists"
+    assert len(calls) == 4  # A, G, A and G joint, -G
+
+
 def test_admissible_none_hull():
     res = admissible(parse_lattice(LAT_RECT_NONE_HULL), F(3, 5))
     assert res.verdict == "none_hull"
@@ -522,6 +531,45 @@ def test_admissible_unimodular_invariance(rng):
         u = ((1, a), (c, 1 + a * c))  # det = 1
         assert admissible(unimodular_image(lat, u), F(3, 5)).verdict == "exists_pseudo_umbilical"
         assert admissible(unimodular_image(lat2, u), F(3, 5)).verdict == "exists"
+    # strongly skewed bases of the same lattices: the verdict and the exact
+    # weights may not depend on how badly conditioned the float basis is; at
+    # n = 10**6 the float generators are even dependent to rounding
+    for spec, exponents in ((LAT_SQRT5, (3, 4, 5)), (LAT_RECT_EXISTS, (3, 4, 5, 6))):
+        base = admissible(parse_lattice(spec), F(3, 5))
+        for e in exponents:
+            n = 10**e
+            u = ((n, n + 1), (n - 1, n))  # det = 1
+            res = admissible(unimodular_image(parse_lattice(spec), u), F(3, 5))
+            assert (res.verdict, res.weights) == (base.verdict, base.weights), n
+
+
+_SMALL_BASES = (((1, 0), (0, 1)), ((1, 1), (0, 1)), ((1, 0), (1, 1)))
+_H_BELOW_30 = sorted({F(n, d) for d in range(2, 30) for n in range(1, d)})
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    spec=st.sampled_from([spec for spec, _ in TEST_LATTICES]),
+    scale=st.integers(1, 3),
+    u=st.sampled_from(_SMALL_BASES),
+)
+def test_every_emitted_witness_is_certified(spec, scale, u):
+    # the exact weights are a Miyata certificate, and the float witness
+    # passes the float admissibility checks
+    lat = _scaled_image(spec, scale, u)
+    for h in _H_BELOW_30:
+        res = admissible(lat, h)
+        assert res.exists == (res.witness is not None)
+        if not res.exists:
+            continue
+        (ra, rg), pa, pg = res.weights, res.set_a.points_exact, res.set_g.points_exact
+        assert sum(ra) == 1 and sum(rg) == 1 and min(ra + rg) >= 0
+        for i in range(2):
+            assert sum(w * p[i] for w, p in zip(ra + rg, pa + pg)) == 0
+        assert len(set(pa)) == len(pa) and len(set(pg)) == len(pg)
+        assert (res.witness.m, res.witness.mp) == (sum(map(bool, ra)), sum(map(bool, rg)))
+        rep = validate_miyata(res.witness)
+        assert rep.passed, (h, [c.name for c in rep.failures()])
 
 
 def test_admissible_witness_period_invariant(rng):

@@ -67,7 +67,7 @@ def test_verify_pass_and_report(tmp_path, capsys):
     )
     assert code == 0
     rep = json.loads(report.read_text())
-    assert rep["samples"] == 61  # 60 geometric samples + 1 data record
+    assert rep["samples"] == 60
     assert all(c["passed"] for c in rep["checks"])
     names = {c["name"] for c in rep["checks"]}
     assert {"miyata_balance", "bitension", "mean_curvature_norm"} <= names
@@ -300,13 +300,13 @@ def test_export_counts_and_headers(tmp_path, capsys):
         ["export", "--params", str(params), "--grid", "64", "64", "--out", prefix], capsys
     )
     assert code == 0
-    lines = open(prefix + ".csv").read().splitlines()
+    lines = (tmp_path / "grid.csv").read_text().splitlines()
     assert lines[0] == "x,y," + ",".join("psi_%d" % i for i in range(1, 7))
     assert len(lines) == 1 + 64 * 64
-    obj = open(prefix + ".obj").read().splitlines()
+    obj = (tmp_path / "grid.obj").read_text().splitlines()
     assert sum(1 for l in obj if l.startswith("v ")) == 64 * 64
     assert sum(1 for l in obj if l.startswith("f ")) == 2 * 63 * 63
-    domain = json.loads(open(prefix + ".domain.json").read())
+    domain = json.loads((tmp_path / "grid.domain.json").read_text())
     poly = domain["polygon"]
     assert len(poly) == 4 and poly[0] == [0.0, 0.0]
     v1, v2 = domain["generators"]
@@ -323,7 +323,7 @@ def test_export_pca_projection(tmp_path, capsys):
          "--out", prefix], capsys
     )
     assert code == 0
-    obj = open(prefix + ".obj").read().splitlines()
+    obj = (tmp_path / "p.obj").read_text().splitlines()
     assert sum(1 for l in obj if l.startswith("v ")) == 64
 
 

@@ -89,16 +89,6 @@ def test_check_residuals_stay_json_safe():
         assert parsed["checks"][0]["residual"] == 1e300
 
 
-def test_report_merge_keeps_worst_residual():
-    r1 = VerificationReport((Check("a", 1e-12, 1e-9), Check("b", 0.0, 1.0)), 10)
-    r2 = VerificationReport((Check("a", 5e-9, 1e-9), Check("c", 0.0, 1.0)), 5)
-    merged = r1.merged(r2)
-    assert merged.sample_count == 15
-    assert merged.check("a").residual == 5e-9
-    assert not merged.passed
-    assert [c.name for c in merged.checks] == ["a", "b", "c"]
-
-
 def test_report_json_shape():
     rep = VerificationReport((Check("a", 0.0, 1e-9),), 3)
     d = rep.to_dict()
