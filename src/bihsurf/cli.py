@@ -117,7 +117,10 @@ def _parse_tolerance_overrides(entries):
         name, _, value = entry.partition("=")
         if not name or not value:
             raise DomainError("tolerance override must look like name=value, got %r" % entry)
-        out[name] = float(value)
+        try:
+            out[name] = float(value)
+        except ValueError:
+            out[name] = value  # not a number: verify_immersion rejects it by check name
     return out
 
 

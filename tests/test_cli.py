@@ -136,6 +136,21 @@ def test_verify_tolerance_overrides(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "abc", "0", "-1e-3"])
+def test_verify_bad_tolerance_value_exit_2(tmp_path, capsys, value):
+    params = tmp_path / "m.json"
+    run_cli(["construct", "--preset", "sasahara", "--out", str(params)], capsys)
+    report = tmp_path / "r.json"
+    code, _, err = run_cli(
+        ["verify", "--params", str(params), "--samples", "10",
+         "--tol", "bitension=" + value, "--out", str(report)],
+        capsys,
+    )
+    assert code == 2
+    assert "tolerance for bitension must be a positive finite number" in err
+    assert not report.exists()
+
+
 def test_lattice_command_sasahara(tmp_path, capsys):
     params = tmp_path / "s.json"
     run_cli(["construct", "--preset", "sasahara", "--out", str(params)], capsys)

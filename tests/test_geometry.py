@@ -1,11 +1,22 @@
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, note, settings, strategies as st
 
-from bihsurf.core import DomainError
-from bihsurf.parameters import MiyataData
-from bihsurf.immersion import build, extend_dimension, from_structure, sasahara_data
+from bihsurf import geometry
+from bihsurf.core import GEOMETRIC_TOL, Check, DomainError, VerificationReport
+from bihsurf.parameters import MiyataData, rho_max, validate_miyata
+from bihsurf.immersion import (
+    _split_blocks,
+    build,
+    extend_dimension,
+    from_structure,
+    sasahara_data,
+    symmetric_weights_data,
+)
 from bihsurf.geometry import (
     bitension,
     boruvka_params,
@@ -353,14 +364,24 @@ def test_verify_immersion_clean(structure_grid, sasahara_immersion):
             assert rep.passed, (im.data.h, im.ambient_dim, box, [c.name for c in rep.failures()])
 
 
-@pytest.mark.parametrize("samples", [0, -1])
+@pytest.mark.parametrize("samples", [0, -1, 2.5, "10", True])
 def test_verify_immersion_rejects_bad_sample_counts(sasahara_immersion, samples):
     with pytest.raises(DomainError, match="samples"):
         verify_immersion(sasahara_immersion, samples=samples)
 
 
 @pytest.mark.parametrize(
-    "bad", [{"seed": -1}, {"seed": 1.5}, {"box": math.nan}, {"box": math.inf}, {"box": -1.0}]
+    "bad",
+    [
+        {"seed": -1},
+        {"seed": 1.5},
+        {"seed": True},
+        {"box": math.nan},
+        {"box": math.inf},
+        {"box": -1.0},
+        {"box": "6"},
+        {"box": True},
+    ],
 )
 def test_verify_immersion_rejects_bad_seed_and_box(sasahara_immersion, bad):
     (name,) = bad
@@ -374,3 +395,149 @@ def test_verify_immersion_flags_broken_balance():
     names = {c.name for c in rep.failures()}
     assert "miyata_balance" in names
     assert "bitension" in names
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0, -1e-3, "1e-3", None, 1j, True])
+def test_verify_immersion_rejects_bad_tolerance_overrides(sasahara_immersion, tol):
+    with pytest.raises(DomainError, match="tolerance for gauss_flat"):
+        verify_immersion(sasahara_immersion, samples=5, tolerances={"gauss_flat": tol})
+
+
+# ---------------------------------------------------------------------------
+# blocked evaluation against the one-shot path
+
+
+def _sum_dot(u, v):
+    return np.sum(u * v, axis=-1)
+
+
+def _one_shot_verify(im, samples, seed, box):
+    """Reference report: every sample point in one table, every dot product
+    reduced with np.sum, the check list written out by hand."""
+    with mock.patch.object(geometry, "_dot", _sum_dot):
+        data = im.data
+        pts = np.random.default_rng(seed).uniform(-box, box, size=(samples, 2))
+        table = im.partial_table(pts, 4)
+        psi = table[(0, 0)]
+        px, py = table[(1, 0)], table[(0, 1)]
+        h = data.h
+        lam1, lam2 = data.lambda1, data.lambda2
+        forms = geometry._forms_from_table(table)
+        g, _, inv, b_xx, b_xy, b_yy = forms
+        eye = np.broadcast_to(np.eye(2), g.shape)
+        curv = geometry._curvature_from_forms(forms)
+        t1, t2 = _split_blocks(psi, im.m)
+        lap_t1 = -(table[(2, 0)] + table[(0, 2)])[..., : 2 * im.m]
+        lap_t2 = -(table[(2, 0)] + table[(0, 2)])[..., 2 * im.m :]
+        tau, tau2 = geometry._tension_fields(table, inv)
+
+        def maxabs(x):
+            return float(np.max(np.abs(x)))
+
+        normality = max(
+            maxabs(_sum_dot(b, w)) for b in (b_xx, b_xy, b_yy) for w in (psi, px, py)
+        )
+        checks = [
+            Check("unit_norm", maxabs(np.sqrt(_sum_dot(psi, psi)) - 1.0), 1e-12),
+            Check("metric_identity", maxabs(g - eye), 1e-10),
+            Check("forms_normal", normality, GEOMETRIC_TOL),
+            Check("mean_curvature_norm", maxabs(curv.mean_curvature_norm - h), GEOMETRIC_TOL),
+            Check("gauss_flat", maxabs(curv.gaussian), 1e-8),
+            Check(
+                "two_type_identity",
+                maxabs(2.0 * curv.h_vector - (2.0 * h) * (t1 - t2)),
+                GEOMETRIC_TOL,
+            ),
+            Check("block_norm_t1", maxabs(np.sqrt(_sum_dot(t1, t1)) - math.sqrt(0.5)), 1e-10),
+            Check("block_norm_t2", maxabs(np.sqrt(_sum_dot(t2, t2)) - math.sqrt(0.5)), 1e-10),
+            Check("block_orthogonal", maxabs(_sum_dot(t1, t2)), 1e-10),
+            Check("eigenblock_t1", maxabs(lap_t1 - lam1 * t1[..., : 2 * im.m]), 1e-10),
+            Check("eigenblock_t2", maxabs(lap_t2 - lam2 * t2[..., 2 * im.m :]), 1e-10),
+            Check(
+                "tension_normal",
+                max(maxabs(_sum_dot(tau, px)), maxabs(_sum_dot(tau, py))),
+                GEOMETRIC_TOL,
+            ),
+            Check("tension_vs_mean_curvature", maxabs(tau - 2.0 * curv.h_vector), 1e-10),
+            Check("bitension", maxabs(np.sqrt(_sum_dot(tau2, tau2))), 1e-7),
+        ]
+    return VerificationReport(validate_miyata(data).checks + tuple(checks), samples)
+
+
+_B = geometry._BLOCK
+
+
+@st.composite
+def _verify_case(draw):
+    family = draw(st.sampled_from(["structure", "equal_weight", "broken_balance"]))
+    h = draw(st.floats(0.05, 0.95))
+    if family == "broken_balance":
+        im = build(_broken_balance(), validate=False)
+    else:
+        if family == "structure":
+            im = from_structure(h, draw(st.floats(0.0, 1.0)) * rho_max(h))
+        else:
+            im = build(symmetric_weights_data(h))
+        for _ in range(draw(st.integers(0, 6))):
+            im = extend_dimension(im)
+    samples = draw(
+        st.one_of(st.sampled_from([1, _B - 1, _B, _B + 1, 2 * _B + 1]), st.integers(1, 3 * _B))
+    )
+    box = 10.0 ** draw(st.floats(math.log10(6.0), 9.0))
+    seed = draw(st.integers(0, 2**32 - 1))
+    note("%s h=%r ambient_dim=%d samples=%d box=%r seed=%d"
+         % (family, im.data.h, im.ambient_dim, samples, box, seed))
+    return im, samples, seed, box
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_verify_case())
+def test_verify_immersion_matches_one_shot_oracle(case):
+    im, samples, seed, box = case
+    got = verify_immersion(im, samples=samples, seed=seed, box=box)
+    want = _one_shot_verify(im, samples, seed, box)
+    assert got.sample_count == want.sample_count == samples
+    assert [c.name for c in got.checks] == [c.name for c in want.checks]
+    assert [c.tolerance for c in got.checks] == [c.tolerance for c in want.checks]
+    assert [c.passed for c in got.checks] == [c.passed for c in want.checks]
+    for g, w in zip(got.checks, want.checks):
+        assert abs(g.residual - w.residual) <= 1e-12 * max(1.0, abs(w.residual)), g.name
+
+
+def test_verify_immersion_blocks_equal_one_unblocked_evaluation():
+    # seed 197 puts the worst two_type_identity point of the broken-balance
+    # immersion among the last 7 samples, so a dropped partial block shows
+    im = build(_broken_balance(), validate=False)
+    samples = 3 * _B + 7
+    pts = np.random.default_rng(197).uniform(-6.0, 6.0, size=(samples, 2))
+    whole = geometry._block_residuals(im, pts)
+    assert any(w > f for w, f in zip(whole, geometry._block_residuals(im, pts[: 3 * _B])))
+    with mock.patch.object(
+        geometry, "_block_residuals", wraps=geometry._block_residuals
+    ) as spy:
+        rep = verify_immersion(im, samples=samples, seed=197)
+    assert [c.residual for c in rep.checks[-len(whole):]] == whole
+    # every point evaluated once, in order, in blocks of at most _BLOCK
+    blocks = [call.args[1] for call in spy.call_args_list]
+    assert [len(b) for b in blocks] == [_B, _B, _B, 7]
+    assert np.array_equal(np.concatenate(blocks), pts)
+
+
+def _peak_traced_bytes(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_verify_immersion_memory_bounded_by_block():
+    s5 = from_structure(0.4, 0.3)
+    s27 = s5
+    for _ in range(6):
+        s27 = extend_dimension(s27)
+    assert s27.ambient_dim == 28
+    for im, samples in ((s5, 100_000), (s27, 20_000)):
+        peak = _peak_traced_bytes(lambda: verify_immersion(im, samples=samples, seed=3))
+        assert peak < 32 * 2**20, (im.ambient_dim, samples, peak)
