@@ -11,6 +11,13 @@ metric, which keeps the covariant jet algebra closed-form. The bitension sign
 combination (sum of second covariant derivatives of tau, traced with g^{ab})
 + 2 tau - g^{ab}<tau, dphi_b> dphi_a is the one under which the constructed
 immersions are annihilated; the flipped curvature sign gives 4|tau|.
+
+One per-point kernel serves every caller (`verify_immersion`, `tension`,
+`bitension`, `mean_curvature`, `fundamental_forms` and the finite-difference
+oracle): it reads one partial table (for an `Immersion`, views into a single
+array), computes the metric once, the tension and only its first partials,
+projects the rough part of the bitension onto the sphere's tangent space
+once, and projects the three second partials together as one stacked array.
 """
 
 from __future__ import annotations
@@ -23,9 +30,7 @@ import numpy as np
 
 from .core import GEOMETRIC_TOL, Check, DomainError, VerificationReport
 from .parameters import validate_miyata
-from .immersion import Immersion, _split_blocks
-
-_JET2 = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
+from .immersion import Immersion, _as_points, _check_max_order, _is_int, _split_blocks
 
 
 def _dot(u, v):
@@ -38,7 +43,8 @@ def _sc(s, v):
 
 
 # ---------------------------------------------------------------------------
-# tension / bitension from a table of ambient partials
+# the per-point kernel: metric, tension, bitension and forms from one table
+# of ambient partials
 
 
 def _metric(table):
@@ -53,61 +59,79 @@ def _metric(table):
     return g, det, (g11 / det, -g01 / det, g00 / det)
 
 
-def _tension_jet(table, inv, orders=_JET2):
-    """Partials of tau = g^{ab} psi_ab + 2 psi, keyed by (a, b) in `orders`
-    (default: all up to order 2).
+def _trace(inv, t_xx, t_xy, t_yy):
+    """g^{ab} t_ab of a symmetric field given by its xx, xy and yy parts."""
+    i00, i01, i11 = inv
+    return _sc(i00, t_xx) + _sc(2.0 * i01, t_xy) + _sc(i11, t_yy)
 
-    Valid because the induced metric of a frequency-table immersion is
-    constant in (x, y); g^{ab} g_ab = 2 supplies the psi coefficient exactly.
+
+def _tension(table, inv):
+    """tau = g^{ab} psi_ab + 2 psi, from the second partials."""
+    return _trace(inv, table[(2, 0)], table[(1, 1)], table[(0, 2)]) + 2.0 * table[(0, 0)]
+
+
+def _bitension(table, inv, tau):
+    """Bitension from order-<=4 partials and tau.
+
+    The induced metric of a frequency-table immersion is constant in (x, y),
+    so the partials of tau are again traces of table entries:
+    J_a = g^{bc} psi_{abc} + 2 psi_a. With P v = v - <v, psi> psi, the
+    rough Laplacian g^{ab} P d_a(P d_b tau) is P applied once to
+    L - alpha psi - beta_x psi_x - beta_y psi_y, where L = g^{ab} J_ab is
+    read off the five order-4 entries plus 2 tau - 4 psi,
+    alpha = g^{ab} (<J_ab, psi> + <J_b, psi_a>) and
+    beta_a = g^{ab} <J_b, psi>. The bitension adds 2 tau minus the
+    tangential part g^{ab} <tau, psi_b> psi_a.
     """
+    psi, px, py = table[(0, 0)], table[(1, 0)], table[(0, 1)]
     i00, i01, i11 = inv
-    jet = {}
-    for a, b in orders:
-        jet[(a, b)] = (
-            _sc(i00, table[(a + 2, b)])
-            + _sc(2.0 * i01, table[(a + 1, b + 1)])
-            + _sc(i11, table[(a, b + 2)])
-            + 2.0 * table[(a, b)]
-        )
-    return jet
-
-
-def _tension_fields(table, inv):
-    """(tau, tau2): tension and bitension from order-<=4 partials."""
-    psi = table[(0, 0)]
-    i00, i01, i11 = inv
-    tjet = _tension_jet(table, inv)
-    tau = tjet[(0, 0)]
-    rough = np.zeros_like(tau)
-    pairs = (
-        ((1, 0), (1, 0), i00),
-        ((1, 0), (0, 1), i01),
-        ((0, 1), (1, 0), i01),
-        ((0, 1), (0, 1), i11),
+    jx = _trace(inv, table[(3, 0)], table[(2, 1)], table[(1, 2)]) + 2.0 * px
+    jy = _trace(inv, table[(2, 1)], table[(1, 2)], table[(0, 3)]) + 2.0 * py
+    lap = (
+        _sc(i00 * i00, table[(4, 0)])
+        + _sc(4.0 * i00 * i01, table[(3, 1)])
+        + _sc(2.0 * i00 * i11 + 4.0 * i01 * i01, table[(2, 2)])
+        + _sc(4.0 * i01 * i11, table[(1, 3)])
+        + _sc(i11 * i11, table[(0, 4)])
+        + (2.0 * tau - 4.0 * psi)
     )
-    for ea, eb, wt in pairs:
-        pa = table[ea]
-        tb = tjet[eb]
-        tab = tjet[(ea[0] + eb[0], ea[1] + eb[1])]
-        cb = _dot(tb, psi)
-        # outer ambient derivative of the projected inner derivative, projected
-        ue = tab - _sc(_dot(tab, psi) + _dot(tb, pa), psi) - _sc(cb, pa)
-        rough = rough + _sc(wt, ue - _sc(_dot(ue, psi), psi))
-    px, py = table[(1, 0)], table[(0, 1)]
+    alpha = (
+        _dot(lap, psi)
+        + i00 * _dot(jx, px)
+        + i01 * (_dot(jy, px) + _dot(jx, py))
+        + i11 * _dot(jy, py)
+    )
+    cx, cy = _dot(jx, psi), _dot(jy, psi)
+    rough = lap - _sc(alpha, psi) - _sc(i00 * cx + i01 * cy, px) - _sc(i01 * cx + i11 * cy, py)
+    rough -= _sc(_dot(rough, psi), psi)
     tx, ty = _dot(tau, px), _dot(tau, py)
     curv = _sc(i00 * tx + i01 * ty, px) + _sc(i01 * tx + i11 * ty, py)
-    return tau, rough + 2.0 * tau - curv
+    return rough + 2.0 * tau - curv
 
 
 def _bitension_from_table(table):
-    return _tension_fields(table, _metric(table)[2])[1]
+    inv = _metric(table)[2]
+    return _bitension(table, inv, _tension(table, inv))
+
+
+def _forms(table, inv):
+    """Second fundamental form (3, ..., D): B_xx, B_xy, B_yy, the second
+    partials made normal to psi, psi_x and psi_y, projected as one array."""
+    psi, px, py = table[(0, 0)], table[(1, 0)], table[(0, 1)]
+    i00, i01, i11 = inv
+    w = np.stack((table[(2, 0)], table[(1, 1)], table[(0, 2)]))
+    w -= _sc(_dot(w, psi), psi)
+    cx, cy = _dot(w, px), _dot(w, py)
+    w -= _sc(i00 * cx + i01 * cy, px)
+    w -= _sc(i01 * cx + i11 * cy, py)
+    return w
 
 
 def tension(im: Immersion, p) -> np.ndarray:
     """tau = g^{ab} psi_ab + 2 psi (metric trace of the second fundamental
     form of the map into the sphere); equals 2H."""
     table = im.partial_table(p, 2)
-    return _tension_jet(table, _metric(table)[2], ((0, 0),))[(0, 0)]
+    return _tension(table, _metric(table)[2])
 
 
 def bitension(im: Immersion, p) -> np.ndarray:
@@ -129,13 +153,24 @@ _STENCILS = {
 }
 
 
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _check_step(step) -> None:
+    if not (_is_real(step) and math.isfinite(step) and step > 0):
+        raise DomainError("step must be a positive finite number, got %r" % (step,))
+
+
 def fd_partial_table(im, p, step: float, max_order: int = 4):
     """Partial-derivative table built only from point evaluations.
 
     Fourth-order central stencils, tensorized for mixed derivatives; the
     independent route against the closed-form partials.
     """
-    p = np.asarray(p, dtype=float)
+    p = _as_points(p)
+    _check_step(step)
+    _check_max_order(max_order)
     grid = np.array([(i, j) for i in range(-3, 4) for j in range(-3, 4)], dtype=float)
     vals = im.eval(p[..., None, :] + step * grid)  # (..., 49, dim)
     table = {}
@@ -154,7 +189,7 @@ def fd_bitension_oracle(im, p, step: float) -> np.ndarray:
 
     Agrees with the analytic route to O(step^4).
     """
-    if not (1e-4 <= step <= 1e-1):
+    if not (_is_real(step) and 1e-4 <= step <= 1e-1):
         raise DomainError("step must lie in [1e-4, 1e-1], got %r" % step)
     return _bitension_from_table(fd_partial_table(im, p, step, 4))
 
@@ -181,45 +216,24 @@ class CurvatureSummary:
     h_vector: np.ndarray
 
 
-def _forms_from_table(table):
-    psi = table[(0, 0)]
-    px, py = table[(1, 0)], table[(0, 1)]
-    g, det, inv = _metric(table)
-    inv00, inv01, inv11 = inv
-
-    def normal_part(w):
-        w = w - _sc(_dot(w, psi), psi)
-        cx = _dot(w, px)
-        cy = _dot(w, py)
-        return w - _sc(inv00 * cx + inv01 * cy, px) - _sc(inv01 * cx + inv11 * cy, py)
-
-    b_xx = normal_part(table[(2, 0)])
-    b_xy = normal_part(table[(1, 1)])
-    b_yy = normal_part(table[(0, 2)])
-    return g, det, inv, b_xx, b_xy, b_yy
-
-
 def fundamental_forms(im, p) -> FundamentalForms:
     """g from first partials; B_ab = psi_ab + psi corrections projected onto
     the normal space (orthogonal to psi, psi_x, psi_y)."""
     table = im.partial_table(p, 2)
-    g, _, _, b_xx, b_xy, b_yy = _forms_from_table(table)
+    g, _, inv = _metric(table)
+    b_xx, b_xy, b_yy = _forms(table, inv)
     return FundamentalForms(g=g, b_xx=b_xx, b_xy=b_xy, b_yy=b_yy)
 
 
-def _curvature_from_forms(forms):
-    g, det, inv, b_xx, b_xy, b_yy = forms
-    inv00, inv01, inv11 = inv
-    h_vec = 0.5 * (_sc(inv00, b_xx) + _sc(2.0 * inv01, b_xy) + _sc(inv11, b_yy))
-    h_norm = np.sqrt(_dot(h_vec, h_vec))
-    gauss = 1.0 + (_dot(b_xx, b_yy) - _dot(b_xy, b_xy)) / det
+def _curvature(g, det, inv, forms):
+    """Curvature summary from the metric and the stacked forms of `_forms`."""
+    h_vec = 0.5 * _trace(inv, *forms)
     h_sq = _dot(h_vec, h_vec)
-    r_xx = np.abs(_dot(b_xx, h_vec) - h_sq * g[..., 0, 0])
-    r_xy = np.abs(_dot(b_xy, h_vec) - h_sq * g[..., 0, 1])
-    r_yy = np.abs(_dot(b_yy, h_vec) - h_sq * g[..., 1, 1])
-    residual = np.maximum(np.maximum(r_xx, r_yy), r_xy)
+    gauss = 1.0 + (_dot(forms[0], forms[2]) - _dot(forms[1], forms[1])) / det
+    g_ab = np.stack((g[..., 0, 0], g[..., 0, 1], g[..., 1, 1]))
+    residual = np.max(np.abs(_dot(forms, h_vec) - h_sq * g_ab), axis=0)
     return CurvatureSummary(
-        mean_curvature_norm=h_norm,
+        mean_curvature_norm=np.sqrt(h_sq),
         gaussian=gauss,
         pseudo_umbilical_residual=residual,
         h_vector=h_vec,
@@ -230,14 +244,17 @@ def mean_curvature(im, p) -> CurvatureSummary:
     """Mean curvature vector (metric trace of B over 2), Gauss-equation
     curvature for the unit-sphere ambient, and the pseudo-umbilicity residual
     max |<B_ab, H> - |H|^2 g_ab|."""
-    return _curvature_from_forms(_forms_from_table(im.partial_table(p, 2)))
+    table = im.partial_table(p, 2)
+    g, det, inv = _metric(table)
+    return _curvature(g, det, inv, _forms(table, inv))
 
 
 def gaussian_brioschi_fd(im, p, step: float = 1e-3) -> float:
     """Intrinsic Gaussian curvature from the metric alone (Brioschi formula),
     with metric derivatives by finite differences; oracle for the
     Gauss-equation route."""
-    p = np.asarray(p, dtype=float)
+    p = _as_points(p)
+    _check_step(step)
     offs = np.arange(-2, 3)
     E = np.empty((5, 5))
     F = np.empty((5, 5))
@@ -389,7 +406,8 @@ _CHECKS = (
 
 # Sample points evaluated together: the order-<=4 table of one block at
 # ambient dimension 28 is 15 * 2048 * 28 doubles (6.9 MB), so the working set
-# stays bounded whatever the sample count.
+# stays bounded whatever the sample count. Blocks of 1024 ran the verify-dense
+# benchmark 21% slower (more per-block overhead at ambient dimension 6 and 8).
 _BLOCK = 2048
 
 
@@ -400,52 +418,38 @@ def _maxabs(x) -> float:
 def _block_residuals(im: Immersion, pts) -> list[float]:
     """Worst residual of each check, in `_CHECKS` order, over the points pts."""
     table = im.partial_table(pts, 4)
-    psi = table[(0, 0)]
-    px, py = table[(1, 0)], table[(0, 1)]
+    psi, px, py = table[(0, 0)], table[(1, 0)], table[(0, 1)]
     h = im.data.h
     lam1, lam2 = im.data.lambda1, im.data.lambda2
+    low = 2 * im.m
 
-    forms = _forms_from_table(table)
-    g, _, inv, b_xx, b_xy, b_yy = forms
+    g, det, inv = _metric(table)
+    forms = _forms(table, inv)
+    curv = _curvature(g, det, inv, forms)
     eye = np.zeros_like(g)
     eye[..., 0, 0] = 1.0
     eye[..., 1, 1] = 1.0
-
-    curv = _curvature_from_forms(forms)
     t1, t2 = _split_blocks(psi, im.m)
-    lap_t1 = -(table[(2, 0)] + table[(0, 2)])[..., : 2 * im.m]
-    lap_t2 = -(table[(2, 0)] + table[(0, 2)])[..., 2 * im.m :]
-    tau, tau2 = _tension_fields(table, inv)
+    lap = -(table[(2, 0)] + table[(0, 2)])
+    tau = _tension(table, inv)
+    tau2 = _bitension(table, inv, tau)
 
-    normality = max(
-        _maxabs(_dot(b, w))
-        for b in (b_xx, b_xy, b_yy)
-        for w in (psi, px, py)
-    )
     return [
         _maxabs(np.sqrt(_dot(psi, psi)) - 1.0),
         _maxabs(g - eye),
-        normality,
+        max(_maxabs(_dot(forms, w)) for w in (psi, px, py)),
         _maxabs(curv.mean_curvature_norm - h),
         _maxabs(curv.gaussian),
         _maxabs(2.0 * curv.h_vector - (2.0 * h) * (t1 - t2)),
         _maxabs(np.sqrt(_dot(t1, t1)) - math.sqrt(0.5)),
         _maxabs(np.sqrt(_dot(t2, t2)) - math.sqrt(0.5)),
         _maxabs(_dot(t1, t2)),
-        _maxabs(lap_t1 - lam1 * t1[..., : 2 * im.m]),
-        _maxabs(lap_t2 - lam2 * t2[..., 2 * im.m :]),
+        _maxabs(lap[..., :low] - lam1 * t1[..., :low]),
+        _maxabs(lap[..., low:] - lam2 * t2[..., low:]),
         max(_maxabs(_dot(tau, px)), _maxabs(_dot(tau, py))),
         _maxabs(tau - 2.0 * curv.h_vector),
         _maxabs(np.sqrt(_dot(tau2, tau2))),
     ]
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
-def _is_real(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def _tolerances(overrides) -> dict[str, float]:

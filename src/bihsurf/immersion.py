@@ -2,13 +2,15 @@
 frequency/weight data. Every coordinate plane carries a circle
 c*(cos<w,p>, sin<w,p>), so every partial derivative is that same cos/sin pair
 scaled by w_1^a w_2^b and turned by a+b quarter turns: one evaluation of cos
-and sin serves the whole derivative table.
+and sin serves the whole derivative table. The table is one array with a row
+per derivative order, filled by one multiply for the even orders and one for
+the odd orders; its entries are views into that array.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,6 +43,8 @@ class Immersion:
     data: MiyataData
     wave_vectors: np.ndarray  # (K, 2)
     amplitudes: np.ndarray  # (K,)
+    # memo of `_factors`, derived from the fields above
+    _factor_memo: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def m(self) -> int:
@@ -55,10 +59,7 @@ class Immersion:
         return 2 * self.num_planes
 
     def _phases(self, p) -> np.ndarray:
-        p = np.asarray(p, dtype=float)
-        if p.shape[-1] != 2:
-            raise ValueError("points must have shape (..., 2)")
-        return p @ self.wave_vectors.T
+        return _as_points(p) @ self.wave_vectors.T
 
     def _assemble(self, cos_part, sin_part) -> np.ndarray:
         out = np.empty(cos_part.shape[:-1] + (self.ambient_dim,))
@@ -66,23 +67,42 @@ class Immersion:
         out[..., 1::2] = sin_part
         return out
 
+    def _factors(self, orders: tuple, ndim: int) -> np.ndarray:
+        """Factor rows of `orders`, shaped (len(orders), 1, ..., 1, D) to
+        broadcast against (..., D) with ndim axes: per order (a, b),
+        c*w_1^a*w_2^b on both slots of each plane times the slot signs of
+        a+b quarter turns. Computed once per (orders, ndim)."""
+        key = (orders, ndim)
+        if key not in self._factor_memo:
+            w1, w2 = self.wave_vectors[:, 0], self.wave_vectors[:, 1]
+            rows = np.array([
+                (self.amplitudes * w1**a * w2**b)[:, None] * _QUARTER_TURN_SIGNS[(a + b) % 4]
+                for a, b in orders
+            ])
+            self._factor_memo[key] = rows.reshape((len(orders),) + (1,) * (ndim - 1) + (-1,))
+        return self._factor_memo[key]
+
     def eval(self, p) -> np.ndarray:
         """psi(p); |psi| = 1 identically."""
-        return self._partials(p, ((0, 0),))[(0, 0)]
+        return self._partials(p, ((0, 0),), ())[(0, 0)]
 
-    def _partials(self, p, orders) -> dict[tuple[int, int], np.ndarray]:
-        """Quarter-turn kernel: one cos/sin evaluation; the (a, b) partial of
-        plane c*(cos, sin) is that pair turned by a+b quarter turns (swapped
-        when a+b is odd), the turn's signs folded into c*w_1^a*w_2^b."""
+    def _partials(self, p, even: tuple, odd: tuple) -> dict[tuple[int, int], np.ndarray]:
+        """Quarter-turn kernel: one cos/sin evaluation for every order. The
+        (a, b) partial of plane c*(cos, sin) is that pair turned by a+b
+        quarter turns: (cos, sin) up to signs when a+b is even, the swapped
+        pair (sin, cos) up to signs when it is odd. Each pair is built once
+        and the signs go into the order's factor row, so the even orders are
+        one multiply into a single (n_orders, ..., D) array and the odd
+        orders another; the entries are views into that array. `even` and
+        `odd` list the orders (a, b) with a+b even and odd."""
         theta = self._phases(p)
         cos, sin = np.cos(theta), np.sin(theta)
-        out = {}
-        for a, b in orders:
-            swap, sign_c, sign_s = _QUARTER_TURNS[(a + b) % 4]
-            factor = self.amplitudes * self.wave_vectors[:, 0] ** a * self.wave_vectors[:, 1] ** b
-            first, second = (sin, cos) if swap else (cos, sin)
-            out[(a, b)] = self._assemble((sign_c * factor) * first, (sign_s * factor) * second)
-        return out
+        out = np.empty((len(even) + len(odd),) + theta.shape[:-1] + (self.ambient_dim,))
+        groups = ((even, (cos, sin), out[: len(even)]), (odd, (sin, cos), out[len(even) :]))
+        for group, pair, rows in groups:
+            if group:
+                np.multiply(self._factors(group, theta.ndim), self._assemble(*pair), out=rows)
+        return dict(zip(even + odd, out))
 
     def partial(self, p, ax: tuple[int, int]) -> np.ndarray:
         """Exact partial derivative of order ax = (a, b), a+b <= 4.
@@ -91,18 +111,25 @@ class Immersion:
         (cos, sin) pair a quarter turn (likewise w_2 for y), so the result is
         again a closed trig form, never a difference quotient.
         """
-        a, b = ax
-        if a < 0 or b < 0 or a + b > 4:
-            raise DomainError("unsupported derivative order %r (|ax| must be <= 4)" % (ax,))
-        return self._partials(p, (ax,))[ax]
+        if not (
+            isinstance(ax, tuple)
+            and len(ax) == 2
+            and all(_is_int(k) and k >= 0 for k in ax)
+            and sum(ax) <= 4
+        ):
+            raise DomainError(
+                "ax must be a pair (a, b) of non-negative integers of total "
+                "derivative order a + b <= 4, got %r" % (ax,)
+            )
+        even, odd = ((ax,), ()) if sum(ax) % 2 == 0 else ((), (ax,))
+        return self._partials(p, even, odd)[ax]
 
     def partial_table(self, p, max_order: int = 4) -> dict[tuple[int, int], np.ndarray]:
-        """All partials up to total order max_order, keyed by (a, b); one
-        cos/sin evaluation serves every entry (see `partial`)."""
-        if max_order > 4:
-            raise DomainError("unsupported derivative order %d" % max_order)
-        orders = [(a, b) for a in range(max_order + 1) for b in range(max_order + 1 - a)]
-        return self._partials(p, orders)
+        """All partials up to total order max_order, keyed by (a, b); the
+        entries are views into one array filled from one cos/sin evaluation
+        (see `_partials`)."""
+        _check_max_order(max_order)
+        return self._partials(p, *_TABLE_ORDERS[max_order])
 
     def spectral_split(self, p) -> tuple[np.ndarray, np.ndarray]:
         """(psi_t1, psi_t2): low/high frequency blocks, zero-padded to full
@@ -110,9 +137,41 @@ class Immersion:
         return _split_blocks(self.eval(p), self.m)
 
 
-# k quarter turns send (cos, sin) to (cos, sin), (-sin, cos), (-cos, -sin), (sin, -cos):
-# (swap the pair?, sign of the cos slot, sign of the sin slot) for k = 0..3
-_QUARTER_TURNS = ((False, 1.0, 1.0), (True, -1.0, 1.0), (False, -1.0, -1.0), (True, 1.0, -1.0))
+# k quarter turns send (cos, sin) to (cos, sin), (-sin, cos), (-cos, -sin), (sin, -cos),
+# i.e. (cos, sin) or (sin, cos) times these slot signs, for k = 0..3
+_QUARTER_TURN_SIGNS = np.array(((1.0, 1.0), (-1.0, 1.0), (-1.0, -1.0), (1.0, -1.0)))
+
+# (orders with a+b even, orders with a+b odd) of the table up to each max_order
+_TABLE_ORDERS = tuple(
+    tuple(
+        tuple((a, n - a) for n in range(k + 1) if n % 2 == parity for a in range(n, -1, -1))
+        for parity in (0, 1)
+    )
+    for k in range(5)
+)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _check_max_order(max_order) -> None:
+    """Partial tables go up to total derivative order 4."""
+    if not (_is_int(max_order) and 0 <= max_order <= 4):
+        raise DomainError("max_order must be an integer in 0..4, got %r" % (max_order,))
+
+
+def _as_points(p) -> np.ndarray:
+    """p as a float array of finite points, shape (..., 2)."""
+    try:
+        p = np.asarray(p, dtype=float)
+    except (TypeError, ValueError):
+        raise DomainError("points must be real numbers, got %s" % type(p).__name__) from None
+    if p.ndim == 0 or p.shape[-1] != 2:
+        raise DomainError("points must have shape (..., 2), got shape %s" % (p.shape,))
+    if not np.isfinite(p).all():
+        raise DomainError("points must be finite")
+    return p
 
 
 def _split_blocks(full: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:

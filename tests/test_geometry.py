@@ -4,8 +4,9 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, note, settings, strategies as st
+from hypothesis import assume, given, note, settings, strategies as st
 
+import dict_table_oracle as oracle
 from bihsurf import geometry
 from bihsurf.core import GEOMETRIC_TOL, Check, DomainError, VerificationReport
 from bihsurf.parameters import MiyataData, rho_max, validate_miyata
@@ -22,6 +23,7 @@ from bihsurf.geometry import (
     boruvka_params,
     diagonal_sum_check,
     fd_bitension_oracle,
+    fd_partial_table,
     fundamental_forms,
     gaussian_brioschi_fd,
     mean_curvature,
@@ -221,6 +223,43 @@ def test_fd_oracle_step_domain():
         fd_bitension_oracle(im, np.zeros(2), 1e-5)
 
 
+@pytest.mark.parametrize("step", [0.0, -1e-3, math.nan, math.inf, "1e-3", None, True])
+def test_fd_routes_reject_bad_step(step):
+    im = from_structure(0.5, 0.3)
+    p = np.array([0.1, 0.2])
+    for call in (
+        lambda: fd_partial_table(im, p, step),
+        lambda: fd_bitension_oracle(im, p, step),
+        lambda: gaussian_brioschi_fd(im, p, step=step),
+    ):
+        with pytest.raises(DomainError, match="step"):
+            call()
+
+
+@pytest.mark.parametrize("max_order", [-1, 5, 2.5, True])
+def test_fd_partial_table_rejects_bad_max_order(max_order):
+    with pytest.raises(DomainError, match="max_order"):
+        fd_partial_table(from_structure(0.5, 0.3), np.zeros(2), 1e-2, max_order=max_order)
+
+
+@pytest.mark.parametrize(
+    "pts", ["ab", None, [math.nan, 0.0], [[0.0, 1.0], [0.0, -math.inf]], np.zeros(3)]
+)
+def test_per_point_functions_reject_bad_points(pts):
+    im = from_structure(0.5, 0.3)
+    for call in (
+        tension,
+        bitension,
+        fundamental_forms,
+        mean_curvature,
+        lambda im, p: fd_bitension_oracle(im, p, 1e-2),
+        lambda im, p: fd_partial_table(im, p, 1e-2),
+        gaussian_brioschi_fd,
+    ):
+        with pytest.raises(DomainError, match="points"):
+            call(im, pts)
+
+
 # ---------------------------------------------------------------------------
 # intrinsic-curvature oracle on a curved fixture
 
@@ -412,24 +451,25 @@ def _sum_dot(u, v):
 
 
 def _one_shot_verify(im, samples, seed, box):
-    """Reference report: every sample point in one table, every dot product
-    reduced with np.sum, the check list written out by hand."""
-    with mock.patch.object(geometry, "_dot", _sum_dot):
+    """Reference report: every sample point in one dict table, the dict-table
+    kernel with every dot product reduced with np.sum, the check list written
+    out by hand."""
+    with mock.patch.object(oracle, "_dot", _sum_dot):
         data = im.data
         pts = np.random.default_rng(seed).uniform(-box, box, size=(samples, 2))
-        table = im.partial_table(pts, 4)
+        table = oracle.partial_table(im, pts, 4)
         psi = table[(0, 0)]
         px, py = table[(1, 0)], table[(0, 1)]
         h = data.h
         lam1, lam2 = data.lambda1, data.lambda2
-        forms = geometry._forms_from_table(table)
+        forms = oracle.forms_from_table(table)
         g, _, inv, b_xx, b_xy, b_yy = forms
         eye = np.broadcast_to(np.eye(2), g.shape)
-        curv = geometry._curvature_from_forms(forms)
+        curv = oracle.curvature_from_forms(forms)
         t1, t2 = _split_blocks(psi, im.m)
         lap_t1 = -(table[(2, 0)] + table[(0, 2)])[..., : 2 * im.m]
         lap_t2 = -(table[(2, 0)] + table[(0, 2)])[..., 2 * im.m :]
-        tau, tau2 = geometry._tension_fields(table, inv)
+        tau, tau2 = oracle.tension_fields(table, inv)
 
         def maxabs(x):
             return float(np.max(np.abs(x)))
@@ -467,19 +507,43 @@ def _one_shot_verify(im, samples, seed, box):
 _B = geometry._BLOCK
 
 
+def _unnormalised(data, r_scale, rp_scales):
+    """data with every weight rescaled, so the weights no longer sum to one:
+    |psi| != 1, <tau, psi> != 0 and the metric is no multiple of the identity."""
+    return MiyataData(
+        data.h,
+        data.mu,
+        data.eta,
+        tuple(w * r_scale for w in data.r_weights),
+        tuple(w * f for w, f in zip(data.rp_weights, rp_scales)),
+    )
+
+
 @st.composite
-def _verify_case(draw):
-    family = draw(st.sampled_from(["structure", "equal_weight", "broken_balance"]))
+def _immersions(draw):
+    family = draw(st.sampled_from(["structure", "equal_weight", "broken_balance", "unnormalised"]))
     h = draw(st.floats(0.05, 0.95))
     if family == "broken_balance":
-        im = build(_broken_balance(), validate=False)
+        return family, build(_broken_balance(), validate=False)
+    if family == "equal_weight":
+        im = build(symmetric_weights_data(h))
     else:
-        if family == "structure":
-            im = from_structure(h, draw(st.floats(0.0, 1.0)) * rho_max(h))
-        else:
-            im = build(symmetric_weights_data(h))
-        for _ in range(draw(st.integers(0, 6))):
-            im = extend_dimension(im)
+        im = from_structure(h, draw(st.floats(0.0, 1.0)) * rho_max(h))
+    for _ in range(draw(st.integers(0, 6))):
+        im = extend_dimension(im)
+    if family == "unnormalised":
+        scale = st.floats(0.5, 1.5)
+        rp_scales = [draw(scale) for _ in im.data.rp_weights]
+        data = _unnormalised(im.data, draw(scale), rp_scales)
+        total = sum(data.r_weights) + sum(data.rp_weights)
+        assume(abs(total - 2.0) > 1e-3)
+        im = build(data, validate=False)
+    return family, im
+
+
+@st.composite
+def _verify_case(draw):
+    family, im = draw(_immersions())
     samples = draw(
         st.one_of(st.sampled_from([1, _B - 1, _B, _B + 1, 2 * _B + 1]), st.integers(1, 3 * _B))
     )
@@ -502,6 +566,61 @@ def test_verify_immersion_matches_one_shot_oracle(case):
     assert [c.passed for c in got.checks] == [c.passed for c in want.checks]
     for g, w in zip(got.checks, want.checks):
         assert abs(g.residual - w.residual) <= 1e-12 * max(1.0, abs(w.residual)), g.name
+
+
+def _assert_close(got, want, what):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape, what
+    bad = np.abs(got - want) > 1e-12 * np.maximum(1.0, np.abs(want))
+    assert not np.any(bad), (what, float(np.max(np.abs(got - want))))
+
+
+def _assert_per_point_functions_match_oracle(im, pts, fd_pts, step):
+    _assert_close(tension(im, pts), oracle.tension(im, pts), "tension")
+    _assert_close(bitension(im, pts), oracle.bitension(im, pts), "bitension")
+    got, want = fundamental_forms(im, pts), oracle.fundamental_forms(im, pts)
+    for name in ("g", "b_xx", "b_xy", "b_yy"):
+        _assert_close(getattr(got, name), getattr(want, name), name)
+    got, want = mean_curvature(im, pts), oracle.mean_curvature(im, pts)
+    for name in ("mean_curvature_norm", "gaussian", "pseudo_umbilical_residual", "h_vector"):
+        _assert_close(getattr(got, name), getattr(want, name), name)
+    _assert_close(
+        fd_bitension_oracle(im, fd_pts, step), oracle.fd_bitension_oracle(im, fd_pts, step), "fd"
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    case=_immersions(),
+    shape=st.sampled_from([(), (1,), (9,), (3, 4)]),
+    box=st.floats(math.log10(6.0), 9.0),
+    seed=st.integers(0, 2**32 - 1),
+    step=st.sampled_from([1e-2, 2e-2, 5e-2]),
+)
+def test_per_point_functions_match_dict_table_oracle(case, shape, box, seed, step):
+    # every rearrangement in the kernel holds for any table: unnormalised
+    # weights (|psi| != 1, <tau, psi> != 0) and broken balance (g_01 != 0)
+    # would expose one that needs the constructions' identities
+    family, im = case
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(-(10.0**box), 10.0**box, shape + (2,))
+    # finite differences resolve fourth derivatives only near the origin
+    fd_pts = rng.uniform(-6.0, 6.0, shape + (2,))
+    note("%s ambient_dim=%d box=1e%.2f" % (family, im.ambient_dim, box))
+    _assert_per_point_functions_match_oracle(im, pts, fd_pts, step)
+
+
+def test_forms_and_curvature_match_oracle_on_curved_fixture():
+    # a metric that varies from point to point, through the fixture's own table
+    fix = SmallSphere(r=0.8)
+    pts = np.array([[1.1, 0.4], [0.7, -0.9], [1.9, 2.2]])
+    forms = oracle.forms_from_table(fix.partial_table(pts, 2))
+    got = fundamental_forms(fix, pts)
+    for name, want in zip(("g", "b_xx", "b_xy", "b_yy"), forms[:1] + forms[3:]):
+        _assert_close(getattr(got, name), want, name)
+    got, want = mean_curvature(fix, pts), oracle.curvature_from_forms(forms)
+    for name in ("mean_curvature_norm", "gaussian", "pseudo_umbilical_residual", "h_vector"):
+        _assert_close(getattr(got, name), getattr(want, name), name)
 
 
 def test_verify_immersion_blocks_equal_one_unblocked_evaluation():

@@ -1,8 +1,9 @@
 import math
 
+import dict_table_oracle as oracle
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, note, settings, strategies as st
 
 from bihsurf.core import DomainError
 from bihsurf.parameters import MiyataData, validate_miyata
@@ -96,6 +97,40 @@ def test_partial_rejects_high_order(sasahara_immersion):
         sasahara_immersion.partial((0.0, 0.0), (3, 2))
 
 
+@pytest.mark.parametrize("ax", [(1,), (1, 0, 0), (-1, 0), (1.0, 0), (True, 0), [1, 0], "xy", 2])
+def test_partial_rejects_malformed_order(sasahara_immersion, ax):
+    with pytest.raises(DomainError, match="ax must be a pair"):
+        sasahara_immersion.partial((0.0, 0.0), ax)
+
+
+@pytest.mark.parametrize("max_order", [-1, 5, 2.5, "2", None, True])
+def test_partial_table_rejects_bad_max_order(sasahara_immersion, max_order):
+    with pytest.raises(DomainError, match="max_order"):
+        sasahara_immersion.partial_table((0.0, 0.0), max_order)
+
+
+@pytest.mark.parametrize(
+    "pts",
+    [
+        "ab",
+        None,
+        3.0,
+        np.zeros(3),
+        np.zeros((4, 1)),
+        [math.nan, 0.0],
+        [[0.0, 1.0], [math.inf, 0.0]],
+    ],
+)
+def test_points_rejected_by_name(sasahara_immersion, pts):
+    for call in (
+        lambda: sasahara_immersion.eval(pts),
+        lambda: sasahara_immersion.partial(pts, (1, 0)),
+        lambda: sasahara_immersion.partial_table(pts, 4),
+    ):
+        with pytest.raises(DomainError, match="points"):
+            call()
+
+
 def test_partials_match_finite_differences(rng):
     im = from_structure(0.62, 0.41)
     pts = rng.uniform(-2, 2, size=(5, 2))
@@ -145,6 +180,44 @@ def test_partials_match_phase_shift_oracle(h, rho_frac, extensions, pts):
         tol = 1e-12 * np.repeat(np.maximum(1.0, factor), 2)
         assert np.all(np.abs(got - _phase_shift_partial(im, pts, ax)) <= tol), ax
         assert np.array_equal(im.partial(pts, ax), got), ax
+
+
+_box_points = st.tuples(
+    st.sampled_from([(), (1,), (7,), (3, 4)]),
+    st.floats(math.log10(6.0), 9.0),
+    st.integers(0, 2**32 - 1),
+).map(lambda c: np.random.default_rng(c[2]).uniform(-(10.0 ** c[1]), 10.0 ** c[1], c[0] + (2,)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    family=st.sampled_from(["structure", "equal_weight"]),
+    h=st.floats(0.05, 0.95),
+    rho_frac=st.floats(0.0, 1.0),
+    extensions=st.integers(0, 6),
+    pts=_box_points,
+)
+def test_single_array_table_is_bit_exact(family, h, rho_frac, extensions, pts):
+    # the one-array table against the per-entry dict table it replaced
+    from bihsurf.parameters import rho_max
+
+    if family == "structure":
+        im = from_structure(h, rho_frac * rho_max(h))
+    else:
+        im = build(symmetric_weights_data(h))
+    for _ in range(extensions):
+        im = extend_dimension(im)
+    note("%s ambient_dim=%d pts.shape=%s" % (family, im.ambient_dim, pts.shape))
+    for k in range(5):
+        got = im.partial_table(pts, k)
+        want = oracle.partial_table(im, pts, k)
+        assert sorted(got) == sorted(want)
+        for ax, entry in want.items():
+            assert entry.shape == pts.shape[:-1] + (im.ambient_dim,)
+            assert np.array_equal(got[ax], entry), (k, ax)
+            if k == 4:
+                assert np.array_equal(im.partial(pts, ax), entry), ax
+    assert np.array_equal(im.eval(pts), oracle.partials(im, pts, [(0, 0)])[(0, 0)])
 
 
 def test_spectral_split_closed_form(sasahara_immersion):
