@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -157,9 +158,16 @@ def _is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+# the stencils divide by up to step**4, which must stay a normal double
+_MIN_STEP = sys.float_info.min**0.25
+
+
 def _check_step(step) -> None:
-    if not (_is_real(step) and math.isfinite(step) and step > 0):
-        raise DomainError("step must be a positive finite number, got %r" % (step,))
+    if not (_is_real(step) and math.isfinite(step) and step >= _MIN_STEP):
+        raise DomainError(
+            "step must be a finite number >= %.4g (step**4 a normal double), got %r"
+            % (_MIN_STEP, step)
+        )
 
 
 def fd_partial_table(im, p, step: float, max_order: int = 4):
@@ -491,8 +499,10 @@ def verify_immersion(
         raise DomainError("samples must be a positive integer, got %r" % (samples,))
     if not _is_int(seed) or seed < 0:
         raise DomainError("seed must be a non-negative integer, got %r" % (seed,))
-    if not (_is_real(box) and math.isfinite(box) and box >= 0):
-        raise DomainError("box must be a finite non-negative number, got %r" % (box,))
+    if not (_is_real(box) and 0 <= box <= sys.float_info.max / 2):
+        raise DomainError(
+            "box must be a non-negative number with 2 * box finite, got %r" % (box,)
+        )
     tol = _tolerances(tolerances)
     rng = np.random.default_rng(seed)
     pts = rng.uniform(-box, box, size=(samples, 2))

@@ -59,7 +59,14 @@ class Immersion:
         return 2 * self.num_planes
 
     def _phases(self, p) -> np.ndarray:
-        return _as_points(p) @ self.wave_vectors.T
+        """<w, p> for every wave vector w. The one finiteness check is on
+        the phases: it rejects points that are not finite and points so far
+        out that a phase leaves the float range."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            theta = _as_points(p) @ self.wave_vectors.T
+        if not np.isfinite(theta).all():
+            raise DomainError("points must be finite, with every phase <w, p> finite")
+        return theta
 
     def _assemble(self, cos_part, sin_part) -> np.ndarray:
         out = np.empty(cos_part.shape[:-1] + (self.ambient_dim,))
@@ -162,15 +169,14 @@ def _check_max_order(max_order) -> None:
 
 
 def _as_points(p) -> np.ndarray:
-    """p as a float array of finite points, shape (..., 2)."""
+    """p as a float array of shape (..., 2); `Immersion._phases` checks that
+    the points are finite."""
     try:
         p = np.asarray(p, dtype=float)
     except (TypeError, ValueError):
         raise DomainError("points must be real numbers, got %s" % type(p).__name__) from None
     if p.ndim == 0 or p.shape[-1] != 2:
         raise DomainError("points must have shape (..., 2), got shape %s" % (p.shape,))
-    if not np.isfinite(p).all():
-        raise DomainError("points must be finite")
     return p
 
 

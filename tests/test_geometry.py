@@ -223,7 +223,9 @@ def test_fd_oracle_step_domain():
         fd_bitension_oracle(im, np.zeros(2), 1e-5)
 
 
-@pytest.mark.parametrize("step", [0.0, -1e-3, math.nan, math.inf, "1e-3", None, True])
+@pytest.mark.parametrize(
+    "step", [0.0, -1e-3, math.nan, math.inf, "1e-3", None, True, 1e-100, 1e-170]
+)
 def test_fd_routes_reject_bad_step(step):
     im = from_structure(0.5, 0.3)
     p = np.array([0.1, 0.2])
@@ -243,7 +245,8 @@ def test_fd_partial_table_rejects_bad_max_order(max_order):
 
 
 @pytest.mark.parametrize(
-    "pts", ["ab", None, [math.nan, 0.0], [[0.0, 1.0], [0.0, -math.inf]], np.zeros(3)]
+    "pts",
+    ["ab", None, [math.nan, 0.0], [[0.0, 1.0], [0.0, -math.inf]], np.zeros(3), [1e308, 1e308]],
 )
 def test_per_point_functions_reject_bad_points(pts):
     im = from_structure(0.5, 0.3)
@@ -420,6 +423,7 @@ def test_verify_immersion_rejects_bad_sample_counts(sasahara_immersion, samples)
         {"box": -1.0},
         {"box": "6"},
         {"box": True},
+        {"box": 1e308},
     ],
 )
 def test_verify_immersion_rejects_bad_seed_and_box(sasahara_immersion, bad):

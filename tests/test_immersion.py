@@ -119,6 +119,7 @@ def test_partial_table_rejects_bad_max_order(sasahara_immersion, max_order):
         np.zeros((4, 1)),
         [math.nan, 0.0],
         [[0.0, 1.0], [math.inf, 0.0]],
+        [1e308, 1e308],
     ],
 )
 def test_points_rejected_by_name(sasahara_immersion, pts):
