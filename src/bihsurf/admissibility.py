@@ -273,10 +273,8 @@ def point_in_hull(pt: Point, hull) -> bool:
 def _clip_polygon(poly: list[Point], a: Point, b: Point) -> list[Point]:
     """Keep the part of poly on the left of the directed line a -> b."""
     out: list[Point] = []
-    k = len(poly)
-    for i in range(k):
-        p, q = poly[i], poly[(i + 1) % k]
-        sp, sq = _cross(a, b, p), _cross(a, b, q)
+    sides = [_cross(a, b, p) for p in poly]
+    for p, q, sp, sq in zip(poly, poly[1:] + poly[:1], sides, sides[1:] + sides[:1]):
         if sp >= 0:
             out.append(p)
         if (sp > 0 > sq) or (sp < 0 < sq):
@@ -291,62 +289,35 @@ def _clip_polygon(poly: list[Point], a: Point, b: Point) -> list[Point]:
     return dedup
 
 
-def _clip_segment(seg: tuple[Point, Point], hull) -> list[Point]:
-    """Intersection of a segment with a convex hull (exact parameter range)."""
-    (ax, ay), (bx, by) = seg
-    dx, dy = bx - ax, by - ay
-    lo, hi = Fraction(0), Fraction(1)
-    k = len(hull)
-    if k == 1:
-        return [hull[0]] if point_in_hull(hull[0], list(seg)) else []
-    if k == 2:
-        c, d = hull
-        # segment-segment: either collinear overlap or a proper crossing
-        if _cross(c, d, seg[0]) == 0 and _cross(c, d, seg[1]) == 0:
-            cand = [p for p in (seg[0], seg[1], c, d) if point_in_hull(p, list(seg)) and point_in_hull(p, [c, d])]
-            return sorted(set(cand))
-        den = (bx - ax) * (d[1] - c[1]) - (by - ay) * (d[0] - c[0])
-        if den == 0:
-            return []
-        t = ((c[0] - ax) * (d[1] - c[1]) - (c[1] - ay) * (d[0] - c[0])) / den
-        if not (0 <= t <= 1):
-            return []
-        px, py = ax + t * dx, ay + t * dy
-        return [(px, py)] if point_in_hull((px, py), [c, d]) else []
-    for i in range(k):
-        a2, b2 = hull[i], hull[(i + 1) % k]
-        ea = _cross(a2, b2, seg[0])
-        eb = _cross(a2, b2, seg[1])
-        if ea < 0 and eb < 0:
-            return []
-        if ea < 0 or eb < 0:
-            t = ea / (ea - eb)
-            if ea < 0:
-                lo = max(lo, t)
-            else:
-                hi = min(hi, t)
-    if lo > hi:
-        return []
-    p1 = (ax + lo * dx, ay + lo * dy)
-    p2 = (ax + hi * dx, ay + hi * dy)
-    return [p1] if p1 == p2 else [p1, p2]
+def _half_planes(hull) -> list[tuple[Point, Point]]:
+    """Directed lines a -> b whose closed left half-planes cut out a hull of
+    two or more vertices: the edges of a polygon; for a segment c d, its
+    line in both directions and the two end caps through c and d."""
+    if len(hull) > 2:
+        return list(zip(hull, hull[1:] + hull[:1]))
+    c, d = hull
+    ux, uy = d[0] - c[0], d[1] - c[1]
+    # left of c -> c + (uy, -ux) is (p - c) . (d - c) >= 0, and likewise at d
+    return [(c, d), (d, c), (c, (c[0] + uy, c[1] - ux)), (d, (d[0] - uy, d[1] + ux))]
 
 
 def intersect_hulls(h1, h2) -> list[Point]:
-    """Vertices of the intersection of two convex hulls (exact; any dims)."""
+    """Vertices of the intersection of two convex hulls (exact; any dims).
+
+    A one-point hull is tested for membership in the other. Otherwise the
+    hull with fewer vertices is clipped, as a closed polygon (a segment is
+    the two-vertex polygon c d c), by each half-plane of the other one
+    (`_half_planes`); the result is a point, a segment or a polygon.
+    """
     if not h1 or not h2:
         return []
     if len(h1) > len(h2):
         h1, h2 = h2, h1
     if len(h1) == 1:
         return [h1[0]] if point_in_hull(h1[0], h2) else []
-    if len(h1) == 2:
-        return _clip_segment((h1[0], h1[1]), h2)
-    if len(h2) == 2:
-        return _clip_segment((h2[0], h2[1]), h1)
     poly = list(h1)
-    for i in range(len(h2)):
-        poly = _clip_polygon(poly, h2[i], h2[(i + 1) % len(h2)])
+    for a, b in _half_planes(h2):
+        poly = _clip_polygon(poly, a, b)
         if not poly:
             return []
     return poly

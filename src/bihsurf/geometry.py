@@ -258,23 +258,18 @@ def mean_curvature(im, p) -> CurvatureSummary:
 
 
 def gaussian_brioschi_fd(im, p, step: float = 1e-3) -> float:
-    """Intrinsic Gaussian curvature from the metric alone (Brioschi formula),
-    with metric derivatives by finite differences; oracle for the
-    Gauss-equation route."""
+    """Intrinsic Gaussian curvature at one point p of shape (2,) from the
+    metric alone (Brioschi formula), with metric derivatives by finite
+    differences; oracle for the Gauss-equation route. E, F and G on the
+    5 x 5 stencil come from one first-order partial table and `_metric`."""
     p = _as_points(p)
+    if p.shape != (2,):
+        raise DomainError("points must be one point of shape (2,), got shape %s" % (p.shape,))
     _check_step(step)
-    offs = np.arange(-2, 3)
-    E = np.empty((5, 5))
-    F = np.empty((5, 5))
-    G = np.empty((5, 5))
-    for i, oi in enumerate(offs):
-        for j, oj in enumerate(offs):
-            q = p + step * np.array([oi, oj], dtype=float)
-            px = im.partial(q, (1, 0))
-            py = im.partial(q, (0, 1))
-            E[i, j] = float(_dot(px, px))
-            F[i, j] = float(_dot(px, py))
-            G[i, j] = float(_dot(py, py))
+    offs = np.arange(-2, 3, dtype=float)
+    grid = np.stack(np.meshgrid(offs, offs, indexing="ij"), axis=-1)
+    metric = _metric(im.partial_table(p + step * grid, 1))[0]
+    E, F, G = metric[..., 0, 0], metric[..., 0, 1], metric[..., 1, 1]
     d1 = np.array([1, -8, 0, 8, -1]) / (12 * step)
     d2 = np.array([-1, 16, -30, 16, -1]) / (12 * step**2)
     mid = np.array([0, 0, 1, 0, 0], dtype=float)

@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .core import DomainError, exact_rational, rational_sqrt_exact, squarefree_decompose
-from .parameters import angle_family_data, rho_tilde_of, spectral_levels, t_of_s
+from .parameters import _check_h, angle_family_data, rho_tilde_of, spectral_levels, t_of_s
 from .immersion import Immersion, build
 
 
@@ -110,7 +110,11 @@ def _reduced_pair(u, v):
     return _plain(u), _plain(v)
 
 
-def same_lattice(gens_a, gens_b, tol: float = 1e-9) -> bool:
+# how far from an integer matrix a change of basis may be in `same_lattice`
+_SAME_LATTICE_TOL = 1e-9
+
+
+def same_lattice(gens_a, gens_b) -> bool:
     """Do two rank-2 bases generate the same subgroup (unimodular change)?"""
     a = np.asarray(gens_a, dtype=float)
     b = np.asarray(gens_b, dtype=float)
@@ -120,7 +124,7 @@ def same_lattice(gens_a, gens_b, tol: float = 1e-9) -> bool:
     except np.linalg.LinAlgError:
         return False
     for m in (c, d):
-        if np.max(np.abs(m - np.round(m))) > tol:
+        if np.max(np.abs(m - np.round(m))) > _SAME_LATTICE_TOL:
             return False
     return abs(abs(np.linalg.det(c)) - 1.0) <= 1e-6
 
@@ -135,6 +139,9 @@ _SCREEN_CHUNK = 16384
 # products may round differently from the per-vector ones (a fused
 # multiply-add in one of them, say) by a few ulps of those terms.
 _SCREEN_SLACK = 1e-12
+# Most (ki, kj) pairs `period_lattice` screens in one call: about 20 s on a
+# 2-core VM, where the 7.6e6 pairs of search_bound 5000 took 1.7 s
+_MAX_GRID_PAIRS = 10**8
 
 
 def period_lattice(im: Immersion, search_bound: float) -> Lattice2:
@@ -149,8 +156,8 @@ def period_lattice(im: Immersion, search_bound: float) -> Lattice2:
     grid (1.6 MB traced peak at search_bound 1500, where the grid has 690k
     pairs). The exact per-candidate tests then run only on the pairs that
     pass, so every period comes from the same per-vector arithmetic as a
-    pair-by-pair scan. search_bound truncates the reported window; the basis
-    is Lagrange-Gauss reduced.
+    pair-by-pair scan. search_bound truncates the reported window (a grid over
+    _MAX_GRID_PAIRS is refused); the basis is Lagrange-Gauss reduced.
     """
     if not (isinstance(search_bound, numbers.Real) and not isinstance(search_bound, bool)
             and math.isfinite(search_bound) and search_bound > 0):
@@ -173,8 +180,14 @@ def period_lattice(im: Immersion, search_bound: float) -> Lattice2:
     m2 = np.linalg.inv(np.array([v_rows[i], v_rows[j]]))
     others = [l for l in range(n_rows) if l not in (i, j)]
 
-    ki_max = int(math.ceil(np.linalg.norm(v_rows[i]) * search_bound)) + 1
-    kj_max = int(math.ceil(np.linalg.norm(v_rows[j]) * search_bound)) + 1
+    widths = [float(np.linalg.norm(v_rows[l])) * search_bound for l in (i, j)]
+    pairs = (2.0 * widths[0] + 3.0) * (2.0 * widths[1] + 3.0)  # grid size, bar ceil
+    if pairs > _MAX_GRID_PAIRS:
+        raise DomainError(
+            "search_bound must be a positive finite number whose (ki, kj) grid has at most "
+            "%d pairs; the grid for %r has %.3g" % (_MAX_GRID_PAIRS, search_bound, pairs)
+        )
+    ki_max, kj_max = (int(math.ceil(w)) + 1 for w in widths)
     kj_all = np.arange(-kj_max, kj_max + 1, dtype=float)
     rows = max(1, _SCREEN_CHUNK // len(kj_all))
     cands = []
@@ -253,8 +266,15 @@ class PeriodicDirection:
     v: tuple[float, float]
 
 
+def _check_rho(rho) -> None:
+    if not (0.0 < rho <= math.pi / 2):
+        raise DomainError("rho must lie in (0, pi/2], got %r" % (rho,))
+
+
 def direction_integrality(h: float, k0: int, k1: int, rho: float) -> float:
     """The quantity that must be an integer for (k0, k1) to close up at rho."""
+    _check_h(h)
+    _check_rho(rho)
     lam1, lam2 = spectral_levels(h)
     ratio = math.sqrt(lam2 / lam1)
     rt = rho_tilde_of(h, rho)
@@ -268,6 +288,7 @@ def closing_ratios(h: float, s: float) -> tuple[float, float]:
     B = -sqrt(s(1-s-hs) / ((1-s)(s-(1-s)h))) < 0. Double periodicity needs
     both rational, i.e. 1/A^2 and B^2/A^2 rational squares.
     """
+    _check_h(h)
     lo, hi = h / (1.0 + h), 1.0 / (1.0 + h)
     if not (lo < s < hi):
         raise DomainError("s must lie strictly inside (h/(1+h), 1/(1+h))")
@@ -276,9 +297,15 @@ def closing_ratios(h: float, s: float) -> tuple[float, float]:
 
 
 def period_vector(h: float, k0: int, k1: int, rho: float) -> tuple[float, float]:
+    _check_h(h)
+    _check_rho(rho)
     lam1, lam2 = spectral_levels(h)
     tx = (2.0 * math.pi / math.sin(rho)) * (k1 / math.sqrt(lam2) - k0 * math.cos(rho) / math.sqrt(lam1))
     return (tx, 2.0 * math.pi * k0 / math.sqrt(lam1))
+
+
+# angles `periodic_direction_search` scans before bracketing its roots
+_DIRECTION_GRID = 4096
 
 
 def periodic_direction_search(
@@ -286,28 +313,31 @@ def periodic_direction_search(
     k0: int,
     k1: int,
     window: tuple[float, float],
-    grid: int = 4096,
 ) -> list[PeriodicDirection]:
     """All rho in the window where the closing quantity hits an integer.
 
     Scans a grid, brackets each integer crossing, bisects to 1e-12, and keeps
     only roots whose period vector returns psi to psi(0) within 1e-8.
     """
+    _check_h(h)
+    try:
+        lo, hi = window
+    except (TypeError, ValueError):
+        raise DomainError("window must be a pair (lo, hi), got %r" % (window,)) from None
     lam1, lam2 = spectral_levels(h)
     ratio = math.sqrt(lam2 / lam1)
     if abs(k1 - ratio * k0) <= 1e-12:
         raise DomainError(
             "degenerate pair: requires |K1 - sqrt(lambda2/lambda1) K0| > 0"
         )
-    lo, hi = window
     if not (0.0 < lo < hi < math.pi / 2):
         raise DomainError("window must be contained in (0, pi/2)")
 
     f = lambda rho: direction_integrality(h, k0, k1, rho)
-    xs = np.linspace(lo, hi, grid)
+    xs = np.linspace(lo, hi, _DIRECTION_GRID)
     fs = [f(x) for x in xs]
     roots = []
-    for idx in range(grid - 1):
+    for idx in range(_DIRECTION_GRID - 1):
         fa, fb = fs[idx], fs[idx + 1]
         k_lo, k_hi = math.ceil(min(fa, fb)), math.floor(max(fa, fb))
         for k in range(k_lo, k_hi + 1):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, note, settings, strategies as st
 
+import hull_oracle
 from bihsurf.core import DomainError, ExactnessError
 from bihsurf.periodicity import ExactBasis, Lattice2
 from bihsurf.parameters import lift_structure, structure_params, validate_miyata
@@ -382,6 +383,76 @@ def test_hull_predicates_match_direction_scan(rng):
         dirs = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
         separated = bool(np.any(np.max(dirs @ arr.T, axis=1) < -1e-12))
         assert exact == (not separated)
+
+
+_COORD = st.builds(F, st.integers(-6, 6), st.integers(1, 3))
+_POINT = st.tuples(_COORD, _COORD)
+
+
+@st.composite
+def _hulls(draw):
+    """Exact hulls of every shape: a point, a collinear point set (hull a
+    point or a segment), a segment, or a polygon from 3-7 points (possibly
+    degenerate)."""
+    kind = draw(st.sampled_from(["point", "collinear", "segment", "polygon"]))
+    if kind == "point":
+        return convex_hull([draw(_POINT)])
+    if kind == "segment":
+        return convex_hull([draw(_POINT), draw(_POINT)])
+    if kind == "polygon":
+        return convex_hull(draw(st.lists(_POINT, min_size=3, max_size=7)))
+    (ax, ay), (dx, dy) = draw(_POINT), draw(_POINT)
+    ts = draw(st.lists(_COORD, min_size=1, max_size=5))
+    return convex_hull([(ax + t * dx, ay + t * dy) for t in ts])
+
+
+def _centroid(pts):
+    n = F(len(pts))
+    return (sum(p[0] for p in pts) / n, sum(p[1] for p in pts) / n)
+
+
+@settings(max_examples=400, deadline=None)
+@given(h1=_hulls(), h2=_hulls())
+def test_intersect_hulls_matches_clip_oracle(h1, h2):
+    got = intersect_hulls(h1, h2)
+    want = hull_oracle.intersect_hulls(h1, h2)
+    note("got %s, want %s" % (got, want))
+    assert len(set(got)) == len(got)
+    assert set(got) == set(want)
+    if len(h1) >= 3 and len(h2) >= 3:
+        assert got == want
+    if got:
+        assert _centroid(got) == _centroid(want)  # the target admissible weighs
+
+
+# the CI lattice and more of the surd-5 family whose decision at h = 3/5
+# clips a segment by a polygon
+SEGMENT_POLYGON_LATTICES = (
+    {"gens": [["5*pi*sqrt(5)/2", "0"], ["pi*sqrt(5)/2", "pi*sqrt(5)"]]},
+    {"gens": [["5*pi*sqrt(5)/2", "0"], ["-3*pi*sqrt(5)", "4*pi*sqrt(5)"]]},
+    {"gens": [["5*pi*sqrt(5)/2", "0"], ["2*pi*sqrt(5)", "pi*sqrt(5)"]]},
+    {"gens": [["5*pi*sqrt(5)", "0"], ["-6*pi*sqrt(5)", "pi*sqrt(5)/2"]]},
+    {"gens": [["5*pi*sqrt(5)", "0"], ["3*pi*sqrt(5)/2", "3*pi*sqrt(5)"]]},
+    {"gens": [["5*pi*sqrt(5)", "0"], ["-pi*sqrt(5)/2", "6*pi*sqrt(5)"]]},
+)
+
+
+@pytest.mark.parametrize("spec", SEGMENT_POLYGON_LATTICES)
+def test_admissible_segment_polygon_matches_clip_oracle(spec, monkeypatch):
+    lat = parse_lattice(spec)
+    shapes = []
+
+    def recording(h1, h2):
+        shapes.append(sorted((len(h1), len(h2))))
+        return hull_oracle.intersect_hulls(h1, h2)
+
+    monkeypatch.setattr(admissibility, "intersect_hulls", recording)
+    want = admissible(lat, F(3, 5)).to_dict()
+    assert any(small == 2 and big >= 3 for small, big in shapes)
+    monkeypatch.undo()
+    got = admissible(lat, F(3, 5)).to_dict()
+    assert got == want
+    assert got["verdict"] == "exists"
 
 
 # ---------------------------------------------------------------------------

@@ -332,6 +332,11 @@ def test_brioschi_on_flat_immersion(rng):
     assert abs(gaussian_brioschi_fd(im, p, step=1e-3)) <= 1e-6
 
 
+def test_brioschi_rejects_a_batch_of_points():
+    with pytest.raises(DomainError, match="points must be one point of shape"):
+        gaussian_brioschi_fd(from_structure(0.5, 0.3), [[0.1, 0.2], [0.3, 0.4]])
+
+
 # ---------------------------------------------------------------------------
 # closed-form parameter checks
 

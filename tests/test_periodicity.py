@@ -13,9 +13,11 @@ from bihsurf.parameters import angle_family_data, canonicalize, rho_max
 from bihsurf.immersion import build, extend_dimension, from_structure
 from bihsurf.periodicity import (
     _lattice_of_periods,
+    closing_ratios,
     direction_integrality,
     lagrange_gauss,
     period_lattice,
+    period_vector,
     periodic_direction_search,
     same_lattice,
     torus_case_i,
@@ -74,7 +76,9 @@ def test_period_lattice_points_return_to_start(sasahara_immersion, rng):
         assert _returns_to_start(sasahara_immersion, a * g1 + b * g2)
 
 
-@pytest.mark.parametrize("bound", [math.nan, math.inf, -math.inf, 0, -1.0, "20", 1j, None, True])
+@pytest.mark.parametrize(
+    "bound", [math.nan, math.inf, -math.inf, 0, -1.0, "20", 1j, None, True, 1e20, 1e300, 1.7e308]
+)
 def test_period_lattice_rejects_bad_search_bound(sasahara_immersion, bound):
     with pytest.raises(DomainError, match="search_bound must be a positive finite number"):
         period_lattice(sasahara_immersion, bound)
@@ -282,6 +286,24 @@ def test_closing_ratios_domain():
 
     with pytest.raises(DomainError):
         closing_ratios(0.5, 1.0 / 3.0)  # endpoint s = h/(1+h) excluded
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        pytest.param(lambda: periodic_direction_search(1.5, 1, 2, (0.1, 1.0)), "h", id="search-h1.5"),
+        pytest.param(lambda: periodic_direction_search(1.0, 1, 2, (0.1, 1.0)), "h", id="search-h1"),
+        pytest.param(lambda: periodic_direction_search(0.5, 1, 2, 0.3), "window", id="search-window"),
+        pytest.param(lambda: closing_ratios(-0.5, 0.5), "h", id="closing-h"),
+        pytest.param(lambda: direction_integrality(1.5, 1, 2, 0.3), "h", id="integrality-h"),
+        pytest.param(lambda: direction_integrality(0.5, 1, 2, 0.0), "rho", id="integrality-rho"),
+        pytest.param(lambda: period_vector(0.5, 1, 2, 0.0), "rho", id="vector-rho0"),
+        pytest.param(lambda: period_vector(0.5, 1, 2, math.nan), "rho", id="vector-rho-nan"),
+    ],
+)
+def test_direction_helpers_reject_bad_input_by_name(call, name):
+    with pytest.raises(DomainError, match="^%s must" % name):
+        call()
 
 
 def test_period_vector_formula_matches_congruences():
