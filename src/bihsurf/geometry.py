@@ -14,10 +14,19 @@ immersions are annihilated; the flipped curvature sign gives 4|tau|.
 
 One per-point kernel serves every caller (`verify_immersion`, `tension`,
 `bitension`, `mean_curvature`, `fundamental_forms` and the finite-difference
-oracle): it reads one partial table (for an `Immersion`, views into a single
-array), computes the metric once, the tension and only its first partials,
-projects the rough part of the bitension onto the sphere's tangent space
-once, and projects the three second partials together as one stacked array.
+oracle). It reads the partials through two operations, each writing into a
+buffer the caller gives it: an entry d^o psi, and a combination
+sum_o c_o(p) d^o psi with per-point coefficients. An `Immersion` is never
+built into a table: an entry is its factor row times a trig pair, and a
+combination over k orders is one (D x k) @ (k x P) product of factor rows and
+coefficients times the pair, so the order-3 and order-4 partials are only
+ever read inside the tension's and the Laplacian's combinations. An explicit
+table (a dict, as `fd_partial_table` returns) serves both by indexing and by
+accumulating in place. Every block-sized array comes from a workspace that
+belongs to one call: `verify_immersion` allocates one for its first block and
+gives every later block the leading points of the same buffers, and each
+per-point function allocates one for its own points. Nothing is kept after
+the call.
 """
 
 from __future__ import annotations
@@ -26,120 +35,273 @@ import math
 import numbers
 import sys
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .core import GEOMETRIC_TOL, Check, DomainError, VerificationReport
 from .parameters import validate_miyata
-from .immersion import Immersion, _as_points, _check_max_order, _is_int, _split_blocks
+from .immersion import Immersion, _as_points, _check_max_order, _is_int
 
 
-def _dot(u, v):
-    return np.einsum("...i,...i->...", u, v)
+def _dot(u, v, out):
+    """<u, v> over the ambient axis of (..., D, P) fields, into out (..., P)."""
+    return np.einsum("...dp,...dp->...p", u, v, out=out)
 
 
-def _sc(s, v):
-    """Scalar field times vector field (broadcast over the ambient axis)."""
-    return np.asarray(s)[..., None] * v
+def _unflatten(x, shape):
+    """A kernel array (..., P) as the caller's points: shape + (...)."""
+    return np.moveaxis(x, -1, 0).reshape(shape + x.shape[:-1])
+
+
+# ---------------------------------------------------------------------------
+# workspace and tables
+#
+# Inside the kernel the point axis comes last: a vector field over P points is
+# a (D, P) array, a scalar field (P,), and a stack of them (S, D, P) or (S, P).
+# Per-point scalars then scale whole rows, and sums over the ambient axis run
+# along contiguous rows, whatever D is.
+
+
+class _Workspace:
+    """The block-sized arrays of one call, by name and shape. A buffer is
+    allocated for n points the first time it is asked for and reused after
+    that; after `points(m)` each is handed out as a contiguous array over its
+    leading m points (the views are kept until m changes)."""
+
+    def __init__(self, n: int, dim: int):
+        self._dim = dim
+        self._n = self._m = n
+        self._bufs: dict = {}
+        self._views: dict = {}
+
+    def points(self, m: int) -> None:
+        if m != self._m:
+            self._m = m
+            self._views = {}
+
+    def scalar(self, name: str, *lead: int) -> np.ndarray:
+        """Buffer of shape lead + (m,)."""
+        return self._get((name,) + lead, lead)
+
+    def vec(self, name: str, *lead: int) -> np.ndarray:
+        """Buffer of shape lead + (D, m)."""
+        return self._get((name, "vec") + lead, lead + (self._dim,))
+
+    def _get(self, key, shape):
+        view = self._views.get(key)
+        if view is None:
+            buf = self._bufs.get(key)
+            if buf is None:
+                buf = self._bufs[key] = np.empty(shape + (self._n,))
+            if self._m < self._n:
+                buf = buf.reshape(-1)[: math.prod(shape) * self._m].reshape(shape + (self._m,))
+            view = self._views[key] = buf
+        return view
+
+
+class _FactoredTable:
+    """The partials of an Immersion at P points, read without building them.
+
+    Entry (a, b) is the order's factor row (`Immersion._factors`) times the
+    trig pair of the parity of a+b: (cos, sin) per plane when it is even,
+    (sin, cos) when it is odd. So a combination over k orders of one parity
+    is one (D x k) @ (k x P) product times that pair.
+    """
+
+    def __init__(self, im: Immersion, pts, ws: _Workspace):
+        self._im = im
+        k = im.num_planes
+        theta = ws.scalar("theta", k)
+        im._phases(pts, theta.T)
+        cos = np.cos(theta, out=ws.scalar("cos", k))
+        sin = np.sin(theta, out=theta)
+        even, odd = ws.vec("even"), ws.vec("odd")
+        im._assemble(cos.T, sin.T, even.T)
+        im._assemble(sin.T, cos.T, odd.T)
+        self._pairs = (even, odd)
+
+    def entry(self, order, out):
+        row = self._im._factors((order,), 1)[0]
+        return np.multiply(row[:, None], self._pairs[sum(order) % 2], out=out)
+
+    def combo(self, orders, coeffs, out):
+        """sum_j coeffs[..., j, :] * (partial orders[j]), into out (..., D, P);
+        the orders share one parity."""
+        np.matmul(self._im._factors(orders, 1).T, coeffs, out=out)
+        out *= self._pairs[sum(orders[0]) % 2]
+        return out
+
+
+class _ExplicitTable:
+    """A table given as {(a, b): (D, P) array}, such as `fd_partial_table`'s."""
+
+    def __init__(self, table: dict):
+        self._table = table
+
+    def entry(self, order, out):
+        np.copyto(out, self._table[order])
+        return out
+
+    def combo(self, orders, coeffs, out):
+        np.multiply(coeffs[..., :1, :], self._table[orders[0]], out=out)
+        for j in range(1, len(orders)):
+            out += coeffs[..., j : j + 1, :] * self._table[orders[j]]
+        return out
+
+
+def _explicit(table: dict):
+    """(table, workspace, point shape) for an explicit table {(a, b): (..., D)}."""
+    psi = table[(0, 0)]
+    shape, dim = psi.shape[:-1], psi.shape[-1]
+    flat = {order: v.reshape(-1, dim).T for order, v in table.items()}
+    return _ExplicitTable(flat), _Workspace(math.prod(shape), dim), shape
+
+
+def _table(im, p, max_order: int):
+    """(table, workspace, point shape) of points p of shape (..., 2): the
+    factored table of an Immersion, else im.partial_table(p, max_order)."""
+    if not isinstance(im, Immersion):
+        return _explicit(im.partial_table(p, max_order))
+    pts = _as_points(p)
+    flat = pts.reshape(-1, 2)
+    ws = _Workspace(len(flat), im.ambient_dim)
+    return _FactoredTable(im, flat, ws), ws, pts.shape[:-1]
 
 
 # ---------------------------------------------------------------------------
 # the per-point kernel: metric, tension, bitension and forms from one table
 # of ambient partials
 
+# second partials, and the orders of the combinations tau = g^{ab} psi_ab + 2 psi
+# and J_a = g^{bc} psi_abc + 2 psi_a, all weighted (g^00, 2 g^01, g^11, 2)
+_SECOND = ((2, 0), (1, 1), (0, 2))
+_TENSION = _SECOND + ((0, 0),)
+_J = (((3, 0), (2, 1), (1, 2), (1, 0)), ((2, 1), (1, 2), (0, 3), (0, 1)))
+# L = g^{ab} J_ab: the five order-4 partials, then 2 tau - 4 psi = 2 g^{ab} psi_ab
+_LAPLACIAN = ((4, 0), (3, 1), (2, 2), (1, 3), (0, 4)) + _SECOND
+_FIRST = ((1, 0), (0, 1))
 
-def _metric(table):
-    """Induced metric g (..., 2, 2), its determinant and the inverse-metric
-    entries (g^00, g^01, g^11), from the first partials."""
-    px, py = table[(1, 0)], table[(0, 1)]
-    g00, g01, g11 = _dot(px, px), _dot(px, py), _dot(py, py)
-    det = g00 * g11 - g01 * g01
-    if np.any(det < 1e-12):
+
+class _Metric(NamedTuple):
+    psi: np.ndarray  # (D, P)
+    d1: np.ndarray  # (2, D, P): psi_x, psi_y
+    g: np.ndarray  # (2, 2, P)
+    det: np.ndarray  # (P,)
+    inv: np.ndarray  # (2, 2, P)
+    weights: np.ndarray  # (4, P): g^00, 2 g^01, g^11, 2
+
+
+def _metric(table, ws: _Workspace) -> _Metric:
+    """psi, its first partials, the induced metric g_ab = <psi_a, psi_b>,
+    det g, the inverse metric g^{ab} and the weights of `_TENSION`."""
+    psi = table.entry((0, 0), ws.vec("psi"))
+    d1 = ws.vec("d1", 2)
+    for order, out in zip(_FIRST, d1):
+        table.entry(order, out)
+    g = np.einsum("adp,bdp->abp", d1, d1, out=ws.scalar("g", 2, 2))
+    det = np.multiply(g[0, 0], g[1, 1], out=ws.scalar("det"))
+    det -= np.multiply(g[0, 1], g[0, 1], out=ws.scalar("s"))
+    if (det < 1e-12).any():
         raise DomainError("degenerate immersion: metric determinant below 1e-12")
-    g = np.stack([np.stack([g00, g01], axis=-1), np.stack([g01, g11], axis=-1)], axis=-2)
-    return g, det, (g11 / det, -g01 / det, g00 / det)
+    inv = ws.scalar("inv", 2, 2)
+    np.divide(g[1, 1], det, out=inv[0, 0])
+    np.negative(np.divide(g[0, 1], det, out=inv[0, 1]), out=inv[0, 1])
+    inv[1, 0] = inv[0, 1]
+    np.divide(g[0, 0], det, out=inv[1, 1])
+    weights = ws.scalar("weights", 4)
+    weights[0] = inv[0, 0]
+    np.multiply(inv[0, 1], 2.0, out=weights[1])
+    weights[2] = inv[1, 1]
+    weights[3] = 2.0
+    return _Metric(psi, d1, g, det, inv, weights)
 
 
-def _trace(inv, t_xx, t_xy, t_yy):
-    """g^{ab} t_ab of a symmetric field given by its xx, xy and yy parts."""
-    i00, i01, i11 = inv
-    return _sc(i00, t_xx) + _sc(2.0 * i01, t_xy) + _sc(i11, t_yy)
+def _sub_tangent(table, v, mt: _Metric, c, ws: _Workspace):
+    """v -= g^{ab} c_b psi_a in place, for a field v (D, P) and coefficients
+    c (2, P)."""
+    beta = np.einsum("abp,bp->ap", mt.inv, c, out=ws.scalar("beta", 2))
+    v -= table.combo(_FIRST, beta, ws.vec("tmp"))
+    return v
 
 
-def _tension(table, inv):
-    """tau = g^{ab} psi_ab + 2 psi, from the second partials."""
-    return _trace(inv, table[(2, 0)], table[(1, 1)], table[(0, 2)]) + 2.0 * table[(0, 0)]
+def _normal_part(table, v, mt: _Metric, ws: _Workspace):
+    """v minus its psi component, then minus its tangential part, in place."""
+    v -= np.multiply(_dot(v, mt.psi, ws.scalar("r")), mt.psi, out=ws.vec("tmp"))
+    return _sub_tangent(table, v, mt, _dot(v, mt.d1, ws.scalar("c", 2)), ws)
 
 
-def _bitension(table, inv, tau):
+def _tension(table, mt: _Metric, ws: _Workspace):
+    """tau = g^{ab} psi_ab + 2 psi, one combination of the table."""
+    return table.combo(_TENSION, mt.weights, ws.vec("tau"))
+
+
+def _bitension(table, mt: _Metric, tau, ws: _Workspace):
     """Bitension from order-<=4 partials and tau.
 
     The induced metric of a frequency-table immersion is constant in (x, y),
-    so the partials of tau are again traces of table entries:
+    so the partials of tau are again combinations of table entries:
     J_a = g^{bc} psi_{abc} + 2 psi_a. With P v = v - <v, psi> psi, the
     rough Laplacian g^{ab} P d_a(P d_b tau) is P applied once to
     L - alpha psi - beta_x psi_x - beta_y psi_y, where L = g^{ab} J_ab is
-    read off the five order-4 entries plus 2 tau - 4 psi,
+    one combination of the five order-4 entries and 2 tau - 4 psi,
     alpha = g^{ab} (<J_ab, psi> + <J_b, psi_a>) and
     beta_a = g^{ab} <J_b, psi>. The bitension adds 2 tau minus the
     tangential part g^{ab} <tau, psi_b> psi_a.
     """
-    psi, px, py = table[(0, 0)], table[(1, 0)], table[(0, 1)]
-    i00, i01, i11 = inv
-    jx = _trace(inv, table[(3, 0)], table[(2, 1)], table[(1, 2)]) + 2.0 * px
-    jy = _trace(inv, table[(2, 1)], table[(1, 2)], table[(0, 3)]) + 2.0 * py
-    lap = (
-        _sc(i00 * i00, table[(4, 0)])
-        + _sc(4.0 * i00 * i01, table[(3, 1)])
-        + _sc(2.0 * i00 * i11 + 4.0 * i01 * i01, table[(2, 2)])
-        + _sc(4.0 * i01 * i11, table[(1, 3)])
-        + _sc(i11 * i11, table[(0, 4)])
-        + (2.0 * tau - 4.0 * psi)
-    )
-    alpha = (
-        _dot(lap, psi)
-        + i00 * _dot(jx, px)
-        + i01 * (_dot(jy, px) + _dot(jx, py))
-        + i11 * _dot(jy, py)
-    )
-    cx, cy = _dot(jx, psi), _dot(jy, psi)
-    rough = lap - _sc(alpha, psi) - _sc(i00 * cx + i01 * cy, px) - _sc(i01 * cx + i11 * cy, py)
-    rough -= _sc(_dot(rough, psi), psi)
-    tx, ty = _dot(tau, px), _dot(tau, py)
-    curv = _sc(i00 * tx + i01 * ty, px) + _sc(i01 * tx + i11 * ty, py)
-    return rough + 2.0 * tau - curv
+    psi, d1 = mt.psi, mt.d1
+    j = ws.vec("j", 2)
+    for orders, out in zip(_J, j):
+        table.combo(orders, mt.weights, out)
+    # with u = (g^00, 2 g^01, g^11) the weights of d_xx, d_xy and d_yy, the
+    # order-4 weights are those of (u0 d_xx + u1 d_xy + u2 d_yy)^2, and 2 u
+    # weighs the second partials
+    u = mt.weights[:3]
+    w = ws.scalar("laplacian", 8)
+    s = ws.scalar("s")
+    w[:5] = 0.0
+    for i in range(3):
+        for k in range(3):
+            w[i + k] += np.multiply(u[i], u[k], out=s)
+    np.multiply(u, 2.0, out=w[5:])
+    out = table.combo(_LAPLACIAN, w, ws.vec("tau2"))
+    tmp = ws.vec("tmp")
+    alpha = _dot(out, psi, ws.scalar("alpha"))
+    m = np.einsum("adp,bdp->abp", j, d1, out=ws.scalar("m", 2, 2))
+    alpha += np.einsum("abp,abp->p", mt.inv, m, out=s)
+    out -= np.multiply(alpha, psi, out=tmp)
+    _sub_tangent(table, out, mt, _dot(j, psi, ws.scalar("c", 2)), ws)
+    out -= np.multiply(_dot(out, psi, s), psi, out=tmp)
+    out += np.multiply(tau, 2.0, out=tmp)
+    return _sub_tangent(table, out, mt, _dot(tau, d1, ws.scalar("c", 2)), ws)
 
 
-def _bitension_from_table(table):
-    inv = _metric(table)[2]
-    return _bitension(table, inv, _tension(table, inv))
-
-
-def _forms(table, inv):
-    """Second fundamental form (3, ..., D): B_xx, B_xy, B_yy, the second
-    partials made normal to psi, psi_x and psi_y, projected as one array."""
-    psi, px, py = table[(0, 0)], table[(1, 0)], table[(0, 1)]
-    i00, i01, i11 = inv
-    w = np.stack((table[(2, 0)], table[(1, 1)], table[(0, 2)]))
-    w -= _sc(_dot(w, psi), psi)
-    cx, cy = _dot(w, px), _dot(w, py)
-    w -= _sc(i00 * cx + i01 * cy, px)
-    w -= _sc(i01 * cx + i11 * cy, py)
+def _forms(table, mt: _Metric, ws: _Workspace):
+    """Second fundamental form (3, D, P): B_xx, B_xy, B_yy, the second
+    partials made normal to psi, psi_x and psi_y."""
+    w = ws.vec("forms", 3)
+    for order, out in zip(_SECOND, w):
+        _normal_part(table, table.entry(order, out), mt, ws)
     return w
+
+
+def _bitension_field(table, ws: _Workspace, shape):
+    mt = _metric(table, ws)
+    return _unflatten(_bitension(table, mt, _tension(table, mt, ws), ws), shape)
 
 
 def tension(im: Immersion, p) -> np.ndarray:
     """tau = g^{ab} psi_ab + 2 psi (metric trace of the second fundamental
     form of the map into the sphere); equals 2H."""
-    table = im.partial_table(p, 2)
-    return _tension(table, _metric(table)[2])
+    table, ws, shape = _table(im, p, 2)
+    return _unflatten(_tension(table, _metric(table, ws), ws), shape)
 
 
 def bitension(im: Immersion, p) -> np.ndarray:
     """Bitension field from exact order-<=4 partials; vanishes (to rounding)
     on every admissible construction and is order-one when the weight balance
     is broken."""
-    return _bitension_from_table(im.partial_table(p, 4))
+    return _bitension_field(*_table(im, p, 4))
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +361,7 @@ def fd_bitension_oracle(im, p, step: float) -> np.ndarray:
     """
     if not (_is_real(step) and 1e-4 <= step <= 1e-1):
         raise DomainError("step must lie in [1e-4, 1e-1], got %r" % step)
-    return _bitension_from_table(fd_partial_table(im, p, step, 4))
+    return _bitension_field(*_explicit(fd_partial_table(im, p, step, 4)))
 
 
 # ---------------------------------------------------------------------------
@@ -227,23 +389,33 @@ class CurvatureSummary:
 def fundamental_forms(im, p) -> FundamentalForms:
     """g from first partials; B_ab = psi_ab + psi corrections projected onto
     the normal space (orthogonal to psi, psi_x, psi_y)."""
-    table = im.partial_table(p, 2)
-    g, _, inv = _metric(table)
-    b_xx, b_xy, b_yy = _forms(table, inv)
-    return FundamentalForms(g=g, b_xx=b_xx, b_xy=b_xy, b_yy=b_yy)
+    table, ws, shape = _table(im, p, 2)
+    mt = _metric(table, ws)
+    b_xx, b_xy, b_yy = (_unflatten(b, shape) for b in _forms(table, mt, ws))
+    return FundamentalForms(g=_unflatten(mt.g, shape), b_xx=b_xx, b_xy=b_xy, b_yy=b_yy)
 
 
-def _curvature(g, det, inv, forms):
-    """Curvature summary from the metric and the stacked forms of `_forms`."""
-    h_vec = 0.5 * _trace(inv, *forms)
-    h_sq = _dot(h_vec, h_vec)
-    gauss = 1.0 + (_dot(forms[0], forms[2]) - _dot(forms[1], forms[1])) / det
-    g_ab = np.stack((g[..., 0, 0], g[..., 0, 1], g[..., 1, 1]))
-    residual = np.max(np.abs(_dot(forms, h_vec) - h_sq * g_ab), axis=0)
+def _curvature(table, mt: _Metric, forms, ws: _Workspace) -> CurvatureSummary:
+    """Curvature summary over P points from the forms of `_forms`.
+    The mean-curvature vector is half the normal part of one combination,
+    g^{ab} psi_ab."""
+    h_vec = table.combo(_SECOND, mt.weights[:3], ws.vec("h"))
+    _normal_part(table, h_vec, mt, ws)
+    h_vec *= 0.5
+    h_sq = _dot(h_vec, h_vec, ws.scalar("h_sq"))
+    s = ws.scalar("s")
+    gauss = _dot(forms[0], forms[2], ws.scalar("gauss"))
+    gauss -= _dot(forms[1], forms[1], s)
+    gauss /= mt.det
+    gauss += 1.0
+    # |<B_ab, H> - |H|^2 g_ab| for ab = xx, xy, yy
+    dev = _dot(forms, h_vec, ws.scalar("dev", 3))
+    for row, (a, b) in zip(dev, ((0, 0), (0, 1), (1, 1))):
+        row -= np.multiply(h_sq, mt.g[a, b], out=s)
     return CurvatureSummary(
-        mean_curvature_norm=np.sqrt(h_sq),
+        mean_curvature_norm=np.sqrt(h_sq, out=ws.scalar("h_norm")),
         gaussian=gauss,
-        pseudo_umbilical_residual=residual,
+        pseudo_umbilical_residual=np.abs(dev, out=dev).max(axis=0, out=ws.scalar("umbilic")),
         h_vector=h_vec,
     )
 
@@ -252,9 +424,10 @@ def mean_curvature(im, p) -> CurvatureSummary:
     """Mean curvature vector (metric trace of B over 2), Gauss-equation
     curvature for the unit-sphere ambient, and the pseudo-umbilicity residual
     max |<B_ab, H> - |H|^2 g_ab|."""
-    table = im.partial_table(p, 2)
-    g, det, inv = _metric(table)
-    return _curvature(g, det, inv, _forms(table, inv))
+    table, ws, shape = _table(im, p, 2)
+    mt = _metric(table, ws)
+    curv = _curvature(table, mt, _forms(table, mt, ws), ws)
+    return CurvatureSummary(**{name: _unflatten(x, shape) for name, x in vars(curv).items()})
 
 
 def gaussian_brioschi_fd(im, p, step: float = 1e-3) -> float:
@@ -268,8 +441,9 @@ def gaussian_brioschi_fd(im, p, step: float = 1e-3) -> float:
     _check_step(step)
     offs = np.arange(-2, 3, dtype=float)
     grid = np.stack(np.meshgrid(offs, offs, indexing="ij"), axis=-1)
-    metric = _metric(im.partial_table(p + step * grid, 1))[0]
-    E, F, G = metric[..., 0, 0], metric[..., 0, 1], metric[..., 1, 1]
+    table, ws, _ = _table(im, p + step * grid, 1)
+    metric = _metric(table, ws).g.reshape(2, 2, 5, 5)
+    E, F, G = metric[0, 0], metric[0, 1], metric[1, 1]
     d1 = np.array([1, -8, 0, 8, -1]) / (12 * step)
     d2 = np.array([-1, 16, -30, 16, -1]) / (12 * step**2)
     mid = np.array([0, 0, 1, 0, 0], dtype=float)
@@ -319,6 +493,11 @@ def diagonal_sum_check(r1: float, m: int = 2) -> DiagonalSumResult:
         m^2 [(alpha^2 u + beta^2 v) alpha + alpha u^2],  u = 1 - 1/r1^2,
         m^2 [(alpha^2 u + beta^2 v) beta + beta v^2],    v = 1 - 1/r2^2,
     vanish. Reports |H|^2 = 1 - 1/(r1^2 r2^2).
+
+    Given 1/r1^2 + 1/r2^2 = 2 the two coefficients vanish identically:
+    v = -u and alpha^2 u + beta^2 v = -u^2, so both brackets are
+    -u^2 + u^2. The tau2 checks therefore measure only the rounding of
+    these floats.
     """
     if m < 1:
         raise DomainError("m must be a positive integer")
@@ -390,6 +569,9 @@ def boruvka_params(n1: int, n2: int) -> BoruvkaParams:
 # full verification suite
 
 # Report order and default tolerance of every geometric check.
+# block_orthogonal is identically 0.0 at finite points: the zero-padded
+# spectral blocks t1 and t2 have disjoint supports. It stays as a guard on
+# the block split, computed from the blocks like the other block checks.
 _CHECKS = (
     ("unit_norm", 1e-12),
     ("metric_identity", 1e-10),
@@ -407,51 +589,77 @@ _CHECKS = (
     ("bitension", 1e-7),
 )
 
-# Sample points evaluated together: the order-<=4 table of one block at
-# ambient dimension 28 is 15 * 2048 * 28 doubles (6.9 MB), so the working set
-# stays bounded whatever the sample count. Blocks of 1024 ran the verify-dense
-# benchmark 21% slower (more per-block overhead at ambient dimension 6 and 8).
+# Sample points evaluated together. The workspace of one verify_immersion
+# call is 38 buffers, 2.7 MB at ambient dimension 6 and 9.6 MB at 28,
+# whatever the sample count. Against 2048, blocks of 1024 ran the S^27 share
+# of the verify-dense round about 15% faster and the S^5 share about 18%
+# slower (the round within noise); blocks of 4096 ran it about 20% slower.
 _BLOCK = 2048
 
-
-def _maxabs(x) -> float:
-    return float(np.max(np.abs(x)))
+_EYE = np.eye(2)[..., None]
 
 
-def _block_residuals(im: Immersion, pts) -> list[float]:
-    """Worst residual of each check, in `_CHECKS` order, over the points pts."""
-    table = im.partial_table(pts, 4)
-    psi, px, py = table[(0, 0)], table[(1, 0)], table[(0, 1)]
+def _maxabs(x, out) -> float:
+    """max |x|, with |x| written to out (x's shape; may be x itself), so a
+    NaN in x gives NaN."""
+    return float(np.abs(x, out=out).max())
+
+
+def _norm_minus(u, target, out):
+    """|u| - target over the ambient axis, into out."""
+    out = np.sqrt(_dot(u, u, out), out=out)
+    out -= target
+    return out
+
+
+def _block_residuals(im: Immersion, pts, ws: _Workspace) -> list[float]:
+    """Worst residual of each check, in `_CHECKS` order, over the points pts,
+    every block-sized array taken from ws."""
+    ws.points(len(pts))
+    table = _FactoredTable(im, pts, ws)
     h = im.data.h
     lam1, lam2 = im.data.lambda1, im.data.lambda2
     low = 2 * im.m
 
-    g, det, inv = _metric(table)
-    forms = _forms(table, inv)
-    curv = _curvature(g, det, inv, forms)
-    eye = np.zeros_like(g)
-    eye[..., 0, 0] = 1.0
-    eye[..., 1, 1] = 1.0
-    t1, t2 = _split_blocks(psi, im.m)
-    lap = -(table[(2, 0)] + table[(0, 2)])
-    tau = _tension(table, inv)
-    tau2 = _bitension(table, inv, tau)
+    mt = _metric(table, ws)
+    psi, d1 = mt.psi, mt.d1
+    forms = _forms(table, mt, ws)
+    curv = _curvature(table, mt, forms, ws)
+    tau = _tension(table, mt, ws)
+    tau2 = _bitension(table, mt, tau, ws)
+    # the zero-padded spectral blocks, and Delta psi = -(psi_xx + psi_yy)
+    t1, t2 = ws.vec("t1"), ws.vec("t2")
+    t1[:low] = psi[:low]
+    t1[low:] = 0.0
+    np.subtract(psi, t1, out=t2)
+    minus = ws.scalar("minus", 2)
+    minus.fill(-1.0)
+    lap = table.combo(((2, 0), (0, 2)), minus, ws.vec("lap"))
+
+    s, s2, s3 = ws.scalar("check"), ws.scalar("check", 2), ws.scalar("check", 3)
+    s22 = ws.scalar("check", 2, 2)
+    v, e = ws.vec("check"), ws.vec("eigen")
+    two_type = np.subtract(t1, t2, out=v)
+    two_type *= 2.0 * h
+    np.subtract(np.multiply(curv.h_vector, 2.0, out=e), two_type, out=two_type)
+    np.subtract(lap[:low], np.multiply(t1[:low], lam1, out=e[:low]), out=e[:low])
+    np.subtract(lap[low:], np.multiply(t2[low:], lam2, out=e[low:]), out=e[low:])
 
     return [
-        _maxabs(np.sqrt(_dot(psi, psi)) - 1.0),
-        _maxabs(g - eye),
-        max(_maxabs(_dot(forms, w)) for w in (psi, px, py)),
-        _maxabs(curv.mean_curvature_norm - h),
-        _maxabs(curv.gaussian),
-        _maxabs(2.0 * curv.h_vector - (2.0 * h) * (t1 - t2)),
-        _maxabs(np.sqrt(_dot(t1, t1)) - math.sqrt(0.5)),
-        _maxabs(np.sqrt(_dot(t2, t2)) - math.sqrt(0.5)),
-        _maxabs(_dot(t1, t2)),
-        _maxabs(lap[..., :low] - lam1 * t1[..., :low]),
-        _maxabs(lap[..., low:] - lam2 * t2[..., low:]),
-        max(_maxabs(_dot(tau, px)), _maxabs(_dot(tau, py))),
-        _maxabs(tau - 2.0 * curv.h_vector),
-        _maxabs(np.sqrt(_dot(tau2, tau2))),
+        _maxabs(_norm_minus(psi, 1.0, s), s),
+        _maxabs(np.subtract(mt.g, _EYE, out=s22), s22),
+        max(_maxabs(_dot(forms, w, s3), s3) for w in (psi, d1[0], d1[1])),
+        _maxabs(np.subtract(curv.mean_curvature_norm, h, out=s), s),
+        _maxabs(curv.gaussian, s),
+        _maxabs(two_type, v),
+        _maxabs(_norm_minus(t1, math.sqrt(0.5), s), s),
+        _maxabs(_norm_minus(t2, math.sqrt(0.5), s), s),
+        _maxabs(_dot(t1, t2, s), s),
+        _maxabs(e[:low], e[:low]),
+        _maxabs(e[low:], e[low:]),
+        _maxabs(_dot(tau, d1, s2), s2),
+        _maxabs(np.subtract(tau, np.multiply(curv.h_vector, 2.0, out=v), out=v), v),
+        _maxabs(np.sqrt(_dot(tau2, tau2, s), out=s), s),
     ]
 
 
@@ -487,8 +695,10 @@ def verify_immersion(
     data-admissibility checks so a single report certifies one immersion.
 
     The points are evaluated in fixed blocks of 2048; each residual is the
-    maximum over the blocks, so memory is O(2048 * ambient_dim) whatever the
-    sample count.
+    maximum over the blocks. Every block-sized array comes from one
+    workspace, allocated for the first block; a short last block reads the
+    leading points of the same buffers. So memory is O(2048 * ambient_dim)
+    whatever the sample count, and nothing is kept after the call.
     """
     if not _is_int(samples) or samples < 1:
         raise DomainError("samples must be a positive integer, got %r" % (samples,))
@@ -501,8 +711,9 @@ def verify_immersion(
     tol = _tolerances(tolerances)
     rng = np.random.default_rng(seed)
     pts = rng.uniform(-box, box, size=(samples, 2))
+    ws = _Workspace(min(samples, _BLOCK), im.ambient_dim)
     worst = np.zeros(len(_CHECKS))
     for start in range(0, samples, _BLOCK):
-        worst = np.maximum(worst, _block_residuals(im, pts[start : start + _BLOCK]))
+        worst = np.maximum(worst, _block_residuals(im, pts[start : start + _BLOCK], ws))
     checks = tuple(Check(name, r, tol[name]) for (name, _), r in zip(_CHECKS, worst))
     return VerificationReport(validate_miyata(im.data).checks + checks, int(samples))

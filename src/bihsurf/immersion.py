@@ -58,18 +58,23 @@ class Immersion:
     def ambient_dim(self) -> int:
         return 2 * self.num_planes
 
-    def _phases(self, p) -> np.ndarray:
-        """<w, p> for every wave vector w. The one finiteness check is on
-        the phases: it rejects points that are not finite and points so far
-        out that a phase leaves the float range."""
+    def _phases(self, p, out=None) -> np.ndarray:
+        """<w, p> for every wave vector w, into `out` if given. The one
+        finiteness check is on the phases: it rejects points that are not
+        finite and points so far out that a phase leaves the float range."""
+        pts, w = _as_points(p), self.wave_vectors.T
         with np.errstate(over="ignore", invalid="ignore"):
-            theta = _as_points(p) @ self.wave_vectors.T
+            # the @ operator skips np.matmul's argument parsing on eval's path
+            theta = pts @ w if out is None else np.matmul(pts, w, out=out)
         if not np.isfinite(theta).all():
             raise DomainError("points must be finite, with every phase <w, p> finite")
         return theta
 
-    def _assemble(self, cos_part, sin_part) -> np.ndarray:
-        out = np.empty(cos_part.shape[:-1] + (self.ambient_dim,))
+    def _assemble(self, cos_part, sin_part, out=None) -> np.ndarray:
+        """Interleave per-plane parts into ambient coordinates (into `out`
+        if given)."""
+        if out is None:
+            out = np.empty(cos_part.shape[:-1] + (self.ambient_dim,))
         out[..., 0::2] = cos_part
         out[..., 1::2] = sin_part
         return out

@@ -17,7 +17,7 @@ import numpy as np
 
 from .core import DomainError, exact_rational, rational_sqrt_exact, squarefree_decompose
 from .parameters import _check_h, angle_family_data, rho_tilde_of, spectral_levels, t_of_s
-from .immersion import Immersion, build
+from .immersion import Immersion, _is_int, build
 
 
 @dataclass(frozen=True)
@@ -159,8 +159,12 @@ def period_lattice(im: Immersion, search_bound: float) -> Lattice2:
     pair-by-pair scan. search_bound truncates the reported window (a grid over
     _MAX_GRID_PAIRS is refused); the basis is Lagrange-Gauss reduced.
     """
-    if not (isinstance(search_bound, numbers.Real) and not isinstance(search_bound, bool)
-            and math.isfinite(search_bound) and search_bound > 0):
+    try:
+        valid = (isinstance(search_bound, numbers.Real) and not isinstance(search_bound, bool)
+                 and math.isfinite(search_bound) and search_bound > 0)
+    except OverflowError:  # an int too large for a float
+        valid = False
+    if not valid:
         raise DomainError(
             "search_bound must be a positive finite number, got %r" % (search_bound,)
         )
@@ -394,7 +398,7 @@ class TorusParams:
     def __post_init__(self):
         for name in ("p", "q", "r", "t"):
             v = getattr(self, name)
-            if not isinstance(v, (int, np.integer)) or v < 1:
+            if not _is_int(v) or v < 1:
                 raise DomainError("%s must be a positive integer, got %r" % (name, v))
             object.__setattr__(self, name, int(v))
         a = Fraction(self.p * self.p, self.q * self.q)
@@ -544,7 +548,7 @@ def torus_exists(h, search_bound: int = 20) -> TorusVerdict:
     h = exact_rational(h, "h")
     if not (0 < h < 1):
         raise DomainError("h must be a rational in (0,1), got %s" % h)
-    if not isinstance(search_bound, (int, np.integer)) or search_bound < 1:
+    if not _is_int(search_bound) or search_bound < 1:
         raise DomainError("search_bound must be a positive integer, got %r" % (search_bound,))
     root = rational_sqrt_exact((1 + h) / (1 - h))
     if root is not None:

@@ -638,8 +638,12 @@ def test_verify_immersion_blocks_equal_one_unblocked_evaluation():
     im = build(_broken_balance(), validate=False)
     samples = 3 * _B + 7
     pts = np.random.default_rng(197).uniform(-6.0, 6.0, size=(samples, 2))
-    whole = geometry._block_residuals(im, pts)
-    assert any(w > f for w, f in zip(whole, geometry._block_residuals(im, pts[: 3 * _B])))
+
+    def residuals(block):
+        return geometry._block_residuals(im, block, geometry._Workspace(len(block), im.ambient_dim))
+
+    whole = residuals(pts)
+    assert any(w > f for w, f in zip(whole, residuals(pts[: 3 * _B])))
     with mock.patch.object(
         geometry, "_block_residuals", wraps=geometry._block_residuals
     ) as spy:
@@ -669,3 +673,38 @@ def test_verify_immersion_memory_bounded_by_block():
     for im, samples in ((s5, 100_000), (s27, 20_000)):
         peak = _peak_traced_bytes(lambda: verify_immersion(im, samples=samples, seed=3))
         assert peak < 32 * 2**20, (im.ambient_dim, samples, peak)
+
+
+def test_verify_immersion_allocates_one_workspace():
+    made = []
+
+    class Recording(geometry._Workspace):
+        def __init__(self, n, dim):
+            super().__init__(n, dim)
+            made.append(self)
+
+    im = from_structure(0.4, 0.3)
+    with mock.patch.object(geometry, "_Workspace", Recording), mock.patch.object(
+        np, "empty", wraps=np.empty
+    ) as empty:
+        verify_immersion(im, samples=_B, seed=3)
+        one_block = empty.call_count
+        verify_immersion(im, samples=3 * _B + 7, seed=3)
+    assert [ws._n for ws in made] == [_B, _B]
+    # four blocks allocate what one does: the last, short block reads leading
+    # views of the same buffers
+    assert empty.call_count == 2 * one_block > 0
+
+
+def test_verify_immersion_keeps_no_memory_after_the_call():
+    im = from_structure(0.4, 0.3)
+    for _ in range(6):
+        im = extend_dimension(im)  # S^27: a workspace of about 10 MB would show if kept
+    tracemalloc.start()
+    try:
+        rep = verify_immersion(im, samples=3 * _B + 7, seed=3)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert rep.passed
+    assert held < 2**20, held

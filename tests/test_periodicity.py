@@ -22,6 +22,7 @@ from bihsurf.periodicity import (
     same_lattice,
     torus_case_i,
     torus_case_ii,
+    TorusParams,
     TorusVerdict,
     torus_exists,
 )
@@ -77,7 +78,8 @@ def test_period_lattice_points_return_to_start(sasahara_immersion, rng):
 
 
 @pytest.mark.parametrize(
-    "bound", [math.nan, math.inf, -math.inf, 0, -1.0, "20", 1j, None, True, 1e20, 1e300, 1.7e308]
+    "bound",
+    [math.nan, math.inf, -math.inf, 0, -1.0, "20", 1j, None, True, 1e20, 1e300, 1.7e308, 10**400],
 )
 def test_period_lattice_rejects_bad_search_bound(sasahara_immersion, bound):
     with pytest.raises(DomainError, match="search_bound must be a positive finite number"):
@@ -505,10 +507,19 @@ def test_torus_exists_rejects_non_finite_h(bad):
         torus_exists(bad, 5)
 
 
-@pytest.mark.parametrize("bound", [0, -3, 2.5])
+@pytest.mark.parametrize("bound", [0, -3, 2.5, True])
 def test_torus_exists_rejects_bad_search_bound(bound):
     with pytest.raises(DomainError, match="search_bound"):
         torus_exists(Fraction(3, 7), bound)
+
+
+@pytest.mark.parametrize("name", ["p", "q", "r", "t"])
+@pytest.mark.parametrize("bad", [True, 0, 1.0])
+def test_torus_params_rejects_non_integers(name, bad):
+    pqrt = dict(p=2, q=2, r=1, t=2)
+    pqrt[name] = bad
+    with pytest.raises(DomainError, match="%s must be a positive integer" % name):
+        TorusParams(**pqrt)
 
 
 def test_torus_exists_not_found_at_bound_30():
