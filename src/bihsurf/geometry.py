@@ -16,17 +16,14 @@ One per-point kernel serves every caller (`verify_immersion`, `tension`,
 `bitension`, `mean_curvature`, `fundamental_forms` and the finite-difference
 oracle). It reads the partials through two operations, each writing into a
 buffer the caller gives it: an entry d^o psi, and a combination
-sum_o c_o(p) d^o psi with per-point coefficients. An `Immersion` is never
-built into a table: an entry is its factor row times a trig pair, and a
-combination over k orders is one (D x k) @ (k x P) product of factor rows and
-coefficients times the pair, so the order-3 and order-4 partials are only
-ever read inside the tension's and the Laplacian's combinations. An explicit
-table (a dict, as `fd_partial_table` returns) serves both by indexing and by
-accumulating in place. Every block-sized array comes from a workspace that
-belongs to one call: `verify_immersion` allocates one for its first block and
-gives every later block the leading points of the same buffers, and each
-per-point function allocates one for its own points. Nothing is kept after
-the call.
+sum_o c_o(p) d^o psi with per-point coefficients. An `Immersion` is read
+through the factored reader of `immersion`, which never builds the table, so
+the order-3 and order-4 partials are only ever read inside the tension's and
+the Laplacian's combinations. An explicit table (a dict, as `fd_partial_table`
+returns) serves both by indexing and by accumulating in place, in one piece.
+On an `Immersion` every function runs in blocks of `_BLOCK` points, all from
+one workspace per call, each block written into the output arrays. Nothing
+is kept after the call.
 """
 
 from __future__ import annotations
@@ -41,7 +38,8 @@ import numpy as np
 
 from .core import GEOMETRIC_TOL, Check, DomainError, VerificationReport
 from .parameters import validate_miyata
-from .immersion import Immersion, _as_points, _check_max_order, _is_int
+from .immersion import Immersion, _FactoredTable, _Workspace
+from .immersion import _as_points, _check_max_order, _is_int, _unflatten
 
 
 def _dot(u, v, out):
@@ -49,95 +47,17 @@ def _dot(u, v, out):
     return np.einsum("...dp,...dp->...p", u, v, out=out)
 
 
-def _unflatten(x, shape):
-    """A kernel array (..., P) as the caller's points: shape + (...)."""
-    return np.moveaxis(x, -1, 0).reshape(shape + x.shape[:-1])
-
-
 # ---------------------------------------------------------------------------
-# workspace and tables
-#
-# Inside the kernel the point axis comes last: a vector field over P points is
-# a (D, P) array, a scalar field (P,), and a stack of them (S, D, P) or (S, P).
-# Per-point scalars then scale whole rows, and sums over the ambient axis run
-# along contiguous rows, whatever D is.
-
-
-class _Workspace:
-    """The block-sized arrays of one call, by name and shape. A buffer is
-    allocated for n points the first time it is asked for and reused after
-    that; after `points(m)` each is handed out as a contiguous array over its
-    leading m points (the views are kept until m changes)."""
-
-    def __init__(self, n: int, dim: int):
-        self._dim = dim
-        self._n = self._m = n
-        self._bufs: dict = {}
-        self._views: dict = {}
-
-    def points(self, m: int) -> None:
-        if m != self._m:
-            self._m = m
-            self._views = {}
-
-    def scalar(self, name: str, *lead: int) -> np.ndarray:
-        """Buffer of shape lead + (m,)."""
-        return self._get((name,) + lead, lead)
-
-    def vec(self, name: str, *lead: int) -> np.ndarray:
-        """Buffer of shape lead + (D, m)."""
-        return self._get((name, "vec") + lead, lead + (self._dim,))
-
-    def _get(self, key, shape):
-        view = self._views.get(key)
-        if view is None:
-            buf = self._bufs.get(key)
-            if buf is None:
-                buf = self._bufs[key] = np.empty(shape + (self._n,))
-            if self._m < self._n:
-                buf = buf.reshape(-1)[: math.prod(shape) * self._m].reshape(shape + (self._m,))
-            view = self._views[key] = buf
-        return view
-
-
-class _FactoredTable:
-    """The partials of an Immersion at P points, read without building them.
-
-    Entry (a, b) is the order's factor row (`Immersion._factors`) times the
-    trig pair of the parity of a+b: (cos, sin) per plane when it is even,
-    (sin, cos) when it is odd. So a combination over k orders of one parity
-    is one (D x k) @ (k x P) product times that pair.
-    """
-
-    def __init__(self, im: Immersion, pts, ws: _Workspace):
-        self._im = im
-        k = im.num_planes
-        theta = ws.scalar("theta", k)
-        im._phases(pts, theta.T)
-        cos = np.cos(theta, out=ws.scalar("cos", k))
-        sin = np.sin(theta, out=theta)
-        even, odd = ws.vec("even"), ws.vec("odd")
-        im._assemble(cos.T, sin.T, even.T)
-        im._assemble(sin.T, cos.T, odd.T)
-        self._pairs = (even, odd)
-
-    def entry(self, order, out):
-        row = self._im._factors((order,), 1)[0]
-        return np.multiply(row[:, None], self._pairs[sum(order) % 2], out=out)
-
-    def combo(self, orders, coeffs, out):
-        """sum_j coeffs[..., j, :] * (partial orders[j]), into out (..., D, P);
-        the orders share one parity."""
-        np.matmul(self._im._factors(orders, 1).T, coeffs, out=out)
-        out *= self._pairs[sum(orders[0]) % 2]
-        return out
+# explicit tables, and the block loop over the points of an Immersion
 
 
 class _ExplicitTable:
-    """A table given as {(a, b): (D, P) array}, such as `fd_partial_table`'s."""
+    """A table given as {(a, b): (..., D) array}, such as `fd_partial_table`'s,
+    read as (D, P) fields over its points in row-major order."""
 
     def __init__(self, table: dict):
-        self._table = table
+        dim = table[(0, 0)].shape[-1]
+        self._table = {order: v.reshape(-1, dim).T for order, v in table.items()}
 
     def entry(self, order, out):
         np.copyto(out, self._table[order])
@@ -150,23 +70,43 @@ class _ExplicitTable:
         return out
 
 
-def _explicit(table: dict):
-    """(table, workspace, point shape) for an explicit table {(a, b): (..., D)}."""
-    psi = table[(0, 0)]
-    shape, dim = psi.shape[:-1], psi.shape[-1]
-    flat = {order: v.reshape(-1, dim).T for order, v in table.items()}
-    return _ExplicitTable(flat), _Workspace(math.prod(shape), dim), shape
+def _blocks(im: Immersion, pts):
+    """(start, block, ws) over consecutive blocks of at most `_BLOCK` of the
+    points pts (P, 2): one workspace ws, made for the first block, set to the
+    points of each; no points give one empty block."""
+    ws = _Workspace(min(len(pts), _BLOCK), im.ambient_dim)
+    for start in range(0, max(len(pts), 1), _BLOCK):
+        block = pts[start : start + _BLOCK]
+        ws.points(len(block))
+        yield start, block, ws
 
 
-def _table(im, p, max_order: int):
-    """(table, workspace, point shape) of points p of shape (..., 2): the
-    factored table of an Immersion, else im.partial_table(p, max_order)."""
+def _per_point(kernel, im, p, max_order: int):
+    """The arrays (..., P) of kernel(table, metric, ws) at the points p
+    (..., 2), in the caller's point shape: an Immersion's in blocks
+    (`_blocks`) written into the outputs, any other map's `partial_table`
+    in one piece."""
     if not isinstance(im, Immersion):
-        return _explicit(im.partial_table(p, max_order))
+        return _explicit_kernel(kernel, im.partial_table(p, max_order))
     pts = _as_points(p)
     flat = pts.reshape(-1, 2)
-    ws = _Workspace(len(flat), im.ambient_dim)
-    return _FactoredTable(im, flat, ws), ws, pts.shape[:-1]
+    outs = None
+    for start, block, ws in _blocks(im, flat):
+        table = _FactoredTable(im, block, ws)
+        parts = kernel(table, _metric(table, ws), ws)
+        if outs is None:
+            outs = [np.empty(x.shape[:-1] + (len(flat),)) for x in parts]
+        for out, x in zip(outs, parts):
+            out[..., start : start + len(block)] = x
+    return [_unflatten(x, pts.shape[:-1]) for x in outs]
+
+
+def _explicit_kernel(kernel, table: dict):
+    """The arrays of kernel(table, metric, ws) over an explicit table, in its
+    point shape."""
+    shape, dim = table[(0, 0)].shape[:-1], table[(0, 0)].shape[-1]
+    flat, ws = _ExplicitTable(table), _Workspace(math.prod(shape), dim)
+    return [_unflatten(x, shape) for x in kernel(flat, _metric(flat, ws), ws)]
 
 
 # ---------------------------------------------------------------------------
@@ -285,23 +225,21 @@ def _forms(table, mt: _Metric, ws: _Workspace):
     return w
 
 
-def _bitension_field(table, ws: _Workspace, shape):
-    mt = _metric(table, ws)
-    return _unflatten(_bitension(table, mt, _tension(table, mt, ws), ws), shape)
+def _bitension_kernel(table, mt: _Metric, ws: _Workspace):
+    return (_bitension(table, mt, _tension(table, mt, ws), ws),)
 
 
 def tension(im: Immersion, p) -> np.ndarray:
     """tau = g^{ab} psi_ab + 2 psi (metric trace of the second fundamental
     form of the map into the sphere); equals 2H."""
-    table, ws, shape = _table(im, p, 2)
-    return _unflatten(_tension(table, _metric(table, ws), ws), shape)
+    return _per_point(lambda table, mt, ws: (_tension(table, mt, ws),), im, p, 2)[0]
 
 
 def bitension(im: Immersion, p) -> np.ndarray:
     """Bitension field from exact order-<=4 partials; vanishes (to rounding)
     on every admissible construction and is order-one when the weight balance
     is broken."""
-    return _bitension_field(*_table(im, p, 4))
+    return _per_point(_bitension_kernel, im, p, 4)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +299,7 @@ def fd_bitension_oracle(im, p, step: float) -> np.ndarray:
     """
     if not (_is_real(step) and 1e-4 <= step <= 1e-1):
         raise DomainError("step must lie in [1e-4, 1e-1], got %r" % step)
-    return _bitension_field(*_explicit(fd_partial_table(im, p, step, 4)))
+    return _explicit_kernel(_bitension_kernel, fd_partial_table(im, p, step, 4))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -389,10 +327,7 @@ class CurvatureSummary:
 def fundamental_forms(im, p) -> FundamentalForms:
     """g from first partials; B_ab = psi_ab + psi corrections projected onto
     the normal space (orthogonal to psi, psi_x, psi_y)."""
-    table, ws, shape = _table(im, p, 2)
-    mt = _metric(table, ws)
-    b_xx, b_xy, b_yy = (_unflatten(b, shape) for b in _forms(table, mt, ws))
-    return FundamentalForms(g=_unflatten(mt.g, shape), b_xx=b_xx, b_xy=b_xy, b_yy=b_yy)
+    return FundamentalForms(*_per_point(lambda t, mt, ws: (mt.g, *_forms(t, mt, ws)), im, p, 2))
 
 
 def _curvature(table, mt: _Metric, forms, ws: _Workspace) -> CurvatureSummary:
@@ -424,10 +359,11 @@ def mean_curvature(im, p) -> CurvatureSummary:
     """Mean curvature vector (metric trace of B over 2), Gauss-equation
     curvature for the unit-sphere ambient, and the pseudo-umbilicity residual
     max |<B_ab, H> - |H|^2 g_ab|."""
-    table, ws, shape = _table(im, p, 2)
-    mt = _metric(table, ws)
-    curv = _curvature(table, mt, _forms(table, mt, ws), ws)
-    return CurvatureSummary(**{name: _unflatten(x, shape) for name, x in vars(curv).items()})
+
+    def kernel(table, mt, ws):
+        return vars(_curvature(table, mt, _forms(table, mt, ws), ws)).values()
+
+    return CurvatureSummary(*_per_point(kernel, im, p, 2))
 
 
 def gaussian_brioschi_fd(im, p, step: float = 1e-3) -> float:
@@ -441,9 +377,8 @@ def gaussian_brioschi_fd(im, p, step: float = 1e-3) -> float:
     _check_step(step)
     offs = np.arange(-2, 3, dtype=float)
     grid = np.stack(np.meshgrid(offs, offs, indexing="ij"), axis=-1)
-    table, ws, _ = _table(im, p + step * grid, 1)
-    metric = _metric(table, ws).g.reshape(2, 2, 5, 5)
-    E, F, G = metric[0, 0], metric[0, 1], metric[1, 1]
+    (g,) = _per_point(lambda table, mt, ws: (mt.g,), im, p + step * grid, 1)
+    E, F, G = g[..., 0, 0], g[..., 0, 1], g[..., 1, 1]
     d1 = np.array([1, -8, 0, 8, -1]) / (12 * step)
     d2 = np.array([-1, 16, -30, 16, -1]) / (12 * step**2)
     mid = np.array([0, 0, 1, 0, 0], dtype=float)
@@ -694,11 +629,9 @@ def verify_immersion(
     name (each override a positive finite number). Includes the
     data-admissibility checks so a single report certifies one immersion.
 
-    The points are evaluated in fixed blocks of 2048; each residual is the
-    maximum over the blocks. Every block-sized array comes from one
-    workspace, allocated for the first block; a short last block reads the
-    leading points of the same buffers. So memory is O(2048 * ambient_dim)
-    whatever the sample count, and nothing is kept after the call.
+    The points are evaluated in fixed blocks of 2048 (`_blocks`); each
+    residual is the maximum over the blocks, and memory is
+    O(2048 * ambient_dim) whatever the sample count.
     """
     if not _is_int(samples) or samples < 1:
         raise DomainError("samples must be a positive integer, got %r" % (samples,))
@@ -711,9 +644,6 @@ def verify_immersion(
     tol = _tolerances(tolerances)
     rng = np.random.default_rng(seed)
     pts = rng.uniform(-box, box, size=(samples, 2))
-    ws = _Workspace(min(samples, _BLOCK), im.ambient_dim)
-    worst = np.zeros(len(_CHECKS))
-    for start in range(0, samples, _BLOCK):
-        worst = np.maximum(worst, _block_residuals(im, pts[start : start + _BLOCK], ws))
+    worst = np.max([_block_residuals(im, block, ws) for _, block, ws in _blocks(im, pts)], axis=0)
     checks = tuple(Check(name, r, tol[name]) for (name, _), r in zip(_CHECKS, worst))
     return VerificationReport(validate_miyata(im.data).checks + checks, int(samples))

@@ -2,9 +2,10 @@
 frequency/weight data. Every coordinate plane carries a circle
 c*(cos<w,p>, sin<w,p>), so every partial derivative is that same cos/sin pair
 scaled by w_1^a w_2^b and turned by a+b quarter turns: one evaluation of cos
-and sin serves the whole derivative table. The table is one array with a row
-per derivative order, filled by one multiply for the even orders and one for
-the odd orders; its entries are views into that array.
+and sin serves every order. This module is the one place that knows that
+layout. `_FactoredTable` reads the partials at a set of points as factor rows
+times the two trig pairs, without building them; `partial_table`, `partial`
+and the geometry kernel all read through it.
 """
 
 from __future__ import annotations
@@ -79,42 +80,25 @@ class Immersion:
         out[..., 1::2] = sin_part
         return out
 
-    def _factors(self, orders: tuple, ndim: int) -> np.ndarray:
-        """Factor rows of `orders`, shaped (len(orders), 1, ..., 1, D) to
-        broadcast against (..., D) with ndim axes: per order (a, b),
+    def _factors(self, orders: tuple) -> np.ndarray:
+        """Factor rows (len(orders), D) of `orders`: per order (a, b),
         c*w_1^a*w_2^b on both slots of each plane times the slot signs of
-        a+b quarter turns. Computed once per (orders, ndim)."""
-        key = (orders, ndim)
-        if key not in self._factor_memo:
+        a+b quarter turns. Computed once per `orders`."""
+        if orders not in self._factor_memo:
             w1, w2 = self.wave_vectors[:, 0], self.wave_vectors[:, 1]
             rows = np.array([
                 (self.amplitudes * w1**a * w2**b)[:, None] * _QUARTER_TURN_SIGNS[(a + b) % 4]
                 for a, b in orders
             ])
-            self._factor_memo[key] = rows.reshape((len(orders),) + (1,) * (ndim - 1) + (-1,))
-        return self._factor_memo[key]
+            self._factor_memo[orders] = rows.reshape(len(orders), -1)
+        return self._factor_memo[orders]
 
     def eval(self, p) -> np.ndarray:
         """psi(p); |psi| = 1 identically."""
-        return self._partials(p, ((0, 0),), ())[(0, 0)]
-
-    def _partials(self, p, even: tuple, odd: tuple) -> dict[tuple[int, int], np.ndarray]:
-        """Quarter-turn kernel: one cos/sin evaluation for every order. The
-        (a, b) partial of plane c*(cos, sin) is that pair turned by a+b
-        quarter turns: (cos, sin) up to signs when a+b is even, the swapped
-        pair (sin, cos) up to signs when it is odd. Each pair is built once
-        and the signs go into the order's factor row, so the even orders are
-        one multiply into a single (n_orders, ..., D) array and the odd
-        orders another; the entries are views into that array. `even` and
-        `odd` list the orders (a, b) with a+b even and odd."""
         theta = self._phases(p)
-        cos, sin = np.cos(theta), np.sin(theta)
-        out = np.empty((len(even) + len(odd),) + theta.shape[:-1] + (self.ambient_dim,))
-        groups = ((even, (cos, sin), out[: len(even)]), (odd, (sin, cos), out[len(even) :]))
-        for group, pair, rows in groups:
-            if group:
-                np.multiply(self._factors(group, theta.ndim), self._assemble(*pair), out=rows)
-        return dict(zip(even + odd, out))
+        psi = self._assemble(np.cos(theta), np.sin(theta))
+        psi *= self._factors(((0, 0),))[0]
+        return psi
 
     def partial(self, p, ax: tuple[int, int]) -> np.ndarray:
         """Exact partial derivative of order ax = (a, b), a+b <= 4.
@@ -133,15 +117,26 @@ class Immersion:
                 "ax must be a pair (a, b) of non-negative integers of total "
                 "derivative order a + b <= 4, got %r" % (ax,)
             )
-        even, odd = ((ax,), ()) if sum(ax) % 2 == 0 else ((), (ax,))
-        return self._partials(p, even, odd)[ax]
+        return self._entries(p, (ax,))[ax]
 
     def partial_table(self, p, max_order: int = 4) -> dict[tuple[int, int], np.ndarray]:
-        """All partials up to total order max_order, keyed by (a, b); the
-        entries are views into one array filled from one cos/sin evaluation
-        (see `_partials`)."""
+        """All partials up to total order max_order, keyed by (a, b) in
+        order of a+b, each of shape (..., D): one cos/sin evaluation read
+        through `_FactoredTable`."""
         _check_max_order(max_order)
-        return self._partials(p, *_TABLE_ORDERS[max_order])
+        orders = tuple((a, n - a) for n in range(max_order + 1) for a in range(n, -1, -1))
+        return self._entries(p, orders)
+
+    def _entries(self, p, orders: tuple) -> dict[tuple[int, int], np.ndarray]:
+        """{order: partial} at the points p (..., 2), read from the factored
+        table into one (len(orders), D, P) array."""
+        pts = _as_points(p)
+        n = math.prod(pts.shape[:-1])
+        table = _FactoredTable(self, pts, _Workspace(n, self.ambient_dim))
+        out = np.empty((len(orders), self.ambient_dim, n))
+        for order, row in zip(orders, out):
+            table.entry(order, row)
+        return dict(zip(orders, np.moveaxis(_unflatten(out, pts.shape[:-1]), -2, 0)))
 
     def spectral_split(self, p) -> tuple[np.ndarray, np.ndarray]:
         """(psi_t1, psi_t2): low/high frequency blocks, zero-padded to full
@@ -152,15 +147,6 @@ class Immersion:
 # k quarter turns send (cos, sin) to (cos, sin), (-sin, cos), (-cos, -sin), (sin, -cos),
 # i.e. (cos, sin) or (sin, cos) times these slot signs, for k = 0..3
 _QUARTER_TURN_SIGNS = np.array(((1.0, 1.0), (-1.0, 1.0), (-1.0, -1.0), (1.0, -1.0)))
-
-# (orders with a+b even, orders with a+b odd) of the table up to each max_order
-_TABLE_ORDERS = tuple(
-    tuple(
-        tuple((a, n - a) for n in range(k + 1) if n % 2 == parity for a in range(n, -1, -1))
-        for parity in (0, 1)
-    )
-    for k in range(5)
-)
 
 
 def _is_int(value) -> bool:
@@ -190,6 +176,89 @@ def _split_blocks(full: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     t1 = np.zeros_like(full)
     t1[..., : 2 * m] = full[..., : 2 * m]
     return t1, full - t1
+
+
+def _unflatten(x, shape):
+    """A kernel array (..., P) as the caller's points: shape + (...)."""
+    return np.moveaxis(x, -1, 0).reshape(shape + x.shape[:-1])
+
+
+# ---------------------------------------------------------------------------
+# the factored table. The point axis comes last: a vector field over P points
+# is (D, P), a scalar field (P,), so per-point scalars scale whole rows and
+# sums over the ambient axis run along contiguous rows, whatever D is.
+
+
+class _Workspace:
+    """The block-sized arrays of one call, by name and shape. A buffer is
+    allocated for n points the first time it is asked for and reused after
+    that; after `points(m)` each is handed out as a contiguous array over its
+    leading m points (the views are kept until m changes)."""
+
+    def __init__(self, n: int, dim: int):
+        self._dim = dim
+        self._n = self._m = n
+        self._bufs: dict = {}
+        self._views: dict = {}
+
+    def points(self, m: int) -> None:
+        if m != self._m:
+            self._m = m
+            self._views = {}
+
+    def scalar(self, name: str, *lead: int) -> np.ndarray:
+        """Buffer of shape lead + (m,)."""
+        return self._get((name,) + lead, lead)
+
+    def vec(self, name: str, *lead: int) -> np.ndarray:
+        """Buffer of shape lead + (D, m)."""
+        return self._get((name, "vec") + lead, lead + (self._dim,))
+
+    def _get(self, key, shape):
+        view = self._views.get(key)
+        if view is None:
+            buf = self._bufs.get(key)
+            if buf is None:
+                buf = self._bufs[key] = np.empty(shape + (self._n,))
+            if self._m < self._n:
+                buf = buf.reshape(-1)[: math.prod(shape) * self._m].reshape(shape + (self._m,))
+            view = self._views[key] = buf
+        return view
+
+
+class _FactoredTable:
+    """The partials of an Immersion at the points pts (..., 2), read without
+    building them, as (D, P) fields over the points in row-major order.
+
+    Entry (a, b) is the order's factor row (`Immersion._factors`) times the
+    trig pair of the parity of a+b: (cos, sin) per plane when it is even,
+    (sin, cos) when it is odd. So a combination over k orders of one parity
+    is one (D x k) @ (k x P) product times that pair.
+    """
+
+    def __init__(self, im: Immersion, pts, ws: _Workspace):
+        self._im = im
+        k = im.num_planes
+        # phases point-major, the layout of eval's pts @ w: a matmul into the
+        # transposed layout bypasses BLAS, which rounds some rows differently
+        theta = im._phases(pts, ws.scalar("theta", k).reshape(pts.shape[:-1] + (k,))).reshape(-1, k)
+        cos = np.cos(theta, out=ws.scalar("cos", k).reshape(-1, k))
+        sin = np.sin(theta, out=theta)
+        even, odd = ws.vec("even"), ws.vec("odd")
+        im._assemble(cos, sin, even.T)
+        im._assemble(sin, cos, odd.T)
+        self._pairs = (even, odd)
+
+    def entry(self, order, out):
+        row = self._im._factors((order,))[0]
+        return np.multiply(row[:, None], self._pairs[sum(order) % 2], out=out)
+
+    def combo(self, orders, coeffs, out):
+        """sum_j coeffs[..., j, :] * (partial orders[j]), into out (..., D, P);
+        the orders share one parity."""
+        np.matmul(self._im._factors(orders).T, coeffs, out=out)
+        out *= self._pairs[sum(orders[0]) % 2]
+        return out
 
 
 def build(data: MiyataData, validate: bool = True) -> Immersion:

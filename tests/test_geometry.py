@@ -601,7 +601,7 @@ def _assert_per_point_functions_match_oracle(im, pts, fd_pts, step):
 @settings(max_examples=60, deadline=None)
 @given(
     case=_immersions(),
-    shape=st.sampled_from([(), (1,), (9,), (3, 4)]),
+    shape=st.sampled_from([(), (1,), (9,), (3, 4), (0,), (3, 0)]),
     box=st.floats(math.log10(6.0), 9.0),
     seed=st.integers(0, 2**32 - 1),
     step=st.sampled_from([1e-2, 2e-2, 5e-2]),
@@ -617,6 +617,17 @@ def test_per_point_functions_match_dict_table_oracle(case, shape, box, seed, ste
     fd_pts = rng.uniform(-6.0, 6.0, shape + (2,))
     note("%s ambient_dim=%d box=1e%.2f" % (family, im.ambient_dim, box))
     _assert_per_point_functions_match_oracle(im, pts, fd_pts, step)
+
+
+def test_per_point_functions_match_oracle_across_blocks():
+    # two full blocks and a short one, each written into its own slice of the
+    # outputs; broken balance (g_01 != 0) and unnormalised weights
+    # (|psi| != 1) keep every rearrangement in the kernel visible
+    s7 = extend_dimension(from_structure(0.4, 0.3))
+    unnormalised = _unnormalised(s7.data, 0.8, [1.3, 0.6, 1.1])
+    for im in (build(_broken_balance(), validate=False), build(unnormalised, validate=False)):
+        pts = np.random.default_rng(23).uniform(-6.0, 6.0, (2 * _B + 7, 2))
+        _assert_per_point_functions_match_oracle(im, pts, pts[-9:], 2e-2)
 
 
 def test_forms_and_curvature_match_oracle_on_curved_fixture():
@@ -673,6 +684,16 @@ def test_verify_immersion_memory_bounded_by_block():
     for im, samples in ((s5, 100_000), (s27, 20_000)):
         peak = _peak_traced_bytes(lambda: verify_immersion(im, samples=samples, seed=3))
         assert peak < 32 * 2**20, (im.ambient_dim, samples, peak)
+
+
+@pytest.mark.parametrize("call", [tension, bitension, mean_curvature, fundamental_forms])
+def test_per_point_functions_memory_bounded_by_block(call):
+    # the outputs take up to 17.6 MB (fundamental_forms: g and three forms);
+    # with a workspace sized to all 10^5 points the peaks were 42 to 74 MB
+    im = from_structure(0.4, 0.3)
+    pts = np.random.default_rng(3).uniform(-6.0, 6.0, (100_000, 2))
+    peak = _peak_traced_bytes(lambda: call(im, pts))
+    assert peak < 32 * 2**20, (call.__name__, peak)
 
 
 def test_verify_immersion_allocates_one_workspace():

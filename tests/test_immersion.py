@@ -199,7 +199,8 @@ _box_points = st.tuples(
     pts=_box_points,
 )
 def test_single_array_table_is_bit_exact(family, h, rho_frac, extensions, pts):
-    # the one-array table against the per-entry dict table it replaced
+    # the entries read through the factored reader, bit for bit against the
+    # per-entry dict table of the oracle
     from bihsurf.parameters import rho_max
 
     if family == "structure":
