@@ -129,14 +129,20 @@ class Immersion:
 
     def _entries(self, p, orders: tuple) -> dict[tuple[int, int], np.ndarray]:
         """{order: partial} at the points p (..., 2), read from the factored
-        table into one (len(orders), D, P) array."""
+        table into one (len(orders), D, P) array, the even orders first."""
         pts = _as_points(p)
         n = math.prod(pts.shape[:-1])
         table = _FactoredTable(self, pts, _Workspace(n, self.ambient_dim))
         out = np.empty((len(orders), self.ambient_dim, n))
-        for order, row in zip(orders, out):
-            table.entry(order, row)
-        return dict(zip(orders, np.moveaxis(_unflatten(out, pts.shape[:-1]), -2, 0)))
+        groups = ([], [])
+        for o in orders:
+            groups[sum(o) % 2].append(o)
+        even, odd = map(tuple, groups)
+        for group, rows in ((even, out[: len(even)]), (odd, out[len(even):])):
+            if group:
+                table.entries(group, rows)
+        by_order = dict(zip(even + odd, np.moveaxis(_unflatten(out, pts.shape[:-1]), -2, 0)))
+        return {o: by_order[o] for o in orders}
 
     def spectral_split(self, p) -> tuple[np.ndarray, np.ndarray]:
         """(psi_t1, psi_t2): low/high frequency blocks, zero-padded to full
@@ -252,6 +258,12 @@ class _FactoredTable:
     def entry(self, order, out):
         row = self._im._factors((order,))[0]
         return np.multiply(row[:, None], self._pairs[sum(order) % 2], out=out)
+
+    def entries(self, orders, out):
+        """The partials of orders, which share one parity, into out (k, D, P)
+        with one broadcast multiply."""
+        rows = self._im._factors(orders)
+        return np.multiply(rows[:, :, None], self._pairs[sum(orders[0]) % 2], out=out)
 
     def combo(self, orders, coeffs, out):
         """sum_j coeffs[..., j, :] * (partial orders[j]), into out (..., D, P);

@@ -1,8 +1,8 @@
 """Period lattices of the constructed immersions, cylinder/torus quotient
 classification, and the exact rational torus-existence oracles.
 
-All yes/no torus decisions run in exact Fraction arithmetic; floats appear
-only in emitted generator vectors.
+All yes/no torus decisions run in exact arithmetic (Fraction, or rationals
+cleared to integers); floats appear only in emitted generator vectors.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import DomainError, exact_rational, rational_sqrt_exact, squarefree_decompose
+from .core import DomainError, exact_rational, isqrt_exact, rational_sqrt_exact, squarefree_decompose
 from .parameters import _check_h, angle_family_data, rho_tilde_of, spectral_levels, t_of_s
 from .immersion import Immersion, _is_int, build
 
@@ -140,7 +140,8 @@ _SCREEN_CHUNK = 16384
 # multiply-add in one of them, say) by a few ulps of those terms.
 _SCREEN_SLACK = 1e-12
 # Most (ki, kj) pairs `period_lattice` screens in one call: about 20 s on a
-# 2-core VM, where the 7.6e6 pairs of search_bound 5000 took 1.7 s
+# 2-core VM, where the 7.6e6 pairs of search_bound 5000 took 1.7 s. It also
+# caps the (p, q) box of `torus_exists` at search_bound 10^4.
 _MAX_GRID_PAIRS = 10**8
 
 
@@ -538,35 +539,52 @@ def torus_exists(h, search_bound: int = 20) -> TorusVerdict:
     """Decide torus existence at exact rational mean curvature h.
 
     Case i is decided exactly via the rational square test on (1+h)/(1-h).
-    Case ii solves for (r, t) at each p, q <= search_bound, O(search_bound^2)
-    exact square tests: with a = p^2/q^2 and d = a - b, h fixes
-    (1+h) d^2 - 2h d + (4ha + h - 1) = 0, whose discriminant 1 - 4h(1+h)a
-    must be a rational square; a root gives a witness when b = a - d is
-    r^2/t^2 with r, t <= search_bound in lowest terms. |d| < 1 holds for
-    both roots. The lexicographically smallest witness (p, q, r, t) wins.
+    Case ii solves for (r, t) at each p, q <= search_bound: with a = p^2/q^2
+    and d = a - b, h fixes (1+h) d^2 - 2h d + (4ha + h - 1) = 0, whose
+    discriminant 1 - 4h(1+h)a must be a rational square; a root gives a
+    witness when b = a - d is r^2/t^2 with r, t <= search_bound in lowest
+    terms. |d| < 1 holds for both roots. The lexicographically smallest
+    witness (p, q, r, t) wins.
+
+    The scan is O(search_bound^2) integer square tests. With h = n/m in
+    lowest terms and K = 4n(n+m), the discriminant is X/(mq)^2 with
+    X = (mq)^2 - K p^2; its denominator is a square, so it is a rational
+    square exactly when X is a perfect square S^2. The roots give
+    b = Y/Z with Y = (m+n)p^2 - nq^2 -+ qS and Z = (m+n)q^2, a witness when
+    Y > 0 and Y/g, Z/g are the squares r^2, t^2 for g = gcd(Y, Z). No
+    float enters the decision. search_bound is capped at
+    sqrt(_MAX_GRID_PAIRS).
     """
     h = exact_rational(h, "h")
     if not (0 < h < 1):
         raise DomainError("h must be a rational in (0,1), got %s" % h)
-    if not _is_int(search_bound) or search_bound < 1:
-        raise DomainError("search_bound must be a positive integer, got %r" % (search_bound,))
+    if not _is_int(search_bound) or search_bound < 1 or search_bound > math.isqrt(_MAX_GRID_PAIRS):
+        raise DomainError(
+            "search_bound must be a positive integer whose (p, q) grid has at most %d pairs, "
+            "got %r" % (_MAX_GRID_PAIRS, search_bound)
+        )
     root = rational_sqrt_exact((1 + h) / (1 - h))
     if root is not None:
         return TorusVerdict(h=h, kind="case_i", q=root, case_i=torus_case_i(root))
-    c = 4 * h * (1 + h)
+    n, m = h.numerator, h.denominator
+    k = 4 * n * (n + m)
     for p in range(1, search_bound + 1):
+        kp2 = k * p * p
         for q in range(1, search_bound + 1):
-            a = Fraction(p * p, q * q)
-            disc = 1 - c * a
-            s = rational_sqrt_exact(disc) if disc >= 0 else None
+            s = isqrt_exact((m * q) ** 2 - kp2)
             if s is None:
                 continue
+            z = (m + n) * q * q
+            y0 = (m + n) * p * p - n * q * q
             witnesses = []
-            for d in ((h - s) / (1 + h), (h + s) / (1 + h)):
-                rb = rational_sqrt_exact(a - d) if d < a else None
+            for y in (y0 - q * s, y0 + q * s):
+                if y <= 0:
+                    continue
                 # in lowest terms, (r, t) is the smallest pair with b = r^2/t^2
-                if rb is not None and max(rb.numerator, rb.denominator) <= search_bound:
-                    witnesses.append((rb.numerator, rb.denominator))
+                g = math.gcd(y, z)
+                r, t = isqrt_exact(y // g), isqrt_exact(z // g)
+                if r is not None and t is not None and max(r, t) <= search_bound:
+                    witnesses.append((r, t))
             if witnesses:
                 r, t = min(witnesses)
                 case_ii = torus_case_ii(p, q, r, t)

@@ -222,6 +222,11 @@ def test_single_array_table_is_bit_exact(family, h, rho_frac, extensions, pts):
     assert np.array_equal(im.eval(pts), oracle.partials(im, pts, [(0, 0)])[(0, 0)])
 
 
+def test_partial_table_keys_in_order_of_total_order(sasahara_immersion):
+    table = sasahara_immersion.partial_table(np.zeros((3, 2)), 4)
+    assert list(table) == [(a, n - a) for n in range(5) for a in range(n, -1, -1)]
+
+
 def test_spectral_split_closed_form(sasahara_immersion):
     t1, t2 = sasahara_immersion.spectral_split((0.0, 0.0))
     assert np.allclose(t1, (1 / SQ2, 0, 0, 0, 0, 0), atol=1e-15)

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
-from bihsurf.core import DomainError, rational_sqrt_exact
+import torus_oracle
+from bihsurf.core import DomainError
 from bihsurf.parameters import angle_family_data, canonicalize, rho_max
 from bihsurf.immersion import build, extend_dimension, from_structure
 from bihsurf.periodicity import (
@@ -23,7 +24,6 @@ from bihsurf.periodicity import (
     torus_case_i,
     torus_case_ii,
     TorusParams,
-    TorusVerdict,
     torus_exists,
 )
 
@@ -534,35 +534,6 @@ def test_torus_exists_two_roots_smallest_witness():
     assert torus_exists(h, 41).pqrt == (5, 4, 11, 12)
 
 
-def _brute_torus_exists(h, search_bound):
-    """Oracle: try every (p, q, r, t) <= search_bound in lexicographic order
-    and return the first one whose (a, b) gives mean curvature h."""
-    h = Fraction(h)
-    root = rational_sqrt_exact((1 + h) / (1 - h))
-    if root is not None:
-        return TorusVerdict(h=h, kind="case_i", q=root, case_i=torus_case_i(root))
-    squares = {}
-    for u in range(1, search_bound + 1):
-        for w in range(1, search_bound + 1):
-            squares.setdefault((u, w), Fraction(u * u, w * w))
-    for p in range(1, search_bound + 1):
-        for q in range(1, search_bound + 1):
-            a = squares[(p, q)]
-            for r in range(1, search_bound + 1):
-                for t in range(1, search_bound + 1):
-                    b = squares[(r, t)]
-                    if (a - b) ** 2 >= 1:
-                        continue
-                    if h == (1 - (a - b) ** 2) / (1 + (a - b) ** 2 + 2 * (a + b)):
-                        return TorusVerdict(
-                            h=h,
-                            kind="case_ii",
-                            pqrt=(p, q, r, t),
-                            case_ii=torus_case_ii(p, q, r, t),
-                        )
-    return TorusVerdict(h=h, kind="not_found")
-
-
 def _h_of_squares(p, q, r, t):
     a, b = Fraction(p * p, q * q), Fraction(r * r, t * t)
     if (a - b) ** 2 >= 1:
@@ -581,9 +552,59 @@ _torus_h = st.tuples(*[st.integers(1, 9)] * 4).map(lambda pqrt: _h_of_squares(*p
 @settings(max_examples=120, deadline=None)
 @given(h=st.one_of(_small_denominator_h, _torus_h), bound=st.integers(1, 10))
 def test_torus_exists_matches_brute_force_oracle(h, bound):
-    fast, slow = torus_exists(h, bound), _brute_torus_exists(h, bound)
+    fast, slow = torus_exists(h, bound), torus_oracle.brute_torus_exists(h, bound)
     assert (fast.kind, fast.pqrt, fast.q) == (slow.kind, slow.pqrt, slow.q)
     assert fast.to_dict() == slow.to_dict()
+
+
+_rational_h = st.integers(2, 500).flatmap(
+    lambda m: st.integers(1, m - 1).map(lambda n: Fraction(n, m))
+)
+_torus_h_25 = st.tuples(*[st.integers(1, 25)] * 4).map(lambda pqrt: _h_of_squares(*pqrt)).filter(
+    lambda h: h is not None
+)
+_float_h = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(h=st.one_of(_rational_h, _torus_h_25, _float_h), bound=st.integers(1, 60))
+def test_torus_exists_matches_fraction_scan_oracle(h, bound):
+    fast, slow = torus_exists(h, bound), torus_oracle.fraction_torus_exists(h, bound)
+    event(fast.kind)
+    assert fast.to_dict() == slow.to_dict()
+
+
+def test_torus_exists_survey_small_denominators():
+    hs = {Fraction(n, m) for m in range(2, 40) for n in range(1, m)}
+    kinds = [torus_exists(h, 30).kind for h in hs]
+    assert len(hs) == 473
+    assert {k: kinds.count(k) for k in set(kinds)} == {"case_i": 12, "case_ii": 41, "not_found": 420}
+
+
+@pytest.mark.parametrize(
+    "h, bound, pqrt",
+    [
+        (Fraction(8, 37), 760, (221, 253, 740, 759)),
+        (Fraction(33, 34), 1666, (87, 1666, 185, 1666)),
+        (Fraction(2, 29), 1742, (1225, 1419, 1742, 1419)),
+    ],
+)
+def test_torus_exists_witnesses_at_large_bounds(h, bound, pqrt):
+    v = torus_exists(h, bound)
+    assert (v.kind, v.pqrt) == ("case_ii", pqrt)
+    assert TorusParams(*pqrt).h == h
+
+
+@pytest.mark.parametrize("bound", [10**4 + 1, 10**6, np.int64(10**10)])
+def test_torus_exists_refuses_grids_over_the_cap(bound):
+    # refused before any scan: h = 3/7 would scan the whole box
+    with pytest.raises(DomainError, match="search_bound must be a positive integer whose"):
+        torus_exists(Fraction(3, 7), bound)
+
+
+def test_torus_exists_accepts_the_largest_bound():
+    # case i returns before the scan, so the largest bound costs nothing here
+    assert torus_exists(Fraction(4, 5), 10**4).kind == "case_i"
 
 
 def test_torus_verdict_json_shape():
