@@ -70,8 +70,6 @@ def parse_lattice(obj) -> Lattice2:
     All nonzero entries must share one squarefree surd; mixed surds make the
     squared dual points irrational and are rejected.
     """
-    if isinstance(obj, Lattice2):
-        return obj
     try:
         rows_txt = obj["gens"]
         entries = [[parse_lattice_entry(rows_txt[i][j]) for j in range(2)] for i in range(2)]

@@ -549,8 +549,8 @@ def _norm_minus(u, target, out):
 
 def _block_residuals(im: Immersion, pts, ws: _Workspace) -> list[float]:
     """Worst residual of each check, in `_CHECKS` order, over the points pts,
-    every block-sized array taken from ws."""
-    ws.points(len(pts))
+    every block-sized array taken from ws, which `_blocks` has set to the
+    points."""
     table = _FactoredTable(im, pts, ws)
     h = im.data.h
     lam1, lam2 = im.data.lambda1, im.data.lambda2

@@ -10,14 +10,17 @@ and the geometry kernel all read through it.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .core import DomainError
 from .parameters import (
     MiyataData,
+    _check_h,
+    _member,
     lift_structure,
     structure_params,
     t_of_s,
@@ -285,13 +288,10 @@ def build(data: MiyataData, validate: bool = True) -> Immersion:
         if not report.passed:
             failing = ", ".join(c.name for c in report.failures())
             raise ValueError("invalid immersion data (%s)" % failing)
-    rows = []
-    amps = []
-    for z, w in zip(data.mu, data.r_weights):
-        rows.append((math.sqrt(data.lambda1) * z.imag, math.sqrt(data.lambda1) * z.real))
-        amps.append(math.sqrt(w / 2.0))
-    for z, w in zip(data.eta, data.rp_weights):
-        rows.append((math.sqrt(data.lambda2) * z.imag, math.sqrt(data.lambda2) * z.real))
+    radii = (math.sqrt(data.lambda1),) * data.m + (math.sqrt(data.lambda2),) * data.mp
+    rows, amps = [], []
+    for r, z, w in zip(radii, (*data.mu, *data.eta), (*data.r_weights, *data.rp_weights)):
+        rows.append((r * z.imag, r * z.real))
         amps.append(math.sqrt(w / 2.0))
     return Immersion(
         data=data,
@@ -308,14 +308,9 @@ def from_structure(h: float, rho: float) -> Immersion:
 def symmetric_weights_data(h: float) -> MiyataData:
     """The equal-weight family member: R' = (1/2, 1/2), eta_1 = sqrt(h/(1+h))
     + i sqrt(1/(1+h)), eta_2 its conjugate."""
+    _check_h(h)
     e1 = complex(math.sqrt(h / (1.0 + h)), math.sqrt(1.0 / (1.0 + h)))
-    return MiyataData(
-        h=h,
-        mu=(complex(1.0, 0.0),),
-        eta=(e1, e1.conjugate()),
-        r_weights=(1.0,),
-        rp_weights=(0.5, 0.5),
-    )
+    return _member(h, (e1, e1.conjugate()), (0.5, 0.5))
 
 
 def sasahara_data() -> MiyataData:
@@ -356,36 +351,20 @@ def extend_dimension(im: Immersion) -> Immersion:
     data = im.data
     if data.m != 1:
         raise ValueError("dimension extension supports m = 1 data only, got m = %d" % data.m)
-    h = data.h
-    mu1 = data.mu[0]
+    h, mu1 = data.h, data.mu[0]
+    scheduled = ((s, *(mu1 * z for z in _pair_for_weight(h, s))) for s in _schedule(h))
     if data.mp == 2:
-        candidates = [(data.rp_weights[0], data.eta[0], data.eta[1])]
-        for s in _schedule(h):
-            a, b = _pair_for_weight(h, s)
-            candidates.append((s, mu1 * a, mu1 * b))
-        for s, a, b in candidates:
-            eta = (1j * a, 1j * b, 1j * mu1)
-            if _min_pm_distance(eta) > 1e-9:
-                out = MiyataData(
-                    h=h,
-                    mu=data.mu,
-                    eta=eta,
-                    r_weights=data.r_weights,
-                    rp_weights=(h * s, h * (1.0 - s), 1.0 - h),
-                )
-                return build(out)
-        raise ConstructionError("no admissible distinct frequency triple found")
-    for s in _schedule(h):
-        a, b = _pair_for_weight(h, s)
-        a, b = mu1 * a, mu1 * b
-        eta = data.eta + (a, b)
+        # the input's own pair first, then the schedule
+        candidates = itertools.chain([(data.rp_weights[0], *data.eta)], scheduled)
+        blocks = lambda s, a, b: ((1j * a, 1j * b, 1j * mu1), (h * s, h * (1.0 - s), 1.0 - h))
+        what = "triple"
+    else:
+        halved = tuple(w / 2.0 for w in data.rp_weights)
+        candidates = scheduled
+        blocks = lambda s, a, b: (data.eta + (a, b), halved + (s / 2.0, (1.0 - s) / 2.0))
+        what = "pair"
+    for s, a, b in candidates:
+        eta, rp_weights = blocks(s, a, b)
         if _min_pm_distance(eta) > 1e-9:
-            out = MiyataData(
-                h=h,
-                mu=data.mu,
-                eta=eta,
-                r_weights=data.r_weights,
-                rp_weights=tuple(w / 2.0 for w in data.rp_weights) + (s / 2.0, (1.0 - s) / 2.0),
-            )
-            return build(out)
-    raise ConstructionError("no admissible distinct frequency pair found")
+            return build(replace(data, eta=eta, rp_weights=rp_weights))
+    raise ConstructionError("no admissible distinct frequency %s found" % what)

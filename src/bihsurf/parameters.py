@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .core import Check, DomainError, VerificationReport
 
@@ -195,16 +195,16 @@ def structure_params(h: float, rho: float) -> StructureParams:
     return StructureParams(h, rho, rho_tilde_of(h, rho), s, 1.0 - s, *spectral_levels(h))
 
 
+def _member(h: float, eta: tuple[complex, ...], rp_weights: tuple[float, ...]) -> MiyataData:
+    """m = 1 family data: mu = (1,) and R = (1,), with the given eta blocks
+    and R' weights."""
+    return MiyataData(h=h, mu=(complex(1.0, 0.0),), eta=eta, r_weights=(1.0,), rp_weights=rp_weights)
+
+
 def lift_structure(sp: StructureParams) -> MiyataData:
     """Structure parameters as frequency/weight data: mu=(1,), eta=(e^{i rho},
     e^{i rho_tilde}), weights (1,) and (R'_1, R'_2)."""
-    return MiyataData(
-        h=sp.h,
-        mu=(complex(1.0, 0.0),),
-        eta=(unit_circle(sp.rho), unit_circle(sp.rho_tilde)),
-        r_weights=(1.0,),
-        rp_weights=(sp.r1_prime, sp.r2_prime),
-    )
+    return _member(sp.h, (unit_circle(sp.rho), unit_circle(sp.rho_tilde)), (sp.r1_prime, sp.r2_prime))
 
 
 def angle_family_data(h: float, rho: float) -> MiyataData:
@@ -214,13 +214,7 @@ def angle_family_data(h: float, rho: float) -> MiyataData:
     a structure member (canonicalize maps it back).
     """
     s = s_of_rho(h, rho)
-    return MiyataData(
-        h=h,
-        mu=(complex(1.0, 0.0),),
-        eta=(unit_circle(rho), unit_circle(rho_tilde_of(h, rho))),
-        r_weights=(1.0,),
-        rp_weights=(s, 1.0 - s),
-    )
+    return _member(h, (unit_circle(rho), unit_circle(rho_tilde_of(h, rho))), (s, 1.0 - s))
 
 
 def _min_pm_distance(zs: tuple[complex, ...]) -> float:
@@ -294,10 +288,4 @@ def canonicalize(data: MiyataData) -> MiyataData:
     if data.mp == 2 and rp[0] > 0.5:
         eta = tuple(_fold_to_half_turn(z.conjugate()) for z in eta)
         eta, rp = _sorted_eta(eta, rp)
-    return MiyataData(
-        h=data.h,
-        mu=(complex(1.0, 0.0),),
-        eta=eta,
-        r_weights=data.r_weights,
-        rp_weights=rp,
-    )
+    return replace(data, mu=(complex(1.0, 0.0),), eta=eta, rp_weights=rp)

@@ -364,11 +364,11 @@ def periodic_direction_search(
                     a, ga = mid, gm
             roots.append((0.5 * (a + b), k))
     out = []
-    seen = []
+    last = -math.inf  # the roots come sorted, so the nearest kept root is the last
     for rho, k in sorted(roots):
-        if any(abs(rho - r) < 1e-10 for r in seen):
+        if rho - last < 1e-10:
             continue
-        seen.append(rho)
+        last = rho
         v = period_vector(h, k0, k1, rho)
         im = build(angle_family_data(h, rho))
         res = float(np.max(np.abs(im.eval(np.array(v)) - im.eval(np.zeros(2)))))

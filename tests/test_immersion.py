@@ -1,12 +1,23 @@
 import math
+from dataclasses import replace
 
+import construction_oracle
 import dict_table_oracle as oracle
 import numpy as np
 import pytest
 from hypothesis import given, note, settings, strategies as st
 
 from bihsurf.core import DomainError
-from bihsurf.parameters import MiyataData, validate_miyata
+from bihsurf.parameters import (
+    MiyataData,
+    angle_family_data,
+    canonicalize,
+    lift_structure,
+    rho_max,
+    structure_params,
+    unit_circle,
+    validate_miyata,
+)
 from bihsurf.immersion import (
     build,
     extend_dimension,
@@ -318,3 +329,48 @@ def test_extension_rejects_multi_mu():
     two = MiyataData(d.h, (1 + 0j, 1j), d.eta, (0.5, 0.5), d.rp_weights)
     with pytest.raises(ValueError, match="m = 1"):
         extend_dimension(build(two, validate=False))
+
+
+@pytest.mark.parametrize("h", [-2.0, -1.0, 0.0, 1.0, 1.5, math.nan])
+def test_symmetric_weights_data_rejects_h_by_name(h):
+    with pytest.raises(DomainError, match="h must lie in the open interval"):
+        symmetric_weights_data(h)
+
+
+def _same_immersion(got, want):
+    assert got.data.to_json() == want.data.to_json()
+    for name in ("wave_vectors", "amplitudes"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    family=st.sampled_from(["structure", "angle", "equal_weight"]),
+    h=st.floats(0.01, 0.99),
+    frac=st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)),
+    turn=st.one_of(st.just(0.0), st.floats(-math.pi, math.pi)),
+    extensions=st.integers(0, 4),
+)
+def test_family_construction_matches_oracle(family, h, frac, turn, extensions):
+    # rho = frac * rho_max(h) for structure members, frac * pi/2 for angle
+    # members (past rho_max they are the mirrored copies); the domain is
+    # turned by `turn` before canonicalize and extend_dimension see the data
+    if family == "structure":
+        sp = structure_params(h, frac * rho_max(h))
+        got, want = lift_structure(sp), construction_oracle.lift_structure(sp)
+    elif family == "angle":
+        rho = frac * (math.pi / 2)
+        got, want = angle_family_data(h, rho), construction_oracle.angle_family_data(h, rho)
+    else:
+        got, want = symmetric_weights_data(h), construction_oracle.symmetric_weights_data(h)
+    assert got.to_json() == want.to_json()
+    z = unit_circle(turn)
+    turned = replace(got, mu=tuple(z * w for w in got.mu), eta=tuple(z * w for w in got.eta))
+    assert canonicalize(turned).to_json() == construction_oracle.canonicalize(turned).to_json()
+    im, ref = build(turned), construction_oracle.build(turned)
+    _same_immersion(im, ref)
+    for _ in range(extensions):
+        im, ref = extend_dimension(im), construction_oracle.extend_dimension(ref)
+        _same_immersion(im, ref)
+        assert canonicalize(im.data).to_json() == construction_oracle.canonicalize(ref.data).to_json()

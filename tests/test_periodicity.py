@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
+import direction_oracle
 import torus_oracle
 from bihsurf.core import DomainError
 from bihsurf.parameters import angle_family_data, canonicalize, rho_max
@@ -217,6 +218,23 @@ def test_periodic_direction_search_finds_verified_roots():
         assert abs(direction_integrality(0.5, -1, 1, d.rho) - d.k2) <= 1e-10
         im = build(angle_family_data(0.5, d.rho))
         assert _returns_to_start(im, d.v)
+
+
+@pytest.mark.parametrize(
+    "h, k0, k1, window, count",
+    [
+        (0.5, -1, 1, (0.1, 1.4), 25),
+        (0.5, 3, -4, (0.01, 0.05), 328),
+        # the grid point 1024 is a float where the closing quantity is exactly
+        # -5, and the cell below brackets the same root: two roots 4.5e-13
+        # apart, of which one is kept
+        (0.5, -1, 1, (0.42929260601083696, 0.929170535698337), 3),
+    ],
+)
+def test_periodic_direction_dedupe_matches_quadratic_oracle(h, k0, k1, window, count):
+    dirs = periodic_direction_search(h, k0, k1, window)
+    assert dirs == direction_oracle.periodic_direction_search(h, k0, k1, window)
+    assert len(dirs) == count
 
 
 def test_direction_integrality_limit_at_right_end():
