@@ -15,15 +15,23 @@ immersions are annihilated; the flipped curvature sign gives 4|tau|.
 One per-point kernel serves every caller (`verify_immersion`, `tension`,
 `bitension`, `mean_curvature`, `fundamental_forms` and the finite-difference
 oracle). It reads the partials through two operations, each writing into a
-buffer the caller gives it: an entry d^o psi, and a combination
-sum_o c_o(p) d^o psi with per-point coefficients. An `Immersion` is read
-through the factored reader of `immersion`, which never builds the table, so
-the order-3 and order-4 partials are only ever read inside the tension's and
-the Laplacian's combinations. An explicit table (a dict, as `fd_partial_table`
-returns) serves both by indexing and by accumulating in place, in one piece.
-On an `Immersion` every function runs in blocks of `_BLOCK` points, all from
-one workspace per call, each block written into the output arrays. Nothing
-is kept after the call.
+buffer the caller gives it: the entries d^o psi of orders of one parity, and
+a combination sum_o c_o(p) d^o psi with per-point coefficients. An
+`Immersion` is read through the factored reader of `immersion`, which never
+builds the table, so the order-3 and order-4 partials are only ever read
+inside the tension's and the Laplacian's combinations. An explicit table (a
+dict, as `fd_partial_table` returns) serves both by indexing and by
+accumulating in place, in one piece.
+
+psi and its first partials are read once into one stacked frame
+(psi, psi_x, psi_y). The three second partials are made normal together:
+one contraction against the frame gives every coefficient, and the mean
+curvature vector is half the g-trace of the forms, H = 1/2 g^{ab} B_ab, with
+no projection of its own. On an `Immersion` every function runs in blocks of
+`_BLOCK` points, all from one workspace per call, each block written into
+C-ordered outputs of the caller's point shape. Nothing is kept after the
+call but the immersion's own memo (its factor table and its validation
+report).
 """
 
 from __future__ import annotations
@@ -37,9 +45,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import GEOMETRIC_TOL, Check, DomainError, VerificationReport
-from .parameters import validate_miyata
 from .immersion import Immersion, _FactoredTable, _Workspace
-from .immersion import _as_points, _check_max_order, _is_int, _unflatten
+from .immersion import _as_points, _check_max_order, _is_int
 
 
 def _dot(u, v, out):
@@ -59,8 +66,9 @@ class _ExplicitTable:
         dim = table[(0, 0)].shape[-1]
         self._table = {order: v.reshape(-1, dim).T for order, v in table.items()}
 
-    def entry(self, order, out):
-        np.copyto(out, self._table[order])
+    def entries(self, orders, out):
+        for order, x in zip(orders, out):
+            np.copyto(x, self._table[order])
         return out
 
     def combo(self, orders, coeffs, out):
@@ -83,9 +91,9 @@ def _blocks(im: Immersion, pts):
 
 def _per_point(kernel, im, p, max_order: int):
     """The arrays (..., P) of kernel(table, metric, ws) at the points p
-    (..., 2), in the caller's point shape: an Immersion's in blocks
-    (`_blocks`) written into the outputs, any other map's `partial_table`
-    in one piece."""
+    (..., 2), as C-ordered arrays of the caller's point shape: an
+    Immersion's in blocks (`_blocks`) written into the outputs, any other
+    map's `partial_table` in one piece."""
     if not isinstance(im, Immersion):
         return _explicit_kernel(kernel, im.partial_table(p, max_order))
     pts = _as_points(p)
@@ -95,18 +103,21 @@ def _per_point(kernel, im, p, max_order: int):
         table = _FactoredTable(im, block, ws)
         parts = kernel(table, _metric(table, ws), ws)
         if outs is None:
-            outs = [np.empty(x.shape[:-1] + (len(flat),)) for x in parts]
+            outs = [np.empty((len(flat),) + x.shape[:-1]) for x in parts]
         for out, x in zip(outs, parts):
-            out[..., start : start + len(block)] = x
-    return [_unflatten(x, pts.shape[:-1]) for x in outs]
+            out[start : start + len(block)] = np.moveaxis(x, -1, 0)
+    return [out.reshape(pts.shape[:-1] + out.shape[1:]) for out in outs]
 
 
 def _explicit_kernel(kernel, table: dict):
-    """The arrays of kernel(table, metric, ws) over an explicit table, in its
-    point shape."""
+    """The arrays of kernel(table, metric, ws) over an explicit table, as
+    C-ordered arrays of its point shape."""
     shape, dim = table[(0, 0)].shape[:-1], table[(0, 0)].shape[-1]
     flat, ws = _ExplicitTable(table), _Workspace(math.prod(shape), dim)
-    return [_unflatten(x, shape) for x in kernel(flat, _metric(flat, ws), ws)]
+    return [
+        np.ascontiguousarray(np.moveaxis(x, -1, 0)).reshape(shape + x.shape[:-1])
+        for x in kernel(flat, _metric(flat, ws), ws)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -124,8 +135,9 @@ _FIRST = ((1, 0), (0, 1))
 
 
 class _Metric(NamedTuple):
-    psi: np.ndarray  # (D, P)
-    d1: np.ndarray  # (2, D, P): psi_x, psi_y
+    frame: np.ndarray  # (3, D, P): psi, psi_x, psi_y
+    psi: np.ndarray  # (D, P), frame[0]
+    d1: np.ndarray  # (2, D, P), frame[1:]
     g: np.ndarray  # (2, 2, P)
     det: np.ndarray  # (P,)
     inv: np.ndarray  # (2, 2, P)
@@ -133,12 +145,10 @@ class _Metric(NamedTuple):
 
 
 def _metric(table, ws: _Workspace) -> _Metric:
-    """psi, its first partials, the induced metric g_ab = <psi_a, psi_b>,
+    """The frame (psi, psi_x, psi_y), the induced metric g_ab = <psi_a, psi_b>,
     det g, the inverse metric g^{ab} and the weights of `_TENSION`."""
-    psi = table.entry((0, 0), ws.vec("psi"))
-    d1 = ws.vec("d1", 2)
-    for order, out in zip(_FIRST, d1):
-        table.entry(order, out)
+    frame = ws.vec("frame", 3)
+    psi, d1 = table.entries(((0, 0),), frame[:1])[0], table.entries(_FIRST, frame[1:])
     g = np.einsum("adp,bdp->abp", d1, d1, out=ws.scalar("g", 2, 2))
     det = np.multiply(g[0, 0], g[1, 1], out=ws.scalar("det"))
     det -= np.multiply(g[0, 1], g[0, 1], out=ws.scalar("s"))
@@ -154,7 +164,7 @@ def _metric(table, ws: _Workspace) -> _Metric:
     np.multiply(inv[0, 1], 2.0, out=weights[1])
     weights[2] = inv[1, 1]
     weights[3] = 2.0
-    return _Metric(psi, d1, g, det, inv, weights)
+    return _Metric(frame, psi, d1, g, det, inv, weights)
 
 
 def _sub_tangent(table, v, mt: _Metric, c, ws: _Workspace):
@@ -163,12 +173,6 @@ def _sub_tangent(table, v, mt: _Metric, c, ws: _Workspace):
     beta = np.einsum("abp,bp->ap", mt.inv, c, out=ws.scalar("beta", 2))
     v -= table.combo(_FIRST, beta, ws.vec("tmp"))
     return v
-
-
-def _normal_part(table, v, mt: _Metric, ws: _Workspace):
-    """v minus its psi component, then minus its tangential part, in place."""
-    v -= np.multiply(_dot(v, mt.psi, ws.scalar("r")), mt.psi, out=ws.vec("tmp"))
-    return _sub_tangent(table, v, mt, _dot(v, mt.d1, ws.scalar("c", 2)), ws)
 
 
 def _tension(table, mt: _Metric, ws: _Workspace):
@@ -216,12 +220,26 @@ def _bitension(table, mt: _Metric, tau, ws: _Workspace):
     return _sub_tangent(table, out, mt, _dot(tau, d1, ws.scalar("c", 2)), ws)
 
 
+def _frame_dots(u, mt: _Metric, ws: _Workspace):
+    """<u_i, F_k> (3, 3, P) of a stacked field u (3, D, P) against the frame
+    F = (psi, psi_x, psi_y)."""
+    return np.einsum("idp,kdp->ikp", u, mt.frame, out=ws.scalar("frame_dots", 3, 3))
+
+
 def _forms(table, mt: _Metric, ws: _Workspace):
     """Second fundamental form (3, D, P): B_xx, B_xy, B_yy, the second
-    partials made normal to psi, psi_x and psi_y."""
-    w = ws.vec("forms", 3)
-    for order, out in zip(_SECOND, w):
-        _normal_part(table, table.entry(order, out), mt, ws)
+    partials less their psi component r = <psi_ab, psi> and their tangential
+    part g^{cd} <psi_ab, psi_d> psi_c, projected together. <psi, psi_d> = 0,
+    since |psi| is constant, so one contraction against the frame gives all
+    the coefficients."""
+    w = table.entries(_SECOND, ws.vec("forms", 3))
+    dots = _frame_dots(w, mt, ws)
+    coeffs = ws.scalar("frame_coeffs", 3, 3)
+    coeffs[:, 0] = dots[:, 0]
+    np.einsum("abp,ibp->iap", mt.inv, dots[:, 1:], out=coeffs[:, 1:])
+    tmp = ws.vec("tmp")
+    for form, c in zip(w, coeffs):
+        form -= np.einsum("kp,kdp->dp", c, mt.frame, out=tmp)
     return w
 
 
@@ -330,12 +348,10 @@ def fundamental_forms(im, p) -> FundamentalForms:
     return FundamentalForms(*_per_point(lambda t, mt, ws: (mt.g, *_forms(t, mt, ws)), im, p, 2))
 
 
-def _curvature(table, mt: _Metric, forms, ws: _Workspace) -> CurvatureSummary:
+def _curvature(mt: _Metric, forms, ws: _Workspace) -> CurvatureSummary:
     """Curvature summary over P points from the forms of `_forms`.
-    The mean-curvature vector is half the normal part of one combination,
-    g^{ab} psi_ab."""
-    h_vec = table.combo(_SECOND, mt.weights[:3], ws.vec("h"))
-    _normal_part(table, h_vec, mt, ws)
+    The mean-curvature vector is half their g-trace, 1/2 g^{ab} B_ab."""
+    h_vec = np.einsum("ip,idp->dp", mt.weights[:3], forms, out=ws.vec("h"))
     h_vec *= 0.5
     h_sq = _dot(h_vec, h_vec, ws.scalar("h_sq"))
     s = ws.scalar("s")
@@ -361,7 +377,7 @@ def mean_curvature(im, p) -> CurvatureSummary:
     max |<B_ab, H> - |H|^2 g_ab|."""
 
     def kernel(table, mt, ws):
-        return vars(_curvature(table, mt, _forms(table, mt, ws), ws)).values()
+        return vars(_curvature(mt, _forms(table, mt, ws), ws)).values()
 
     return CurvatureSummary(*_per_point(kernel, im, p, 2))
 
@@ -525,7 +541,7 @@ _CHECKS = (
 )
 
 # Sample points evaluated together. The workspace of one verify_immersion
-# call is 38 buffers, 2.7 MB at ambient dimension 6 and 9.6 MB at 28,
+# call is 30 buffers, 2.5 MB at ambient dimension 6 and 8.3 MB at 28,
 # whatever the sample count. Against 2048, blocks of 1024 ran the S^27 share
 # of the verify-dense round about 15% faster and the S^5 share about 18%
 # slower (the round within noise); blocks of 4096 ran it about 20% slower.
@@ -559,31 +575,34 @@ def _block_residuals(im: Immersion, pts, ws: _Workspace) -> list[float]:
     mt = _metric(table, ws)
     psi, d1 = mt.psi, mt.d1
     forms = _forms(table, mt, ws)
-    curv = _curvature(table, mt, forms, ws)
+    curv = _curvature(mt, forms, ws)
     tau = _tension(table, mt, ws)
     tau2 = _bitension(table, mt, tau, ws)
-    # the zero-padded spectral blocks, and Delta psi = -(psi_xx + psi_yy)
+    # the zero-padded spectral blocks, and the eigenblock residuals
+    # Delta psi - lambda_i psi_ti with Delta psi = -(psi_xx + psi_yy), in place
     t1, t2 = ws.vec("t1"), ws.vec("t2")
     t1[:low] = psi[:low]
     t1[low:] = 0.0
     np.subtract(psi, t1, out=t2)
     minus = ws.scalar("minus", 2)
     minus.fill(-1.0)
-    lap = table.combo(((2, 0), (0, 2)), minus, ws.vec("lap"))
-
-    s, s2, s3 = ws.scalar("check"), ws.scalar("check", 2), ws.scalar("check", 3)
-    s22 = ws.scalar("check", 2, 2)
-    v, e = ws.vec("check"), ws.vec("eigen")
+    e = table.combo(((2, 0), (0, 2)), minus, ws.vec("lap"))
+    v = ws.vec("tmp")
+    e[:low] -= np.multiply(t1[:low], lam1, out=v[:low])
+    e[low:] -= np.multiply(t2[low:], lam2, out=v[low:])
+    # 2 H - 2h (t1 - t2), as 2 (H - h (t1 - t2)): doubling is exact
     two_type = np.subtract(t1, t2, out=v)
-    two_type *= 2.0 * h
-    np.subtract(np.multiply(curv.h_vector, 2.0, out=e), two_type, out=two_type)
-    np.subtract(lap[:low], np.multiply(t1[:low], lam1, out=e[:low]), out=e[:low])
-    np.subtract(lap[low:], np.multiply(t2[low:], lam2, out=e[low:]), out=e[low:])
+    two_type *= h
+    np.subtract(curv.h_vector, two_type, out=two_type)
+    two_type *= 2.0
 
+    normality = _frame_dots(forms, mt, ws)
+    # the kernel's scratch scalars, free by now
+    s, s2, s22 = ws.scalar("s"), ws.scalar("c", 2), ws.scalar("m", 2, 2)
     return [
         _maxabs(_norm_minus(psi, 1.0, s), s),
         _maxabs(np.subtract(mt.g, _EYE, out=s22), s22),
-        max(_maxabs(_dot(forms, w, s3), s3) for w in (psi, d1[0], d1[1])),
+        _maxabs(normality, normality),
         _maxabs(np.subtract(curv.mean_curvature_norm, h, out=s), s),
         _maxabs(curv.gaussian, s),
         _maxabs(two_type, v),
@@ -627,7 +646,9 @@ def verify_immersion(
     form normality 1e-9, |H| = h 1e-9, K = 0 1e-8, spectral blocks 1e-10,
     eigenblocks 1e-10, bitension 1e-7; `tolerances` overrides them by check
     name (each override a positive finite number). Includes the
-    data-admissibility checks so a single report certifies one immersion.
+    data-admissibility checks so a single report certifies one immersion:
+    the report `build` validated with, or, for an immersion built with
+    validate=False, validate_miyata's, computed once per immersion.
 
     The points are evaluated in fixed blocks of 2048 (`_blocks`); each
     residual is the maximum over the blocks, and memory is
@@ -646,4 +667,4 @@ def verify_immersion(
     pts = rng.uniform(-box, box, size=(samples, 2))
     worst = np.max([_block_residuals(im, block, ws) for _, block, ws in _blocks(im, pts)], axis=0)
     checks = tuple(Check(name, r, tol[name]) for (name, _), r in zip(_CHECKS, worst))
-    return VerificationReport(validate_miyata(im.data).checks + checks, int(samples))
+    return VerificationReport(im._validation().checks + checks, int(samples))

@@ -3,20 +3,27 @@ frequency/weight data. Every coordinate plane carries a circle
 c*(cos<w,p>, sin<w,p>), so every partial derivative is that same cos/sin pair
 scaled by w_1^a w_2^b and turned by a+b quarter turns: one evaluation of cos
 and sin serves every order. This module is the one place that knows that
-layout. `_FactoredTable` reads the partials at a set of points as factor rows
-times the two trig pairs, without building them; `partial_table`, `partial`
-and the geometry kernel all read through it.
+layout. An immersion's factor rows c*w_1^a*w_2^b (signed by the a+b quarter
+turns) are one table of all 15 orders a+b <= 4, computed in one vectorised
+pass the first time any order is read and kept for the immersion's life;
+every order tuple is a gather of its rows. `_FactoredTable` reads the
+partials at a set of points as those rows times the trig pair of their
+parity, without building them, and makes each pair the first time its
+parity is read; `partial_table`, `partial` and the geometry kernel all read
+through it. `partial_table` and `partial` return C-ordered arrays of the
+caller's point shape.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import DomainError
+from .core import DomainError, VerificationReport
 from .parameters import (
     MiyataData,
     _check_h,
@@ -47,8 +54,9 @@ class Immersion:
     data: MiyataData
     wave_vectors: np.ndarray  # (K, 2)
     amplitudes: np.ndarray  # (K,)
-    # memo of `_factors`, derived from the fields above
-    _factor_memo: dict = field(default_factory=dict, init=False, repr=False)
+    # values derived from the fields above, computed once: the factor table
+    # ("factors") and validate_miyata's report on `data` ("validation")
+    _memo: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def m(self) -> int:
@@ -86,15 +94,24 @@ class Immersion:
     def _factors(self, orders: tuple) -> np.ndarray:
         """Factor rows (len(orders), D) of `orders`: per order (a, b),
         c*w_1^a*w_2^b on both slots of each plane times the slot signs of
-        a+b quarter turns. Computed once per `orders`."""
-        if orders not in self._factor_memo:
-            w1, w2 = self.wave_vectors[:, 0], self.wave_vectors[:, 1]
-            rows = np.array([
-                (self.amplitudes * w1**a * w2**b)[:, None] * _QUARTER_TURN_SIGNS[(a + b) % 4]
-                for a, b in orders
-            ])
-            self._factor_memo[orders] = rows.reshape(len(orders), -1)
-        return self._factor_memo[orders]
+        a+b quarter turns, gathered from the one table of `_ORDERS`."""
+        table = self._memo.get("factors")
+        if table is None:
+            # w^k (5, K, 2) from scalar exponents: numpy squares for k = 2,
+            # where an array of exponents would call pow
+            powers = np.array([self.wave_vectors**k for k in range(5)])
+            rows = (self.amplitudes * powers[..., 0])[_ORDER_A] * powers[_ORDER_B, :, 1]
+            table = rows[:, :, None] * _ORDER_SIGNS
+            table = self._memo["factors"] = table.reshape(len(_ORDERS), -1)
+        return table.take(_rows(orders), axis=0)
+
+    def _validation(self) -> VerificationReport:
+        """validate_miyata's report on `data`, computed once; `build` keeps
+        the one it validated with."""
+        report = self._memo.get("validation")
+        if report is None:
+            report = self._memo["validation"] = validate_miyata(self.data)
+        return report
 
     def eval(self, p) -> np.ndarray:
         """psi(p); |psi| = 1 identically."""
@@ -127,24 +144,25 @@ class Immersion:
         order of a+b, each of shape (..., D): one cos/sin evaluation read
         through `_FactoredTable`."""
         _check_max_order(max_order)
-        orders = tuple((a, n - a) for n in range(max_order + 1) for a in range(n, -1, -1))
-        return self._entries(p, orders)
+        return self._entries(p, _ORDERS[: (max_order + 1) * (max_order + 2) // 2])
 
     def _entries(self, p, orders: tuple) -> dict[tuple[int, int], np.ndarray]:
         """{order: partial} at the points p (..., 2), read from the factored
-        table into one (len(orders), D, P) array, the even orders first."""
+        table into one point-major (len(orders), P, D) array, the even
+        orders first, so each entry is C-ordered."""
         pts = _as_points(p)
-        n = math.prod(pts.shape[:-1])
+        shape = pts.shape[:-1]
+        n = math.prod(shape)
         table = _FactoredTable(self, pts, _Workspace(n, self.ambient_dim))
-        out = np.empty((len(orders), self.ambient_dim, n))
+        out = np.empty((len(orders), n, self.ambient_dim))
         groups = ([], [])
         for o in orders:
             groups[sum(o) % 2].append(o)
         even, odd = map(tuple, groups)
         for group, rows in ((even, out[: len(even)]), (odd, out[len(even):])):
             if group:
-                table.entries(group, rows)
-        by_order = dict(zip(even + odd, np.moveaxis(_unflatten(out, pts.shape[:-1]), -2, 0)))
+                table.entries(group, rows.transpose(0, 2, 1))
+        by_order = {o: x.reshape(shape + (self.ambient_dim,)) for o, x in zip(even + odd, out)}
         return {o: by_order[o] for o in orders}
 
     def spectral_split(self, p) -> tuple[np.ndarray, np.ndarray]:
@@ -156,6 +174,20 @@ class Immersion:
 # k quarter turns send (cos, sin) to (cos, sin), (-sin, cos), (-cos, -sin), (sin, -cos),
 # i.e. (cos, sin) or (sin, cos) times these slot signs, for k = 0..3
 _QUARTER_TURN_SIGNS = np.array(((1.0, 1.0), (-1.0, 1.0), (-1.0, -1.0), (1.0, -1.0)))
+
+# every order (a, b) with a+b <= 4, by a+b, then by descending a: the rows of
+# an immersion's factor table and the keys of `partial_table`
+_ORDERS = tuple((a, n - a) for n in range(5) for a in range(n, -1, -1))
+_ORDER_A, _ORDER_B = np.array(_ORDERS).T
+_ORDER_SIGNS = _QUARTER_TURN_SIGNS[(_ORDER_A + _ORDER_B) % 4][:, None, :]
+
+
+@functools.lru_cache(maxsize=256)
+def _rows(orders: tuple) -> np.ndarray:
+    """The table rows of `orders` (read-only)."""
+    rows = np.array([_ORDERS.index(o) for o in orders], dtype=np.intp)
+    rows.flags.writeable = False
+    return rows
 
 
 def _is_int(value) -> bool:
@@ -185,11 +217,6 @@ def _split_blocks(full: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     t1 = np.zeros_like(full)
     t1[..., : 2 * m] = full[..., : 2 * m]
     return t1, full - t1
-
-
-def _unflatten(x, shape):
-    """A kernel array (..., P) as the caller's points: shape + (...)."""
-    return np.moveaxis(x, -1, 0).reshape(shape + x.shape[:-1])
 
 
 # ---------------------------------------------------------------------------
@@ -242,37 +269,52 @@ class _FactoredTable:
     Entry (a, b) is the order's factor row (`Immersion._factors`) times the
     trig pair of the parity of a+b: (cos, sin) per plane when it is even,
     (sin, cos) when it is odd. So a combination over k orders of one parity
-    is one (D x k) @ (k x P) product times that pair.
+    is one (D x k) @ (k x P) product times that pair. The pairs are made
+    the first time their parity is read: the first from cos and sin, the
+    second by swapping the slots of the first, written over cos and sin.
     """
 
     def __init__(self, im: Immersion, pts, ws: _Workspace):
-        self._im = im
+        self._im, self._ws = im, ws
         k = im.num_planes
-        # phases point-major, the layout of eval's pts @ w: a matmul into the
-        # transposed layout bypasses BLAS, which rounds some rows differently
-        theta = im._phases(pts, ws.scalar("theta", k).reshape(pts.shape[:-1] + (k,))).reshape(-1, k)
-        cos = np.cos(theta, out=ws.scalar("cos", k).reshape(-1, k))
-        sin = np.sin(theta, out=theta)
-        even, odd = ws.vec("even"), ws.vec("odd")
-        im._assemble(cos, sin, even.T)
-        im._assemble(sin, cos, odd.T)
-        self._pairs = (even, odd)
+        # cos and sin of the phases, point-major: the layout of eval's
+        # pts @ w, since a matmul into the transposed layout bypasses BLAS,
+        # which rounds some rows differently
+        self._trig = ws.vec("trig").reshape(2, -1, k)
+        cos, sin = self._trig
+        theta = im._phases(pts, sin.reshape(pts.shape[:-1] + (k,))).reshape(-1, k)
+        np.cos(theta, out=cos)
+        np.sin(theta, out=sin)
+        self._pairs = [None, None]
 
-    def entry(self, order, out):
-        row = self._im._factors((order,))[0]
-        return np.multiply(row[:, None], self._pairs[sum(order) % 2], out=out)
+    def _pair(self, orders) -> np.ndarray:
+        """The trig pair (D, P) of the parity that the orders share."""
+        parity = sum(orders[0]) % 2
+        pair = self._pairs[parity]
+        if pair is None:
+            other = self._pairs[1 - parity]
+            if other is None:
+                cos, sin = self._trig
+                pair = self._ws.vec("pair")
+                self._im._assemble(*((cos, sin) if parity == 0 else (sin, cos)), pair.T)
+            else:
+                pair = self._trig.reshape(other.shape)
+                pair[0::2] = other[1::2]
+                pair[1::2] = other[0::2]
+            self._pairs[parity] = pair
+        return pair
 
     def entries(self, orders, out):
         """The partials of orders, which share one parity, into out (k, D, P)
         with one broadcast multiply."""
         rows = self._im._factors(orders)
-        return np.multiply(rows[:, :, None], self._pairs[sum(orders[0]) % 2], out=out)
+        return np.multiply(rows[:, :, None], self._pair(orders), out=out)
 
     def combo(self, orders, coeffs, out):
         """sum_j coeffs[..., j, :] * (partial orders[j]), into out (..., D, P);
         the orders share one parity."""
         np.matmul(self._im._factors(orders).T, coeffs, out=out)
-        out *= self._pairs[sum(orders[0]) % 2]
+        out *= self._pair(orders)
         return out
 
 
@@ -293,11 +335,14 @@ def build(data: MiyataData, validate: bool = True) -> Immersion:
     for r, z, w in zip(radii, (*data.mu, *data.eta), (*data.r_weights, *data.rp_weights)):
         rows.append((r * z.imag, r * z.real))
         amps.append(math.sqrt(w / 2.0))
-    return Immersion(
+    im = Immersion(
         data=data,
         wave_vectors=np.array(rows, dtype=float),
         amplitudes=np.array(amps, dtype=float),
     )
+    if validate:
+        im._memo["validation"] = report
+    return im
 
 
 def from_structure(h: float, rho: float) -> Immersion:

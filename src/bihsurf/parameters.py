@@ -273,10 +273,19 @@ def canonicalize(data: MiyataData) -> MiyataData:
     Rotates the domain so mu_1 = 1, negates each eta into angle range
     [-pi/2, pi/2), orders eta blocks by descending angle, and (for two eta
     blocks) conjugates + swaps so the leading weight is <= 1/2. Exactly
-    idempotent.
+    idempotent. A mu_1 off the unit circle (by more than the mu_unit_norm
+    tolerance 1e-12) raises a `DomainError` that names mu, before the
+    rotation would carry its modulus into every eta.
     """
     if data.m != 1:
         raise ValueError("canonicalize supports m = 1 data only, got m = %d" % data.m)
+    if not abs(abs(data.mu[0]) - 1.0) <= 1e-12:
+        raise DomainError("mu_1 must have modulus 1 (within 1e-12), got %r" % (data.mu[0],))
+    return _normal_form(data)
+
+
+def _normal_form(data: MiyataData) -> MiyataData:
+    """`canonicalize` without its check on mu_1, for m = 1 data."""
     mu1 = data.mu[0]
     if mu1 == complex(1.0, 0.0):
         eta = data.eta

@@ -2,10 +2,14 @@ import json
 import math
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
 from bihsurf.cli import main
+from bihsurf.core import DomainError
+from bihsurf.immersion import sasahara_data
+from bihsurf.parameters import canonicalize
 
 SQ2PI = math.sqrt(2.0) * math.pi
 
@@ -161,6 +165,20 @@ def test_lattice_command_sasahara(tmp_path, capsys):
     from bihsurf.periodicity import same_lattice
 
     assert same_lattice(res["generators"], [(SQ2PI, 0.0), (0.0, 2 * math.pi)])
+
+
+@pytest.mark.parametrize("mu", [(2.0, 0.0), (0.0, 0.0)])
+def test_off_circle_mu_is_refused_by_name(tmp_path, capsys, mu):
+    # canonicalize turns every eta by conj(mu_1): a mu_1 off the unit circle
+    # was once blamed on eta (eta_unit_norm, miyata_balance, eta_distinct)
+    data = replace(sasahara_data(), mu=(complex(*mu),))
+    with pytest.raises(DomainError, match=r"^mu_1 must have modulus 1"):
+        canonicalize(data)
+    params = tmp_path / "bad_mu.json"
+    params.write_text(data.to_json())
+    code, out, err = run_cli(["lattice", "--params", str(params), "--search-bound", "20"], capsys)
+    assert (code, out) == (2, "")
+    assert "mu_1" in err and "eta" not in err
 
 
 @pytest.mark.parametrize("bound", ["inf", "nan"])

@@ -1,3 +1,4 @@
+import contextlib
 import math
 import tracemalloc
 from unittest import mock
@@ -7,7 +8,8 @@ import pytest
 from hypothesis import assume, given, note, settings, strategies as st
 
 import dict_table_oracle as oracle
-from bihsurf import geometry
+import verify_oracle
+from bihsurf import geometry, immersion, parameters
 from bihsurf.core import GEOMETRIC_TOL, Check, DomainError, VerificationReport
 from bihsurf.parameters import MiyataData, rho_max, validate_miyata
 from bihsurf.immersion import (
@@ -729,3 +731,76 @@ def test_verify_immersion_keeps_no_memory_after_the_call():
         tracemalloc.stop()
     assert rep.passed
     assert held < 2**20, held
+
+
+# ---------------------------------------------------------------------------
+# one factor table, one stacked projection and one validation, against the
+# verifier they replaced (tests/verify_oracle.py)
+
+
+@st.composite
+def _family_verify_case(draw):
+    h = draw(st.floats(0.05, 0.95))
+    if draw(st.sampled_from(["structure", "equal_weight"])) == "structure":
+        im = from_structure(h, draw(st.floats(0.0, 1.0)) * rho_max(h))
+    else:
+        im = build(symmetric_weights_data(h))
+    for _ in range(draw(st.integers(0, 4))):
+        im = extend_dimension(im)
+    samples = draw(st.one_of(st.sampled_from([1, _B + 1, 5000]), st.integers(1, 5000)))
+    box = 10.0 ** draw(st.floats(math.log10(6.0), 9.0))
+    seed = draw(st.integers(0, 2**32 - 1))
+    note("h=%r ambient_dim=%d samples=%d box=%r seed=%d" % (h, im.ambient_dim, samples, box, seed))
+    return im, samples, seed, box
+
+
+_ALL_ORDERS = tuple((a, n - a) for n in range(5) for a in range(n, -1, -1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_family_verify_case())
+def test_factor_table_and_stacked_projection_match_oracle(case):
+    im, samples, seed, box = case
+    for order in _ALL_ORDERS:
+        assert np.array_equal(im._factors((order,)), verify_oracle.factor_rows(im, (order,))), order
+    assert np.array_equal(im._factors(_ALL_ORDERS), verify_oracle.factor_rows(im, _ALL_ORDERS))
+    got = verify_immersion(im, samples=samples, seed=seed, box=box)
+    want = verify_oracle.verify_immersion(im, samples=samples, seed=seed, box=box)
+    assert [c.name for c in got.checks] == [c.name for c in want.checks]
+    assert [c.passed for c in got.checks] == [c.passed for c in want.checks]
+    for g, w in zip(got.checks, want.checks):
+        assert abs(g.residual - w.residual) <= 1e-15, (g.name, g.residual, w.residual)
+
+
+def test_verify_immersion_validates_once():
+    calls = []
+
+    def counting(data):
+        calls.append(data)
+        return validate_miyata(data)
+
+    with contextlib.ExitStack() as patches:
+        for module in (parameters, immersion, geometry):
+            if hasattr(module, "validate_miyata"):
+                patches.enter_context(mock.patch.object(module, "validate_miyata", counting))
+        rep = verify_immersion(build(sasahara_data()), samples=50, seed=1)
+        assert rep.passed and len(calls) == 1
+        # validate=False builds without a report; verify makes the one it shows
+        broken = build(_broken_balance(), validate=False)
+        assert len(calls) == 1
+        rep = verify_immersion(broken, samples=50, seed=1)
+    assert len(calls) == 2
+    assert "miyata_balance" in {c.name for c in rep.failures()}
+
+
+@pytest.mark.parametrize("shape", [(17,), (3, 5), (2049,)])
+def test_per_point_outputs_are_c_ordered(shape):
+    im = extend_dimension(from_structure(0.4, 0.3))
+    pts = np.random.default_rng(5).uniform(-6.0, 6.0, shape + (2,))
+    outs = list(im.partial_table(pts, 4).values()) + [im.partial(pts, (2, 1))]
+    outs += [tension(im, pts), bitension(im, pts)]
+    outs += list(vars(mean_curvature(im, pts)).values())
+    outs += list(vars(fundamental_forms(im, pts)).values())
+    for x in outs:
+        assert x.shape[: len(shape)] == shape
+        assert x.flags.c_contiguous
