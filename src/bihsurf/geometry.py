@@ -12,9 +12,9 @@ combination (sum of second covariant derivatives of tau, traced with g^{ab})
 + 2 tau - g^{ab}<tau, dphi_b> dphi_a is the one under which the constructed
 immersions are annihilated; the flipped curvature sign gives 4|tau|.
 
-One per-point kernel serves every caller (`verify_immersion`, `tension`,
-`bitension`, `mean_curvature`, `fundamental_forms` and the finite-difference
-oracle). It reads the partials through two operations, each writing into a
+One per-point kernel serves the per-point functions (`tension`,
+`bitension`, `mean_curvature`, `fundamental_forms`) and the finite-difference
+oracle. It reads the partials through two operations, each writing into a
 buffer the caller gives it: the entries d^o psi of orders of one parity, and
 a combination sum_o c_o(p) d^o psi with per-point coefficients. An
 `Immersion` is read through the factored reader of `immersion`, which never
@@ -32,10 +32,20 @@ no projection of its own. On an `Immersion` every function runs in blocks of
 C-ordered outputs of the caller's point shape. Nothing is kept after the
 call but the immersion's own memo (its factor table and its validation
 report).
+
+`verify_immersion` does not run the kernel. Plane k of an `Immersion`
+carries one circle, so every field the kernel forms is s_k e^{i<w_k, z>} on
+plane k with a constant symbol s in C^K, and every inner product of two
+fields is constant. Its geometric checks are therefore computed once, in
+O(K), from the symbols, with the kernel's coefficient formulas: each
+residual is the sup of its check over the whole plane, not a maximum over
+samples. Only its unit_norm check reads psi at sample points, through
+`eval`, so it still covers the evaluator that users read.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import sys
@@ -45,7 +55,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import GEOMETRIC_TOL, Check, DomainError, VerificationReport
-from .immersion import Immersion, _FactoredTable, _Workspace
+from .immersion import _ORDERS, Immersion, _FactoredTable, _Workspace
 from .immersion import _as_points, _check_max_order, _is_int
 
 
@@ -386,7 +396,11 @@ def gaussian_brioschi_fd(im, p, step: float = 1e-3) -> float:
     """Intrinsic Gaussian curvature at one point p of shape (2,) from the
     metric alone (Brioschi formula), with metric derivatives by finite
     differences; oracle for the Gauss-equation route. E, F and G on the
-    5 x 5 stencil come from one first-order partial table and `_metric`."""
+    5 x 5 stencil come from one first-order partial table and `_metric`.
+
+    On an `Immersion` the metric is the same constant at every point, so
+    every difference vanishes and this can only return 0 (to rounding); it
+    is an oracle only on maps with a varying metric."""
     p = _as_points(p)
     if p.shape != (2,):
         raise DomainError("points must be one point of shape (2,), got shape %s" % (p.shape,))
@@ -517,10 +531,10 @@ def boruvka_params(n1: int, n2: int) -> BoruvkaParams:
 
 
 # ---------------------------------------------------------------------------
-# full verification suite
+# full verification suite: the geometric checks from per-plane symbols
 
 # Report order and default tolerance of every geometric check.
-# block_orthogonal is identically 0.0 at finite points: the zero-padded
+# block_orthogonal is identically 0.0 for finite data: the zero-padded
 # spectral blocks t1 and t2 have disjoint supports. It stays as a guard on
 # the block split, computed from the blocks like the other block checks.
 _CHECKS = (
@@ -540,81 +554,129 @@ _CHECKS = (
     ("bitension", 1e-7),
 )
 
-# Sample points evaluated together. The workspace of one verify_immersion
-# call is 30 buffers, 2.5 MB at ambient dimension 6 and 8.3 MB at 28,
-# whatever the sample count. Against 2048, blocks of 1024 ran the S^27 share
-# of the verify-dense round about 15% faster and the S^5 share about 18%
-# slower (the round within noise); blocks of 4096 ran it about 20% slower.
+# Points evaluated together: by the per-point functions on an Immersion
+# (`_blocks`, one workspace per call) and by verify_immersion's unit_norm
+# check, whatever the point count. The size was chosen on the sampled
+# verifier that ran the whole kernel: against 2048, blocks of 1024 ran the
+# S^27 share of the verify-dense round about 15% faster and the S^5 share
+# about 18% slower; blocks of 4096 ran it about 20% slower.
 _BLOCK = 2048
 
-_EYE = np.eye(2)[..., None]
+# A field that is a constant combination of the partials of an Immersion is
+# s_k e^{i theta_k(z)} on plane k, theta_k = <w_k, z>, with one symbol
+# s in C^K; the symbol of d^A psi is c_k (i w_k1)^a (i w_k2)^b. A symbol is
+# kept as the real D-vector (Re s_0, Im s_0, Re s_1, ...), the field at the
+# origin, so the real dot of two symbols, sum_k Re(s_k conj t_k), is the
+# inner product of their fields at every point. The symbol of each order of
+# `_ORDERS` is its factor row on the cos slots (a+b even) or on the sin
+# slots (a+b odd).
+_AT_ORIGIN = np.array([(1.0, 0.0) if sum(o) % 2 == 0 else (0.0, 1.0) for o in _ORDERS])[:, None]
+
+_EYE = np.eye(2)
 
 
-def _maxabs(x, out) -> float:
-    """max |x|, with |x| written to out (x's shape; may be x itself), so a
-    NaN in x gives NaN."""
-    return float(np.abs(x, out=out).max())
+# The kernel's fields as combinations of the partials of `_ORDERS`, one row
+# each: tau, J_x, J_y and L (`_tension`, `_bitension`), then Delta psi. The
+# slots of their coefficients, in the order `_symbol_residuals` lists them.
+_FIELD_TERMS = (
+    (0, ((0, 0), (2, 0), (1, 1), (0, 2))),
+    (1, ((1, 0), (3, 0), (2, 1), (1, 2))),
+    (2, ((0, 1), (2, 1), (1, 2), (0, 3))),
+    (3, ((2, 0), (1, 1), (0, 2), (4, 0), (3, 1), (2, 2), (1, 3), (0, 4))),
+    (4, ((2, 0), (0, 2))),
+)
+_FIELD_SLOTS = np.array(
+    [row * len(_ORDERS) + _ORDERS.index(o) for row, orders in _FIELD_TERMS for o in orders]
+)
 
 
-def _norm_minus(u, target, out):
-    """|u| - target over the ambient axis, into out."""
-    out = np.sqrt(_dot(u, u, out), out=out)
-    out -= target
-    return out
+def _symbol_residuals(im: Immersion) -> list[float]:
+    """The residual of each check after unit_norm, in `_CHECKS` order, from
+    the symbols of the fields that the per-point kernel forms, with its
+    coefficient formulas (`_metric`, `_forms`, `_curvature`, `_tension` and
+    `_bitension`). A norm check is a symbol's norm, sqrt(sum_k |s_k|^2),
+    which its field has at every point; a coordinate check is max_k |s_k|.
+    Each residual is the check's sup over the whole plane, and every max is
+    numpy's, so a NaN symbol gives a NaN residual."""
+    n, k, m, h = len(_ORDERS), im.num_planes, im.m, im.data.h
+    sym = (im._factors(_ORDERS).reshape(n, k, 2) * _AT_ORIGIN).reshape(n, 2 * k)
+    frame, psi, d1 = sym[:3], sym[0], sym[1:3]
+    # <d^A psi, F_c> for the orders A <= 2 and the frame F = (psi, psi_x, psi_y)
+    dots = sym[:6] @ frame.T
+    (g00, g01), (_, g11) = dots[1:3, 1:].tolist()
+    det = g00 * g11 - g01 * g01
+    if det < 1e-12:
+        raise DomainError("degenerate immersion: metric determinant below 1e-12")
+    i00, i01, i11 = g11 / det, -(g01 / det), g00 / det
+    u0, u1, u2 = i00, 2.0 * i01, i11
+    coeffs = np.zeros(5 * n)
+    coeffs[_FIELD_SLOTS] = (
+        (2.0, u0, u1, u2) * 3
+        # L's order-4 weights are those of (u0 d_xx + u1 d_xy + u2 d_yy)^2
+        + (2.0 * u0, 2.0 * u1, 2.0 * u2, u0 * u0, u0 * u1 + u1 * u0)
+        + (u0 * u2 + u1 * u1 + u2 * u0, u1 * u2 + u2 * u1, u2 * u2, -1.0, -1.0)
+    )
+    fields = coeffs.reshape(5, n) @ sym
+    tau, lap_j, lap = fields[0], fields[3], fields[4]
+    # the forms: the second partials less their psi and tangential parts
+    proj = [(r, i00 * x + i01 * y, i01 * x + i11 * y) for r, x, y in dots[3:].tolist()]
+    forms = sym[3:6] - proj @ frame
+    h_vec = ((u0, u1, u2) @ forms) * 0.5
+    # <B_i, F_c>, then <tau, F_c>, <J_a, F_c> and <L, F_c>
+    against = np.concatenate((forms, fields[:4])) @ frame.T
+    (_, tau_x, tau_y), (jx, jx_x, jx_y), (jy, jy_x, jy_y), (l_psi, _, _) = against[3:].tolist()
+    (_, _, b02), (_, b11, _), _ = (forms @ forms.T).tolist()
 
+    # the bitension: L less alpha psi and beta^a psi_a, made normal to psi,
+    # plus 2 tau less its tangential part
+    alpha = l_psi + (i00 * jx_x + i01 * jx_y + i01 * jy_x + i11 * jy_y)
+    tau2 = lap_j - alpha * psi
+    tau2 -= (i00 * jx + i01 * jy, i01 * jx + i11 * jy) @ d1
+    tau2 -= (tau2 @ psi) * psi
+    tau2 += tau * 2.0
+    tau2 -= (i00 * tau_x + i01 * tau_y, i01 * tau_x + i11 * tau_y) @ d1
 
-def _block_residuals(im: Immersion, pts, ws: _Workspace) -> list[float]:
-    """Worst residual of each check, in `_CHECKS` order, over the points pts,
-    every block-sized array taken from ws, which `_blocks` has set to the
-    points."""
-    table = _FactoredTable(im, pts, ws)
-    h = im.data.h
-    lam1, lam2 = im.data.lambda1, im.data.lambda2
-    low = 2 * im.m
-
-    mt = _metric(table, ws)
-    psi, d1 = mt.psi, mt.d1
-    forms = _forms(table, mt, ws)
-    curv = _curvature(mt, forms, ws)
-    tau = _tension(table, mt, ws)
-    tau2 = _bitension(table, mt, tau, ws)
-    # the zero-padded spectral blocks, and the eigenblock residuals
-    # Delta psi - lambda_i psi_ti with Delta psi = -(psi_xx + psi_yy), in place
-    t1, t2 = ws.vec("t1"), ws.vec("t2")
-    t1[:low] = psi[:low]
-    t1[low:] = 0.0
-    np.subtract(psi, t1, out=t2)
-    minus = ws.scalar("minus", 2)
-    minus.fill(-1.0)
-    e = table.combo(((2, 0), (0, 2)), minus, ws.vec("lap"))
-    v = ws.vec("tmp")
-    e[:low] -= np.multiply(t1[:low], lam1, out=v[:low])
-    e[low:] -= np.multiply(t2[low:], lam2, out=v[low:])
-    # 2 H - 2h (t1 - t2), as 2 (H - h (t1 - t2)): doubling is exact
-    two_type = np.subtract(t1, t2, out=v)
-    two_type *= h
-    np.subtract(curv.h_vector, two_type, out=two_type)
-    two_type *= 2.0
-
-    normality = _frame_dots(forms, mt, ws)
-    # the kernel's scratch scalars, free by now
-    s, s2, s22 = ws.scalar("s"), ws.scalar("c", 2), ws.scalar("m", 2, 2)
+    # the zero-padded spectral blocks t1, t2
+    blocks = np.zeros((2, 2 * k))
+    blocks[0, : 2 * m] = psi[: 2 * m]
+    np.subtract(psi, blocks[0], out=blocks[1])
+    (n1, orth), (_, n2) = (blocks @ blocks.T).tolist()
+    # |s_k| by plane of 2 (H - h (t1 - t2)), Delta psi - lambda_i t_i and
+    # tau - 2 H: the sup over R^2 of each real coordinate of plane k, since
+    # theta_k takes every value when w_k != 0 (an upper bound when w_k = 0)
+    coords = np.array((
+        (h_vec - (blocks[0] - blocks[1]) * h) * 2.0,
+        lap - (im.data.lambda1, im.data.lambda2) @ blocks,
+        tau - h_vec * 2.0,
+    ))
+    sup = np.hypot(coords[:, 0::2], coords[:, 1::2])
+    # the checks that take a max: the max of |x| over one segment each
+    segments = ((dots[1:3, 1:] - _EYE).ravel(), against[:3].ravel(), against[3, 1:], sup.ravel())
+    starts = (0, 4, 13, 15, 15 + k, 15 + k + m, 15 + 2 * k)
+    metric, normal, tension_normal, two_type, eigen1, eigen2, tension_h = np.maximum.reduceat(
+        np.abs(np.concatenate(segments)), starts
+    ).tolist()
+    root_half = math.sqrt(0.5)
     return [
-        _maxabs(_norm_minus(psi, 1.0, s), s),
-        _maxabs(np.subtract(mt.g, _EYE, out=s22), s22),
-        _maxabs(normality, normality),
-        _maxabs(np.subtract(curv.mean_curvature_norm, h, out=s), s),
-        _maxabs(curv.gaussian, s),
-        _maxabs(two_type, v),
-        _maxabs(_norm_minus(t1, math.sqrt(0.5), s), s),
-        _maxabs(_norm_minus(t2, math.sqrt(0.5), s), s),
-        _maxabs(_dot(t1, t2, s), s),
-        _maxabs(e[:low], e[:low]),
-        _maxabs(e[low:], e[low:]),
-        _maxabs(_dot(tau, d1, s2), s2),
-        _maxabs(np.subtract(tau, np.multiply(curv.h_vector, 2.0, out=v), out=v), v),
-        _maxabs(np.sqrt(_dot(tau2, tau2, s), out=s), s),
+        metric,
+        normal,
+        abs(math.sqrt(h_vec @ h_vec) - h),
+        abs((b02 - b11) / det + 1.0),
+        two_type,
+        abs(math.sqrt(n1) - root_half),
+        abs(math.sqrt(n2) - root_half),
+        abs(orth),
+        eigen1,
+        eigen2,
+        tension_normal,
+        tension_h,
+        math.sqrt(tau2 @ tau2),
     ]
+
+
+def _unit_norm(psi) -> np.floating:
+    """max | |psi| - 1 | over the rows of psi (P, D); NaN if a row has one."""
+    return np.abs(np.sqrt(np.einsum("pd,pd->p", psi, psi)) - 1.0).max()
 
 
 def _tolerances(overrides) -> dict[str, float]:
@@ -640,19 +702,25 @@ def verify_immersion(
     box: float = 6.0,
     tolerances: dict[str, float] | None = None,
 ) -> VerificationReport:
-    """Run every geometric invariant at `samples` seeded random points.
+    """Certify one immersion: the data-admissibility checks, then every
+    geometric invariant.
 
     Tolerances per check: unit sphere 1e-12, flat identity metric 1e-10,
     form normality 1e-9, |H| = h 1e-9, K = 0 1e-8, spectral blocks 1e-10,
     eigenblocks 1e-10, bitension 1e-7; `tolerances` overrides them by check
-    name (each override a positive finite number). Includes the
-    data-admissibility checks so a single report certifies one immersion:
-    the report `build` validated with, or, for an immersion built with
-    validate=False, validate_miyata's, computed once per immersion.
+    name (each override a positive finite number). The data-admissibility
+    checks are the report `build` validated with, or, for an immersion
+    built with validate=False, validate_miyata's, computed once per
+    immersion.
 
-    The points are evaluated in fixed blocks of 2048 (`_blocks`); each
-    residual is the maximum over the blocks, and memory is
-    O(2048 * ambient_dim) whatever the sample count.
+    Every geometric check but unit_norm is computed once, in O(K), from the
+    per-plane symbols (`_symbol_residuals`), and its residual is the sup of
+    the checked quantity over the whole plane R^2: a pass certifies the
+    identity at every point, to the tolerance, and no box or sample enters
+    it. Only unit_norm depends on the samples: it evaluates psi, through
+    `eval`, at `samples` seeded random points of [-box, box]^2, in blocks
+    of 2048, so memory is O(2048 * ambient_dim) whatever the sample count,
+    and reports the worst | |psi| - 1 | among them.
     """
     if not _is_int(samples) or samples < 1:
         raise DomainError("samples must be a positive integer, got %r" % (samples,))
@@ -663,8 +731,9 @@ def verify_immersion(
             "box must be a non-negative number with 2 * box finite, got %r" % (box,)
         )
     tol = _tolerances(tolerances)
-    rng = np.random.default_rng(seed)
-    pts = rng.uniform(-box, box, size=(samples, 2))
-    worst = np.max([_block_residuals(im, block, ws) for _, block, ws in _blocks(im, pts)], axis=0)
-    checks = tuple(Check(name, r, tol[name]) for (name, _), r in zip(_CHECKS, worst))
+    geometric = _symbol_residuals(im)
+    pts = np.random.default_rng(seed).uniform(-box, box, size=(samples, 2))
+    blocks = (pts[i : i + _BLOCK] for i in range(0, samples, _BLOCK))
+    unit = functools.reduce(np.maximum, (_unit_norm(im.eval(block)) for block in blocks))
+    checks = tuple(Check(name, r, tol[name]) for (name, _), r in zip(_CHECKS, [unit] + geometric))
     return VerificationReport(im._validation().checks + checks, int(samples))

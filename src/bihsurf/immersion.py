@@ -6,12 +6,13 @@ and sin serves every order. This module is the one place that knows that
 layout. An immersion's factor rows c*w_1^a*w_2^b (signed by the a+b quarter
 turns) are one table of all 15 orders a+b <= 4, computed in one vectorised
 pass the first time any order is read and kept for the immersion's life;
-every order tuple is a gather of its rows. `_FactoredTable` reads the
-partials at a set of points as those rows times the trig pair of their
-parity, without building them, and makes each pair the first time its
-parity is read; `partial_table`, `partial` and the geometry kernel all read
-through it. `partial_table` and `partial` return C-ordered arrays of the
-caller's point shape.
+every order tuple is a gather of its rows. `eval` keeps its own copy of the
+order-(0, 0) row, the amplitudes on both slots, so it never builds the
+table. `_FactoredTable` reads the partials at a set of points as those rows
+times the trig pair of their parity, without building them, and makes each
+pair the first time its parity is read; `partial_table`, `partial` and the
+geometry kernel all read through it. `partial_table` and `partial` return
+C-ordered arrays of the caller's point shape.
 """
 
 from __future__ import annotations
@@ -55,7 +56,8 @@ class Immersion:
     wave_vectors: np.ndarray  # (K, 2)
     amplitudes: np.ndarray  # (K,)
     # values derived from the fields above, computed once: the factor table
-    # ("factors") and validate_miyata's report on `data` ("validation")
+    # ("factors"), its order-(0, 0) row on its own ("position") and
+    # validate_miyata's report on `data` ("validation")
     _memo: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
@@ -117,7 +119,10 @@ class Immersion:
         """psi(p); |psi| = 1 identically."""
         theta = self._phases(p)
         psi = self._assemble(np.cos(theta), np.sin(theta))
-        psi *= self._factors(((0, 0),))[0]
+        row = self._memo.get("position")
+        if row is None:
+            row = self._memo["position"] = np.repeat(self.amplitudes, 2)
+        psi *= row
         return psi
 
     def partial(self, p, ax: tuple[int, int]) -> np.ndarray:

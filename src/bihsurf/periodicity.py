@@ -373,7 +373,7 @@ def periodic_direction_search(
         im = build(angle_family_data(h, rho))
         res = float(np.max(np.abs(im.eval(np.array(v)) - im.eval(np.zeros(2)))))
         if res <= 1e-8:
-            out.append(PeriodicDirection(rho=rho, k2=k, v=v))
+            out.append(PeriodicDirection(rho=float(rho), k2=k, v=v))
     return out
 
 

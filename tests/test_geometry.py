@@ -1,6 +1,7 @@
 import contextlib
 import math
 import tracemalloc
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -81,13 +82,23 @@ def test_gaussian_curvature_vanishes(structure_grid, rng):
         assert np.max(np.abs(summary.gaussian)) <= 1e-8
 
 
-def test_degenerate_metric_raises():
+def _degenerate():
     d = sasahara_data()
     # zero weight on the only low block collapses the yward derivative
     bad = MiyataData(d.h, d.mu, ((1 + 0j), (0 + 1j)), (1.0,), (1.0 - 1e-14, 1e-14))
-    im = build(bad, validate=False)
+    return build(bad, validate=False)
+
+
+def test_degenerate_metric_raises():
     with pytest.raises(DomainError, match="degenerate"):
-        mean_curvature(im, np.array([[0.3, 0.1]]))
+        mean_curvature(_degenerate(), np.array([[0.3, 0.1]]))
+
+
+def test_verify_immersion_raises_on_degenerate_metric():
+    # from the metric's one constant determinant, whatever the samples
+    for samples in (1, 2049):
+        with pytest.raises(DomainError, match="degenerate"):
+            verify_immersion(_degenerate(), samples=samples, seed=4)
 
 
 # ---------------------------------------------------------------------------
@@ -454,7 +465,8 @@ def test_verify_immersion_rejects_bad_tolerance_overrides(sasahara_immersion, to
 
 
 # ---------------------------------------------------------------------------
-# blocked evaluation against the one-shot path
+# the whole-plane verifier against sampled oracles: one dict table over every
+# sample, and the blocked kernel it replaced (tests/verify_oracle.py)
 
 
 def _sum_dot(u, v):
@@ -562,21 +574,47 @@ def _verify_case(draw):
     seed = draw(st.integers(0, 2**32 - 1))
     note("%s h=%r ambient_dim=%d samples=%d box=%r seed=%d"
          % (family, im.data.h, im.ambient_dim, samples, box, seed))
-    return im, samples, seed, box
+    return family in _ADMISSIBLE, im, samples, seed, box
+
+
+_ADMISSIBLE = ("structure", "equal_weight")
+
+
+# the checks of a field's coordinates, whose whole-plane sup the samples
+# approach from below; every other check's quantity is the same at every
+# point (or, for unit_norm, sampled by both routes)
+_COORDINATE_CHECKS = ("two_type_identity", "eigenblock_t1", "eigenblock_t2", "tension_vs_mean_curvature")
+
+
+def _assert_sup_of_samples(got, want, admissible):
+    """got, the whole-plane report, against want, a sampled one: the same
+    checks, order and tolerances; each residual at least the sampled worst
+    (the sup property), up to rounding; every check that fails on the
+    samples failing; a check of a quantity that is constant over the plane
+    within 1e-12 relative; and on admissible data the same verdicts, with
+    residuals within 1e-14."""
+    assert got.sample_count == want.sample_count
+    assert [c.name for c in got.checks] == [c.name for c in want.checks]
+    assert [c.tolerance for c in got.checks] == [c.tolerance for c in want.checks]
+    for g, w in zip(got.checks, want.checks):
+        what = (g.name, g.residual, w.residual)
+        assert g.residual >= w.residual - 1e-14 - 1e-12 * w.residual, what
+        assert w.passed or not g.passed, what
+        if g.name not in _COORDINATE_CHECKS:
+            assert abs(g.residual - w.residual) <= 1e-12 * max(1.0, w.residual), what
+        if admissible:
+            assert abs(g.residual - w.residual) <= 1e-14, what
+            assert g.passed == w.passed, g.name
 
 
 @settings(max_examples=100, deadline=None)
 @given(case=_verify_case())
 def test_verify_immersion_matches_one_shot_oracle(case):
-    im, samples, seed, box = case
+    admissible, im, samples, seed, box = case
     got = verify_immersion(im, samples=samples, seed=seed, box=box)
     want = _one_shot_verify(im, samples, seed, box)
-    assert got.sample_count == want.sample_count == samples
-    assert [c.name for c in got.checks] == [c.name for c in want.checks]
-    assert [c.tolerance for c in got.checks] == [c.tolerance for c in want.checks]
-    assert [c.passed for c in got.checks] == [c.passed for c in want.checks]
-    for g, w in zip(got.checks, want.checks):
-        assert abs(g.residual - w.residual) <= 1e-12 * max(1.0, abs(w.residual)), g.name
+    assert got.sample_count == samples
+    _assert_sup_of_samples(got, want, admissible)
 
 
 def _assert_close(got, want, what):
@@ -646,26 +684,19 @@ def test_forms_and_curvature_match_oracle_on_curved_fixture():
 
 
 def test_verify_immersion_blocks_equal_one_unblocked_evaluation():
-    # seed 197 puts the worst two_type_identity point of the broken-balance
-    # immersion among the last 7 samples, so a dropped partial block shows
+    # unit_norm, the one sampled check, evaluates psi at every point once, in
+    # order, in blocks of at most _BLOCK; its residual is the worst over all
     im = build(_broken_balance(), validate=False)
     samples = 3 * _B + 7
     pts = np.random.default_rng(197).uniform(-6.0, 6.0, size=(samples, 2))
-
-    def residuals(block):
-        return geometry._block_residuals(im, block, geometry._Workspace(len(block), im.ambient_dim))
-
-    whole = residuals(pts)
-    assert any(w > f for w, f in zip(whole, residuals(pts[: 3 * _B])))
     with mock.patch.object(
-        geometry, "_block_residuals", wraps=geometry._block_residuals
+        immersion.Immersion, "eval", autospec=True, side_effect=immersion.Immersion.eval
     ) as spy:
         rep = verify_immersion(im, samples=samples, seed=197)
-    assert [c.residual for c in rep.checks[-len(whole):]] == whole
-    # every point evaluated once, in order, in blocks of at most _BLOCK
     blocks = [call.args[1] for call in spy.call_args_list]
     assert [len(b) for b in blocks] == [_B, _B, _B, 7]
     assert np.array_equal(np.concatenate(blocks), pts)
+    assert rep.check("unit_norm").residual == geometry._unit_norm(im.eval(pts))
 
 
 def _peak_traced_bytes(call):
@@ -698,25 +729,18 @@ def test_per_point_functions_memory_bounded_by_block(call):
     assert peak < 32 * 2**20, (call.__name__, peak)
 
 
-def test_verify_immersion_allocates_one_workspace():
-    made = []
-
-    class Recording(geometry._Workspace):
-        def __init__(self, n, dim):
-            super().__init__(n, dim)
-            made.append(self)
+def test_verify_immersion_runs_no_per_point_kernel():
+    # the geometric checks come from the symbols: no workspace, factored
+    # reader or per-point metric is made, however many samples there are
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify_immersion ran the per-point kernel")
 
     im = from_structure(0.4, 0.3)
-    with mock.patch.object(geometry, "_Workspace", Recording), mock.patch.object(
-        np, "empty", wraps=np.empty
-    ) as empty:
-        verify_immersion(im, samples=_B, seed=3)
-        one_block = empty.call_count
-        verify_immersion(im, samples=3 * _B + 7, seed=3)
-    assert [ws._n for ws in made] == [_B, _B]
-    # four blocks allocate what one does: the last, short block reads leading
-    # views of the same buffers
-    assert empty.call_count == 2 * one_block > 0
+    with contextlib.ExitStack() as patches:
+        for name in ("_Workspace", "_FactoredTable", "_metric", "_blocks"):
+            patches.enter_context(mock.patch.object(geometry, name, refuse))
+        for samples in (1, _B, 3 * _B + 7):
+            assert verify_immersion(im, samples=samples, seed=3).passed
 
 
 def test_verify_immersion_keeps_no_memory_after_the_call():
@@ -734,24 +758,37 @@ def test_verify_immersion_keeps_no_memory_after_the_call():
 
 
 # ---------------------------------------------------------------------------
-# one factor table, one stacked projection and one validation, against the
-# verifier they replaced (tests/verify_oracle.py)
+# one factor table and one validation; the whole-plane checks against the
+# sampled verifier they replaced (tests/verify_oracle.py)
 
 
 @st.composite
 def _family_verify_case(draw):
+    family = draw(st.sampled_from(["structure", "equal_weight", "broken_balance", "off_circle"]))
     h = draw(st.floats(0.05, 0.95))
-    if draw(st.sampled_from(["structure", "equal_weight"])) == "structure":
-        im = from_structure(h, draw(st.floats(0.0, 1.0)) * rho_max(h))
-    else:
+    if family == "equal_weight":
         im = build(symmetric_weights_data(h))
+    else:
+        im = from_structure(h, draw(st.floats(0.0, 1.0)) * rho_max(h))
     for _ in range(draw(st.integers(0, 4))):
         im = extend_dimension(im)
+    d = im.data
+    if family == "broken_balance":
+        # weight moved from one high block to the next: the weights still sum
+        # to one, but the balance no longer holds
+        shift = draw(st.floats(0.01, 0.5)) * min(d.rp_weights)
+        rp_weights = (d.rp_weights[0] + shift, d.rp_weights[1] - shift) + d.rp_weights[2:]
+        im = build(replace(d, rp_weights=rp_weights), validate=False)
+    elif family == "off_circle":
+        scale = draw(st.floats(0.8, 1.25))
+        assume(abs(scale - 1.0) > 1e-3)
+        im = build(replace(d, eta=(d.eta[0] * scale,) + d.eta[1:]), validate=False)
     samples = draw(st.one_of(st.sampled_from([1, _B + 1, 5000]), st.integers(1, 5000)))
     box = 10.0 ** draw(st.floats(math.log10(6.0), 9.0))
     seed = draw(st.integers(0, 2**32 - 1))
-    note("h=%r ambient_dim=%d samples=%d box=%r seed=%d" % (h, im.ambient_dim, samples, box, seed))
-    return im, samples, seed, box
+    note("%s h=%r ambient_dim=%d samples=%d box=%r seed=%d"
+         % (family, h, im.ambient_dim, samples, box, seed))
+    return family in _ADMISSIBLE, im, samples, seed, box
 
 
 _ALL_ORDERS = tuple((a, n - a) for n in range(5) for a in range(n, -1, -1))
@@ -760,16 +797,53 @@ _ALL_ORDERS = tuple((a, n - a) for n in range(5) for a in range(n, -1, -1))
 @settings(max_examples=100, deadline=None)
 @given(case=_family_verify_case())
 def test_factor_table_and_stacked_projection_match_oracle(case):
-    im, samples, seed, box = case
+    admissible, im, samples, seed, box = case
     for order in _ALL_ORDERS:
         assert np.array_equal(im._factors((order,)), verify_oracle.factor_rows(im, (order,))), order
     assert np.array_equal(im._factors(_ALL_ORDERS), verify_oracle.factor_rows(im, _ALL_ORDERS))
     got = verify_immersion(im, samples=samples, seed=seed, box=box)
     want = verify_oracle.verify_immersion(im, samples=samples, seed=seed, box=box)
-    assert [c.name for c in got.checks] == [c.name for c in want.checks]
-    assert [c.passed for c in got.checks] == [c.passed for c in want.checks]
-    for g, w in zip(got.checks, want.checks):
-        assert abs(g.residual - w.residual) <= 1e-15, (g.name, g.residual, w.residual)
+    _assert_sup_of_samples(got, want, admissible)
+
+
+def test_verify_immersion_geometric_residuals_ignore_the_samples():
+    # every residual but unit_norm is the whole plane's sup: the same for
+    # every seed, sample count and box
+    s11 = extend_dimension(extend_dimension(from_structure(0.3, 0.45)))
+    scales = [1.3, 0.6, 1.1, 0.9, 1.2][: len(s11.data.rp_weights)]
+    cases = (
+        from_structure(0.6, 0.2),
+        s11,
+        build(_broken_balance(), validate=False),
+        build(_unnormalised(s11.data, 0.8, scales), validate=False),
+    )
+    for im in cases:
+        geometric = set()
+        for samples in (1, 2049, 5000):
+            for seed in (0, 7):
+                for box in (6.0, 1e3, 1e9):
+                    rep = verify_immersion(im, samples=samples, seed=seed, box=box)
+                    geometric.add(tuple(c.residual for c in rep.checks if c.name != "unit_norm"))
+        assert len(geometric) == 1, im.ambient_dim
+
+
+def test_verify_immersion_nan_data_fails_as_the_sampled_oracle():
+    # every max is numpy's, so a NaN reaches the capped residual: a NaN high
+    # weight fails every check that reads the high block
+    d = sasahara_data()
+    nan_weight = build(replace(d, rp_weights=(math.nan, 0.5)), validate=False)
+    got = verify_immersion(nan_weight, samples=60, seed=11)
+    want = verify_oracle.verify_immersion(nan_weight, samples=60, seed=11)
+    assert [c.name for c in got.failures()] == [c.name for c in want.failures()]
+    geometric = [name for name, _ in geometry._CHECKS]
+    assert [c.name for c in got.failures() if c.name in geometric] == [
+        name for name in geometric if name not in ("block_norm_t1", "eigenblock_t1")
+    ]
+    # a NaN frequency component makes every phase NaN: both routes refuse it
+    nan_frequency = build(replace(d, eta=(complex(math.nan, d.eta[0].imag), d.eta[1])), validate=False)
+    for verify in (verify_immersion, verify_oracle.verify_immersion):
+        with pytest.raises(DomainError, match="phase"):
+            verify(nan_frequency, samples=60, seed=11)
 
 
 def test_verify_immersion_validates_once():

@@ -19,6 +19,7 @@ from bihsurf.parameters import (
     validate_miyata,
 )
 from bihsurf.immersion import (
+    Immersion,
     build,
     extend_dimension,
     from_structure,
@@ -51,6 +52,28 @@ def test_amplitudes_square_to_one(rng):
 def test_eval_at_origin_closed_form(sasahara_immersion):
     psi0 = sasahara_immersion.eval((0.0, 0.0))
     assert np.allclose(psi0, (1 / SQ2, 0, 0.5, 0, 0.5, 0), atol=1e-15)
+
+
+def _bits(x):
+    return np.ascontiguousarray(x).view(np.int64)
+
+
+def test_first_eval_builds_no_factor_table(rng):
+    # eval reads its order-(0, 0) row on its own: the amplitudes on both
+    # slots, bit for bit the table's row, NaN weights included
+    s7 = extend_dimension(from_structure(0.4, 0.3))
+    d = sasahara_data()
+    nan_weight = build(MiyataData(d.h, d.mu, d.eta, d.r_weights, (math.nan, 0.5)), validate=False)
+    pts = rng.uniform(-6.0, 6.0, (17, 2))
+    for im in (from_structure(0.7, 0.2), s7, nan_weight):
+        fresh = Immersion(im.data, im.wave_vectors, im.amplitudes)
+        psi = fresh.eval(pts)
+        assert "factors" not in fresh._memo
+        assert np.array_equal(_bits(fresh.eval(pts)), _bits(psi))
+        row = fresh._factors(((0, 0),))[0]
+        assert np.array_equal(_bits(fresh._memo["position"]), _bits(row))
+        if np.isfinite(row).all():
+            assert np.array_equal(psi, fresh.partial(pts, (0, 0)))
 
 
 def test_eval_periodic_at_sqrt2_pi(sasahara_immersion):

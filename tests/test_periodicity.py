@@ -220,6 +220,12 @@ def test_periodic_direction_search_finds_verified_roots():
         assert _returns_to_start(im, d.v)
 
 
+def test_periodic_direction_rho_is_a_float():
+    dirs = periodic_direction_search(0.5, 1, 2, (0.05, 1.5))
+    assert dirs
+    assert all(type(d.rho) is float for d in dirs)
+
+
 @pytest.mark.parametrize(
     "h, k0, k1, window, count",
     [
