@@ -3,9 +3,13 @@ curvature h, decide whether an immersion with that mean curvature exists, and
 construct witness weights when it does.
 
 The decision path is exact: dual-lattice points on the two relevant circles
-are enumerated with an integer quadratic form, their complex squares are
-rational, and all hull / intersection predicates run on Fractions. Floats
-appear only in emitted vectors and the reconstructed witness data.
+are enumerated with an integer quadratic form, and their complex squares are
+rational with one common denominator per dual lattice. All hull /
+intersection predicates, the barycentric weights and the balance check run
+on the integer numerators of those squares: each is unchanged when every
+point is scaled by the same positive number, so the weights are the ones of
+the rational squares. The weights are exact Fractions; floats appear only in
+emitted vectors and the reconstructed witness data.
 """
 
 from __future__ import annotations
@@ -22,7 +26,8 @@ from .core import DomainError, ExactnessError, exact_rational, squarefree_decomp
 from .parameters import MiyataData, _normal_form, spectral_levels
 from .periodicity import ExactBasis, Lattice2
 
-Point = tuple[Fraction, Fraction]
+# hull and weight routines take int or Fraction coordinates and divide exactly
+Point = tuple[int | Fraction, int | Fraction]
 
 VERDICT_EXISTS_PU = "exists_pseudo_umbilical"
 VERDICT_EXISTS = "exists"
@@ -122,23 +127,29 @@ class DualLattice:
 
 
 def dual_lattice(lat: Lattice2) -> DualLattice:
-    """2 pi inverse-transpose of the primal basis, carried exactly."""
+    """2 pi inverse-transpose of the primal basis, carried exactly.
+
+    The primal rows are pi sqrt(s) C with C = M / k for an integer matrix
+    M = (a, b; c, d), so the dual rows (2 / sqrt(s)) inv(C)^T are
+    2k / det(M) times the integer rows (d, -c) and (-b, a): every row and
+    Gram entry is one ratio of integers.
+    """
     if lat.rank != 2:
         raise DomainError("dual lattice requires a rank-2 lattice")
     if lat.exact is None:
         raise ExactnessError("dual lattice requires exact generator data")
-    (a, b), (c, d) = lat.exact.rows
+    k, (a, b, c, d) = _integer_scaled([x for row in lat.exact.rows for x in row])
     det = a * d - b * c
-    # primal rows are pi sqrt(s) * C; dual rows are (2 / sqrt(s)) * inv(C)^T
-    rows = ((2 * d / det, -2 * c / det), (-2 * b / det, 2 * a / det))
+    vecs = ((d, -c), (-b, a))
+    rows = tuple(tuple(Fraction(2 * k * x, det) for x in v) for v in vecs)
     s = lat.exact.surd
     scale = 1.0 / math.sqrt(s)
     gens = tuple(tuple(scale * float(x) for x in row) for row in rows)
-
-    def q(i, j):
-        return (rows[i][0] * rows[j][0] + rows[i][1] * rows[j][1]) / s
-
-    gram = ((q(0, 0), q(0, 1)), (q(1, 0), q(1, 1)))
+    gram_den = det * det * s
+    gram = tuple(
+        tuple(Fraction(4 * k * k * (vi[0] * vj[0] + vi[1] * vj[1]), gram_den) for vj in vecs)
+        for vi in vecs
+    )
     return DualLattice(gens=gens, rows=rows, surd=s, gram=gram)
 
 
@@ -148,7 +159,9 @@ class CircleSquareSet:
 
     preimages lists every dual coordinate pair on the circle (they come in
     +- pairs); points holds the deduplicated squares with one representative
-    preimage each, sorted by exact coordinates.
+    preimage each, sorted by exact coordinates. numerators holds the same
+    squares times den, as integers; den is the same for every circle of one
+    dual lattice.
     """
 
     radius_sq: Fraction
@@ -157,6 +170,8 @@ class CircleSquareSet:
     reps: tuple[tuple[int, int], ...]
     preimages: tuple[tuple[int, int], ...]
     dual: DualLattice
+    numerators: tuple[tuple[int, int], ...]
+    den: int
 
 
 def _integer_scaled(values) -> tuple[int, list[int]]:
@@ -175,6 +190,10 @@ def circle_points(dual: DualLattice, radius_sq) -> CircleSquareSet:
     operations in all. N > 0 keeps (0, 0) off the circle. Preimages are
     visited in (m, n) ascending order; w and -w collapse to the same
     square, which keeps its first preimage as representative.
+
+    Each square is (u^2 - v^2, 2uv) / den with integers u, v and
+    den = k^2 surd fixed by the dual rows, so the squares of every circle of
+    one dual lattice come as integer numerators over one denominator.
     """
     radius_sq = exact_rational(radius_sq, "radius_sq")
     if radius_sq <= 0:
@@ -205,15 +224,16 @@ def circle_points(dual: DualLattice, radius_sq) -> CircleSquareSet:
             u = m * r00 + n * r10
             v = m * r01 + n * r11
             squares.setdefault((u * u - v * v, 2 * u * v), (m, n))
-    order = sorted(squares)
-    points_exact = tuple((Fraction(x, den), Fraction(y, den)) for x, y in order)
+    order = tuple(sorted(squares))
     return CircleSquareSet(
         radius_sq=radius_sq,
-        points=tuple(complex(float(x), float(y)) for x, y in points_exact),
-        points_exact=points_exact,
+        points=tuple(complex(x / den, y / den) for x, y in order),
+        points_exact=tuple((Fraction(x, den), Fraction(y, den)) for x, y in order),
         reps=tuple(squares[p] for p in order),
         preimages=tuple(pre),
         dual=dual,
+        numerators=order,
+        den=den,
     )
 
 
@@ -276,7 +296,7 @@ def _clip_polygon(poly: list[Point], a: Point, b: Point) -> list[Point]:
         if sp >= 0:
             out.append(p)
         if (sp > 0 > sq) or (sp < 0 < sq):
-            t = sp / (sp - sq)
+            t = Fraction(sp) / (sp - sq)
             out.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
     dedup: list[Point] = []
     for p in out:
@@ -335,7 +355,7 @@ def _combination_over_hull(target: Point, hull) -> list[tuple[Point, Fraction]]:
     if k == 2:
         a, b = hull
         dx, dy = b[0] - a[0], b[1] - a[1]
-        u = ((target[0] - a[0]) * dx + (target[1] - a[1]) * dy) / (dx * dx + dy * dy)
+        u = Fraction((target[0] - a[0]) * dx + (target[1] - a[1]) * dy) / (dx * dx + dy * dy)
         if _cross(a, b, target) != 0 or not (0 <= u <= 1):
             raise ValueError("target is not on the hull segment")
         return [(a, 1 - u), (b, u)]
@@ -380,32 +400,29 @@ def witness_weights(
     barycentrically over each hull. Returned lists align with the point order
     of each set; a zero entry means that point is unused (dropped downstream).
     """
-    if not set_a.points_exact or not set_g.points_exact:
+    pa, pg = set_a.points_exact, set_g.points_exact
+    if not pa or not pg:
         return None
-    hull_a, hull_g = convex_hull(set_a.points_exact), convex_hull(set_g.points_exact)
-    return _hull_weights(set_a, hull_a, set_g, hull_g)
+    return _hull_weights(pa, convex_hull(pa), pg, convex_hull(pg))
 
 
-def _hull_weights(set_a, hull_a, set_g, hull_g):
-    """witness_weights over the already built hulls of the two sets."""
-    hull_ng = convex_hull([(-x, -y) for x, y in set_g.points_exact])
+def _hull_weights(pa, hull_a, pg, hull_g):
+    """witness_weights over two point lists and their already built hulls."""
+    hull_ng = convex_hull([(-x, -y) for x, y in pg])
     region = intersect_hulls(hull_a, hull_ng)
     if not region:
         return None
     n = Fraction(len(region))
     target = (sum(p[0] for p in region) / n, sum(p[1] for p in region) / n)
-    return _aligned_weights(set_a, hull_a, set_g, hull_g, target)
+    return _aligned_weights(pa, hull_a, pg, hull_g, target)
 
 
-def _aligned_weights(set_a, hull_a, set_g, hull_g, target: Point):
+def _aligned_weights(pa, hull_a, pg, hull_g, target: Point):
     """Weights of target over hull_a and of -target over hull_g, aligned to
-    the point order of each set (zero for a point the combination skips)."""
+    the point lists pa and pg (zero for a point the combination skips)."""
     wa = dict(_combination_over_hull(target, hull_a))
     wg = dict(_combination_over_hull((-target[0], -target[1]), hull_g))
-    return (
-        [wa.get(p, Fraction(0)) for p in set_a.points_exact],
-        [wg.get(p, Fraction(0)) for p in set_g.points_exact],
-    )
+    return [wa.get(p, Fraction(0)) for p in pa], [wg.get(p, Fraction(0)) for p in pg]
 
 
 # ---------------------------------------------------------------------------
@@ -446,20 +463,21 @@ def _recover_frequency(dual: DualLattice, rep: tuple[int, int], lam: float) -> c
 
 
 def _build_witness(h: Fraction, set_a, set_g, weights) -> MiyataData:
-    """Float witness data for exact weights, once a Fraction check shows
-    they certify it: each list is a convex combination (sums to 1, no
-    negative entry; a zero drops its point) and sum(alpha_k A_k) +
-    sum(gamma_j G_j) = 0. The squares are distinct, as circle_points keys
-    them by exact value. The frequencies come from the float dual basis, so
-    on a skewed basis mu_1 leaves the unit circle by rounding (|mu_1| - 1 is
-    4.7e-9 on rect-exists at skew 10^4, 2e-5 at 10^6); the normal form is
-    taken without `canonicalize`'s check on it."""
+    """Float witness data for exact weights, once an exact check shows they
+    certify it: each list is a convex combination (sums to 1, no negative
+    entry; a zero drops its point) and sum(alpha_k A_k) + sum(gamma_j G_j)
+    = 0, checked on the integer numerators of the squares, which share one
+    denominator as both sets come from one dual lattice. The squares are
+    distinct, as circle_points keys them by exact value. The frequencies
+    come from the float dual basis, so on a skewed basis mu_1 leaves the
+    unit circle by rounding (|mu_1| - 1 is 4.7e-9 on rect-exists at skew
+    10^4, 2e-5 at 10^6); the normal form is taken without `canonicalize`'s
+    check on it."""
     ra, rg = weights
     if sum(ra) != 1 or sum(rg) != 1 or min(ra + rg) < 0:
         raise RuntimeError("witness weights are not convex combinations")
     for i in range(2):
-        total = sum(w * p[i] for w, p in zip(ra, set_a.points_exact))
-        if total + sum(w * p[i] for w, p in zip(rg, set_g.points_exact)) != 0:
+        if sum(w * p[i] for w, p in zip(ra + rg, set_a.numerators + set_g.numerators)) != 0:
             raise RuntimeError("witness weights do not balance")
     lam1, lam2 = spectral_levels(float(h))
     mu, r_w = [], []
@@ -485,7 +503,8 @@ def admissible(lat: Lattice2, h) -> AdmissibleResult:
     Order: empty circle (nonexistence), origin in both hulls (existence,
     pseudo-umbilical), origin outside the joint hull (nonexistence), then the
     general exact feasibility conv(A) meet -conv(G) which settles the
-    remaining cases either way.
+    remaining cases either way. The hulls and weights run on the integer
+    numerators of both circles, which share one denominator.
     """
     h = exact_rational(h, "h")
     if not (0 < h < 1):
@@ -494,19 +513,20 @@ def admissible(lat: Lattice2, h) -> AdmissibleResult:
     lam1, lam2 = spectral_levels(h)
     set_a = circle_points(dual, lam1)
     set_g = circle_points(dual, lam2)
-    if not set_a.points_exact or not set_g.points_exact:
+    pa, pg = set_a.numerators, set_g.numerators
+    if not pa or not pg:
         return AdmissibleResult(VERDICT_NONE_EMPTY, h, set_a, set_g)
-    origin = (Fraction(0), Fraction(0))
-    hull_a = convex_hull(set_a.points_exact)
-    hull_g = convex_hull(set_g.points_exact)
+    origin = (0, 0)
+    hull_a = convex_hull(pa)
+    hull_g = convex_hull(pg)
     if point_in_hull(origin, hull_a) and point_in_hull(origin, hull_g):
         verdict = VERDICT_EXISTS_PU
-        weights = _aligned_weights(set_a, hull_a, set_g, hull_g, origin)
+        weights = _aligned_weights(pa, hull_a, pg, hull_g, origin)
     else:
-        joint = convex_hull(list(set_a.points_exact) + list(set_g.points_exact))
+        joint = convex_hull(pa + pg)
         if not point_in_hull(origin, joint):
             return AdmissibleResult(VERDICT_NONE_HULL, h, set_a, set_g)
-        weights = _hull_weights(set_a, hull_a, set_g, hull_g)
+        weights = _hull_weights(pa, hull_a, pg, hull_g)
         if weights is None:
             return AdmissibleResult(VERDICT_NONE_INFEASIBLE, h, set_a, set_g)
         verdict = VERDICT_EXISTS

@@ -75,12 +75,20 @@ class Immersion:
     def _phases(self, p, out=None) -> np.ndarray:
         """<w, p> for every wave vector w, into `out` if given. The one
         finiteness check is on the phases: it rejects points that are not
-        finite and points so far out that a phase leaves the float range."""
+        finite and points so far out that a phase leaves the float range,
+        and names the wave vector when the points are finite but a wave
+        vector is not."""
         pts, w = _as_points(p), self.wave_vectors.T
         with np.errstate(over="ignore", invalid="ignore"):
             # the @ operator skips np.matmul's argument parsing on eval's path
             theta = pts @ w if out is None else np.matmul(pts, w, out=out)
         if not np.isfinite(theta).all():
+            bad = np.flatnonzero(~np.isfinite(self.wave_vectors).all(axis=1))
+            if bad.size and np.isfinite(pts).all():
+                raise DomainError(
+                    "wave_vectors[%d] = %s is not finite, so its phase <w, p> is not finite"
+                    % (bad[0], self.wave_vectors[bad[0]].tolist())
+                )
             raise DomainError("points must be finite, with every phase <w, p> finite")
         return theta
 

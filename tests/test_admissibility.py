@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, note, settings, strategies as st
 
+import admissible_oracle
 import hull_oracle
 from bihsurf.core import DomainError, ExactnessError
 from bihsurf.periodicity import ExactBasis, Lattice2
@@ -150,6 +151,37 @@ def test_exact_gram_matches_float_gram():
                 assert abs(float_entry - math.pi**2 * float(gram[i][j])) <= 1e-9
 
 
+@st.composite
+def _unimodular(draw, bound):
+    """An integer matrix ((a, b), (c, d)) with ad - bc = 1 and entries in
+    [-bound, bound]: a coprime first row, completed by its Bezout pair."""
+    a, b = draw(
+        st.tuples(st.integers(-bound, bound), st.integers(-bound, bound)).filter(
+            lambda ab: math.gcd(*ab) == 1
+        )
+    )
+    # extended Euclid: a * s + b * t = r = +-1, with |s| <= |b| and |t| <= |a|
+    r0, r1, s0, s1, t0, t1 = a, b, 1, 0, 0, 1
+    while r1:
+        q = r0 // r1
+        r0, r1, s0, s1, t0, t1 = r1, r0 - q * r1, s1, s0 - q * s1, t1, t0 - q * t1
+    return (a, b), (-t0 * r0, s0 * r0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    spec=st.sampled_from([spec for spec, _ in TEST_LATTICES]),
+    scale=st.builds(F, st.integers(1, 10**6), st.integers(1, 999)),
+    u=_unimodular(10**3),
+)
+def test_dual_lattice_matches_fraction_formula(spec, scale, u):
+    # the integer-cleared rows and Gram entries equal the chained Fraction
+    # formula's, and so do the float generators made from them
+    assert abs(u[0][0] * u[1][1] - u[0][1] * u[1][0]) == 1
+    lat = _scaled_image(spec, scale, u)
+    assert dual_lattice(lat) == admissible_oracle.dual_lattice(lat)
+
+
 # ---------------------------------------------------------------------------
 # circle points
 
@@ -209,7 +241,8 @@ def test_circle_points_modulus_invariant():
 
 def _brute_circle_points(dual, radius_sq):
     """Oracle: test every (m, n) of the box that bounds the ellipse
-    Q(m, n) = radius_sq, in Fractions."""
+    Q(m, n) = radius_sq, in Fractions. The numerators are the squares times
+    den = k^2 surd, with k the lcm of the dual rows' denominators."""
     radius_sq = F(radius_sq)
     (qa, qb), (_, qc) = dual.gram
     det = qa * qc - qb * qb
@@ -231,6 +264,9 @@ def _brute_circle_points(dual, radius_sq):
             if sq not in squares:
                 squares[sq] = (m, n)
     order = sorted(squares.keys())
+    den = math.lcm(*(x.denominator for row in dual.rows for x in row)) ** 2 * dual.surd
+    scaled = [(x * den, y * den) for x, y in order]
+    assert all(x.denominator == y.denominator == 1 for x, y in scaled)
     return CircleSquareSet(
         radius_sq=radius_sq,
         points=tuple(complex(float(x), float(y)) for x, y in order),
@@ -238,6 +274,8 @@ def _brute_circle_points(dual, radius_sq):
         reps=tuple(squares[p] for p in order),
         preimages=tuple(sorted(pre)),
         dual=dual,
+        numerators=tuple((int(x), int(y)) for x, y in scaled),
+        den=den,
     )
 
 
@@ -250,7 +288,7 @@ def _scaled_image(spec, scale, u):
 
 def _assert_same_circle(dual, radius_sq):
     fast, slow = circle_points(dual, radius_sq), _brute_circle_points(dual, radius_sq)
-    for field in ("radius_sq", "points", "points_exact", "reps", "preimages"):
+    for field in ("radius_sq", "points", "points_exact", "reps", "preimages", "numerators", "den"):
         assert getattr(fast, field) == getattr(slow, field), field
 
 
@@ -386,23 +424,23 @@ def test_hull_predicates_match_direction_scan(rng):
 
 
 _COORD = st.builds(F, st.integers(-6, 6), st.integers(1, 3))
-_POINT = st.tuples(_COORD, _COORD)
 
 
 @st.composite
-def _hulls(draw):
+def _hulls(draw, coord=_COORD):
     """Exact hulls of every shape: a point, a collinear point set (hull a
     point or a segment), a segment, or a polygon from 3-7 points (possibly
-    degenerate)."""
+    degenerate), with coordinates drawn from coord."""
+    point = st.tuples(coord, coord)
     kind = draw(st.sampled_from(["point", "collinear", "segment", "polygon"]))
     if kind == "point":
-        return convex_hull([draw(_POINT)])
+        return convex_hull([draw(point)])
     if kind == "segment":
-        return convex_hull([draw(_POINT), draw(_POINT)])
+        return convex_hull([draw(point), draw(point)])
     if kind == "polygon":
-        return convex_hull(draw(st.lists(_POINT, min_size=3, max_size=7)))
-    (ax, ay), (dx, dy) = draw(_POINT), draw(_POINT)
-    ts = draw(st.lists(_COORD, min_size=1, max_size=5))
+        return convex_hull(draw(st.lists(point, min_size=3, max_size=7)))
+    (ax, ay), (dx, dy) = draw(point), draw(point)
+    ts = draw(st.lists(coord, min_size=1, max_size=5))
     return convex_hull([(ax + t * dx, ay + t * dy) for t in ts])
 
 
@@ -425,6 +463,39 @@ def test_intersect_hulls_matches_clip_oracle(h1, h2):
         assert _centroid(got) == _centroid(want)  # the target admissible weighs
 
 
+def _as_fractions(pts):
+    return [(F(x), F(y)) for x, y in pts]
+
+
+def _exact_points(pts):
+    return all(type(c) in (int, F) for p in pts for c in p)
+
+
+def test_intersect_hulls_stays_exact_on_integer_points():
+    square = convex_hull([(0, 0), (4, 0), (4, 4), (0, 4)])
+    got = intersect_hulls([(-2, 1), (6, 2)], square)
+    assert got == [(0, F(5, 4)), (4, F(7, 4))] and _exact_points(got)
+
+
+@settings(max_examples=300, deadline=None)
+@given(h1=_hulls(st.integers(-6, 6)), h2=_hulls(st.integers(-6, 6)))
+def test_hull_routines_on_integer_points_match_fraction_points(h1, h2):
+    # admissible runs the clip and the barycentric weights on integer
+    # numerators: no float may appear, and every result must equal the one
+    # for the same points given as Fractions
+    got = intersect_hulls(h1, h2)
+    assert _exact_points(got)
+    assert got == intersect_hulls(_as_fractions(h1), _as_fractions(h2))
+    for hull in (h1, h2):
+        for target in (hull[0], _centroid(hull), _centroid([hull[0], hull[-1]])):
+            combo = admissibility._combination_over_hull(target, hull)
+            assert _exact_points(p for p, _ in combo)
+            assert all(type(w) is F for _, w in combo)
+            assert combo == admissibility._combination_over_hull(
+                (F(target[0]), F(target[1])), _as_fractions(hull)
+            )
+
+
 # the CI lattice and more of the surd-5 family whose decision at h = 3/5
 # clips a segment by a polygon
 SEGMENT_POLYGON_LATTICES = (
@@ -444,7 +515,8 @@ def test_admissible_segment_polygon_matches_clip_oracle(spec, monkeypatch):
 
     def recording(h1, h2):
         shapes.append(sorted((len(h1), len(h2))))
-        return hull_oracle.intersect_hulls(h1, h2)
+        # the oracle divides with /, which is exact only on Fractions
+        return hull_oracle.intersect_hulls(_as_fractions(h1), _as_fractions(h2))
 
     monkeypatch.setattr(admissibility, "intersect_hulls", recording)
     want = admissible(lat, F(3, 5)).to_dict()
@@ -461,6 +533,7 @@ def test_admissible_segment_polygon_matches_clip_oracle(spec, monkeypatch):
 
 def _fake_set(points):
     pts = sorted(points)
+    den = math.lcm(*(x.denominator for p in pts for x in p))
     return CircleSquareSet(
         radius_sq=F(1),
         points=tuple(complex(float(x), float(y)) for x, y in pts),
@@ -468,6 +541,8 @@ def _fake_set(points):
         reps=tuple((0, 0) for _ in pts),
         preimages=(),
         dual=None,
+        numerators=tuple((int(x * den), int(y * den)) for x, y in pts),
+        den=den,
     )
 
 
@@ -612,6 +687,34 @@ def test_admissible_unimodular_invariance(rng):
             u = ((n, n + 1), (n - 1, n))  # det = 1
             res = admissible(unimodular_image(parse_lattice(spec), u), F(3, 5))
             assert (res.verdict, res.weights) == (base.verdict, base.weights), n
+
+
+# each lattice with its own h, where the exists and none_infeasible verdicts
+# (which clip and weigh) sit at scale 1, or with any h of denominator < 40
+_DECISION_CASES = st.sampled_from(
+    TEST_LATTICES + tuple((spec, F(3, 5)) for spec in SEGMENT_POLYGON_LATTICES)
+).flatmap(lambda spec_h: st.tuples(st.just(spec_h[0]), st.one_of(st.just(spec_h[1]), _h)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    case=_DECISION_CASES,
+    scale=st.one_of(st.just(1), st.integers(1, 13)),
+    u=st.sampled_from(_UNIMODULAR),
+)
+def test_admissible_matches_fraction_oracle(case, scale, u):
+    # deciding on integer numerators gives the Fraction route's verdict,
+    # exact weights, circle sets and witness floats
+    spec, h = case
+    lat = _scaled_image(spec, scale, u)
+    got, want = admissible(lat, h), admissible_oracle.admissible(lat, h)
+    note("scale=%d u=%s h=%s verdict=%s" % (scale, u, h, want.verdict))
+    assert got.to_dict() == want.to_dict()
+    assert got.weights == want.weights
+    for name in ("set_a", "set_g"):
+        a, b = getattr(got, name), getattr(want, name)
+        for field in ("points_exact", "reps", "preimages"):
+            assert getattr(a, field) == getattr(b, field), (name, field)
 
 
 _SMALL_BASES = (((1, 0), (0, 1)), ((1, 1), (0, 1)), ((1, 0), (1, 1)))

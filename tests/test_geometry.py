@@ -839,11 +839,13 @@ def test_verify_immersion_nan_data_fails_as_the_sampled_oracle():
     assert [c.name for c in got.failures() if c.name in geometric] == [
         name for name in geometric if name not in ("block_norm_t1", "eigenblock_t1")
     ]
-    # a NaN frequency component makes every phase NaN: both routes refuse it
+    # a NaN frequency component makes its phases NaN: both routes refuse it,
+    # naming the wave vector rather than the finite sample points
     nan_frequency = build(replace(d, eta=(complex(math.nan, d.eta[0].imag), d.eta[1])), validate=False)
     for verify in (verify_immersion, verify_oracle.verify_immersion):
-        with pytest.raises(DomainError, match="phase"):
+        with pytest.raises(DomainError, match="phase") as err:
             verify(nan_frequency, samples=60, seed=11)
+        assert "wave_vectors[" in str(err.value) and "points" not in str(err.value)
 
 
 def test_verify_immersion_validates_once():
