@@ -12,35 +12,27 @@ combination (sum of second covariant derivatives of tau, traced with g^{ab})
 + 2 tau - g^{ab}<tau, dphi_b> dphi_a is the one under which the constructed
 immersions are annihilated; the flipped curvature sign gives 4|tau|.
 
-One per-point kernel serves the per-point functions (`tension`,
-`bitension`, `mean_curvature`, `fundamental_forms`) and the finite-difference
-oracle. It reads the partials through two operations, each writing into a
-buffer the caller gives it: the entries d^o psi of orders of one parity, and
-a combination sum_o c_o(p) d^o psi with per-point coefficients. An
-`Immersion` is read through the factored reader of `immersion`, which never
-builds the table, so the order-3 and order-4 partials are only ever read
-inside the tension's and the Laplacian's combinations. An explicit table (a
-dict, as `fd_partial_table` returns) serves both by indexing and by
-accumulating in place, in one piece.
+Two formula sets compute the geometry. Plane k of an `Immersion` carries one
+circle, so every field formed from its partials is s_k e^{i<w_k, z>} on plane
+k with a constant symbol s in C^K, and every inner product of two fields is
+constant. `_symbols` forms the metric, the forms, H, tau, the bitension and
+Delta psi once, in O(K), from the symbols of the partials. The per-point
+functions (`tension`, `bitension`, `mean_curvature`, `fundamental_forms`)
+read an `Immersion`'s vector outputs from those symbols at the points, each
+a symbol row times the trig pair of `eval`, and write each scalar output (g,
+|H|, K, the pseudo-umbilicity residual) as its constant; so memory is the
+outputs, the phases and one trig temporary, and nothing is kept after the
+call but the immersion's own memo. `verify_immersion` computes its
+geometric checks from the same symbols: each residual is the sup of its
+check over the whole plane, not a maximum over samples. Only its unit_norm
+check reads psi at sample points, through `eval`, so it still covers the
+evaluator that users read.
 
-psi and its first partials are read once into one stacked frame
-(psi, psi_x, psi_y). The three second partials are made normal together:
-one contraction against the frame gives every coefficient, and the mean
-curvature vector is half the g-trace of the forms, H = 1/2 g^{ab} B_ab, with
-no projection of its own. On an `Immersion` every function runs in blocks of
-`_BLOCK` points, all from one workspace per call, each block written into
-C-ordered outputs of the caller's point shape. Nothing is kept after the
-call but the immersion's own memo (its factor table and its validation
-report).
-
-`verify_immersion` does not run the kernel. Plane k of an `Immersion`
-carries one circle, so every field the kernel forms is s_k e^{i<w_k, z>} on
-plane k with a constant symbol s in C^K, and every inner product of two
-fields is constant. Its geometric checks are therefore computed once, in
-O(K), from the symbols, with the kernel's coefficient formulas: each
-residual is the sup of its check over the whole plane, not a maximum over
-samples. Only its unit_norm check reads psi at sample points, through
-`eval`, so it still covers the evaluator that users read.
+The table kernel (`_metric`, `_tension`, `_bitension`, `_forms`,
+`_curvature`) serves explicit tables only: `fd_partial_table`'s in
+`fd_bitension_oracle`, the `partial_table` of a map that is not an
+`Immersion`, and `gaussian_brioschi_fd`'s. It keeps every term a varying
+metric or an inexact table needs, over plain (..., D) arrays in one piece.
 """
 
 from __future__ import annotations
@@ -55,84 +47,23 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import GEOMETRIC_TOL, Check, DomainError, VerificationReport
-from .immersion import _ORDERS, Immersion, _FactoredTable, _Workspace
-from .immersion import _as_points, _check_max_order, _is_int
+from .immersion import _ORDERS, Immersion, _as_points, _check_max_order, _is_int
 
 
-def _dot(u, v, out):
-    """<u, v> over the ambient axis of (..., D, P) fields, into out (..., P)."""
-    return np.einsum("...dp,...dp->...p", u, v, out=out)
+def _dot(u, v):
+    """<u, v> over the last (ambient) axis."""
+    return np.einsum("...d,...d->...", u, v)
 
 
-# ---------------------------------------------------------------------------
-# explicit tables, and the block loop over the points of an Immersion
-
-
-class _ExplicitTable:
-    """A table given as {(a, b): (..., D) array}, such as `fd_partial_table`'s,
-    read as (D, P) fields over its points in row-major order."""
-
-    def __init__(self, table: dict):
-        dim = table[(0, 0)].shape[-1]
-        self._table = {order: v.reshape(-1, dim).T for order, v in table.items()}
-
-    def entries(self, orders, out):
-        for order, x in zip(orders, out):
-            np.copyto(x, self._table[order])
-        return out
-
-    def combo(self, orders, coeffs, out):
-        np.multiply(coeffs[..., :1, :], self._table[orders[0]], out=out)
-        for j in range(1, len(orders)):
-            out += coeffs[..., j : j + 1, :] * self._table[orders[j]]
-        return out
-
-
-def _blocks(im: Immersion, pts):
-    """(start, block, ws) over consecutive blocks of at most `_BLOCK` of the
-    points pts (P, 2): one workspace ws, made for the first block, set to the
-    points of each; no points give one empty block."""
-    ws = _Workspace(min(len(pts), _BLOCK), im.ambient_dim)
-    for start in range(0, max(len(pts), 1), _BLOCK):
-        block = pts[start : start + _BLOCK]
-        ws.points(len(block))
-        yield start, block, ws
-
-
-def _per_point(kernel, im, p, max_order: int):
-    """The arrays (..., P) of kernel(table, metric, ws) at the points p
-    (..., 2), as C-ordered arrays of the caller's point shape: an
-    Immersion's in blocks (`_blocks`) written into the outputs, any other
-    map's `partial_table` in one piece."""
-    if not isinstance(im, Immersion):
-        return _explicit_kernel(kernel, im.partial_table(p, max_order))
-    pts = _as_points(p)
-    flat = pts.reshape(-1, 2)
-    outs = None
-    for start, block, ws in _blocks(im, flat):
-        table = _FactoredTable(im, block, ws)
-        parts = kernel(table, _metric(table, ws), ws)
-        if outs is None:
-            outs = [np.empty((len(flat),) + x.shape[:-1]) for x in parts]
-        for out, x in zip(outs, parts):
-            out[start : start + len(block)] = np.moveaxis(x, -1, 0)
-    return [out.reshape(pts.shape[:-1] + out.shape[1:]) for out in outs]
-
-
-def _explicit_kernel(kernel, table: dict):
-    """The arrays of kernel(table, metric, ws) over an explicit table, as
-    C-ordered arrays of its point shape."""
-    shape, dim = table[(0, 0)].shape[:-1], table[(0, 0)].shape[-1]
-    flat, ws = _ExplicitTable(table), _Workspace(math.prod(shape), dim)
-    return [
-        np.ascontiguousarray(np.moveaxis(x, -1, 0)).reshape(shape + x.shape[:-1])
-        for x in kernel(flat, _metric(flat, ws), ws)
-    ]
+def _weighted_sum(table, orders, coeffs):
+    """sum_j coeffs[j] * table[orders[j]], each coefficient a number or one
+    value per point."""
+    return sum(np.multiply(np.asarray(c)[..., None], table[o]) for c, o in zip(coeffs, orders))
 
 
 # ---------------------------------------------------------------------------
-# the per-point kernel: metric, tension, bitension and forms from one table
-# of ambient partials
+# the table kernel: metric, tension, bitension and forms from an explicit
+# table {(a, b): (..., D) array} of ambient partials
 
 # second partials, and the orders of the combinations tau = g^{ab} psi_ab + 2 psi
 # and J_a = g^{bc} psi_abc + 2 psi_a, all weighted (g^00, 2 g^01, g^11, 2)
@@ -141,57 +72,48 @@ _TENSION = _SECOND + ((0, 0),)
 _J = (((3, 0), (2, 1), (1, 2), (1, 0)), ((2, 1), (1, 2), (0, 3), (0, 1)))
 # L = g^{ab} J_ab: the five order-4 partials, then 2 tau - 4 psi = 2 g^{ab} psi_ab
 _LAPLACIAN = ((4, 0), (3, 1), (2, 2), (1, 3), (0, 4)) + _SECOND
-_FIRST = ((1, 0), (0, 1))
 
 
 class _Metric(NamedTuple):
-    frame: np.ndarray  # (3, D, P): psi, psi_x, psi_y
-    psi: np.ndarray  # (D, P), frame[0]
-    d1: np.ndarray  # (2, D, P), frame[1:]
-    g: np.ndarray  # (2, 2, P)
-    det: np.ndarray  # (P,)
-    inv: np.ndarray  # (2, 2, P)
-    weights: np.ndarray  # (4, P): g^00, 2 g^01, g^11, 2
+    psi: np.ndarray  # (..., D)
+    d1: tuple  # psi_x, psi_y, each (..., D)
+    g: np.ndarray  # (..., 2, 2)
+    det: np.ndarray  # (...)
+    inv: tuple  # g^00, g^01, g^11, each (...)
 
 
-def _metric(table, ws: _Workspace) -> _Metric:
-    """The frame (psi, psi_x, psi_y), the induced metric g_ab = <psi_a, psi_b>,
-    det g, the inverse metric g^{ab} and the weights of `_TENSION`."""
-    frame = ws.vec("frame", 3)
-    psi, d1 = table.entries(((0, 0),), frame[:1])[0], table.entries(_FIRST, frame[1:])
-    g = np.einsum("adp,bdp->abp", d1, d1, out=ws.scalar("g", 2, 2))
-    det = np.multiply(g[0, 0], g[1, 1], out=ws.scalar("det"))
-    det -= np.multiply(g[0, 1], g[0, 1], out=ws.scalar("s"))
-    if (det < 1e-12).any():
+def _metric(table) -> _Metric:
+    """psi and its first partials, the induced metric g_ab = <psi_a, psi_b>,
+    det g and the inverse metric g^{ab}, at each point of the table."""
+    px, py = table[(1, 0)], table[(0, 1)]
+    g00, g01, g11 = _dot(px, px), _dot(px, py), _dot(py, py)
+    det = g00 * g11 - g01 * g01
+    if np.any(det < 1e-12):
         raise DomainError("degenerate immersion: metric determinant below 1e-12")
-    inv = ws.scalar("inv", 2, 2)
-    np.divide(g[1, 1], det, out=inv[0, 0])
-    np.negative(np.divide(g[0, 1], det, out=inv[0, 1]), out=inv[0, 1])
-    inv[1, 0] = inv[0, 1]
-    np.divide(g[0, 0], det, out=inv[1, 1])
-    weights = ws.scalar("weights", 4)
-    weights[0] = inv[0, 0]
-    np.multiply(inv[0, 1], 2.0, out=weights[1])
-    weights[2] = inv[1, 1]
-    weights[3] = 2.0
-    return _Metric(frame, psi, d1, g, det, inv, weights)
+    g = np.stack((g00, g01, g01, g11), axis=-1).reshape(np.shape(det) + (2, 2))
+    return _Metric(table[(0, 0)], (px, py), g, det, (g11 / det, -(g01 / det), g00 / det))
 
 
-def _sub_tangent(table, v, mt: _Metric, c, ws: _Workspace):
-    """v -= g^{ab} c_b psi_a in place, for a field v (D, P) and coefficients
-    c (2, P)."""
-    beta = np.einsum("abp,bp->ap", mt.inv, c, out=ws.scalar("beta", 2))
-    v -= table.combo(_FIRST, beta, ws.vec("tmp"))
-    return v
+def _weights(mt: _Metric) -> tuple:
+    """(g^00, 2 g^01, g^11), the weights of psi_xx, psi_xy and psi_yy in
+    g^{ab} psi_ab."""
+    i00, i01, i11 = mt.inv
+    return i00, 2.0 * i01, i11
 
 
-def _tension(table, mt: _Metric, ws: _Workspace):
-    """tau = g^{ab} psi_ab + 2 psi, one combination of the table."""
-    return table.combo(_TENSION, mt.weights, ws.vec("tau"))
+def _sub_tangent(v, mt: _Metric, c):
+    """v - g^{ab} c_b psi_a, for coefficients c = (c_x, c_y)."""
+    (i00, i01, i11), (px, py), (cx, cy) = mt.inv, mt.d1, c
+    return v - (i00 * cx + i01 * cy)[..., None] * px - (i01 * cx + i11 * cy)[..., None] * py
 
 
-def _bitension(table, mt: _Metric, tau, ws: _Workspace):
-    """Bitension from order-<=4 partials and tau.
+def _tension(table, mt: _Metric):
+    """tau = g^{ab} psi_ab + 2 psi."""
+    return _weighted_sum(table, _TENSION, _weights(mt) + (2.0,))
+
+
+def _bitension(table, mt: _Metric):
+    """Bitension from order-<=4 partials.
 
     The induced metric of a frequency-table immersion is constant in (x, y),
     so the partials of tau are again combinations of table entries:
@@ -203,75 +125,131 @@ def _bitension(table, mt: _Metric, tau, ws: _Workspace):
     beta_a = g^{ab} <J_b, psi>. The bitension adds 2 tau minus the
     tangential part g^{ab} <tau, psi_b> psi_a.
     """
-    psi, d1 = mt.psi, mt.d1
-    j = ws.vec("j", 2)
-    for orders, out in zip(_J, j):
-        table.combo(orders, mt.weights, out)
-    # with u = (g^00, 2 g^01, g^11) the weights of d_xx, d_xy and d_yy, the
-    # order-4 weights are those of (u0 d_xx + u1 d_xy + u2 d_yy)^2, and 2 u
-    # weighs the second partials
-    u = mt.weights[:3]
-    w = ws.scalar("laplacian", 8)
-    s = ws.scalar("s")
-    w[:5] = 0.0
+    psi, (px, py), (i00, i01, i11) = mt.psi, mt.d1, mt.inv
+    u = _weights(mt)
+    tau = _tension(table, mt)
+    jx, jy = (_weighted_sum(table, orders, u + (2.0,)) for orders in _J)
+    # the order-4 weights are those of (u0 d_xx + u1 d_xy + u2 d_yy)^2, and
+    # 2 u weighs the second partials
+    w = [0.0] * 5
     for i in range(3):
         for k in range(3):
-            w[i + k] += np.multiply(u[i], u[k], out=s)
-    np.multiply(u, 2.0, out=w[5:])
-    out = table.combo(_LAPLACIAN, w, ws.vec("tau2"))
-    tmp = ws.vec("tmp")
-    alpha = _dot(out, psi, ws.scalar("alpha"))
-    m = np.einsum("adp,bdp->abp", j, d1, out=ws.scalar("m", 2, 2))
-    alpha += np.einsum("abp,abp->p", mt.inv, m, out=s)
-    out -= np.multiply(alpha, psi, out=tmp)
-    _sub_tangent(table, out, mt, _dot(j, psi, ws.scalar("c", 2)), ws)
-    out -= np.multiply(_dot(out, psi, s), psi, out=tmp)
-    out += np.multiply(tau, 2.0, out=tmp)
-    return _sub_tangent(table, out, mt, _dot(tau, d1, ws.scalar("c", 2)), ws)
+            w[i + k] = w[i + k] + u[i] * u[k]
+    lap = _weighted_sum(table, _LAPLACIAN, w + [2.0 * x for x in u])
+    alpha = _dot(lap, psi) + (
+        i00 * _dot(jx, px) + i01 * (_dot(jx, py) + _dot(jy, px)) + i11 * _dot(jy, py)
+    )
+    out = _sub_tangent(lap - alpha[..., None] * psi, mt, (_dot(jx, psi), _dot(jy, psi)))
+    out -= _dot(out, psi)[..., None] * psi
+    out += 2.0 * tau
+    return _sub_tangent(out, mt, (_dot(tau, px), _dot(tau, py)))
 
 
-def _frame_dots(u, mt: _Metric, ws: _Workspace):
-    """<u_i, F_k> (3, 3, P) of a stacked field u (3, D, P) against the frame
-    F = (psi, psi_x, psi_y)."""
-    return np.einsum("idp,kdp->ikp", u, mt.frame, out=ws.scalar("frame_dots", 3, 3))
+def _forms(table, mt: _Metric):
+    """Second fundamental form (3, ..., D): B_xx, B_xy, B_yy, the second
+    partials less their psi component <psi_ab, psi> psi and their tangential
+    part g^{cd} <psi_ab, psi_d> psi_c. <psi, psi_d> = 0, since |psi| is
+    constant, so every coefficient is a dot of the partial itself."""
+    w = np.stack([table[o] for o in _SECOND])
+    r, cx, cy = (_dot(w, f) for f in (mt.psi,) + mt.d1)
+    return _sub_tangent(w - r[..., None] * mt.psi, mt, (cx, cy))
 
 
-def _forms(table, mt: _Metric, ws: _Workspace):
-    """Second fundamental form (3, D, P): B_xx, B_xy, B_yy, the second
-    partials less their psi component r = <psi_ab, psi> and their tangential
-    part g^{cd} <psi_ab, psi_d> psi_c, projected together. <psi, psi_d> = 0,
-    since |psi| is constant, so one contraction against the frame gives all
-    the coefficients."""
-    w = table.entries(_SECOND, ws.vec("forms", 3))
-    dots = _frame_dots(w, mt, ws)
-    coeffs = ws.scalar("frame_coeffs", 3, 3)
-    coeffs[:, 0] = dots[:, 0]
-    np.einsum("abp,ibp->iap", mt.inv, dots[:, 1:], out=coeffs[:, 1:])
-    tmp = ws.vec("tmp")
-    for form, c in zip(w, coeffs):
-        form -= np.einsum("kp,kdp->dp", c, mt.frame, out=tmp)
-    return w
+def _curvature(mt: _Metric, forms) -> CurvatureSummary:
+    """Curvature summary at each point from the forms of `_forms`. The
+    mean-curvature vector is half their g-trace, 1/2 g^{ab} B_ab."""
+    h_vec = 0.5 * _weighted_sum(forms, range(3), _weights(mt))
+    h_sq = _dot(h_vec, h_vec)
+    gauss = (_dot(forms[0], forms[2]) - _dot(forms[1], forms[1])) / mt.det + 1.0
+    # |<B_ab, H> - |H|^2 g_ab| for ab = xx, xy, yy
+    g = np.stack((mt.g[..., 0, 0], mt.g[..., 0, 1], mt.g[..., 1, 1]))
+    dev = np.abs(_dot(forms, h_vec) - h_sq * g)
+    return CurvatureSummary(np.sqrt(h_sq), gauss, dev.max(axis=0), h_vec)
 
 
-def _bitension_kernel(table, mt: _Metric, ws: _Workspace):
-    return (_bitension(table, mt, _tension(table, mt, ws), ws),)
+# ---------------------------------------------------------------------------
+# the per-point functions: an Immersion's from its symbols, any other map's
+# through the table kernel over its `partial_table`
+
+
+def _read(im: Immersion, p, symbols) -> list[np.ndarray]:
+    """The fields of the even symbols (rows (D,), `_symbols`) at the points
+    p (..., 2), one C-ordered (..., D) array each: the symbol's cos slots, on
+    both slots of their plane, times (cos <w, p>, sin <w, p>), the read of
+    `eval` with another row. The last field is the trig pair itself, scaled
+    in place."""
+    pair = im._pair(p)
+    rows = [np.repeat(row[0::2], 2) for row in symbols]
+    fields = [pair * row for row in rows[:-1]]
+    pair *= rows[-1]
+    return fields + [pair]
 
 
 def tension(im: Immersion, p) -> np.ndarray:
     """tau = g^{ab} psi_ab + 2 psi (metric trace of the second fundamental
     form of the map into the sphere); equals 2H."""
-    return _per_point(lambda table, mt, ws: (_tension(table, mt, ws),), im, p, 2)[0]
+    if isinstance(im, Immersion):
+        return _read(im, p, (_symbols(im).tau,))[0]
+    table = im.partial_table(p, 2)
+    return _tension(table, _metric(table))
 
 
 def bitension(im: Immersion, p) -> np.ndarray:
     """Bitension field from exact order-<=4 partials; vanishes (to rounding)
     on every admissible construction and is order-one when the weight balance
     is broken."""
-    return _per_point(_bitension_kernel, im, p, 4)[0]
+    if isinstance(im, Immersion):
+        return _read(im, p, (_symbols(im).tau2,))[0]
+    table = im.partial_table(p, 4)
+    return _bitension(table, _metric(table))
+
+
+@dataclass(frozen=True, eq=False)
+class FundamentalForms:
+    """First form g and the three normal-valued second-form vectors."""
+
+    g: np.ndarray  # (..., 2, 2)
+    b_xx: np.ndarray
+    b_xy: np.ndarray
+    b_yy: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
+class CurvatureSummary:
+    mean_curvature_norm: np.ndarray
+    gaussian: np.ndarray
+    pseudo_umbilical_residual: np.ndarray
+    h_vector: np.ndarray
+
+
+def fundamental_forms(im, p) -> FundamentalForms:
+    """g from first partials; B_ab = psi_ab + psi corrections projected onto
+    the normal space (orthogonal to psi, psi_x, psi_y)."""
+    if isinstance(im, Immersion):
+        s = _symbols(im)
+        forms = _read(im, p, s.forms)
+        return FundamentalForms(np.broadcast_to(s.g, forms[0].shape[:-1] + (2, 2)).copy(), *forms)
+    table = im.partial_table(p, 2)
+    mt = _metric(table)
+    return FundamentalForms(mt.g, *_forms(table, mt))
+
+
+def mean_curvature(im, p) -> CurvatureSummary:
+    """Mean curvature vector (metric trace of B over 2), Gauss-equation
+    curvature for the unit-sphere ambient, and the pseudo-umbilicity residual
+    max |<B_ab, H> - |H|^2 g_ab|."""
+    if isinstance(im, Immersion):
+        s = _symbols(im)
+        (h_vec,) = _read(im, p, (s.h,))
+        shape = h_vec.shape[:-1]
+        return CurvatureSummary(*(np.full(shape, x) for x in _curvature_constants(s)), h_vec)
+    table = im.partial_table(p, 2)
+    mt = _metric(table)
+    return _curvature(mt, _forms(table, mt))
 
 
 # ---------------------------------------------------------------------------
-# finite-difference oracle
+# finite-difference oracles
 
 _STENCILS = {
     0: {0: 1.0},
@@ -327,87 +305,28 @@ def fd_bitension_oracle(im, p, step: float) -> np.ndarray:
     """
     if not (_is_real(step) and 1e-4 <= step <= 1e-1):
         raise DomainError("step must lie in [1e-4, 1e-1], got %r" % step)
-    return _explicit_kernel(_bitension_kernel, fd_partial_table(im, p, step, 4))[0]
-
-
-# ---------------------------------------------------------------------------
-# fundamental forms and curvature
-
-
-@dataclass(frozen=True, eq=False)
-class FundamentalForms:
-    """First form g and the three normal-valued second-form vectors."""
-
-    g: np.ndarray  # (..., 2, 2)
-    b_xx: np.ndarray
-    b_xy: np.ndarray
-    b_yy: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
-class CurvatureSummary:
-    mean_curvature_norm: np.ndarray
-    gaussian: np.ndarray
-    pseudo_umbilical_residual: np.ndarray
-    h_vector: np.ndarray
-
-
-def fundamental_forms(im, p) -> FundamentalForms:
-    """g from first partials; B_ab = psi_ab + psi corrections projected onto
-    the normal space (orthogonal to psi, psi_x, psi_y)."""
-    return FundamentalForms(*_per_point(lambda t, mt, ws: (mt.g, *_forms(t, mt, ws)), im, p, 2))
-
-
-def _curvature(mt: _Metric, forms, ws: _Workspace) -> CurvatureSummary:
-    """Curvature summary over P points from the forms of `_forms`.
-    The mean-curvature vector is half their g-trace, 1/2 g^{ab} B_ab."""
-    h_vec = np.einsum("ip,idp->dp", mt.weights[:3], forms, out=ws.vec("h"))
-    h_vec *= 0.5
-    h_sq = _dot(h_vec, h_vec, ws.scalar("h_sq"))
-    s = ws.scalar("s")
-    gauss = _dot(forms[0], forms[2], ws.scalar("gauss"))
-    gauss -= _dot(forms[1], forms[1], s)
-    gauss /= mt.det
-    gauss += 1.0
-    # |<B_ab, H> - |H|^2 g_ab| for ab = xx, xy, yy
-    dev = _dot(forms, h_vec, ws.scalar("dev", 3))
-    for row, (a, b) in zip(dev, ((0, 0), (0, 1), (1, 1))):
-        row -= np.multiply(h_sq, mt.g[a, b], out=s)
-    return CurvatureSummary(
-        mean_curvature_norm=np.sqrt(h_sq, out=ws.scalar("h_norm")),
-        gaussian=gauss,
-        pseudo_umbilical_residual=np.abs(dev, out=dev).max(axis=0, out=ws.scalar("umbilic")),
-        h_vector=h_vec,
-    )
-
-
-def mean_curvature(im, p) -> CurvatureSummary:
-    """Mean curvature vector (metric trace of B over 2), Gauss-equation
-    curvature for the unit-sphere ambient, and the pseudo-umbilicity residual
-    max |<B_ab, H> - |H|^2 g_ab|."""
-
-    def kernel(table, mt, ws):
-        return vars(_curvature(mt, _forms(table, mt, ws), ws)).values()
-
-    return CurvatureSummary(*_per_point(kernel, im, p, 2))
+    table = fd_partial_table(im, p, step, 4)
+    return _bitension(table, _metric(table))
 
 
 def gaussian_brioschi_fd(im, p, step: float = 1e-3) -> float:
     """Intrinsic Gaussian curvature at one point p of shape (2,) from the
     metric alone (Brioschi formula), with metric derivatives by finite
     differences; oracle for the Gauss-equation route. E, F and G on the
-    5 x 5 stencil come from one first-order partial table and `_metric`.
+    5 x 5 stencil come from the map's first-order `partial_table` and the
+    table kernel's `_metric`.
 
     On an `Immersion` the metric is the same constant at every point, so
-    every difference vanishes and this can only return 0 (to rounding); it
-    is an oracle only on maps with a varying metric."""
+    every difference vanishes and this returns 0.0 up to rounding (below
+    1e-9 at step 1e-3, the stencils dividing by step^2); it is an oracle
+    only on maps with a varying metric."""
     p = _as_points(p)
     if p.shape != (2,):
         raise DomainError("points must be one point of shape (2,), got shape %s" % (p.shape,))
     _check_step(step)
     offs = np.arange(-2, 3, dtype=float)
     grid = np.stack(np.meshgrid(offs, offs, indexing="ij"), axis=-1)
-    (g,) = _per_point(lambda table, mt, ws: (mt.g,), im, p + step * grid, 1)
+    g = _metric(im.partial_table(p + step * grid, 1)).g
     E, F, G = g[..., 0, 0], g[..., 0, 1], g[..., 1, 1]
     d1 = np.array([1, -8, 0, 8, -1]) / (12 * step)
     d2 = np.array([-1, 16, -30, 16, -1]) / (12 * step**2)
@@ -554,12 +473,11 @@ _CHECKS = (
     ("bitension", 1e-7),
 )
 
-# Points evaluated together: by the per-point functions on an Immersion
-# (`_blocks`, one workspace per call) and by verify_immersion's unit_norm
-# check, whatever the point count. The size was chosen on the sampled
-# verifier that ran the whole kernel: against 2048, blocks of 1024 ran the
-# S^27 share of the verify-dense round about 15% faster and the S^5 share
-# about 18% slower; blocks of 4096 ran it about 20% slower.
+# Points evaluated together by verify_immersion's unit_norm check, whatever
+# the point count. The size was chosen on the sampled verifier that ran the
+# whole kernel: against 2048, blocks of 1024 ran the S^27 share of the
+# verify-dense round about 15% faster and the S^5 share about 18% slower;
+# blocks of 4096 ran it about 20% slower.
 _BLOCK = 2048
 
 # A field that is a constant combination of the partials of an Immersion is
@@ -569,72 +487,95 @@ _BLOCK = 2048
 # origin, so the real dot of two symbols, sum_k Re(s_k conj t_k), is the
 # inner product of their fields at every point. The symbol of each order of
 # `_ORDERS` is its factor row on the cos slots (a+b even) or on the sin
-# slots (a+b odd).
+# slots (a+b odd); the dot of an even symbol with an odd one is 0.0.
 _AT_ORIGIN = np.array([(1.0, 0.0) if sum(o) % 2 == 0 else (0.0, 1.0) for o in _ORDERS])[:, None]
 
 _EYE = np.eye(2)
 
 
-# The kernel's fields as combinations of the partials of `_ORDERS`, one row
-# each: tau, J_x, J_y and L (`_tension`, `_bitension`), then Delta psi. The
-# slots of their coefficients, in the order `_symbol_residuals` lists them.
+# The fields tau, L (`_tension`, `_bitension`) and Delta psi as combinations
+# of the partials of `_ORDERS`, one row each; the slots of their
+# coefficients, in the order `_symbols` lists them.
 _FIELD_TERMS = (
     (0, ((0, 0), (2, 0), (1, 1), (0, 2))),
-    (1, ((1, 0), (3, 0), (2, 1), (1, 2))),
-    (2, ((0, 1), (2, 1), (1, 2), (0, 3))),
-    (3, ((2, 0), (1, 1), (0, 2), (4, 0), (3, 1), (2, 2), (1, 3), (0, 4))),
-    (4, ((2, 0), (0, 2))),
+    (1, ((2, 0), (1, 1), (0, 2), (4, 0), (3, 1), (2, 2), (1, 3), (0, 4))),
+    (2, ((2, 0), (0, 2))),
 )
 _FIELD_SLOTS = np.array(
     [row * len(_ORDERS) + _ORDERS.index(o) for row, orders in _FIELD_TERMS for o in orders]
 )
 
 
-def _symbol_residuals(im: Immersion) -> list[float]:
-    """The residual of each check after unit_norm, in `_CHECKS` order, from
-    the symbols of the fields that the per-point kernel forms, with its
-    coefficient formulas (`_metric`, `_forms`, `_curvature`, `_tension` and
-    `_bitension`). A norm check is a symbol's norm, sqrt(sum_k |s_k|^2),
-    which its field has at every point; a coordinate check is max_k |s_k|.
-    Each residual is the check's sup over the whole plane, and every max is
-    numpy's, so a NaN symbol gives a NaN residual."""
-    n, k, m, h = len(_ORDERS), im.num_planes, im.m, im.data.h
+class _Symbols(NamedTuple):
+    frame: np.ndarray  # (3, D): psi, psi_x, psi_y
+    g: np.ndarray  # (2, 2)
+    det: float
+    forms: np.ndarray  # (3, D): B_xx, B_xy, B_yy
+    h: np.ndarray  # (D,): H
+    tau: np.ndarray  # (D,)
+    tau2: np.ndarray  # (D,): the bitension
+    lap: np.ndarray  # (D,): Delta psi
+
+
+def _symbols(im: Immersion) -> _Symbols:
+    """The metric and the symbols of the fields that the geometry forms,
+    once, from the 15 symbols of the partials. Every field but the odd
+    frame entries psi_x, psi_y is even: its symbol sits on the cos slots.
+
+    The table kernel's terms that are 0 on every Immersion are left out:
+    the tangential parts of the forms and of tau and beta_a are dots of an
+    even symbol with an odd one, and alpha = g^{ab} d_b <J_a, psi> is the
+    derivative of a constant, whose alpha psi the projection onto psi^perp
+    removes again."""
+    n, k = len(_ORDERS), im.num_planes
     sym = (im._factors(_ORDERS).reshape(n, k, 2) * _AT_ORIGIN).reshape(n, 2 * k)
-    frame, psi, d1 = sym[:3], sym[0], sym[1:3]
+    frame, psi = sym[:3], sym[0]
     # <d^A psi, F_c> for the orders A <= 2 and the frame F = (psi, psi_x, psi_y)
     dots = sym[:6] @ frame.T
     (g00, g01), (_, g11) = dots[1:3, 1:].tolist()
     det = g00 * g11 - g01 * g01
     if det < 1e-12:
         raise DomainError("degenerate immersion: metric determinant below 1e-12")
-    i00, i01, i11 = g11 / det, -(g01 / det), g00 / det
-    u0, u1, u2 = i00, 2.0 * i01, i11
-    coeffs = np.zeros(5 * n)
+    u0, u1, u2 = g11 / det, 2.0 * -(g01 / det), g00 / det
+    coeffs = np.zeros(3 * n)
     coeffs[_FIELD_SLOTS] = (
-        (2.0, u0, u1, u2) * 3
+        (2.0, u0, u1, u2)
         # L's order-4 weights are those of (u0 d_xx + u1 d_xy + u2 d_yy)^2
         + (2.0 * u0, 2.0 * u1, 2.0 * u2, u0 * u0, u0 * u1 + u1 * u0)
         + (u0 * u2 + u1 * u1 + u2 * u0, u1 * u2 + u2 * u1, u2 * u2, -1.0, -1.0)
     )
-    fields = coeffs.reshape(5, n) @ sym
-    tau, lap_j, lap = fields[0], fields[3], fields[4]
-    # the forms: the second partials less their psi and tangential parts
-    proj = [(r, i00 * x + i01 * y, i01 * x + i11 * y) for r, x, y in dots[3:].tolist()]
-    forms = sym[3:6] - proj @ frame
+    tau, lap_j, lap = coeffs.reshape(3, n) @ sym
+    # the forms: the second partials less their psi part
+    forms = sym[3:6] - dots[3:, :1] * psi
     h_vec = ((u0, u1, u2) @ forms) * 0.5
-    # <B_i, F_c>, then <tau, F_c>, <J_a, F_c> and <L, F_c>
-    against = np.concatenate((forms, fields[:4])) @ frame.T
-    (_, tau_x, tau_y), (jx, jx_x, jx_y), (jy, jy_x, jy_y), (l_psi, _, _) = against[3:].tolist()
-    (_, _, b02), (_, b11, _), _ = (forms @ forms.T).tolist()
-
-    # the bitension: L less alpha psi and beta^a psi_a, made normal to psi,
-    # plus 2 tau less its tangential part
-    alpha = l_psi + (i00 * jx_x + i01 * jx_y + i01 * jy_x + i11 * jy_y)
-    tau2 = lap_j - alpha * psi
-    tau2 -= (i00 * jx + i01 * jy, i01 * jx + i11 * jy) @ d1
-    tau2 -= (tau2 @ psi) * psi
+    # the bitension: L made normal to psi, plus 2 tau
+    tau2 = lap_j - (lap_j @ psi) * psi
     tau2 += tau * 2.0
-    tau2 -= (i00 * tau_x + i01 * tau_y, i01 * tau_x + i11 * tau_y) @ d1
+    return _Symbols(frame, dots[1:3, 1:], det, forms, h_vec, tau, tau2, lap)
+
+
+def _curvature_constants(s: _Symbols) -> tuple[float, float, float]:
+    """|H|, K = 1 + (<B_xx, B_yy> - |B_xy|^2) / det g and the
+    pseudo-umbilicity residual max |<B_ab, H> - |H|^2 g_ab|: the same at
+    every point."""
+    (_, _, b02), (_, b11, _), _ = (s.forms @ s.forms.T).tolist()
+    h_sq = float(s.h @ s.h)
+    dev = s.forms @ s.h - h_sq * s.g.ravel()[[0, 1, 3]]
+    return math.sqrt(h_sq), (b02 - b11) / s.det + 1.0, float(np.abs(dev).max())
+
+
+def _symbol_residuals(im: Immersion) -> list[float]:
+    """The residual of each check after unit_norm, in `_CHECKS` order, from
+    `_symbols`. A norm check is a symbol's norm, sqrt(sum_k |s_k|^2), which
+    its field has at every point; a coordinate check is max_k |s_k|. Each
+    residual is the check's sup over the whole plane, and every max is
+    numpy's, so a NaN symbol gives a NaN residual."""
+    s = _symbols(im)
+    k, m, h = im.num_planes, im.m, im.data.h
+    psi = s.frame[0]
+    h_norm, gauss, _ = _curvature_constants(s)
+    # <B_i, F_c>, then <tau, F_c>
+    against = np.concatenate((s.forms, s.tau[None])) @ s.frame.T
 
     # the zero-padded spectral blocks t1, t2
     blocks = np.zeros((2, 2 * k))
@@ -645,13 +586,13 @@ def _symbol_residuals(im: Immersion) -> list[float]:
     # tau - 2 H: the sup over R^2 of each real coordinate of plane k, since
     # theta_k takes every value when w_k != 0 (an upper bound when w_k = 0)
     coords = np.array((
-        (h_vec - (blocks[0] - blocks[1]) * h) * 2.0,
-        lap - (im.data.lambda1, im.data.lambda2) @ blocks,
-        tau - h_vec * 2.0,
+        (s.h - (blocks[0] - blocks[1]) * h) * 2.0,
+        s.lap - (im.data.lambda1, im.data.lambda2) @ blocks,
+        s.tau - s.h * 2.0,
     ))
     sup = np.hypot(coords[:, 0::2], coords[:, 1::2])
     # the checks that take a max: the max of |x| over one segment each
-    segments = ((dots[1:3, 1:] - _EYE).ravel(), against[:3].ravel(), against[3, 1:], sup.ravel())
+    segments = ((s.g - _EYE).ravel(), against[:3].ravel(), against[3, 1:], sup.ravel())
     starts = (0, 4, 13, 15, 15 + k, 15 + k + m, 15 + 2 * k)
     metric, normal, tension_normal, two_type, eigen1, eigen2, tension_h = np.maximum.reduceat(
         np.abs(np.concatenate(segments)), starts
@@ -660,8 +601,8 @@ def _symbol_residuals(im: Immersion) -> list[float]:
     return [
         metric,
         normal,
-        abs(math.sqrt(h_vec @ h_vec) - h),
-        abs((b02 - b11) / det + 1.0),
+        abs(h_norm - h),
+        abs(gauss),
         two_type,
         abs(math.sqrt(n1) - root_half),
         abs(math.sqrt(n2) - root_half),
@@ -670,7 +611,7 @@ def _symbol_residuals(im: Immersion) -> list[float]:
         eigen2,
         tension_normal,
         tension_h,
-        math.sqrt(tau2 @ tau2),
+        math.sqrt(s.tau2 @ s.tau2),
     ]
 
 

@@ -8,11 +8,10 @@ turns) are one table of all 15 orders a+b <= 4, computed in one vectorised
 pass the first time any order is read and kept for the immersion's life;
 every order tuple is a gather of its rows. `eval` keeps its own copy of the
 order-(0, 0) row, the amplitudes on both slots, so it never builds the
-table. `_FactoredTable` reads the partials at a set of points as those rows
-times the trig pair of their parity, without building them, and makes each
-pair the first time its parity is read; `partial_table`, `partial` and the
-geometry kernel all read through it. `partial_table` and `partial` return
-C-ordered arrays of the caller's point shape.
+table. `partial_table` and `partial` read each partial as its factor row
+times the trig pair of its parity, (cos, sin) per plane for even a+b and
+(sin, cos) for odd, from one evaluation of cos and sin, and return C-ordered
+arrays of the caller's point shape.
 """
 
 from __future__ import annotations
@@ -72,16 +71,15 @@ class Immersion:
     def ambient_dim(self) -> int:
         return 2 * self.num_planes
 
-    def _phases(self, p, out=None) -> np.ndarray:
-        """<w, p> for every wave vector w, into `out` if given. The one
-        finiteness check is on the phases: it rejects points that are not
-        finite and points so far out that a phase leaves the float range,
-        and names the wave vector when the points are finite but a wave
-        vector is not."""
+    def _phases(self, p) -> np.ndarray:
+        """<w, p> for every wave vector w. The one finiteness check is on
+        the phases: it rejects points that are not finite and points so far
+        out that a phase leaves the float range, and names the wave vector
+        when the points are finite but a wave vector is not."""
         pts, w = _as_points(p), self.wave_vectors.T
         with np.errstate(over="ignore", invalid="ignore"):
             # the @ operator skips np.matmul's argument parsing on eval's path
-            theta = pts @ w if out is None else np.matmul(pts, w, out=out)
+            theta = pts @ w
         if not np.isfinite(theta).all():
             bad = np.flatnonzero(~np.isfinite(self.wave_vectors).all(axis=1))
             if bad.size and np.isfinite(pts).all():
@@ -92,13 +90,13 @@ class Immersion:
             raise DomainError("points must be finite, with every phase <w, p> finite")
         return theta
 
-    def _assemble(self, cos_part, sin_part, out=None) -> np.ndarray:
-        """Interleave per-plane parts into ambient coordinates (into `out`
-        if given)."""
-        if out is None:
-            out = np.empty(cos_part.shape[:-1] + (self.ambient_dim,))
-        out[..., 0::2] = cos_part
-        out[..., 1::2] = sin_part
+    def _pair(self, p) -> np.ndarray:
+        """(cos<w, p>, sin<w, p>) on the two slots of each plane, shape
+        (..., D): the trig pair of the even orders at the points p."""
+        theta = self._phases(p)
+        out = np.empty(theta.shape[:-1] + (self.ambient_dim,))
+        out[..., 0::2] = np.cos(theta)
+        out[..., 1::2] = np.sin(theta)
         return out
 
     def _factors(self, orders: tuple) -> np.ndarray:
@@ -125,8 +123,7 @@ class Immersion:
 
     def eval(self, p) -> np.ndarray:
         """psi(p); |psi| = 1 identically."""
-        theta = self._phases(p)
-        psi = self._assemble(np.cos(theta), np.sin(theta))
+        psi = self._pair(p)
         row = self._memo.get("position")
         if row is None:
             row = self._memo["position"] = np.repeat(self.amplitudes, 2)
@@ -154,27 +151,29 @@ class Immersion:
 
     def partial_table(self, p, max_order: int = 4) -> dict[tuple[int, int], np.ndarray]:
         """All partials up to total order max_order, keyed by (a, b) in
-        order of a+b, each of shape (..., D): one cos/sin evaluation read
-        through `_FactoredTable`."""
+        order of a+b, each of shape (..., D), from one cos/sin evaluation."""
         _check_max_order(max_order)
         return self._entries(p, _ORDERS[: (max_order + 1) * (max_order + 2) // 2])
 
     def _entries(self, p, orders: tuple) -> dict[tuple[int, int], np.ndarray]:
-        """{order: partial} at the points p (..., 2), read from the factored
-        table into one point-major (len(orders), P, D) array, the even
-        orders first, so each entry is C-ordered."""
-        pts = _as_points(p)
-        shape = pts.shape[:-1]
-        n = math.prod(shape)
-        table = _FactoredTable(self, pts, _Workspace(n, self.ambient_dim))
-        out = np.empty((len(orders), n, self.ambient_dim))
+        """{order: partial} at the points p (..., 2): the factor rows of each
+        parity times its trig pair, written into one point-major
+        (len(orders), P, D) array, the even orders first, so each entry is
+        C-ordered."""
+        pair = self._pair(p)
+        shape, k = pair.shape[:-1], self.num_planes
+        # (P, K, 2), (cos, sin) per plane; its last axis reversed is the odd
+        # orders' (sin, cos)
+        pair = pair.reshape(-1, k, 2)
         groups = ([], [])
         for o in orders:
             groups[sum(o) % 2].append(o)
         even, odd = map(tuple, groups)
-        for group, rows in ((even, out[: len(even)]), (odd, out[len(even):])):
+        out = np.empty((len(orders),) + pair.shape)
+        parts = ((even, out[: len(even)], pair), (odd, out[len(even):], pair[..., ::-1]))
+        for group, rows, trig in parts:
             if group:
-                table.entries(group, rows.transpose(0, 2, 1))
+                np.multiply(self._factors(group).reshape(-1, 1, k, 2), trig, out=rows)
         by_order = {o: x.reshape(shape + (self.ambient_dim,)) for o, x in zip(even + odd, out)}
         return {o: by_order[o] for o in orders}
 
@@ -230,105 +229,6 @@ def _split_blocks(full: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     t1 = np.zeros_like(full)
     t1[..., : 2 * m] = full[..., : 2 * m]
     return t1, full - t1
-
-
-# ---------------------------------------------------------------------------
-# the factored table. The point axis comes last: a vector field over P points
-# is (D, P), a scalar field (P,), so per-point scalars scale whole rows and
-# sums over the ambient axis run along contiguous rows, whatever D is.
-
-
-class _Workspace:
-    """The block-sized arrays of one call, by name and shape. A buffer is
-    allocated for n points the first time it is asked for and reused after
-    that; after `points(m)` each is handed out as a contiguous array over its
-    leading m points (the views are kept until m changes)."""
-
-    def __init__(self, n: int, dim: int):
-        self._dim = dim
-        self._n = self._m = n
-        self._bufs: dict = {}
-        self._views: dict = {}
-
-    def points(self, m: int) -> None:
-        if m != self._m:
-            self._m = m
-            self._views = {}
-
-    def scalar(self, name: str, *lead: int) -> np.ndarray:
-        """Buffer of shape lead + (m,)."""
-        return self._get((name,) + lead, lead)
-
-    def vec(self, name: str, *lead: int) -> np.ndarray:
-        """Buffer of shape lead + (D, m)."""
-        return self._get((name, "vec") + lead, lead + (self._dim,))
-
-    def _get(self, key, shape):
-        view = self._views.get(key)
-        if view is None:
-            buf = self._bufs.get(key)
-            if buf is None:
-                buf = self._bufs[key] = np.empty(shape + (self._n,))
-            if self._m < self._n:
-                buf = buf.reshape(-1)[: math.prod(shape) * self._m].reshape(shape + (self._m,))
-            view = self._views[key] = buf
-        return view
-
-
-class _FactoredTable:
-    """The partials of an Immersion at the points pts (..., 2), read without
-    building them, as (D, P) fields over the points in row-major order.
-
-    Entry (a, b) is the order's factor row (`Immersion._factors`) times the
-    trig pair of the parity of a+b: (cos, sin) per plane when it is even,
-    (sin, cos) when it is odd. So a combination over k orders of one parity
-    is one (D x k) @ (k x P) product times that pair. The pairs are made
-    the first time their parity is read: the first from cos and sin, the
-    second by swapping the slots of the first, written over cos and sin.
-    """
-
-    def __init__(self, im: Immersion, pts, ws: _Workspace):
-        self._im, self._ws = im, ws
-        k = im.num_planes
-        # cos and sin of the phases, point-major: the layout of eval's
-        # pts @ w, since a matmul into the transposed layout bypasses BLAS,
-        # which rounds some rows differently
-        self._trig = ws.vec("trig").reshape(2, -1, k)
-        cos, sin = self._trig
-        theta = im._phases(pts, sin.reshape(pts.shape[:-1] + (k,))).reshape(-1, k)
-        np.cos(theta, out=cos)
-        np.sin(theta, out=sin)
-        self._pairs = [None, None]
-
-    def _pair(self, orders) -> np.ndarray:
-        """The trig pair (D, P) of the parity that the orders share."""
-        parity = sum(orders[0]) % 2
-        pair = self._pairs[parity]
-        if pair is None:
-            other = self._pairs[1 - parity]
-            if other is None:
-                cos, sin = self._trig
-                pair = self._ws.vec("pair")
-                self._im._assemble(*((cos, sin) if parity == 0 else (sin, cos)), pair.T)
-            else:
-                pair = self._trig.reshape(other.shape)
-                pair[0::2] = other[1::2]
-                pair[1::2] = other[0::2]
-            self._pairs[parity] = pair
-        return pair
-
-    def entries(self, orders, out):
-        """The partials of orders, which share one parity, into out (k, D, P)
-        with one broadcast multiply."""
-        rows = self._im._factors(orders)
-        return np.multiply(rows[:, :, None], self._pair(orders), out=out)
-
-    def combo(self, orders, coeffs, out):
-        """sum_j coeffs[..., j, :] * (partial orders[j]), into out (..., D, P);
-        the orders share one parity."""
-        np.matmul(self._im._factors(orders).T, coeffs, out=out)
-        out *= self._pair(orders)
-        return out
 
 
 def build(data: MiyataData, validate: bool = True) -> Immersion:

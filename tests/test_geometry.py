@@ -90,8 +90,11 @@ def _degenerate():
 
 
 def test_degenerate_metric_raises():
-    with pytest.raises(DomainError, match="degenerate"):
-        mean_curvature(_degenerate(), np.array([[0.3, 0.1]]))
+    # from the metric's one constant determinant, whatever the point count
+    for call in (tension, bitension, mean_curvature, fundamental_forms):
+        for pts in (np.zeros((0, 2)), np.array([[0.3, 0.1]])):
+            with pytest.raises(DomainError, match="degenerate"):
+                call(_degenerate(), pts)
 
 
 def test_verify_immersion_raises_on_degenerate_metric():
@@ -466,7 +469,7 @@ def test_verify_immersion_rejects_bad_tolerance_overrides(sasahara_immersion, to
 
 # ---------------------------------------------------------------------------
 # the whole-plane verifier against sampled oracles: one dict table over every
-# sample, and the blocked kernel it replaced (tests/verify_oracle.py)
+# sample, and the blocked sampled verifier it replaced (tests/verify_oracle.py)
 
 
 def _sum_dot(u, v):
@@ -620,7 +623,7 @@ def test_verify_immersion_matches_one_shot_oracle(case):
 def _assert_close(got, want, what):
     got, want = np.asarray(got), np.asarray(want)
     assert got.shape == want.shape, what
-    bad = np.abs(got - want) > 1e-12 * np.maximum(1.0, np.abs(want))
+    bad = np.abs(got - want) > 1e-13 * np.maximum(1.0, np.abs(want))
     assert not np.any(bad), (what, float(np.max(np.abs(got - want))))
 
 
@@ -641,15 +644,16 @@ def _assert_per_point_functions_match_oracle(im, pts, fd_pts, step):
 @settings(max_examples=60, deadline=None)
 @given(
     case=_immersions(),
-    shape=st.sampled_from([(), (1,), (9,), (3, 4), (0,), (3, 0)]),
+    shape=st.sampled_from([(), (1,), (9,), (17,), (3, 4), (2049,), (0,), (3, 0)]),
     box=st.floats(math.log10(6.0), 9.0),
     seed=st.integers(0, 2**32 - 1),
     step=st.sampled_from([1e-2, 2e-2, 5e-2]),
 )
 def test_per_point_functions_match_dict_table_oracle(case, shape, box, seed, step):
-    # every rearrangement in the kernel holds for any table: unnormalised
-    # weights (|psi| != 1, <tau, psi> != 0) and broken balance (g_01 != 0)
-    # would expose one that needs the constructions' identities
+    # the symbol route and the table kernel against the per-entry oracle:
+    # unnormalised weights (|psi| != 1, <tau, psi> != 0) and broken balance
+    # (g_01 != 0) would expose a term dropped from the symbols that is not 0
+    # on every Immersion
     family, im = case
     rng = np.random.default_rng(seed)
     pts = rng.uniform(-(10.0**box), 10.0**box, shape + (2,))
@@ -660,9 +664,9 @@ def test_per_point_functions_match_dict_table_oracle(case, shape, box, seed, ste
 
 
 def test_per_point_functions_match_oracle_across_blocks():
-    # two full blocks and a short one, each written into its own slice of the
-    # outputs; broken balance (g_01 != 0) and unnormalised weights
-    # (|psi| != 1) keep every rearrangement in the kernel visible
+    # more points than verify_immersion's block, read in one piece; broken
+    # balance (g_01 != 0) and unnormalised weights (|psi| != 1) keep every
+    # term dropped from the symbols visible
     s7 = extend_dimension(from_structure(0.4, 0.3))
     unnormalised = _unnormalised(s7.data, 0.8, [1.3, 0.6, 1.1])
     for im in (build(_broken_balance(), validate=False), build(unnormalised, validate=False)):
@@ -730,14 +734,15 @@ def test_per_point_functions_memory_bounded_by_block(call):
 
 
 def test_verify_immersion_runs_no_per_point_kernel():
-    # the geometric checks come from the symbols: no workspace, factored
-    # reader or per-point metric is made, however many samples there are
+    # the geometric checks come from the symbols: neither the table kernel's
+    # per-point metric nor the per-point read of the symbols runs, however
+    # many samples there are
     def refuse(*args, **kwargs):
         raise AssertionError("verify_immersion ran the per-point kernel")
 
     im = from_structure(0.4, 0.3)
     with contextlib.ExitStack() as patches:
-        for name in ("_Workspace", "_FactoredTable", "_metric", "_blocks"):
+        for name in ("_metric", "_read"):
             patches.enter_context(mock.patch.object(geometry, name, refuse))
         for samples in (1, _B, 3 * _B + 7):
             assert verify_immersion(im, samples=samples, seed=3).passed

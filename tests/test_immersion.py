@@ -233,8 +233,8 @@ _box_points = st.tuples(
     pts=_box_points,
 )
 def test_single_array_table_is_bit_exact(family, h, rho_frac, extensions, pts):
-    # the entries read through the factored reader, bit for bit against the
-    # per-entry dict table of the oracle
+    # the entries read as factor rows times the trig pair of their parity,
+    # bit for bit against the per-entry dict table of the oracle
     from bihsurf.parameters import rho_max
 
     if family == "structure":
