@@ -21,12 +21,13 @@ functions (`tension`, `bitension`, `mean_curvature`, `fundamental_forms`)
 read an `Immersion`'s vector outputs from those symbols at the points, each
 a symbol row times the trig pair of `eval`, and write each scalar output (g,
 |H|, K, the pseudo-umbilicity residual) as its constant; so memory is the
-outputs, the phases and one trig temporary, and nothing is kept after the
-call but the immersion's own memo. `verify_immersion` computes its
+outputs and the phases, and nothing is kept after the call but the
+immersion's own memo. `verify_immersion` computes its
 geometric checks from the same symbols: each residual is the sup of its
 check over the whole plane, not a maximum over samples. Only its unit_norm
 check reads psi at sample points, through `eval`, so it still covers the
-evaluator that users read.
+evaluator that users read; its blocks of points run on a thread pool when
+there are several of them and the process may use several CPUs.
 
 The table kernel (`_metric`, `_tension`, `_bitension`, `_forms`,
 `_curvature`) serves explicit tables only: `fd_partial_table`'s in
@@ -37,9 +38,11 @@ metric or an inexact table needs, over plain (..., D) arrays in one piece.
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 import numbers
+import os
 import sys
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -620,6 +623,78 @@ def _unit_norm(psi) -> np.floating:
     return np.abs(np.sqrt(np.einsum("pd,pd->p", psi, psi)) - 1.0).max()
 
 
+def _cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the platform
+    reports one, else every CPU."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+# process id -> the thread pool that runs unit_norm blocks in that process. A
+# forked child finds no pool under its own pid, so it never waits on threads
+# that stayed in the parent; the table is also emptied in every forked child,
+# so a child whose pid repeats a dead ancestor's cannot find that pool either.
+_POOLS: dict = {}
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_POOLS.clear)
+
+
+def _pool(threads: int):
+    """This process's pool of `threads` threads, made on first use."""
+    pool = _POOLS.get(os.getpid())
+    if pool is None:
+        from concurrent.futures import ThreadPoolExecutor
+
+        # setdefault keeps one pool when threads race here; a pool that loses
+        # has started no thread
+        pool = _POOLS.setdefault(
+            os.getpid(), ThreadPoolExecutor(threads, thread_name_prefix="bihsurf-unit-norm")
+        )
+    return pool
+
+
+def _sampled_unit_norm(im: Immersion, samples: int, seed: int, box: float) -> np.floating:
+    """The worst | |psi| - 1 | at `samples` seeded points of [-box, box]^2.
+
+    The points are drawn in blocks of _BLOCK, in order, from the one stream
+    default_rng(seed).uniform(-box, box): the same points as one draw of
+    (samples, 2). With more than one block and more than one usable CPU, the
+    blocks run on the process's thread pool, at most two per thread in
+    flight; numpy's trig releases the interpreter lock. The block results are
+    reduced in block order either way, so the residual is the serial one,
+    NaN included, and a block's DomainError is raised here.
+    """
+    rng = np.random.default_rng(seed)
+    blocks = (
+        rng.uniform(-box, box, size=(min(_BLOCK, samples - i), 2))
+        for i in range(0, samples, _BLOCK)
+    )
+
+    def block_norm(pts):
+        return _unit_norm(im.eval(pts))
+
+    threads = _cpus() if samples > _BLOCK else 1
+    if threads < 2:
+        return functools.reduce(np.maximum, map(block_norm, blocks))
+    pool, window, norms = _pool(threads), collections.deque(), []
+    try:
+        for pts in blocks:
+            if len(window) == 2 * threads:
+                norms.append(window.popleft().result())
+            window.append(pool.submit(block_norm, pts))
+        while window:
+            norms.append(window.popleft().result())
+    finally:
+        # after a block's error, no block runs on past the call: each one
+        # not yet started is cancelled, and each running one waited for
+        for future in window:
+            if not future.cancel():
+                future.exception()
+    return functools.reduce(np.maximum, norms)
+
+
 def _tolerances(overrides) -> dict[str, float]:
     """Default tolerances by check name, with validated overrides applied."""
     tol = dict(_CHECKS)
@@ -662,6 +737,12 @@ def verify_immersion(
     `eval`, at `samples` seeded random points of [-box, box]^2, in blocks
     of 2048, so memory is O(2048 * ambient_dim) whatever the sample count,
     and reports the worst | |psi| - 1 | among them.
+
+    A call with more than one block runs them on a thread pool shared by
+    the process, one thread per CPU the process may run on (its affinity
+    set), made on first use; with one CPU, or one block, no thread starts.
+    The report is the same, bit for bit, as from the serial loop. A forked
+    child makes its own pool. Nothing sets the thread count.
     """
     if not _is_int(samples) or samples < 1:
         raise DomainError("samples must be a positive integer, got %r" % (samples,))
@@ -673,8 +754,6 @@ def verify_immersion(
         )
     tol = _tolerances(tolerances)
     geometric = _symbol_residuals(im)
-    pts = np.random.default_rng(seed).uniform(-box, box, size=(samples, 2))
-    blocks = (pts[i : i + _BLOCK] for i in range(0, samples, _BLOCK))
-    unit = functools.reduce(np.maximum, (_unit_norm(im.eval(block)) for block in blocks))
+    unit = _sampled_unit_norm(im, samples, seed, box)
     checks = tuple(Check(name, r, tol[name]) for (name, _), r in zip(_CHECKS, [unit] + geometric))
     return VerificationReport(im._validation().checks + checks, int(samples))

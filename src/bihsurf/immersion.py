@@ -95,8 +95,8 @@ class Immersion:
         (..., D): the trig pair of the even orders at the points p."""
         theta = self._phases(p)
         out = np.empty(theta.shape[:-1] + (self.ambient_dim,))
-        out[..., 0::2] = np.cos(theta)
-        out[..., 1::2] = np.sin(theta)
+        np.cos(theta, out=out[..., 0::2])
+        np.sin(theta, out=out[..., 1::2])
         return out
 
     def _factors(self, orders: tuple) -> np.ndarray:

@@ -1,6 +1,11 @@
 import contextlib
 import math
+import multiprocessing
+import os
+import subprocess
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from unittest import mock
 
@@ -689,7 +694,8 @@ def test_forms_and_curvature_match_oracle_on_curved_fixture():
 
 def test_verify_immersion_blocks_equal_one_unblocked_evaluation():
     # unit_norm, the one sampled check, evaluates psi at every point once, in
-    # order, in blocks of at most _BLOCK; its residual is the worst over all
+    # blocks of at most _BLOCK; its residual is the worst over all. Blocks may
+    # run on pool threads in any order, so each is placed by its first point
     im = build(_broken_balance(), validate=False)
     samples = 3 * _B + 7
     pts = np.random.default_rng(197).uniform(-6.0, 6.0, size=(samples, 2))
@@ -697,7 +703,12 @@ def test_verify_immersion_blocks_equal_one_unblocked_evaluation():
         immersion.Immersion, "eval", autospec=True, side_effect=immersion.Immersion.eval
     ) as spy:
         rep = verify_immersion(im, samples=samples, seed=197)
-    blocks = [call.args[1] for call in spy.call_args_list]
+    placed = {}
+    for call in spy.call_args_list:
+        block = call.args[1]
+        (offset,) = np.flatnonzero((pts == block[0]).all(axis=1))
+        placed[offset] = block
+    blocks = [placed[offset] for offset in sorted(placed)]
     assert [len(b) for b in blocks] == [_B, _B, _B, 7]
     assert np.array_equal(np.concatenate(blocks), pts)
     assert rep.check("unit_norm").residual == geometry._unit_norm(im.eval(pts))
@@ -725,12 +736,19 @@ def test_verify_immersion_memory_bounded_by_block():
 
 @pytest.mark.parametrize("call", [tension, bitension, mean_curvature, fundamental_forms])
 def test_per_point_functions_memory_bounded_by_block(call):
-    # the outputs take up to 17.6 MB (fundamental_forms: g and three forms);
-    # with a workspace sized to all 10^5 points the peaks were 42 to 74 MB
-    im = from_structure(0.4, 0.3)
+    # on S^5 the outputs take up to 17.6 MB (fundamental_forms: g and three
+    # forms); with a workspace sized to all 10^5 points the peaks were 42 to
+    # 74 MB. On S^27 a vector output takes 22.4 MB and fundamental_forms's
+    # 67 MB; the trig pair, written in place, adds one (P, D) array
+    s5 = from_structure(0.4, 0.3)
+    s27 = s5
+    for _ in range(6):
+        s27 = extend_dimension(s27)
     pts = np.random.default_rng(3).uniform(-6.0, 6.0, (100_000, 2))
-    peak = _peak_traced_bytes(lambda: call(im, pts))
+    peak = _peak_traced_bytes(lambda: call(s5, pts))
     assert peak < 32 * 2**20, (call.__name__, peak)
+    peak = _peak_traced_bytes(lambda: call(s27, pts))
+    assert peak < (70 if call is fundamental_forms else 36) * 2**20, (call.__name__, peak)
 
 
 def test_verify_immersion_runs_no_per_point_kernel():
@@ -851,6 +869,148 @@ def test_verify_immersion_nan_data_fails_as_the_sampled_oracle():
         with pytest.raises(DomainError, match="phase") as err:
             verify(nan_frequency, samples=60, seed=11)
         assert "wave_vectors[" in str(err.value) and "points" not in str(err.value)
+
+
+# ---------------------------------------------------------------------------
+# unit_norm's blocks on the process's thread pool: the serial loop's residual
+# and errors, in a forked child too; one block starts no thread
+
+
+@contextlib.contextmanager
+def _usable_cpus(n):
+    # verify_immersion as on n CPUs: this process's pool is one of n threads
+    with ThreadPoolExecutor(n) as pool, contextlib.ExitStack() as patches:
+        patches.enter_context(mock.patch.object(geometry, "_cpus", lambda: n))
+        patches.enter_context(mock.patch.dict(geometry._POOLS, {os.getpid(): pool}, clear=True))
+        yield
+
+
+def _residuals(report):
+    return np.array([c.residual for c in report.checks])
+
+
+def _verify_or_error(verify, im, samples, seed, box):
+    try:
+        return verify(im, samples=samples, seed=seed, box=box)
+    except DomainError as err:
+        return err
+
+
+@st.composite
+def _pool_case(draw):
+    family = draw(st.sampled_from(
+        ["structure", "broken_balance", "off_circle", "nan_weight", "nan_frequency"]
+    ))
+    h = draw(st.floats(0.05, 0.95))
+    im = from_structure(h, draw(st.floats(0.0, 1.0)) * rho_max(h))
+    for _ in range(draw(st.integers(0, 2))):
+        im = extend_dimension(im)
+    d = im.data
+    if family == "broken_balance":
+        shift = draw(st.floats(0.01, 0.5)) * min(d.rp_weights)
+        rp_weights = (d.rp_weights[0] + shift, d.rp_weights[1] - shift) + d.rp_weights[2:]
+        im = build(replace(d, rp_weights=rp_weights), validate=False)
+    elif family == "off_circle":
+        scale = draw(st.floats(0.8, 1.25))
+        im = build(replace(d, eta=(d.eta[0] * scale,) + d.eta[1:]), validate=False)
+    elif family == "nan_weight":
+        im = build(replace(d, rp_weights=(math.nan,) + d.rp_weights[1:]), validate=False)
+    elif family == "nan_frequency":
+        eta = (complex(math.nan, d.eta[0].imag),) + d.eta[1:]
+        im = build(replace(d, eta=eta), validate=False)
+    samples = draw(st.sampled_from([1, _B - 1, _B, _B + 1, 3 * _B + 7, 10_000]))
+    box = 10.0 ** draw(st.floats(math.log10(6.0), 9.0))
+    seed = draw(st.integers(0, 2**32 - 1))
+    note("%s h=%r ambient_dim=%d samples=%d box=%r seed=%d"
+         % (family, h, im.ambient_dim, samples, box, seed))
+    return im, samples, seed, box
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_pool_case())
+def test_pooled_unit_norm_equals_the_serial_loop_and_the_oracle(case):
+    # more threads than CPUs and a short switch interval, so blocks finish
+    # out of order and race on the immersion's memo
+    im, samples, seed, box = case
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with _usable_cpus(4):
+            pooled = _verify_or_error(verify_immersion, im, samples, seed, box)
+    finally:
+        sys.setswitchinterval(interval)
+    with _usable_cpus(1):
+        serial = _verify_or_error(verify_immersion, im, samples, seed, box)
+    want = _verify_or_error(verify_oracle.verify_immersion, im, samples, seed, box)
+    if isinstance(want, DomainError):
+        for got in (pooled, serial):
+            assert isinstance(got, DomainError) and str(got) == str(want)
+        return
+    assert [c.name for c in pooled.checks] == [c.name for c in serial.checks]
+    assert pooled.sample_count == serial.sample_count == samples
+    assert np.array_equal(_residuals(pooled), _residuals(serial), equal_nan=True)
+    got, want = pooled.check("unit_norm").residual, want.check("unit_norm").residual
+    assert got == want or math.isnan(got) and math.isnan(want), (got, want)
+
+
+def _verify_in_child(conn, im, samples):
+    conn.send(verify_immersion(im, samples=samples, seed=5))
+    conn.close()
+
+
+@pytest.mark.filterwarnings("ignore:This process .* use of fork:DeprecationWarning")
+def test_forked_child_verifies_after_the_parent_pool_ran():
+    # the parent's pool threads do not exist in a forked child: the child
+    # makes a pool of its own instead of waiting on them
+    im = extend_dimension(from_structure(0.4, 0.3))
+    samples = 3 * _B + 7
+    ctx = multiprocessing.get_context("fork")
+    with _usable_cpus(2):
+        want = verify_immersion(im, samples=samples, seed=5)
+        reader, writer = ctx.Pipe(duplex=False)
+        child = ctx.Process(target=_verify_in_child, args=(writer, im, samples))
+        child.start()
+    writer.close()
+    try:
+        assert reader.poll(60), "the forked child sent no report within 60 s"
+        got = reader.recv()
+        child.join(60)
+        assert not child.is_alive() and child.exitcode == 0
+    finally:
+        if child.is_alive():
+            child.kill()
+            child.join()
+        reader.close()
+    assert [c.name for c in got.checks] == [c.name for c in want.checks]
+    assert np.array_equal(_residuals(got), _residuals(want))
+    assert got.passed and got.sample_count == samples
+
+
+def test_pooled_block_error_reaches_the_caller():
+    # at the widest box some phases leave the float range: the pool block
+    # that meets them raises, and the pool serves the next call
+    im = from_structure(0.4, 0.3)
+    samples = 3 * _B + 7
+    with _usable_cpus(2):
+        with pytest.raises(DomainError, match="phase"):
+            verify_immersion(im, samples=samples, box=sys.float_info.max / 2)
+        assert verify_immersion(im, samples=samples).passed
+
+
+def test_one_block_verify_starts_no_thread():
+    code = (
+        "import sys, threading\n"
+        "from bihsurf.geometry import verify_immersion\n"
+        "from bihsurf.immersion import from_structure\n"
+        "assert verify_immersion(from_structure(0.4, 0.3), samples=%d).passed\n"
+        "assert 'concurrent.futures' not in sys.modules\n"
+        "assert threading.active_count() == 1\n" % _B
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_verify_immersion_validates_once():
