@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import DomainError, ExactnessError, exact_rational, squarefree_decompose
+from .core import MAX_SQUAREFREE, DomainError, ExactnessError, exact_rational, squarefree_decompose
 from .parameters import MiyataData, _normal_form, spectral_levels
 from .periodicity import ExactBasis, Lattice2
 
@@ -65,6 +65,10 @@ def parse_lattice_entry(text: str) -> tuple[Fraction, int]:
     d = int(m.group("surd") or 1)
     if d <= 0:
         raise ValueError("sqrt argument must be positive in %r" % text)
+    if d > MAX_SQUAREFREE:
+        raise DomainError(
+            "sqrt argument must be at most %d (trial division) in %r" % (MAX_SQUAREFREE, text)
+        )
     sq, d0 = squarefree_decompose(d)
     return c * sq, d0
 

@@ -53,13 +53,23 @@ def rational_sqrt_exact(q: Fraction) -> Optional[Fraction]:
     return Fraction(num, den)
 
 
+# Largest n `squarefree_decompose` factors. Trial division runs up to sqrt(n)
+# when n is prime: 10.6 s at the prime 10^16 + 61 on a 2-core VM, so about
+# 21 s at this cap.
+MAX_SQUAREFREE = 4 * 10**16
+
+
 def squarefree_decompose(n: int) -> tuple[int, int]:
     """Write n > 0 as s^2 * d with d squarefree; returns (s, d).
 
-    Trial division; the lattice surds this library meets are tiny.
+    Trial division; n over MAX_SQUAREFREE is refused before it starts.
     """
     if n <= 0:
         raise DomainError("squarefree_decompose requires n > 0, got %d" % n)
+    if n > MAX_SQUAREFREE:
+        raise DomainError(
+            "squarefree_decompose requires n <= %d (trial division), got %d" % (MAX_SQUAREFREE, n)
+        )
     s, d = 1, 1
     p = 2
     m = n

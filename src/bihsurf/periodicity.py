@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import DomainError, exact_rational, isqrt_exact, rational_sqrt_exact, squarefree_decompose
+from .core import MAX_SQUAREFREE, DomainError, exact_rational, isqrt_exact, squarefree_decompose
 from .parameters import _check_h, angle_family_data, rho_tilde_of, spectral_levels, t_of_s
 from .immersion import Immersion, _is_int, build
 
@@ -56,10 +56,12 @@ class Lattice2:
     def __post_init__(self):
         if self.rank != len(self.gens):
             raise ValueError("rank must equal the number of generators")
-        # exact rows are tested exactly: a skewed basis can look dependent in floats
+        # exact rows are tested exactly: a skewed basis can look dependent in
+        # floats. a d = b c is cross-multiplied over the rows' integer parts.
         if self.rank == 2 and self.exact is not None:
             (a, b), (c, d) = self.exact.rows
-            if a * d - b * c == 0:
+            if (a.numerator * d.numerator * b.denominator * c.denominator
+                    == b.numerator * c.numerator * a.denominator * d.denominator):
                 raise ValueError("lattice generators are linearly dependent")
         elif self.rank == 2:
             (x0, y0), (x1, y1) = self.gens
@@ -381,11 +383,23 @@ def periodic_direction_search(
 # torus constructions (exact)
 
 
+def _torus_squares(p: int, q: int, r: int, t: int) -> tuple[int, int, int]:
+    """(A, B, D) = (p^2 t^2, r^2 q^2, q^2 t^2), so that a = A/D and b = B/D."""
+    qt = q * t
+    return (p * t) ** 2, (r * q) ** 2, qt * qt
+
+
 @dataclass(frozen=True)
 class TorusParams:
     """Exact torus data derived from positive integers p, q, r, t: the
     squares (a, b) = (p^2/q^2, r^2/t^2), the mean curvature
-    h = (1-(a-b)^2)/(1+(a-b)^2+2(a+b)) and the weight s = (1+a-b)/2."""
+    h = (1-(a-b)^2)/(1+(a-b)^2+2(a+b)) and the weight s = (1+a-b)/2.
+
+    Each is one Fraction of integers: with (A, B, D) = (p^2 t^2, r^2 q^2,
+    q^2 t^2), a = A/D and b = B/D, so (a-b)^2 < 1 is (A-B)^2 < D^2,
+    h = (D^2 - (A-B)^2) / (D^2 + (A-B)^2 + 2D(A+B)) and
+    s = (D + A - B) / (2D).
+    """
 
     p: int
     q: int
@@ -404,12 +418,14 @@ class TorusParams:
             object.__setattr__(self, name, int(v))
         a = Fraction(self.p * self.p, self.q * self.q)
         b = Fraction(self.r * self.r, self.t * self.t)
-        if (a - b) ** 2 >= 1:
+        big_a, big_b, big_d = _torus_squares(self.p, self.q, self.r, self.t)
+        x, dd = (big_a - big_b) ** 2, big_d * big_d
+        if x >= dd:
             raise DomainError("(a-b)^2 must be < 1, got a=%s b=%s" % (a, b))
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
-        object.__setattr__(self, "h", (1 - (a - b) ** 2) / (1 + (a - b) ** 2 + 2 * (a + b)))
-        object.__setattr__(self, "s", (1 + a - b) / 2)
+        object.__setattr__(self, "h", Fraction(dd - x, dd + x + 2 * big_d * (big_a + big_b)))
+        object.__setattr__(self, "s", Fraction(big_d + big_a - big_b, 2 * big_d))
 
 
 @dataclass(frozen=True)
@@ -437,17 +453,33 @@ class CaseIIResult:
 
 def torus_case_i(q) -> CaseIResult:
     """Mean curvature h = (q^2-1)/(q^2+1) for rational q > 1, with the exact
-    rank-2 period lattice of the rho = 0 member."""
+    rank-2 period lattice of the rho = 0 member.
+
+    With q = num/den in lowest terms, h = (num^2 - den^2)/(num^2 + den^2)
+    and the generators are pi sqrt(d) (s/num, 0) and pi sqrt(d) (0, s) for
+    num^2 + den^2 = s^2 d, d squarefree: one Fraction for h and one per
+    row entry, and each float from an integer quotient (int / int rounds
+    correctly, as float(Fraction) does). num^2 + den^2 over
+    MAX_SQUAREFREE is refused.
+    """
     q = exact_rational(q, "q")
-    if q <= 1:
-        raise DomainError("q must be a rational strictly greater than 1")
-    h = (q**2 - 1) / (q**2 + 1)
     num, den = q.numerator, q.denominator
-    big = num * num + den * den
+    if num <= den:
+        raise DomainError("q must be a rational strictly greater than 1")
+    n2, d2 = num * num, den * den
+    big = n2 + d2
+    if big > MAX_SQUAREFREE:
+        raise DomainError(
+            "q must have numerator^2 + denominator^2 at most %d (trial division), got %s"
+            % (MAX_SQUAREFREE, q)
+        )
     s, d = squarefree_decompose(big)
     # v1 = (2 pi / sqrt(lambda2), 0), y-generator den * (0, 2 pi / sqrt(lambda1))
     rows = ((Fraction(s, num), Fraction(0)), (Fraction(0), Fraction(s)))
-    return CaseIResult(h=h, q=q, lattice=ExactBasis(rows, d).lattice())
+    scale = math.pi * math.sqrt(d)
+    gens = ((scale * (s / num), scale * 0.0), (scale * 0.0, scale * (s / 1)))
+    lattice = Lattice2(rank=2, gens=gens, exact=ExactBasis(rows, d))
+    return CaseIResult(h=Fraction(n2 - d2, big), q=q, lattice=lattice)
 
 
 def _kernel_basis(alpha: int, beta: int, mod: int) -> tuple[tuple[int, int], tuple[int, int]]:
@@ -467,18 +499,26 @@ def _kernel_basis(alpha: int, beta: int, mod: int) -> tuple[tuple[int, int], tup
 def torus_case_ii(p: int, q: int, r: int, t: int) -> CaseIIResult:
     """Torus member for a = p^2/q^2, b = r^2/t^2 with exact h and the closed
     generator vectors; the full period lattice follows from the integer
-    congruence m q/p - n q r/(p t) in Z."""
+    congruence m q/p - n q r/(p t) in Z.
+
+    With e = (a-b)^2 + a + b and f = e + a + b + 1, the generators are
+    v1 = (pi sqrt(e/a), 0) and v2 = (-pi sqrt(b/a) (1-(a-b)) / sqrt(e),
+    pi sqrt(f/e)). Each radicand is a quotient of integers in the
+    (A, B, D) of `TorusParams`, e/a = ((A-B)^2 + D(A+B)) / (D A) say, taken
+    to a float by int / int, which rounds as float(Fraction) does.
+    """
     params = TorusParams(p, q, r, t)
     p, q, r, t = params.p, params.q, params.r, params.t
-    a, b, h, s = params.a, params.b, params.h, params.s
-    e = (a - b) ** 2 + a + b
-    f_ = (a - b) ** 2 + 2 * (a + b) + 1
-    v1 = (math.pi * math.sqrt(float(e / a)), 0.0)
+    big_a, big_b, big_d = _torus_squares(p, q, r, t)
+    diff, total = big_a - big_b, big_a + big_b
+    e_num = diff * diff + big_d * total  # e = e_num / D^2
+    v1 = (math.pi * math.sqrt(e_num / (big_d * big_a)), 0.0)
     v2 = (
-        -math.pi * math.sqrt(float(b / a)) * float(1 - (a - b)) / math.sqrt(float(e)),
-        math.pi * math.sqrt(float(f_ / e)),
+        -math.pi * math.sqrt(big_b / big_a) * ((big_d - diff) / big_d)
+        / math.sqrt(e_num / (big_d * big_d)),
+        math.pi * math.sqrt((e_num + big_d * (total + big_d)) / e_num),
     )
-    rho = 2.0 * math.atan(t_of_s(float(h), float(s)))
+    rho = 2.0 * math.atan(t_of_s(float(params.h), float(params.s)))
     cond = "m*%d/%d - n*%d/%d in Z" % (q, p, q * r, p * t)
     sub = (
         (p * v2[0], p * v2[1]),
@@ -538,7 +578,13 @@ class TorusVerdict:
 def torus_exists(h, search_bound: int = 20) -> TorusVerdict:
     """Decide torus existence at exact rational mean curvature h.
 
-    Case i is decided exactly via the rational square test on (1+h)/(1-h).
+    Case i is decided on integers: with h = n/m in lowest terms,
+    (1+h)/(1-h) = (m+n)/(m-n), and after dividing both by their gcd g (1 or
+    2) it is a rational square exactly when both are perfect squares: one
+    gcd and two `isqrt`s. Then q = sqrt((m+n)/g) / sqrt((m-n)/g) in lowest
+    terms. Its lattice needs the squarefree part of 2m/g = num^2 + den^2,
+    so an h whose 2m/g exceeds MAX_SQUAREFREE is refused.
+
     Case ii solves for (r, t) at each p, q <= search_bound: with a = p^2/q^2
     and d = a - b, h fixes (1+h) d^2 - 2h d + (4ha + h - 1) = 0, whose
     discriminant 1 - 4h(1+h)a must be a rational square; a root gives a
@@ -563,10 +609,17 @@ def torus_exists(h, search_bound: int = 20) -> TorusVerdict:
             "search_bound must be a positive integer whose (p, q) grid has at most %d pairs, "
             "got %r" % (_MAX_GRID_PAIRS, search_bound)
         )
-    root = rational_sqrt_exact((1 + h) / (1 - h))
-    if root is not None:
-        return TorusVerdict(h=h, kind="case_i", q=root, case_i=torus_case_i(root))
     n, m = h.numerator, h.denominator
+    g = math.gcd(m + n, m - n)
+    top, bot = isqrt_exact((m + n) // g), isqrt_exact((m - n) // g)
+    if top is not None and bot is not None:
+        if 2 * m // g > MAX_SQUAREFREE:
+            raise DomainError(
+                "h must be a rational whose case-i lattice factors an integer of at most %d "
+                "(trial division), got %s" % (MAX_SQUAREFREE, h)
+            )
+        root = Fraction(top, bot)
+        return TorusVerdict(h=h, kind="case_i", q=root, case_i=torus_case_i(root))
     k = 4 * n * (n + m)
     for p in range(1, search_bound + 1):
         kp2 = k * p * p

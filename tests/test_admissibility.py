@@ -1,4 +1,6 @@
 import math
+import re
+import time
 from fractions import Fraction as F
 
 import numpy as np
@@ -7,7 +9,7 @@ from hypothesis import given, note, settings, strategies as st
 
 import admissible_oracle
 import hull_oracle
-from bihsurf.core import DomainError, ExactnessError
+from bihsurf.core import MAX_SQUAREFREE, DomainError, ExactnessError
 from bihsurf.periodicity import ExactBasis, Lattice2
 from bihsurf.parameters import lift_structure, structure_params, validate_miyata
 from bihsurf.immersion import build
@@ -65,6 +67,15 @@ def test_parse_entry_rejects_nonsense():
     for bad in ("2", "pi*pi", "sqrt(5)", "2*pi*sqrt(-3)", "pi+1", "two*pi"):
         with pytest.raises(ValueError):
             parse_lattice_entry(bad)
+
+
+def test_parse_entry_refuses_a_surd_past_the_trial_division_cap_at_once():
+    entry = "pi*sqrt(%d)" % (MAX_SQUAREFREE + 1)
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match=r"sqrt argument must be at most %d .*%s" % (
+            MAX_SQUAREFREE, re.escape(repr(entry)))):
+        parse_lattice_entry(entry)
+    assert time.perf_counter() - start < 0.1
 
 
 def test_parse_lattice_rejects_mixed_surds():
@@ -508,6 +519,32 @@ SEGMENT_POLYGON_LATTICES = (
 )
 
 
+# At h = 1/9 the squares are A = {(-784, 0), (784, 0)} / 441 and
+# -G = {(588, -784), (588, 784)} / 441: the two segments cross at (588, 0) / 441,
+# so the clip of A by -G makes a vertex that neither hull has.
+LAT_CROSSING = {"gens": [["3*pi", "3*pi"], ["-6*pi", "9*pi/2"]]}
+
+
+def test_admissible_crossing_clip_matches_oracle_and_pinned_weights(monkeypatch):
+    lat, h = parse_lattice(LAT_CROSSING), F(1, 9)
+    made = []
+    clip = admissibility._clip_polygon
+
+    def recording(poly, a, b):
+        out = clip(poly, a, b)
+        made.extend(p for p in out if p not in poly)
+        return out
+
+    monkeypatch.setattr(admissibility, "_clip_polygon", recording)
+    got = admissible(lat, h)
+    assert made == [(588, 0)]
+    assert got.verdict == "exists"
+    assert got.weights == ([F(1, 8), F(7, 8)], [F(1, 2), F(1, 2)])
+    want = admissible_oracle.admissible(lat, h)
+    assert got.to_dict() == want.to_dict()
+    assert got.weights == want.weights
+
+
 @pytest.mark.parametrize("spec", SEGMENT_POLYGON_LATTICES)
 def test_admissible_segment_polygon_matches_clip_oracle(spec, monkeypatch):
     lat = parse_lattice(spec)
@@ -693,6 +730,7 @@ def test_admissible_unimodular_invariance(rng):
 # (which clip and weigh) sit at scale 1, or with any h of denominator < 40
 _DECISION_CASES = st.sampled_from(
     TEST_LATTICES + tuple((spec, F(3, 5)) for spec in SEGMENT_POLYGON_LATTICES)
+    + ((LAT_CROSSING, F(1, 9)),)
 ).flatmap(lambda spec_h: st.tuples(st.just(spec_h[0]), st.one_of(st.just(spec_h[1]), _h)))
 
 

@@ -7,7 +7,7 @@ from dataclasses import replace
 import pytest
 
 from bihsurf.cli import main
-from bihsurf.core import DomainError
+from bihsurf.core import MAX_SQUAREFREE, DomainError
 from bihsurf.immersion import sasahara_data
 from bihsurf.parameters import canonicalize
 
@@ -216,6 +216,13 @@ def test_torus_exists_zero_search_bound_exit_2(capsys):
     code, _, err = run_cli(["torus-exists", "--h", "3/7", "--search-bound", "0"], capsys)
     assert code == 2
     assert "search_bound" in err
+
+
+def test_torus_exists_past_the_trial_division_cap_exit_2(capsys):
+    q = math.isqrt(MAX_SQUAREFREE) + 1
+    code, out, err = run_cli(["torus-exists", "--h", "%d/%d" % (q * q - 1, q * q + 1)], capsys)
+    assert (code, out) == (2, "")
+    assert "h must" in err and str(MAX_SQUAREFREE) in err
 
 
 def test_torus_exists_from_squares(capsys):

@@ -1,8 +1,10 @@
+import time
 from fractions import Fraction
 
 import pytest
 
 from bihsurf.core import (
+    MAX_SQUAREFREE,
     Check,
     DomainError,
     VerificationReport,
@@ -70,6 +72,15 @@ def test_squarefree_decompose(rng):
         assert s * s * d == n
         for p in range(2, 200):
             assert d % (p * p) != 0
+
+
+def test_squarefree_decompose_refuses_past_the_cap_at_once():
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match="n <= %d" % MAX_SQUAREFREE):
+        squarefree_decompose(MAX_SQUAREFREE + 1)
+    assert time.perf_counter() - start < 0.1
+    # below the cap a composite with small factors still returns at once
+    assert squarefree_decompose(2**54) == (2**27, 1)
 
 
 def test_check_passed_iff_residual_within_tolerance():

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -10,10 +11,12 @@ from hypothesis import event, given, settings, strategies as st
 
 import direction_oracle
 import torus_oracle
-from bihsurf.core import DomainError
+from bihsurf.core import MAX_SQUAREFREE, DomainError
 from bihsurf.parameters import angle_family_data, canonicalize, rho_max
 from bihsurf.immersion import build, extend_dimension, from_structure
 from bihsurf.periodicity import (
+    ExactBasis,
+    Lattice2,
     _lattice_of_periods,
     closing_ratios,
     direction_integrality,
@@ -590,12 +593,108 @@ _torus_h_25 = st.tuples(*[st.integers(1, 25)] * 4).map(lambda pqrt: _h_of_square
 _float_h = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
 
 
+def _assert_same_construction(got, want):
+    """Every field of two CaseIResult or two CaseIIResult equal: the
+    Fractions exactly, every float by ==."""
+    if hasattr(want, "params"):
+        fields = ("p", "q", "r", "t", "a", "b", "h", "s")
+        assert [getattr(got.params, f) for f in fields] == [getattr(want.params, f) for f in fields]
+        assert (got.v1, got.v2, got.rho) == (want.v1, want.v2, want.rho)
+        assert (got.lattice_condition, got.sublattice) == (want.lattice_condition, want.sublattice)
+    else:
+        assert (got.h, got.q) == (want.h, want.q)
+        assert got.lattice.exact == want.lattice.exact
+    assert (got.lattice.rank, got.lattice.gens) == (want.lattice.rank, want.lattice.gens)
+
+
+def _outcome(call, *args):
+    """(result, None) or (None, (exception type, message)) of call(*args)."""
+    try:
+        return call(*args), None
+    except DomainError as exc:
+        return None, (type(exc), str(exc))
+
+
+@settings(max_examples=400, deadline=None)
+@given(pqrt=st.tuples(*[st.integers(1, 60)] * 4))
+def test_torus_case_ii_matches_fraction_oracle(pqrt):
+    (got, got_err), (want, want_err) = _outcome(torus_case_ii, *pqrt), _outcome(
+        torus_oracle.torus_case_ii, *pqrt
+    )
+    assert got_err == want_err
+    event("refused" if want_err else "built")
+    if want is not None:
+        _assert_same_construction(got, want)
+
+
 @settings(max_examples=300, deadline=None)
-@given(h=st.one_of(_rational_h, _torus_h_25, _float_h), bound=st.integers(1, 60))
+@given(q=st.integers(1, 200).flatmap(lambda n: st.integers(1, 200).map(lambda d: Fraction(n, d))))
+def test_torus_case_i_matches_fraction_oracle(q):
+    (got, got_err), (want, want_err) = _outcome(torus_case_i, q), _outcome(
+        torus_oracle.torus_case_i, q
+    )
+    assert got_err == want_err
+    if want is not None:
+        _assert_same_construction(got, want)
+
+
+_case_i_h = st.integers(2, 200).map(lambda q: Fraction(q * q - 1, q * q + 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(h=st.one_of(_rational_h, _torus_h_25, _float_h, _case_i_h), bound=st.integers(1, 60))
 def test_torus_exists_matches_fraction_scan_oracle(h, bound):
     fast, slow = torus_exists(h, bound), torus_oracle.fraction_torus_exists(h, bound)
     event(fast.kind)
+    assert (fast.h, fast.kind, fast.q, fast.pqrt) == (slow.h, slow.kind, slow.q, slow.pqrt)
+    for part in ("case_i", "case_ii"):
+        if getattr(slow, part) is not None:
+            _assert_same_construction(getattr(fast, part), getattr(slow, part))
     assert fast.to_dict() == slow.to_dict()
+
+
+_entry = st.integers(-6, 6).flatmap(lambda n: st.integers(1, 4).map(lambda d: Fraction(n, d)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.tuples(*[_entry] * 4))
+def test_lattice2_exact_rank_test_matches_fraction_products(rows):
+    a, b, c, d = rows
+    exact = ExactBasis(((a, b), (c, d)), 1)
+    dependent = a * d - b * c == 0
+    try:
+        Lattice2(rank=2, gens=((1.0, 0.0), (0.0, 1.0)), exact=exact)
+    except ValueError as exc:
+        assert dependent and "linearly dependent" in str(exc)
+    else:
+        assert not dependent
+
+
+# h = (q^2 - 1)/(q^2 + 1) at q = 10^7/13: 2m/g = 10^14 + 169 is prime, so the
+# case-i lattice runs trial division to 10^7
+_SLOW_CASE_I_H = Fraction(99999999999831, 100000000000169)
+
+
+def test_torus_exists_decides_a_prime_case_i_surd_below_the_cap():
+    v = torus_exists(_SLOW_CASE_I_H, 20)
+    assert (v.kind, v.q) == ("case_i", Fraction(10**7, 13))
+    assert v.case_i.lattice.exact.surd == 10**14 + 169
+
+
+def _q_past_the_cap():
+    # an integer q whose q^2 + 1 is just past MAX_SQUAREFREE
+    return Fraction(math.isqrt(MAX_SQUAREFREE) + 1)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda q: torus_exists((q * q - 1) / (q * q + 1), 20), "h must"),
+    (torus_case_i, "q must"),
+])
+def test_case_i_past_the_trial_division_cap_is_refused_at_once(call, name):
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match="%s.*%d" % (name, MAX_SQUAREFREE)):
+        call(_q_past_the_cap())
+    assert time.perf_counter() - start < 0.1
 
 
 def test_torus_exists_survey_small_denominators():

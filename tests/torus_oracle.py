@@ -1,14 +1,109 @@
-"""Reference torus-existence searches: the (p, q) scan in Fraction arithmetic,
-kept as `torus_exists` had it before its scan was cleared to integers, and
-the O(N^4) scan over every (p, q, r, t). The library's integer scan is tested
-against both.
+"""Reference torus constructions and searches in Fraction arithmetic.
+
+`TorusParams`, `torus_case_i` and `torus_case_ii` are the constructions as
+the library had them before they were cleared to integers: Fraction chains
+for (a, b, h, s), for the case-i mean curvature and rows, and for the
+radicands of the case-ii generators. `fraction_torus_exists` is the (p, q)
+scan in Fraction arithmetic, with the case-i test as a `rational_sqrt_exact`
+of (1+h)/(1-h), and `brute_torus_exists` scans every (p, q, r, t). Both
+searches build their verdicts with this module's constructions. The
+library's integer routes are tested against all of them.
 """
 
+import math
+from dataclasses import dataclass, field
 from fractions import Fraction
 
-from bihsurf.core import DomainError, exact_rational, rational_sqrt_exact
+import numpy as np
+
+from bihsurf.core import DomainError, exact_rational, rational_sqrt_exact, squarefree_decompose
 from bihsurf.immersion import _is_int
-from bihsurf.periodicity import TorusVerdict, torus_case_i, torus_case_ii
+from bihsurf.parameters import t_of_s
+from bihsurf.periodicity import (
+    CaseIIResult,
+    CaseIResult,
+    ExactBasis,
+    Lattice2,
+    TorusVerdict,
+    _kernel_basis,
+    _reduced_pair,
+)
+
+
+@dataclass(frozen=True)
+class TorusParams:
+    """(a, b) = (p^2/q^2, r^2/t^2), h = (1-(a-b)^2)/(1+(a-b)^2+2(a+b)) and
+    s = (1+a-b)/2, each from Fraction operations."""
+
+    p: int
+    q: int
+    r: int
+    t: int
+    a: Fraction = field(init=False)
+    b: Fraction = field(init=False)
+    h: Fraction = field(init=False)
+    s: Fraction = field(init=False)
+
+    def __post_init__(self):
+        for name in ("p", "q", "r", "t"):
+            v = getattr(self, name)
+            if not _is_int(v) or v < 1:
+                raise DomainError("%s must be a positive integer, got %r" % (name, v))
+            object.__setattr__(self, name, int(v))
+        a = Fraction(self.p * self.p, self.q * self.q)
+        b = Fraction(self.r * self.r, self.t * self.t)
+        if (a - b) ** 2 >= 1:
+            raise DomainError("(a-b)^2 must be < 1, got a=%s b=%s" % (a, b))
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "h", (1 - (a - b) ** 2) / (1 + (a - b) ** 2 + 2 * (a + b)))
+        object.__setattr__(self, "s", (1 + a - b) / 2)
+
+
+def torus_case_i(q) -> CaseIResult:
+    """h = (q^2-1)/(q^2+1) and the rows (s/num, 0), (0, s) over the surd of
+    num^2 + den^2 = s^2 d, in Fractions; floats from `ExactBasis.float_rows`."""
+    q = exact_rational(q, "q")
+    if q <= 1:
+        raise DomainError("q must be a rational strictly greater than 1")
+    h = (q**2 - 1) / (q**2 + 1)
+    num, den = q.numerator, q.denominator
+    s, d = squarefree_decompose(num * num + den * den)
+    rows = ((Fraction(s, num), Fraction(0)), (Fraction(0), Fraction(s)))
+    return CaseIResult(h=h, q=q, lattice=ExactBasis(rows, d).lattice())
+
+
+def torus_case_ii(p: int, q: int, r: int, t: int) -> CaseIIResult:
+    """Case-ii member with every float radicand taken from a Fraction."""
+    params = TorusParams(p, q, r, t)
+    p, q, r, t = params.p, params.q, params.r, params.t
+    a, b, h, s = params.a, params.b, params.h, params.s
+    e = (a - b) ** 2 + a + b
+    f_ = (a - b) ** 2 + 2 * (a + b) + 1
+    v1 = (math.pi * math.sqrt(float(e / a)), 0.0)
+    v2 = (
+        -math.pi * math.sqrt(float(b / a)) * float(1 - (a - b)) / math.sqrt(float(e)),
+        math.pi * math.sqrt(float(f_ / e)),
+    )
+    rho = 2.0 * math.atan(t_of_s(float(h), float(s)))
+    cond = "m*%d/%d - n*%d/%d in Z" % (q, p, q * r, p * t)
+    sub = (
+        (p * v2[0], p * v2[1]),
+        (p * t * v1[0], p * t * v1[1]),
+    )
+    (m_a, n_a), (m_b, n_b) = _kernel_basis(q * t, -q * r, p * t)
+    w1 = np.array([m_a * v2[0] + n_a * v1[0], m_a * v2[1] + n_a * v1[1]])
+    w2 = np.array([m_b * v2[0] + n_b * v1[0], m_b * v2[1] + n_b * v1[1]])
+    g1, g2 = _reduced_pair(w1, w2)
+    return CaseIIResult(
+        params=params,
+        v1=v1,
+        v2=v2,
+        rho=rho,
+        lattice_condition=cond,
+        sublattice=sub,
+        lattice=Lattice2(rank=2, gens=(g1, g2)),
+    )
 
 
 def fraction_torus_exists(h, search_bound: int = 20) -> TorusVerdict:
