@@ -12,28 +12,33 @@ combination (sum of second covariant derivatives of tau, traced with g^{ab})
 + 2 tau - g^{ab}<tau, dphi_b> dphi_a is the one under which the constructed
 immersions are annihilated; the flipped curvature sign gives 4|tau|.
 
-Two formula sets compute the geometry. Plane k of an `Immersion` carries one
-circle, so every field formed from its partials is s_k e^{i<w_k, z>} on plane
-k with a constant symbol s in C^K, and every inner product of two fields is
-constant. `_symbols` forms the metric, the forms, H, tau, the bitension and
-Delta psi once, in O(K), from the symbols of the partials. The per-point
-functions (`tension`, `bitension`, `mean_curvature`, `fundamental_forms`)
-read an `Immersion`'s vector outputs from those symbols at the points, each
-a symbol row times the trig pair of `eval`, and write each scalar output (g,
-|H|, K, the pseudo-umbilicity residual) as its constant; so memory is the
-outputs and the phases, and nothing is kept after the call but the
-immersion's own memo. `verify_immersion` computes its
+One kernel computes the geometry. `_point_geometry` takes one point's
+partials, stacked (n, D) in `_ORDERS` order, and forms from them the metric
+(orders <= 1), then the forms, H, |H|, K, the pseudo-umbilicity residual,
+tau and Delta psi (orders <= 2), then the bitension (orders <= 4), keeping
+every term a varying metric or an inexact table needs.
+
+Plane k of an `Immersion` carries one circle, so every field formed from its
+partials is s_k e^{i<w_k, z>} on plane k with a constant symbol s in C^K,
+and every inner product of two fields is constant. The kernel run once on
+the partials at the origin, which are the symbols (`_symbols`), therefore
+gives in O(K) the symbol of every field and every scalar at every point. The
+per-point functions (`tension`, `bitension`, `mean_curvature`,
+`fundamental_forms`) read an `Immersion`'s vector outputs from those symbols
+at the points, each a symbol row times the trig pair of `eval`, and write
+each scalar output (g, |H|, K, the pseudo-umbilicity residual) as its
+constant; so memory is the outputs and the phases, and nothing is kept after
+the call but the immersion's own memo. `verify_immersion` computes its
 geometric checks from the same symbols: each residual is the sup of its
 check over the whole plane, not a maximum over samples. Only its unit_norm
 check reads psi at sample points, through `eval`, so it still covers the
 evaluator that users read; its blocks of points run on a thread pool when
 there are several of them and the process may use several CPUs.
 
-The table kernel (`_metric`, `_tension`, `_bitension`, `_forms`,
-`_curvature`) serves explicit tables only: `fd_partial_table`'s in
-`fd_bitension_oracle`, the `partial_table` of a map that is not an
-`Immersion`, and `gaussian_brioschi_fd`'s. It keeps every term a varying
-metric or an inexact table needs, over plain (..., D) arrays in one piece.
+Explicit tables run the same kernel at each of their points, one point at a
+time: the `partial_table` of a map that is not an `Immersion`, the
+finite-difference table of `fd_bitension_oracle` and the metric of
+`gaussian_brioschi_fd`. They serve oracles and test fixtures only.
 """
 
 from __future__ import annotations
@@ -53,126 +58,167 @@ from .core import GEOMETRIC_TOL, Check, DomainError, VerificationReport
 from .immersion import _ORDERS, Immersion, _as_points, _check_max_order, _is_int
 
 
-def _dot(u, v):
-    """<u, v> over the last (ambient) axis."""
-    return np.einsum("...d,...d->...", u, v)
-
-
-def _weighted_sum(table, orders, coeffs):
-    """sum_j coeffs[j] * table[orders[j]], each coefficient a number or one
-    value per point."""
-    return sum(np.multiply(np.asarray(c)[..., None], table[o]) for c, o in zip(coeffs, orders))
-
-
 # ---------------------------------------------------------------------------
-# the table kernel: metric, tension, bitension and forms from an explicit
-# table {(a, b): (..., D) array} of ambient partials
+# the kernel: the geometry at one point from its stacked partials
 
-# second partials, and the orders of the combinations tau = g^{ab} psi_ab + 2 psi
-# and J_a = g^{bc} psi_abc + 2 psi_a, all weighted (g^00, 2 g^01, g^11, 2)
-_SECOND = ((2, 0), (1, 1), (0, 2))
-_TENSION = _SECOND + ((0, 0),)
-_J = (((3, 0), (2, 1), (1, 2), (1, 0)), ((2, 1), (1, 2), (0, 3), (0, 1)))
-# L = g^{ab} J_ab: the five order-4 partials, then 2 tau - 4 psi = 2 g^{ab} psi_ab
-_LAPLACIAN = ((4, 0), (3, 1), (2, 2), (1, 3), (0, 4)) + _SECOND
+# The fields as combinations of the partials of `_ORDERS`, one row each of
+# one coefficient table, the rows that need orders <= 2 first; the slots of
+# their coefficients, in the order `_point_geometry` lists them.
+_FIELD_TERMS = (
+    ((0, 0), (1, 0), (0, 1), (2, 0)),  # B_xx
+    ((0, 0), (1, 0), (0, 1), (1, 1)),  # B_xy
+    ((0, 0), (1, 0), (0, 1), (0, 2)),  # B_yy
+    ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)),  # H
+    ((2, 0), (0, 2)),  # Delta psi
+    ((0, 0), (2, 0), (1, 1), (0, 2)),  # tau
+    ((1, 0), (3, 0), (2, 1), (1, 2)),  # J_x
+    ((0, 1), (2, 1), (1, 2), (0, 3)),  # J_y
+    ((2, 0), (1, 1), (0, 2), (4, 0), (3, 1), (2, 2), (1, 3), (0, 4)),  # L
+)
+_FIELD_SLOTS = np.array(
+    [row * len(_ORDERS) + _ORDERS.index(o) for row, terms in enumerate(_FIELD_TERMS) for o in terms]
+)
 
 
-class _Metric(NamedTuple):
-    psi: np.ndarray  # (..., D)
-    d1: tuple  # psi_x, psi_y, each (..., D)
-    g: np.ndarray  # (..., 2, 2)
-    det: np.ndarray  # (...)
-    inv: tuple  # g^00, g^01, g^11, each (...)
+class _PointGeometry(NamedTuple):
+    """The geometry at one point (`_point_geometry`); the fields after det
+    are None when the partials stop short of their orders."""
+
+    frame: np.ndarray  # (3, D): psi, psi_x, psi_y
+    g: np.ndarray  # (2, 2)
+    det: float
+    forms: np.ndarray | None = None  # (3, D): B_xx, B_xy, B_yy
+    h: np.ndarray | None = None  # (D,): H
+    h_norm: float | None = None  # |H|
+    gauss: float | None = None  # K
+    umbilic: float | None = None  # max |<B_ab, H> - |H|^2 g_ab|
+    lap: np.ndarray | None = None  # (D,): Delta psi
+    tau: np.ndarray | None = None  # (D,)
+    tau2: np.ndarray | None = None  # (D,): the bitension
 
 
-def _metric(table) -> _Metric:
-    """psi and its first partials, the induced metric g_ab = <psi_a, psi_b>,
-    det g and the inverse metric g^{ab}, at each point of the table."""
-    px, py = table[(1, 0)], table[(0, 1)]
-    g00, g01, g11 = _dot(px, px), _dot(px, py), _dot(py, py)
+def _point_geometry(t) -> _PointGeometry:
+    """The geometry at one point from its partials t (n, D), the orders
+    `_ORDERS[:n]` stacked, in three steps: the metric from orders <= 1
+    (n = 3); the forms, H, |H|, K, the pseudo-umbilicity residual, Delta psi
+    and tau from orders <= 2 (n = 6); the bitension from orders <= 4
+    (n = 15). The metric algebra is on floats, and the fields are one
+    product of the coefficient table `_FIELD_TERMS` with t.
+
+    With the frame F = (psi, psi_x, psi_y) and its dual F* = (psi,
+    g^{xb} psi_b, g^{yb} psi_b), v - sum_c <v, F_c> F*_c takes out the psi
+    part and the tangential part of v; the forms B_ab are the second
+    partials so projected, and H = 1/2 g^{ab} B_ab. K = 1 + (<B_xx, B_yy> -
+    |B_xy|^2) / det g is the Gauss equation in the unit sphere.
+
+    The bitension, with tau = g^{ab} psi_ab + 2 psi: a frequency-table
+    immersion has a constant metric, so the partials of tau are again
+    combinations of partials, J_a = g^{bc} psi_abc + 2 psi_a. With
+    P v = v - <v, psi> psi, the rough Laplacian g^{ab} P d_a(P d_b tau) is
+    P v for v = L - alpha psi - beta_b F*_b, where L = g^{ab} J_ab,
+    alpha = g^{ab} (<J_ab, psi> + <J_a, psi_b>) and beta_b = <J_b, psi>; the
+    bitension adds 2 tau less its tangential part <tau, psi_b> F*_b. So it
+    is L + 2 tau plus a combination of the frame, whose coefficients come
+    from the dots of the fields with the frame. Every term is kept: on an
+    Immersion alpha, beta and the tangential parts are 0, but a varying
+    metric, |psi| != 1 or an inexact table needs them."""
+    n, frame = len(t), t[:3]
+    # <d^A psi, F_c> for the orders A <= 2 of t
+    dots = (t[:6] @ frame.T).tolist()
+    (psi_sq, _, _), (px_psi, g00, g01), (py_psi, _, g11) = dots[:3]
+    g = np.array(((g00, g01), (g01, g11)))
     det = g00 * g11 - g01 * g01
-    if np.any(det < 1e-12):
+    if det < 1e-12:
         raise DomainError("degenerate immersion: metric determinant below 1e-12")
-    g = np.stack((g00, g01, g01, g11), axis=-1).reshape(np.shape(det) + (2, 2))
-    return _Metric(table[(0, 0)], (px, py), g, det, (g11 / det, -(g01 / det), g00 / det))
-
-
-def _weights(mt: _Metric) -> tuple:
-    """(g^00, 2 g^01, g^11), the weights of psi_xx, psi_xy and psi_yy in
-    g^{ab} psi_ab."""
-    i00, i01, i11 = mt.inv
-    return i00, 2.0 * i01, i11
-
-
-def _sub_tangent(v, mt: _Metric, c):
-    """v - g^{ab} c_b psi_a, for coefficients c = (c_x, c_y)."""
-    (i00, i01, i11), (px, py), (cx, cy) = mt.inv, mt.d1, c
-    return v - (i00 * cx + i01 * cy)[..., None] * px - (i01 * cx + i11 * cy)[..., None] * py
-
-
-def _tension(table, mt: _Metric):
-    """tau = g^{ab} psi_ab + 2 psi."""
-    return _weighted_sum(table, _TENSION, _weights(mt) + (2.0,))
-
-
-def _bitension(table, mt: _Metric):
-    """Bitension from order-<=4 partials.
-
-    The induced metric of a frequency-table immersion is constant in (x, y),
-    so the partials of tau are again combinations of table entries:
-    J_a = g^{bc} psi_{abc} + 2 psi_a. With P v = v - <v, psi> psi, the
-    rough Laplacian g^{ab} P d_a(P d_b tau) is P applied once to
-    L - alpha psi - beta_x psi_x - beta_y psi_y, where L = g^{ab} J_ab is
-    one combination of the five order-4 entries and 2 tau - 4 psi,
-    alpha = g^{ab} (<J_ab, psi> + <J_b, psi_a>) and
-    beta_a = g^{ab} <J_b, psi>. The bitension adds 2 tau minus the
-    tangential part g^{ab} <tau, psi_b> psi_a.
-    """
-    psi, (px, py), (i00, i01, i11) = mt.psi, mt.d1, mt.inv
-    u = _weights(mt)
-    tau = _tension(table, mt)
-    jx, jy = (_weighted_sum(table, orders, u + (2.0,)) for orders in _J)
-    # the order-4 weights are those of (u0 d_xx + u1 d_xy + u2 d_yy)^2, and
-    # 2 u weighs the second partials
-    w = [0.0] * 5
-    for i in range(3):
-        for k in range(3):
-            w[i + k] = w[i + k] + u[i] * u[k]
-    lap = _weighted_sum(table, _LAPLACIAN, w + [2.0 * x for x in u])
-    alpha = _dot(lap, psi) + (
-        i00 * _dot(jx, px) + i01 * (_dot(jx, py) + _dot(jy, px)) + i11 * _dot(jy, py)
+    i00, i01, i11 = g11 / det, -(g01 / det), g00 / det
+    if n < 6:
+        return _PointGeometry(frame, g, det)
+    # each form's coefficients on the frame: -<psi_ab, psi> and
+    # -g^{cd} <psi_ab, psi_d> for c = x, y
+    proj = [(-r, -(i00 * x + i01 * y), -(i01 * x + i11 * y)) for r, x, y in dots[3:]]
+    # the weights of psi_xx, psi_xy and psi_yy in g^{ab} psi_ab
+    u0, u1, u2 = i00, 2.0 * i01, i11
+    h_frame = tuple(0.5 * (u0 * a + u1 * b + u2 * c) for a, b, c in zip(*proj))
+    coeffs = np.zeros(len(_FIELD_TERMS) * len(_ORDERS))
+    coeffs[_FIELD_SLOTS] = (
+        proj[0] + (1.0,) + proj[1] + (1.0,) + proj[2] + (1.0,)
+        + h_frame + (0.5 * u0, 0.5 * u1, 0.5 * u2)
+        + (-1.0, -1.0)
+        + (2.0, u0, u1, u2) * 3
+        # L's order-4 weights are those of (u0 d_xx + u1 d_xy + u2 d_yy)^2
+        + (2.0 * u0, 2.0 * u1, 2.0 * u2, u0 * u0, u0 * u1 + u1 * u0)
+        + (u0 * u2 + u1 * u1 + u2 * u0, u1 * u2 + u2 * u1, u2 * u2)
     )
-    out = _sub_tangent(lap - alpha[..., None] * psi, mt, (_dot(jx, psi), _dot(jy, psi)))
-    out -= _dot(out, psi)[..., None] * psi
-    out += 2.0 * tau
-    return _sub_tangent(out, mt, (_dot(tau, px), _dot(tau, py)))
+    rows = len(_FIELD_TERMS) if n == len(_ORDERS) else 6
+    fields = coeffs.reshape(len(_FIELD_TERMS), len(_ORDERS))[:rows, :n] @ t
+    # <B_i, B_j>, <B_i, H> and |H|^2
+    (_, _, b02, bh0), (_, b11, _, bh1), (*_, bh2), (*_, h_sq) = (
+        fields[:4] @ fields[:4].T
+    ).tolist()
+    # numpy's max, so that a NaN reaches the residual
+    dev = np.abs((bh0 - h_sq * g00, bh1 - h_sq * g01, bh2 - h_sq * g11))
+    scalars = math.sqrt(h_sq), (b02 - b11) / det + 1.0, float(dev.max())
+    if rows == 6:
+        return _PointGeometry(frame, g, det, fields[:3], fields[3], *scalars, *fields[4:])
+    # <tau, F_c>, <J_x, F_c>, <J_y, F_c> and <L, F_c>
+    (_, tau_x, tau_y), (jx, jxx, jxy), (jy, jyx, jyy), (l_psi, _, _) = (
+        fields[5:] @ frame.T
+    ).tolist()
+    alpha = l_psi + i00 * jxx + i01 * (jxy + jyx) + i11 * jyy
+    # beta_b F*_b and <tau, psi_b> F*_b, as coefficients of psi_x and psi_y
+    bx, by = i00 * jx + i01 * jy, i01 * jx + i11 * jy
+    tx, ty = i00 * tau_x + i01 * tau_y, i01 * tau_x + i11 * tau_y
+    # <v, psi> for v = L - alpha psi - beta_b F*_b, which P v subtracts
+    v_psi = l_psi - alpha * psi_sq - bx * px_psi - by * py_psi
+    tau2 = fields[8] + fields[5] * 2.0
+    tau2 += (-alpha - v_psi, -bx - tx, -by - ty) @ frame
+    return _PointGeometry(frame, g, det, fields[:3], fields[3], *scalars, *fields[4:6], tau2)
 
 
-def _forms(table, mt: _Metric):
-    """Second fundamental form (3, ..., D): B_xx, B_xy, B_yy, the second
-    partials less their psi component <psi_ab, psi> psi and their tangential
-    part g^{cd} <psi_ab, psi_d> psi_c. <psi, psi_d> = 0, since |psi| is
-    constant, so every coefficient is a dot of the partial itself."""
-    w = np.stack([table[o] for o in _SECOND])
-    r, cx, cy = (_dot(w, f) for f in (mt.psi,) + mt.d1)
-    return _sub_tangent(w - r[..., None] * mt.psi, mt, (cx, cy))
+# A field that is a constant combination of the partials of an Immersion is
+# s_k e^{i theta_k(z)} on plane k, theta_k = <w_k, z>, with one symbol
+# s in C^K; the symbol of d^A psi is c_k (i w_k1)^a (i w_k2)^b. A symbol is
+# kept as the real D-vector (Re s_0, Im s_0, Re s_1, ...), the field at the
+# origin, so the real dot of two symbols, sum_k Re(s_k conj t_k), is the
+# inner product of their fields at every point. The symbol of each order of
+# `_ORDERS` is its factor row on the cos slots (a+b even) or on the sin
+# slots (a+b odd); the dot of an even symbol with an odd one is 0.0.
+_AT_ORIGIN = np.array([(1.0, 0.0) if sum(o) % 2 == 0 else (0.0, 1.0) for o in _ORDERS])[:, None]
 
 
-def _curvature(mt: _Metric, forms) -> CurvatureSummary:
-    """Curvature summary at each point from the forms of `_forms`. The
-    mean-curvature vector is half their g-trace, 1/2 g^{ab} B_ab."""
-    h_vec = 0.5 * _weighted_sum(forms, range(3), _weights(mt))
-    h_sq = _dot(h_vec, h_vec)
-    gauss = (_dot(forms[0], forms[2]) - _dot(forms[1], forms[1])) / mt.det + 1.0
-    # |<B_ab, H> - |H|^2 g_ab| for ab = xx, xy, yy
-    g = np.stack((mt.g[..., 0, 0], mt.g[..., 0, 1], mt.g[..., 1, 1]))
-    dev = np.abs(_dot(forms, h_vec) - h_sq * g)
-    return CurvatureSummary(np.sqrt(h_sq), gauss, dev.max(axis=0), h_vec)
+def _symbols(im: Immersion) -> _PointGeometry:
+    """The kernel at the origin of an Immersion, whose partials there are
+    the symbols: its fields are the symbols of the fields, the same at
+    every point up to the phase, and its scalars the same at every point.
+    Every field but the odd frame entries psi_x, psi_y is even: its symbol
+    sits on the cos slots. The terms that are 0 on every Immersion come out
+    0.0, or cancel to rounding: the tangential parts and beta are dots of
+    an even symbol with an odd one, and alpha is the derivative of a
+    constant."""
+    n = len(_ORDERS)
+    return _point_geometry((im._factors(_ORDERS).reshape(n, -1, 2) * _AT_ORIGIN).reshape(n, -1))
+
+
+def _per_point(table, max_order: int, *names) -> list[np.ndarray]:
+    """The kernel run at each point of an explicit table {(a, b): (..., D)}
+    of the orders a+b <= max_order, one point at a time; for each of the
+    `_PointGeometry` fields `names`, one array of the point shape followed by
+    the field's own shape, an empty batch included."""
+    t = np.stack([table[o] for o in _ORDERS[: (max_order + 1) * (max_order + 2) // 2]], axis=-2)
+    shape, d = t.shape[:-2], t.shape[-1]
+    points = [_point_geometry(x) for x in t.reshape((-1,) + t.shape[-2:])]
+    tails = {"g": (2, 2), "forms": (3, d), "h_norm": (), "gauss": (), "umbilic": ()}
+    return [
+        np.array([getattr(x, name) for x in points], dtype=float).reshape(
+            shape + tails.get(name, (d,))
+        )
+        for name in names
+    ]
 
 
 # ---------------------------------------------------------------------------
 # the per-point functions: an Immersion's from its symbols, any other map's
-# through the table kernel over its `partial_table`
+# from the kernel at each point of its `partial_table`
 
 
 def _read(im: Immersion, p, symbols) -> list[np.ndarray]:
@@ -193,8 +239,7 @@ def tension(im: Immersion, p) -> np.ndarray:
     form of the map into the sphere); equals 2H."""
     if isinstance(im, Immersion):
         return _read(im, p, (_symbols(im).tau,))[0]
-    table = im.partial_table(p, 2)
-    return _tension(table, _metric(table))
+    return _per_point(im.partial_table(p, 2), 2, "tau")[0]
 
 
 def bitension(im: Immersion, p) -> np.ndarray:
@@ -203,8 +248,7 @@ def bitension(im: Immersion, p) -> np.ndarray:
     is broken."""
     if isinstance(im, Immersion):
         return _read(im, p, (_symbols(im).tau2,))[0]
-    table = im.partial_table(p, 4)
-    return _bitension(table, _metric(table))
+    return _per_point(im.partial_table(p, 4), 4, "tau2")[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -232,9 +276,8 @@ def fundamental_forms(im, p) -> FundamentalForms:
         s = _symbols(im)
         forms = _read(im, p, s.forms)
         return FundamentalForms(np.broadcast_to(s.g, forms[0].shape[:-1] + (2, 2)).copy(), *forms)
-    table = im.partial_table(p, 2)
-    mt = _metric(table)
-    return FundamentalForms(mt.g, *_forms(table, mt))
+    g, forms = _per_point(im.partial_table(p, 2), 2, "g", "forms")
+    return FundamentalForms(g, *np.moveaxis(forms, -2, 0).copy())
 
 
 def mean_curvature(im, p) -> CurvatureSummary:
@@ -245,10 +288,9 @@ def mean_curvature(im, p) -> CurvatureSummary:
         s = _symbols(im)
         (h_vec,) = _read(im, p, (s.h,))
         shape = h_vec.shape[:-1]
-        return CurvatureSummary(*(np.full(shape, x) for x in _curvature_constants(s)), h_vec)
-    table = im.partial_table(p, 2)
-    mt = _metric(table)
-    return _curvature(mt, _forms(table, mt))
+        return CurvatureSummary(*(np.full(shape, x) for x in (s.h_norm, s.gauss, s.umbilic)), h_vec)
+    names = ("h_norm", "gauss", "umbilic", "h")
+    return CurvatureSummary(*_per_point(im.partial_table(p, 2), 2, *names))
 
 
 # ---------------------------------------------------------------------------
@@ -308,8 +350,7 @@ def fd_bitension_oracle(im, p, step: float) -> np.ndarray:
     """
     if not (_is_real(step) and 1e-4 <= step <= 1e-1):
         raise DomainError("step must lie in [1e-4, 1e-1], got %r" % step)
-    table = fd_partial_table(im, p, step, 4)
-    return _bitension(table, _metric(table))
+    return _per_point(fd_partial_table(im, p, step, 4), 4, "tau2")[0]
 
 
 def gaussian_brioschi_fd(im, p, step: float = 1e-3) -> float:
@@ -317,7 +358,7 @@ def gaussian_brioschi_fd(im, p, step: float = 1e-3) -> float:
     metric alone (Brioschi formula), with metric derivatives by finite
     differences; oracle for the Gauss-equation route. E, F and G on the
     5 x 5 stencil come from the map's first-order `partial_table` and the
-    table kernel's `_metric`.
+    kernel's metric step at each point.
 
     On an `Immersion` the metric is the same constant at every point, so
     every difference vanishes and this returns 0.0 up to rounding (below
@@ -329,7 +370,7 @@ def gaussian_brioschi_fd(im, p, step: float = 1e-3) -> float:
     _check_step(step)
     offs = np.arange(-2, 3, dtype=float)
     grid = np.stack(np.meshgrid(offs, offs, indexing="ij"), axis=-1)
-    g = _metric(im.partial_table(p + step * grid, 1)).g
+    (g,) = _per_point(im.partial_table(p + step * grid, 1), 1, "g")
     E, F, G = g[..., 0, 0], g[..., 0, 1], g[..., 1, 1]
     d1 = np.array([1, -8, 0, 8, -1]) / (12 * step)
     d2 = np.array([-1, 16, -30, 16, -1]) / (12 * step**2)
@@ -483,88 +524,7 @@ _CHECKS = (
 # blocks of 4096 ran it about 20% slower.
 _BLOCK = 2048
 
-# A field that is a constant combination of the partials of an Immersion is
-# s_k e^{i theta_k(z)} on plane k, theta_k = <w_k, z>, with one symbol
-# s in C^K; the symbol of d^A psi is c_k (i w_k1)^a (i w_k2)^b. A symbol is
-# kept as the real D-vector (Re s_0, Im s_0, Re s_1, ...), the field at the
-# origin, so the real dot of two symbols, sum_k Re(s_k conj t_k), is the
-# inner product of their fields at every point. The symbol of each order of
-# `_ORDERS` is its factor row on the cos slots (a+b even) or on the sin
-# slots (a+b odd); the dot of an even symbol with an odd one is 0.0.
-_AT_ORIGIN = np.array([(1.0, 0.0) if sum(o) % 2 == 0 else (0.0, 1.0) for o in _ORDERS])[:, None]
-
 _EYE = np.eye(2)
-
-
-# The fields tau, L (`_tension`, `_bitension`) and Delta psi as combinations
-# of the partials of `_ORDERS`, one row each; the slots of their
-# coefficients, in the order `_symbols` lists them.
-_FIELD_TERMS = (
-    (0, ((0, 0), (2, 0), (1, 1), (0, 2))),
-    (1, ((2, 0), (1, 1), (0, 2), (4, 0), (3, 1), (2, 2), (1, 3), (0, 4))),
-    (2, ((2, 0), (0, 2))),
-)
-_FIELD_SLOTS = np.array(
-    [row * len(_ORDERS) + _ORDERS.index(o) for row, orders in _FIELD_TERMS for o in orders]
-)
-
-
-class _Symbols(NamedTuple):
-    frame: np.ndarray  # (3, D): psi, psi_x, psi_y
-    g: np.ndarray  # (2, 2)
-    det: float
-    forms: np.ndarray  # (3, D): B_xx, B_xy, B_yy
-    h: np.ndarray  # (D,): H
-    tau: np.ndarray  # (D,)
-    tau2: np.ndarray  # (D,): the bitension
-    lap: np.ndarray  # (D,): Delta psi
-
-
-def _symbols(im: Immersion) -> _Symbols:
-    """The metric and the symbols of the fields that the geometry forms,
-    once, from the 15 symbols of the partials. Every field but the odd
-    frame entries psi_x, psi_y is even: its symbol sits on the cos slots.
-
-    The table kernel's terms that are 0 on every Immersion are left out:
-    the tangential parts of the forms and of tau and beta_a are dots of an
-    even symbol with an odd one, and alpha = g^{ab} d_b <J_a, psi> is the
-    derivative of a constant, whose alpha psi the projection onto psi^perp
-    removes again."""
-    n, k = len(_ORDERS), im.num_planes
-    sym = (im._factors(_ORDERS).reshape(n, k, 2) * _AT_ORIGIN).reshape(n, 2 * k)
-    frame, psi = sym[:3], sym[0]
-    # <d^A psi, F_c> for the orders A <= 2 and the frame F = (psi, psi_x, psi_y)
-    dots = sym[:6] @ frame.T
-    (g00, g01), (_, g11) = dots[1:3, 1:].tolist()
-    det = g00 * g11 - g01 * g01
-    if det < 1e-12:
-        raise DomainError("degenerate immersion: metric determinant below 1e-12")
-    u0, u1, u2 = g11 / det, 2.0 * -(g01 / det), g00 / det
-    coeffs = np.zeros(3 * n)
-    coeffs[_FIELD_SLOTS] = (
-        (2.0, u0, u1, u2)
-        # L's order-4 weights are those of (u0 d_xx + u1 d_xy + u2 d_yy)^2
-        + (2.0 * u0, 2.0 * u1, 2.0 * u2, u0 * u0, u0 * u1 + u1 * u0)
-        + (u0 * u2 + u1 * u1 + u2 * u0, u1 * u2 + u2 * u1, u2 * u2, -1.0, -1.0)
-    )
-    tau, lap_j, lap = coeffs.reshape(3, n) @ sym
-    # the forms: the second partials less their psi part
-    forms = sym[3:6] - dots[3:, :1] * psi
-    h_vec = ((u0, u1, u2) @ forms) * 0.5
-    # the bitension: L made normal to psi, plus 2 tau
-    tau2 = lap_j - (lap_j @ psi) * psi
-    tau2 += tau * 2.0
-    return _Symbols(frame, dots[1:3, 1:], det, forms, h_vec, tau, tau2, lap)
-
-
-def _curvature_constants(s: _Symbols) -> tuple[float, float, float]:
-    """|H|, K = 1 + (<B_xx, B_yy> - |B_xy|^2) / det g and the
-    pseudo-umbilicity residual max |<B_ab, H> - |H|^2 g_ab|: the same at
-    every point."""
-    (_, _, b02), (_, b11, _), _ = (s.forms @ s.forms.T).tolist()
-    h_sq = float(s.h @ s.h)
-    dev = s.forms @ s.h - h_sq * s.g.ravel()[[0, 1, 3]]
-    return math.sqrt(h_sq), (b02 - b11) / s.det + 1.0, float(np.abs(dev).max())
 
 
 def _symbol_residuals(im: Immersion) -> list[float]:
@@ -576,7 +536,6 @@ def _symbol_residuals(im: Immersion) -> list[float]:
     s = _symbols(im)
     k, m, h = im.num_planes, im.m, im.data.h
     psi = s.frame[0]
-    h_norm, gauss, _ = _curvature_constants(s)
     # <B_i, F_c>, then <tau, F_c>
     against = np.concatenate((s.forms, s.tau[None])) @ s.frame.T
 
@@ -604,8 +563,8 @@ def _symbol_residuals(im: Immersion) -> list[float]:
     return [
         metric,
         normal,
-        abs(h_norm - h),
-        abs(gauss),
+        abs(s.h_norm - h),
+        abs(s.gauss),
         two_type,
         abs(math.sqrt(n1) - root_half),
         abs(math.sqrt(n2) - root_half),
@@ -722,12 +681,13 @@ def verify_immersion(
     geometric invariant.
 
     Tolerances per check: unit sphere 1e-12, flat identity metric 1e-10,
-    form normality 1e-9, |H| = h 1e-9, K = 0 1e-8, spectral blocks 1e-10,
-    eigenblocks 1e-10, bitension 1e-7; `tolerances` overrides them by check
-    name (each override a positive finite number). The data-admissibility
-    checks are the report `build` validated with, or, for an immersion
-    built with validate=False, validate_miyata's, computed once per
-    immersion.
+    form normality 1e-9, |H| = h 1e-9, K = 0 1e-8, the two-type identity
+    H = h (t1 - t2) 1e-9, spectral blocks 1e-10, eigenblocks 1e-10, tension
+    normality 1e-9, tau = 2H 1e-10, bitension 1e-7; `tolerances` overrides
+    them by check name (each override a positive finite number). The
+    data-admissibility checks are the report `build` validated with, or,
+    for an immersion built with validate=False, validate_miyata's, computed
+    once per immersion.
 
     Every geometric check but unit_norm is computed once, in O(K), from the
     per-plane symbols (`_symbol_residuals`), and its residual is the sup of

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import assume, given, note, settings, strategies as st
 
 import dict_table_oracle as oracle
+import symbol_oracle
 import verify_oracle
 from bihsurf import geometry, immersion, parameters
 from bihsurf.core import GEOMETRIC_TOL, Check, DomainError, VerificationReport
@@ -293,17 +294,19 @@ class SmallSphere:
 
     A round two-sphere of radius r sitting in the unit three-sphere; induced
     metric r^2 (dx^2 + sin^2 x dy^2), K = 1/r^2, |H| = c/r, totally umbilic.
+    With scale != 1 every coordinate is multiplied by it, so |psi| = scale.
     """
 
-    def __init__(self, r=0.8):
+    def __init__(self, r=0.8, scale=1.0):
         self.r = r
         self.c = math.sqrt(1 - r * r)
+        self.scale = scale
 
     def eval(self, p):
         p = np.asarray(p, dtype=float)
         x, y = p[..., 0], p[..., 1]
         r = self.r
-        return np.stack(
+        return self.scale * np.stack(
             [np.full_like(x, self.c), r * np.sin(x) * np.cos(y), r * np.sin(x) * np.sin(y), r * np.cos(x)],
             axis=-1,
         )
@@ -320,7 +323,7 @@ class SmallSphere:
         sy = np.sin(y + b * math.pi / 2)
         first = np.zeros_like(x) if (a or b) else np.full_like(x, self.c)
         comp_w = r * cx if b == 0 else np.zeros_like(x)
-        return np.stack([first, r * sx * cy, r * sx * sy, comp_w], axis=-1)
+        return self.scale * np.stack([first, r * sx * cy, r * sx * sy, comp_w], axis=-1)
 
     def partial_table(self, p, max_order=2):
         return {
@@ -692,6 +695,45 @@ def test_forms_and_curvature_match_oracle_on_curved_fixture():
         _assert_close(getattr(got, name), getattr(want, name), name)
 
 
+@pytest.mark.parametrize("scale", [1.0, 1.3])
+def test_tension_and_bitension_match_oracle_on_curved_fixture(scale):
+    # the terms the symbols never see: beta and the tangential parts of tau
+    # move the fixture's bitension by about 3, and alpha (1 - |psi|^2) psi
+    # shows once |psi| != 1
+    fix = SmallSphere(r=0.8, scale=scale)
+    pts = np.array([[1.1, 0.4], [0.7, -0.9], [1.9, 2.2]])
+    table = fix.partial_table(pts, 4)
+    inv = oracle._metric(table)[2]
+    tau, tau2 = oracle.tension_fields(table, inv)
+    _assert_close(tension(fix, pts), tau, "tension")
+    _assert_close(bitension(fix, pts), tau2, "bitension")
+
+
+@pytest.mark.parametrize("shape", [(), (0,), (3, 4)])
+def test_explicit_route_output_shapes(shape):
+    # one kernel run per point, gathered into the caller's point shape
+    fix = SmallSphere(r=0.8)
+    pts = np.random.default_rng(8).uniform(0.5, 2.5, shape + (2,))
+    vector, scalar = shape + (4,), shape
+    assert tension(fix, pts).shape == bitension(fix, pts).shape == vector
+    forms = fundamental_forms(fix, pts)
+    assert forms.g.shape == shape + (2, 2)
+    assert forms.b_xx.shape == forms.b_xy.shape == forms.b_yy.shape == vector
+    summary = mean_curvature(fix, pts)
+    assert summary.h_vector.shape == vector
+    for name in ("mean_curvature_norm", "gaussian", "pseudo_umbilical_residual"):
+        assert getattr(summary, name).shape == scalar, name
+    for x in list(vars(forms).values()) + list(vars(summary).values()):
+        assert x.flags.c_contiguous
+    im = extend_dimension(from_structure(0.4, 0.3))
+    fd = fd_bitension_oracle(im, np.zeros(shape + (2,)), 1e-2)
+    assert fd.shape == shape + (im.ambient_dim,)
+    if shape != (0,):
+        _assert_close(fd, oracle.fd_bitension_oracle(im, np.zeros(shape + (2,)), 1e-2), "fd")
+        want = oracle._bitension_from_table(fix.partial_table(pts, 4))
+        _assert_close(bitension(fix, pts), want, "bitension")
+
+
 def test_verify_immersion_blocks_equal_one_unblocked_evaluation():
     # unit_norm, the one sampled check, evaluates psi at every point once, in
     # blocks of at most _BLOCK; its residual is the worst over all. Blocks may
@@ -752,18 +794,27 @@ def test_per_point_functions_memory_bounded_by_block(call):
 
 
 def test_verify_immersion_runs_no_per_point_kernel():
-    # the geometric checks come from the symbols: neither the table kernel's
-    # per-point metric nor the per-point read of the symbols runs, however
-    # many samples there are
+    # the geometric checks come from the symbols: no partial table is read
+    # and the symbols are not read at any point, however many samples there
+    # are; the kernel runs once per call, on the (15, D) table at the origin
     def refuse(*args, **kwargs):
-        raise AssertionError("verify_immersion ran the per-point kernel")
+        raise AssertionError("verify_immersion read the geometry per point")
 
     im = from_structure(0.4, 0.3)
+    point_geometry, tables = geometry._point_geometry, []
+
+    def kernel(t):
+        tables.append(t.shape)
+        return point_geometry(t)
+
     with contextlib.ExitStack() as patches:
-        for name in ("_metric", "_read"):
-            patches.enter_context(mock.patch.object(geometry, name, refuse))
+        patches.enter_context(mock.patch.object(immersion.Immersion, "partial_table", refuse))
+        patches.enter_context(mock.patch.object(geometry, "_read", refuse))
+        patches.enter_context(mock.patch.object(geometry, "_point_geometry", kernel))
         for samples in (1, _B, 3 * _B + 7):
+            del tables[:]
             assert verify_immersion(im, samples=samples, seed=3).passed
+            assert tables == [(15, im.ambient_dim)], (samples, tables)
 
 
 def test_verify_immersion_keeps_no_memory_after_the_call():
@@ -827,6 +878,27 @@ def test_factor_table_and_stacked_projection_match_oracle(case):
     got = verify_immersion(im, samples=samples, seed=seed, box=box)
     want = verify_oracle.verify_immersion(im, samples=samples, seed=seed, box=box)
     _assert_sup_of_samples(got, want, admissible)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_family_verify_case())
+def test_kernel_at_the_origin_matches_the_symbol_oracle(case):
+    # the one kernel keeps alpha, beta and the tangential parts; at the
+    # origin they are 0.0 or cancel, so it gives the fields of the symbol
+    # route that left them out, and the same verdicts
+    _, im, samples, seed, box = case
+    got, want = geometry._symbols(im), symbol_oracle.symbols(im)
+    for name in ("g", "det", "forms", "h", "tau", "tau2", "lap"):
+        _assert_close(getattr(got, name), getattr(want, name), name)
+    constants = symbol_oracle.curvature_constants(want)
+    for name, value in zip(("h_norm", "gauss", "umbilic"), constants):
+        _assert_close(getattr(got, name), value, name)
+    report = verify_immersion(im, samples=samples, seed=seed, box=box)
+    want = symbol_oracle.symbol_residuals(im)
+    for (name, tol), residual in zip(geometry._CHECKS[1:], want):
+        check = report.check(name)
+        _assert_close(check.residual, residual, name)
+        assert check.passed == Check(name, residual, tol).passed, name
 
 
 def test_verify_immersion_geometric_residuals_ignore_the_samples():
