@@ -2,11 +2,13 @@
 curvature h, decide whether an immersion with that mean curvature exists, and
 construct witness weights when it does.
 
-The decision path is exact: dual-lattice points on the two relevant circles
-are enumerated with an integer quadratic form, and their complex squares are
-rational with one common denominator per dual lattice. All hull /
-intersection predicates, the barycentric weights and the balance check run
-on the integer numerators of those squares: each is unchanged when every
+The decision path is exact and has one representation: the dual basis is
+cleared to integer rows over one denominator once, dual-lattice points on
+the two relevant circles are enumerated with the integer quadratic form of
+those rows, and each circle keeps its complex squares as integer numerators
+over one denominator per dual lattice. All hull / intersection predicates,
+the barycentric weights (in `admissible` and `witness_weights` alike) and
+the balance check run on those numerators: each is unchanged when every
 point is scaled by the same positive number, so the weights are the ones of
 the rational squares. The weights are exact Fractions; floats appear only in
 emitted vectors and the reconstructed witness data.
@@ -115,46 +117,48 @@ def unimodular_image(lat: Lattice2, u) -> Lattice2:
 
 @dataclass(frozen=True)
 class DualLattice:
-    """Dual basis w_i with <w_i, g_j> = 2 pi delta_ij.
+    """Dual basis w_i with <w_i, g_j> = 2 pi delta_ij, in integers.
 
-    w_i = rows[i] / sqrt(surd) with rational rows, so the Gram form and all
-    complex squares of dual vectors are exactly rational.
+    w_i = ints[i] / (den sqrt(surd)): ints are integer rows and den is the
+    least common denominator of the rational rows, so the Gram form is
+    ints ints^T / (den^2 surd) and every complex square of a dual vector is
+    an integer pair over den^2 surd. gens holds the float w_i.
     """
 
-    gens: tuple[tuple[float, float], tuple[float, float]]
-    rows: tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]
+    ints: tuple[tuple[int, int], tuple[int, int]]
+    den: int
     surd: int
-    gram: tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]
+    gens: tuple[tuple[float, float], tuple[float, float]]
 
     def vector(self, m: int, n: int) -> np.ndarray:
         return m * np.array(self.gens[0]) + n * np.array(self.gens[1])
 
 
 def dual_lattice(lat: Lattice2) -> DualLattice:
-    """2 pi inverse-transpose of the primal basis, carried exactly.
+    """2 pi inverse-transpose of the primal basis, cleared to integers once.
 
     The primal rows are pi sqrt(s) C with C = M / k for an integer matrix
     M = (a, b; c, d), so the dual rows (2 / sqrt(s)) inv(C)^T are
-    2k / det(M) times the integer rows (d, -c) and (-b, a): every row and
-    Gram entry is one ratio of integers.
+    2k / det(M) times the integer rows (d, -c) and (-b, a). Their least
+    common denominator is den = |det| / g with g = gcd(det, 2k gcd(a, b, c, d)),
+    and den times them is 2k (d, -c) and 2k (-b, a) divided exactly by
+    g signed as det.
     """
     if lat.rank != 2:
         raise DomainError("dual lattice requires a rank-2 lattice")
     if lat.exact is None:
         raise ExactnessError("dual lattice requires exact generator data")
-    k, (a, b, c, d) = _integer_scaled([x for row in lat.exact.rows for x in row])
+    flat = [x for row in lat.exact.rows for x in row]
+    k = math.lcm(*(x.denominator for x in flat))
+    a, b, c, d = (x.numerator * (k // x.denominator) for x in flat)
     det = a * d - b * c
-    vecs = ((d, -c), (-b, a))
-    rows = tuple(tuple(Fraction(2 * k * x, det) for x in v) for v in vecs)
-    s = lat.exact.surd
-    scale = 1.0 / math.sqrt(s)
-    gens = tuple(tuple(scale * float(x) for x in row) for row in rows)
-    gram_den = det * det * s
-    gram = tuple(
-        tuple(Fraction(4 * k * k * (vi[0] * vj[0] + vi[1] * vj[1]), gram_den) for vj in vecs)
-        for vi in vecs
-    )
-    return DualLattice(gens=gens, rows=rows, surd=s, gram=gram)
+    g = math.gcd(det, 2 * k * math.gcd(a, b, c, d))
+    unit = g if det > 0 else -g
+    ints = tuple(tuple(2 * k * x // unit for x in v) for v in ((d, -c), (-b, a)))
+    den = abs(det) // g
+    scale = 1.0 / math.sqrt(lat.exact.surd)
+    gens = tuple(tuple(scale * (x / den) for x in row) for row in ints)
+    return DualLattice(ints=ints, den=den, surd=lat.exact.surd, gens=gens)
 
 
 @dataclass(frozen=True)
@@ -162,15 +166,12 @@ class CircleSquareSet:
     """Squares w^2 of dual vectors w of a fixed squared length.
 
     preimages lists every dual coordinate pair on the circle (they come in
-    +- pairs); points holds the deduplicated squares with one representative
-    preimage each, sorted by exact coordinates. numerators holds the same
-    squares times den, as integers; den is the same for every circle of one
-    dual lattice.
+    +- pairs). numerators holds the deduplicated squares times den, as
+    sorted integer pairs, and reps one preimage of each; den = dual.den^2
+    surd is the same for every circle of one dual lattice.
     """
 
     radius_sq: Fraction
-    points: tuple[complex, ...]
-    points_exact: tuple[Point, ...]
     reps: tuple[tuple[int, int], ...]
     preimages: tuple[tuple[int, int], ...]
     dual: DualLattice
@@ -178,39 +179,35 @@ class CircleSquareSet:
     den: int
 
 
-def _integer_scaled(values) -> tuple[int, list[int]]:
-    """(L, [L * v]) with L the lcm of the denominators of the Fractions."""
-    scale = math.lcm(*(v.denominator for v in values))
-    return scale, [v.numerator * (scale // v.denominator) for v in values]
-
-
 def circle_points(dual: DualLattice, radius_sq) -> CircleSquareSet:
     """Enumerate {w in dual : |w|^2 = radius_sq} exactly and square them.
 
-    Clearing denominators turns |m w_1 + n w_2|^2 = radius_sq into
-    A m^2 + 2B mn + C n^2 = N in integers, with D0 = AC - B^2 > 0. Real
-    roots n = (-Bm +- s)/C need s^2 = CN - D0 m^2 >= 0, so each
-    |m| <= isqrt(CN // D0) costs one integer square test: O(m_max)
-    operations in all. N > 0 keeps (0, 0) off the circle. Preimages are
-    visited in (m, n) ascending order; w and -w collapse to the same
-    square, which keeps its first preimage as representative.
+    With w = (m ints_0 + n ints_1) / (den sqrt(surd)), |w|^2 = radius_sq is
+    A m^2 + 2B mn + C n^2 = N for the integer form Q = ints ints^T and
+    N = radius_sq den^2 surd. A non-integer N leaves the circle empty.
+    Otherwise D0 = AC - B^2 > 0, and real roots n = (-Bm +- s)/C need
+    s^2 = CN - D0 m^2 >= 0, so each |m| <= isqrt(CN // D0) costs one
+    integer square test: O(m_max) operations in all. N > 0 keeps (0, 0) off
+    the circle. Preimages are visited in (m, n) ascending order; w and -w
+    collapse to the same square, which keeps its first preimage as
+    representative.
 
-    Each square is (u^2 - v^2, 2uv) / den with integers u, v and
-    den = k^2 surd fixed by the dual rows, so the squares of every circle of
-    one dual lattice come as integer numerators over one denominator.
+    Each square is the integer pair (u^2 - v^2, 2uv) over den^2 surd, with
+    (u, v) = m ints_0 + n ints_1, so the squares of every circle of one dual
+    lattice come as integer numerators over one denominator.
     """
     radius_sq = exact_rational(radius_sq, "radius_sq")
     if radius_sq <= 0:
         raise DomainError("radius_sq must be positive")
-    (qa, qb), (_, qc) = dual.gram
-    _, (a, b, c, big_n) = _integer_scaled((qa, qb, qc, radius_sq))
+    (r00, r01), (r10, r11) = dual.ints
+    a, b, c = r00 * r00 + r01 * r01, r00 * r10 + r01 * r11, r10 * r10 + r11 * r11
     d0 = a * c - b * b
     if d0 <= 0:
         raise ValueError("dual Gram form is not positive definite")
-    # w = (U, V) / (k sqrt(surd)) with integer U, V, so w^2 has the common
-    # denominator k^2 surd; squares are keyed and sorted by their numerators
-    k, (r00, r01, r10, r11) = _integer_scaled([x for row in dual.rows for x in row])
-    den = k * k * dual.surd
+    den = dual.den * dual.den * dual.surd
+    big_n, rem = divmod(radius_sq.numerator * den, radius_sq.denominator)
+    if rem:
+        return CircleSquareSet(radius_sq, (), (), dual, (), den)
     cn = c * big_n
     m_max = math.isqrt(cn // d0)
     pre = []
@@ -231,8 +228,6 @@ def circle_points(dual: DualLattice, radius_sq) -> CircleSquareSet:
     order = tuple(sorted(squares))
     return CircleSquareSet(
         radius_sq=radius_sq,
-        points=tuple(complex(x / den, y / den) for x, y in order),
-        points_exact=tuple((Fraction(x, den), Fraction(y, den)) for x, y in order),
         reps=tuple(squares[p] for p in order),
         preimages=tuple(pre),
         dual=dual,
@@ -400,11 +395,16 @@ def witness_weights(
 ) -> Optional[tuple[list[Fraction], list[Fraction]]]:
     """Positive block weights with sum(alpha_k R_k) + sum(gamma_j R'_j) = 0.
 
-    Feasible iff conv(A) meets -conv(G); the meeting point is split
-    barycentrically over each hull. Returned lists align with the point order
-    of each set; a zero entry means that point is unused (dropped downstream).
+    Feasible iff conv(A) meets -conv(G); the centroid of the meeting region
+    is split barycentrically over each hull. This is `admissible`'s route:
+    the hulls and weights run on the integer numerators, each set's brought
+    to the common denominator den_a den_g, which leaves every weight
+    unchanged. Returned lists align with the order of each set's
+    numerators; a zero entry means that square is unused (dropped
+    downstream).
     """
-    pa, pg = set_a.points_exact, set_g.points_exact
+    pa = [(x * set_g.den, y * set_g.den) for x, y in set_a.numerators]
+    pg = [(x * set_a.den, y * set_a.den) for x, y in set_g.numerators]
     if not pa or not pg:
         return None
     return _hull_weights(pa, convex_hull(pa), pg, convex_hull(pg))
@@ -452,7 +452,7 @@ class AdmissibleResult:
             "verdict": self.verdict,
         }
         if self.set_a is not None:
-            out["circle_counts"] = [len(self.set_a.points), len(self.set_g.points)]
+            out["circle_counts"] = [len(self.set_a.numerators), len(self.set_g.numerators)]
         if self.witness is not None:
             out["m"] = self.witness.m
             out["mp"] = self.witness.mp

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -26,6 +27,11 @@ def exact_rational(value, name: str) -> Fraction:
         return Fraction(value)
     except (TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
         raise DomainError("%s must be a finite rational number, got %r" % (name, value)) from exc
+
+
+def _is_real(value) -> bool:
+    """A real number (int, float, Fraction, numpy scalar), but not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def isqrt_exact(n: int) -> Optional[int]:

@@ -46,7 +46,6 @@ from __future__ import annotations
 import collections
 import functools
 import math
-import numbers
 import os
 import sys
 from dataclasses import dataclass
@@ -54,7 +53,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import GEOMETRIC_TOL, Check, DomainError, VerificationReport
+from .core import GEOMETRIC_TOL, Check, DomainError, VerificationReport, _is_real
 from .immersion import _ORDERS, Immersion, _as_points, _check_max_order, _is_int
 
 
@@ -305,10 +304,6 @@ _STENCILS = {
 }
 
 
-def _is_real(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
 # the stencils divide by up to step**4, which must stay a normal double
 _MIN_STEP = sys.float_info.min**0.25
 
@@ -472,8 +467,8 @@ class BoruvkaParams:
 def boruvka_params(n1: int, n2: int) -> BoruvkaParams:
     """Diagonal-sum parameters for two degree-n minimal sphere immersions,
     q_i = n_i(n_i + 1)."""
-    if n1 < 2 or n2 < 2:
-        raise DomainError("degrees must be >= 2")
+    if not (_is_int(n1) and _is_int(n2) and n1 >= 2 and n2 >= 2):
+        raise DomainError("degrees must be >= 2 (integers), got %r, %r" % (n1, n2))
     if n1 == n2:
         raise DomainError("n1 = n2 is degenerate (harmonic, not proper)")
     q1 = n1 * (n1 + 1)

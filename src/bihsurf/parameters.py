@@ -10,7 +10,7 @@ import json
 import math
 from dataclasses import dataclass, replace
 
-from .core import Check, DomainError, VerificationReport
+from .core import Check, DomainError, VerificationReport, _is_real
 
 _END_EPS = 8e-16  # endpoint snapping for s in [h/(1+h), 1/(1+h)]
 _PRE_SLACK = 1e-12  # slack on closed-interval preconditions
@@ -120,8 +120,8 @@ def unit_circle(angle: float) -> complex:
 
 
 def _check_h(h: float):
-    if not (0.0 < h < 1.0):
-        raise DomainError("h must lie in the open interval (0,1), got %r" % h)
+    if not (_is_real(h) and 0.0 < h < 1.0):
+        raise DomainError("h must lie in the open interval (0,1), got %r" % (h,))
 
 
 def rho_max(h: float) -> float:
@@ -137,8 +137,8 @@ def s_of_rho(h: float, rho: float) -> float:
     with s(0) = h/(1+h) and s(pi/2) = 1/(1+h).
     """
     _check_h(h)
-    if not (-_PRE_SLACK <= rho <= math.pi / 2 + _PRE_SLACK):
-        raise DomainError("rho must lie in [0, pi/2], got %r" % rho)
+    if not (_is_real(rho) and -_PRE_SLACK <= rho <= math.pi / 2 + _PRE_SLACK):
+        raise DomainError("rho must lie in [0, pi/2], got %r" % (rho,))
     return 2.0 * h / ((1.0 + h) * (1.0 + h + (1.0 - h) * math.cos(2.0 * rho)))
 
 
@@ -152,7 +152,7 @@ def t_of_s(h: float, s: float) -> float:
     _check_h(h)
     lo = h / (1.0 + h)
     hi = 1.0 / (1.0 + h)
-    if s < lo - 1e-9 or s > hi + 1e-9:
+    if not (_is_real(s) and lo - 1e-9 <= s <= hi + 1e-9):
         raise DomainError("s=%r outside [h/(1+h), 1/(1+h)] = [%r, %r]" % (s, lo, hi))
     if s - lo <= _END_EPS:
         return 0.0
@@ -167,8 +167,8 @@ def rho_tilde_of(h: float, rho: float) -> float:
     """Second frequency angle: -pi/2 at rho=0, 0 at rho=pi/2, otherwise
     arctan(-1/(h tan rho)); always in [-pi/2, 0]."""
     _check_h(h)
-    if not (-_PRE_SLACK <= rho <= math.pi / 2 + _PRE_SLACK):
-        raise DomainError("rho must lie in [0, pi/2], got %r" % rho)
+    if not (_is_real(rho) and -_PRE_SLACK <= rho <= math.pi / 2 + _PRE_SLACK):
+        raise DomainError("rho must lie in [0, pi/2], got %r" % (rho,))
     if rho <= 0.0 or h * math.tan(rho) == 0.0:  # the product underflows for subnormal rho
         return -math.pi / 2
     if rho >= math.pi / 2:
@@ -184,7 +184,7 @@ def structure_params(h: float, rho: float) -> StructureParams:
     """
     _check_h(h)
     rmax = rho_max(h)
-    if rho < -_PRE_SLACK or rho > rmax + _PRE_SLACK:
+    if not (_is_real(rho) and -_PRE_SLACK <= rho <= rmax + _PRE_SLACK):
         raise DomainError(
             "rho=%r outside the structure range [0, %.17g] for h=%r" % (rho, rmax, h)
         )

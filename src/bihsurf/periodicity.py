@@ -8,14 +8,15 @@ cleared to integers); floats appear only in emitted generator vectors.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
 import numpy as np
 
-from .core import MAX_SQUAREFREE, DomainError, exact_rational, isqrt_exact, squarefree_decompose
+from .core import (
+    MAX_SQUAREFREE, DomainError, _is_real, exact_rational, isqrt_exact, squarefree_decompose,
+)
 from .parameters import _check_h, angle_family_data, rho_tilde_of, spectral_levels, t_of_s
 from .immersion import Immersion, _is_int, build
 
@@ -163,8 +164,7 @@ def period_lattice(im: Immersion, search_bound: float) -> Lattice2:
     _MAX_GRID_PAIRS is refused); the basis is Lagrange-Gauss reduced.
     """
     try:
-        valid = (isinstance(search_bound, numbers.Real) and not isinstance(search_bound, bool)
-                 and math.isfinite(search_bound) and search_bound > 0)
+        valid = _is_real(search_bound) and math.isfinite(search_bound) and search_bound > 0
     except OverflowError:  # an int too large for a float
         valid = False
     if not valid:
@@ -274,7 +274,7 @@ class PeriodicDirection:
 
 
 def _check_rho(rho) -> None:
-    if not (0.0 < rho <= math.pi / 2):
+    if not (_is_real(rho) and 0.0 < rho <= math.pi / 2):
         raise DomainError("rho must lie in (0, pi/2], got %r" % (rho,))
 
 
@@ -297,7 +297,7 @@ def closing_ratios(h: float, s: float) -> tuple[float, float]:
     """
     _check_h(h)
     lo, hi = h / (1.0 + h), 1.0 / (1.0 + h)
-    if not (lo < s < hi):
+    if not (_is_real(s) and lo < s < hi):
         raise DomainError("s must lie strictly inside (h/(1+h), 1/(1+h))")
     den = (1.0 - s) * (s - (1.0 - s) * h)
     return math.sqrt(h / den), -math.sqrt(s * (1.0 - s - h * s) / den)
@@ -337,7 +337,7 @@ def periodic_direction_search(
         raise DomainError(
             "degenerate pair: requires |K1 - sqrt(lambda2/lambda1) K0| > 0"
         )
-    if not (0.0 < lo < hi < math.pi / 2):
+    if not (_is_real(lo) and _is_real(hi) and 0.0 < lo < hi < math.pi / 2):
         raise DomainError("window must be contained in (0, pi/2)")
 
     f = lambda rho: direction_integrality(h, k0, k1, rho)
@@ -458,9 +458,8 @@ def torus_case_i(q) -> CaseIResult:
     With q = num/den in lowest terms, h = (num^2 - den^2)/(num^2 + den^2)
     and the generators are pi sqrt(d) (s/num, 0) and pi sqrt(d) (0, s) for
     num^2 + den^2 = s^2 d, d squarefree: one Fraction for h and one per
-    row entry, and each float from an integer quotient (int / int rounds
-    correctly, as float(Fraction) does). num^2 + den^2 over
-    MAX_SQUAREFREE is refused.
+    row entry, built into a lattice by `ExactBasis.lattice`. num^2 + den^2
+    over MAX_SQUAREFREE is refused.
     """
     q = exact_rational(q, "q")
     num, den = q.numerator, q.denominator
@@ -476,10 +475,7 @@ def torus_case_i(q) -> CaseIResult:
     s, d = squarefree_decompose(big)
     # v1 = (2 pi / sqrt(lambda2), 0), y-generator den * (0, 2 pi / sqrt(lambda1))
     rows = ((Fraction(s, num), Fraction(0)), (Fraction(0), Fraction(s)))
-    scale = math.pi * math.sqrt(d)
-    gens = ((scale * (s / num), scale * 0.0), (scale * 0.0, scale * (s / 1)))
-    lattice = Lattice2(rank=2, gens=gens, exact=ExactBasis(rows, d))
-    return CaseIResult(h=Fraction(n2 - d2, big), q=q, lattice=lattice)
+    return CaseIResult(h=Fraction(n2 - d2, big), q=q, lattice=ExactBasis(rows, d).lattice())
 
 
 def _kernel_basis(alpha: int, beta: int, mod: int) -> tuple[tuple[int, int], tuple[int, int]]:

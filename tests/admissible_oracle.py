@@ -1,11 +1,11 @@
 """Reference admissibility decision on Fraction points.
 
-The library runs its hull predicates, weights and balance check on the
-integer numerators of the circle squares and builds the dual lattice from
-integer-cleared rows. This module keeps the route it replaced: the dual rows
-and Gram entries by chained Fraction operations, and every hull, weight and
-balance computation on the Fraction squares `points_exact`. It shares the
-library's generic hull routines, which take int or Fraction points.
+The library clears the dual rows to integers once and runs its hull
+predicates, weights and balance check on the integer numerators of the
+circle squares. This module keeps the route it replaced: the dual rows and
+Gram entries by chained Fraction operations, and every hull, weight and
+balance computation on the Fraction squares (`exact_squares`). It shares
+the library's generic hull routines, which take int or Fraction points.
 """
 
 import math
@@ -30,8 +30,21 @@ from bihsurf.core import DomainError, ExactnessError, exact_rational
 from bihsurf.parameters import MiyataData, _normal_form, spectral_levels
 
 
-def dual_lattice(lat) -> DualLattice:
-    """2 pi inverse-transpose of the primal basis, carried exactly."""
+def exact_squares(cs):
+    """The squares of a circle set as Fraction pairs, in its order."""
+    return tuple((Fraction(x, cs.den), Fraction(y, cs.den)) for x, y in cs.numerators)
+
+
+def dual_gram(dual):
+    """The dual Gram form ints ints^T / (den^2 surd), as Fractions."""
+    den = dual.den * dual.den * dual.surd
+    return tuple(
+        tuple(Fraction(u[0] * v[0] + u[1] * v[1], den) for v in dual.ints) for u in dual.ints
+    )
+
+
+def fraction_dual(lat):
+    """The dual rows and Gram entries by chained Fraction operations."""
     if lat.rank != 2:
         raise DomainError("dual lattice requires a rank-2 lattice")
     if lat.exact is None:
@@ -41,14 +54,30 @@ def dual_lattice(lat) -> DualLattice:
     # primal rows are pi sqrt(s) * C; dual rows are (2 / sqrt(s)) * inv(C)^T
     rows = ((2 * d / det, -2 * c / det), (-2 * b / det, 2 * a / det))
     s = lat.exact.surd
-    scale = 1.0 / math.sqrt(s)
-    gens = tuple(tuple(scale * float(x) for x in row) for row in rows)
 
     def q(i, j):
         return (rows[i][0] * rows[j][0] + rows[i][1] * rows[j][1]) / s
 
-    gram = ((q(0, 0), q(0, 1)), (q(1, 0), q(1, 1)))
-    return DualLattice(gens=gens, rows=rows, surd=s, gram=gram)
+    return rows, ((q(0, 0), q(0, 1)), (q(1, 0), q(1, 1)))
+
+
+def dual_lattice(lat) -> DualLattice:
+    """The Fraction rows over their least common denominator, and the float
+    generators from the Fraction rows."""
+    rows, _ = fraction_dual(lat)
+    den = math.lcm(*(x.denominator for row in rows for x in row))
+    ints = tuple(tuple(int(x * den) for x in row) for row in rows)
+    scale = 1.0 / math.sqrt(lat.exact.surd)
+    gens = tuple(tuple(scale * float(x) for x in row) for row in rows)
+    return DualLattice(ints=ints, den=den, surd=lat.exact.surd, gens=gens)
+
+
+def witness_weights(set_a, set_g):
+    """The weights on the Fraction squares of both sets."""
+    pa, pg = exact_squares(set_a), exact_squares(set_g)
+    if not pa or not pg:
+        return None
+    return _hull_weights(pa, convex_hull(pa), pg, convex_hull(pg))
 
 
 def _build_witness(h: Fraction, set_a, set_g, weights) -> MiyataData:
@@ -58,8 +87,8 @@ def _build_witness(h: Fraction, set_a, set_g, weights) -> MiyataData:
     if sum(ra) != 1 or sum(rg) != 1 or min(ra + rg) < 0:
         raise RuntimeError("witness weights are not convex combinations")
     for i in range(2):
-        total = sum(w * p[i] for w, p in zip(ra, set_a.points_exact))
-        if total + sum(w * p[i] for w, p in zip(rg, set_g.points_exact)) != 0:
+        total = sum(w * p[i] for w, p in zip(ra, exact_squares(set_a)))
+        if total + sum(w * p[i] for w, p in zip(rg, exact_squares(set_g))) != 0:
             raise RuntimeError("witness weights do not balance")
     lam1, lam2 = spectral_levels(float(h))
     mu, r_w = [], []
@@ -88,7 +117,7 @@ def admissible(lat, h) -> AdmissibleResult:
     lam1, lam2 = spectral_levels(h)
     set_a = circle_points(dual, lam1)
     set_g = circle_points(dual, lam2)
-    pa, pg = set_a.points_exact, set_g.points_exact
+    pa, pg = exact_squares(set_a), exact_squares(set_g)
     if not pa or not pg:
         return AdmissibleResult(VERDICT_NONE_EMPTY, h, set_a, set_g)
     origin = (Fraction(0), Fraction(0))

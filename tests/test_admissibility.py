@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 import time
@@ -9,6 +10,7 @@ from hypothesis import given, note, settings, strategies as st
 
 import admissible_oracle
 import hull_oracle
+from admissible_oracle import dual_gram, exact_squares
 from bihsurf.core import MAX_SQUAREFREE, DomainError, ExactnessError
 from bihsurf.periodicity import ExactBasis, Lattice2
 from bihsurf.parameters import lift_structure, structure_params, validate_miyata
@@ -112,7 +114,7 @@ def test_parse_lattice_float_gens_match_exact():
 def test_dual_of_2pi_lattice_is_integer_lattice():
     d = dual_lattice(parse_lattice(LAT_2PI))
     assert np.allclose(d.gens, [(1, 0), (0, 1)])
-    assert d.gram == ((F(1), F(0)), (F(0), F(1)))
+    assert dual_gram(d) == ((F(1), F(0)), (F(0), F(1)))
 
 
 def test_dual_of_pi_lattice_is_doubled():
@@ -123,7 +125,7 @@ def test_dual_of_pi_lattice_is_doubled():
 def test_dual_of_sqrt5_lattice():
     d = dual_lattice(parse_lattice(LAT_SQRT5))
     assert np.allclose(d.gens, [(1 / math.sqrt(5), 0), (0, 1 / math.sqrt(5))])
-    assert d.gram == ((F(1, 5), F(0)), (F(0), F(1, 5)))
+    assert dual_gram(d) == ((F(1, 5), F(0)), (F(0), F(1, 5)))
 
 
 def test_dual_requires_exact_data(sasahara_immersion):
@@ -186,11 +188,15 @@ def _unimodular(draw, bound):
     u=_unimodular(10**3),
 )
 def test_dual_lattice_matches_fraction_formula(spec, scale, u):
-    # the integer-cleared rows and Gram entries equal the chained Fraction
-    # formula's, and so do the float generators made from them
+    # the integer rows over one denominator and the Gram entries equal the
+    # chained Fraction formula's, and so do the float generators
     assert abs(u[0][0] * u[1][1] - u[0][1] * u[1][0]) == 1
     lat = _scaled_image(spec, scale, u)
-    assert dual_lattice(lat) == admissible_oracle.dual_lattice(lat)
+    dual = dual_lattice(lat)
+    assert dual == admissible_oracle.dual_lattice(lat)
+    rows, fraction_gram = admissible_oracle.fraction_dual(lat)
+    assert tuple(tuple(F(x, dual.den) for x in row) for row in dual.ints) == rows
+    assert dual_gram(dual) == fraction_gram
 
 
 # ---------------------------------------------------------------------------
@@ -201,18 +207,18 @@ def test_circle_points_unit_radius():
     d = dual_lattice(parse_lattice(LAT_2PI))
     cp = circle_points(d, F(1))
     assert cp.preimages == ((-1, 0), (0, -1), (0, 1), (1, 0))
-    assert cp.points_exact == ((F(-1), F(0)), (F(1), F(0)))
+    assert exact_squares(cp) == ((F(-1), F(0)), (F(1), F(0)))
 
 
 def test_circle_points_mod_four_obstruction():
     d = dual_lattice(parse_lattice(LAT_2PI))
-    assert circle_points(d, F(3)).points == ()
+    assert circle_points(d, F(3)).numerators == ()
 
 
 def test_circle_points_scaled_lattice():
     d = dual_lattice(parse_lattice(LAT_SQRT5))
     cp = circle_points(d, F(4, 5))
-    assert cp.points_exact == ((F(-4, 5), F(0)), (F(4, 5), F(0)))
+    assert exact_squares(cp) == ((F(-4, 5), F(0)), (F(4, 5), F(0)))
     assert set(cp.preimages) == {(-2, 0), (2, 0), (0, -2), (0, 2)}
 
 
@@ -223,11 +229,11 @@ def test_circle_points_involution_structure(rng):
         pre = set(cp.preimages)
         assert all((-m, -n) in pre for m, n in pre)
         # squares of representatives land exactly on the recorded points
-        for (m, n), pt in zip(cp.reps, cp.points_exact):
+        for (m, n), pt in zip(cp.reps, exact_squares(cp)):
             w = complex(*d.vector(m, n))
             assert abs(w * w - complex(float(pt[0]), float(pt[1]))) <= 1e-9
-        if cp.points:
-            assert len(cp.preimages) == 2 * len(cp.points) or len(cp.preimages) > 0
+        if cp.numerators:
+            assert len(cp.preimages) == 2 * len(cp.numerators) or len(cp.preimages) > 0
 
 
 def test_circle_points_count_identity():
@@ -235,19 +241,19 @@ def test_circle_points_count_identity():
     d = dual_lattice(parse_lattice(LAT_2PI))
     for radius in (F(1), F(2), F(4), F(5)):
         cp = circle_points(d, radius)
-        if cp.points:
-            assert len(cp.preimages) == 2 * len(cp.points)
+        if cp.numerators:
+            assert len(cp.preimages) == 2 * len(cp.numerators)
 
 
 def test_circle_points_modulus_invariant():
     d = dual_lattice(parse_lattice(LAT_SQRT5))
     for radius in (F(4, 5), F(16, 5), F(1)):
-        cp = circle_points(d, radius)
-        for pt in cp.points:
+        points = [complex(float(x), float(y)) for x, y in exact_squares(circle_points(d, radius))]
+        for pt in points:
             assert abs(abs(pt) - float(radius)) <= 1e-10
-        for i in range(len(cp.points)):
-            for j in range(i + 1, len(cp.points)):
-                assert abs(cp.points[i] - cp.points[j]) > 1e-9
+        for i in range(len(points)):
+            for j in range(i + 1, len(points)):
+                assert abs(points[i] - points[j]) > 1e-9
 
 
 def _brute_circle_points(dual, radius_sq):
@@ -255,13 +261,14 @@ def _brute_circle_points(dual, radius_sq):
     Q(m, n) = radius_sq, in Fractions. The numerators are the squares times
     den = k^2 surd, with k the lcm of the dual rows' denominators."""
     radius_sq = F(radius_sq)
-    (qa, qb), (_, qc) = dual.gram
+    (qa, qb), (_, qc) = dual_gram(dual)
     det = qa * qc - qb * qb
     m_max = int(math.isqrt(int(radius_sq * qc / det))) + 1
     n_max = int(math.isqrt(int(radius_sq * qa / det))) + 1
     pre = []
     squares = {}
-    r0, r1 = dual.rows
+    rows = tuple(tuple(F(x, dual.den) for x in row) for row in dual.ints)
+    r0, r1 = rows
     for m in range(-m_max, m_max + 1):
         for n in range(-n_max, n_max + 1):
             if (m, n) == (0, 0):
@@ -275,13 +282,11 @@ def _brute_circle_points(dual, radius_sq):
             if sq not in squares:
                 squares[sq] = (m, n)
     order = sorted(squares.keys())
-    den = math.lcm(*(x.denominator for row in dual.rows for x in row)) ** 2 * dual.surd
+    den = math.lcm(*(x.denominator for row in rows for x in row)) ** 2 * dual.surd
     scaled = [(x * den, y * den) for x, y in order]
     assert all(x.denominator == y.denominator == 1 for x, y in scaled)
     return CircleSquareSet(
         radius_sq=radius_sq,
-        points=tuple(complex(float(x), float(y)) for x, y in order),
-        points_exact=tuple(order),
         reps=tuple(squares[p] for p in order),
         preimages=tuple(sorted(pre)),
         dual=dual,
@@ -299,8 +304,8 @@ def _scaled_image(spec, scale, u):
 
 def _assert_same_circle(dual, radius_sq):
     fast, slow = circle_points(dual, radius_sq), _brute_circle_points(dual, radius_sq)
-    for field in ("radius_sq", "points", "points_exact", "reps", "preimages", "numerators", "den"):
-        assert getattr(fast, field) == getattr(slow, field), field
+    for field in dataclasses.fields(fast):
+        assert getattr(fast, field.name) == getattr(slow, field.name), field.name
 
 
 _UNIMODULAR = [
@@ -320,7 +325,7 @@ def _lattice_and_radius(draw):
     scale = draw(st.integers(1, 13))
     u = draw(st.sampled_from(_UNIMODULAR))
     dual = dual_lattice(_scaled_image(spec, scale, u))
-    (qa, qb), (_, qc) = dual.gram
+    (qa, qb), (_, qc) = dual_gram(dual)
     # the norm of a small dual vector lies on its circle by construction
     m, n = draw(st.integers(1, 3)), draw(st.integers(-3, 3))
     radius_sq = draw(st.one_of(
@@ -329,7 +334,7 @@ def _lattice_and_radius(draw):
         st.tuples(st.integers(1, 24), st.integers(1, 12)).map(lambda pq: F(*pq)),
         st.just(qa * m * m + 2 * qb * m * n + qc * n * n),
     ))
-    note("scale=%d u=%s gram=%s radius_sq=%s" % (scale, u, dual.gram, radius_sq))
+    note("scale=%d u=%s gram=%s radius_sq=%s" % (scale, u, dual_gram(dual), radius_sq))
     return dual, radius_sq
 
 
@@ -342,7 +347,7 @@ def test_circle_points_match_box_scan_oracle(case):
 @pytest.mark.parametrize("spec,h", TEST_LATTICES)
 def test_circle_points_skewed_scale_13_regression(spec, h):
     dual = dual_lattice(_scaled_image(spec, 13, ((2, 1), (1, 1))))
-    assert dual.gram[0][1] != 0
+    assert dual_gram(dual)[0][1] != 0
     for radius_sq in (2 * (1 - h), 2 * (1 + h)):
         _assert_same_circle(dual, radius_sq)
 
@@ -352,6 +357,22 @@ def test_circle_points_rejects_non_finite_radius(bad):
     d = dual_lattice(parse_lattice(LAT_2PI))
     with pytest.raises(DomainError, match="radius_sq"):
         circle_points(d, bad)
+
+
+@pytest.mark.parametrize("spec,ints", [(LAT_2PI, ((1, 0), (0, 1))), (LAT_PI, ((2, 0), (0, 2)))])
+def test_circle_points_non_integer_target_is_empty(spec, ints):
+    # pi Z^2 and 2 pi Z^2 have the integer duals 2 Z^2 and Z^2 (den 1, surd
+    # 1): at radius_sq 1/2 the target N = 1/2 is not an integer, so the
+    # circle is empty, and no circle ever holds (0, 0)
+    d = dual_lattice(parse_lattice(spec))
+    assert (d.ints, d.den, d.surd) == (ints, 1, 1)
+    cp = circle_points(d, F(1, 2))
+    assert (cp.reps, cp.preimages, cp.numerators, cp.den) == ((), (), (), 1)
+    (qa, _), (_, qc) = dual_gram(d)
+    for j in range(1, 41):
+        pre = circle_points(d, F(j, 4)).preimages
+        assert (0, 0) not in pre
+        assert all(qa * m * m + qc * n * n == F(j, 4) for m, n in pre)
 
 
 # ---------------------------------------------------------------------------
@@ -392,10 +413,10 @@ def test_origin_membership_matches_combination_grid(rng):
         d = dual_lattice(parse_lattice(spec))
         for radius in (2 * (1 - h), 2 * (1 + h)):
             cp = circle_points(d, radius)
-            pts = [(float(x), float(y)) for x, y in cp.points_exact]
+            pts = [(float(x), float(y)) for x, y in exact_squares(cp)]
             if not pts:
                 continue
-            exact = point_in_hull((F(0), F(0)), convex_hull(cp.points_exact))
+            exact = point_in_hull((F(0), F(0)), convex_hull(exact_squares(cp)))
             best = math.inf
             if len(pts) == 1:
                 best = math.hypot(*pts[0])
@@ -573,8 +594,6 @@ def _fake_set(points):
     den = math.lcm(*(x.denominator for p in pts for x in p))
     return CircleSquareSet(
         radius_sq=F(1),
-        points=tuple(complex(float(x), float(y)) for x, y in pts),
-        points_exact=tuple(pts),
         reps=tuple((0, 0) for _ in pts),
         preimages=(),
         dual=None,
@@ -591,7 +610,7 @@ def test_witness_weights_single_point_against_segment():
     ra, rg = witness_weights(set_a, set_g)
     assert ra == [F(1)]
     assert rg == [h / (1 + h), 1 / (1 + h)]  # the rho = 0 family weights
-    assert -lam1 * ra[0] + sum(w * p[0] for w, p in zip(rg, set_g.points_exact)) == 0
+    assert -lam1 * ra[0] + sum(w * p[0] for w, p in zip(rg, exact_squares(set_g))) == 0
 
 
 def test_witness_weights_symmetric_pairs():
@@ -624,6 +643,48 @@ def test_witness_weights_balance_is_exact(rng):
         assert all(w >= 0 for w in ra + rg)
 
 
+_FAKE_POINTS = st.lists(
+    st.tuples(st.integers(-6, 6), st.integers(-6, 6)), min_size=1, max_size=5, unique=True
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pa=_FAKE_POINTS, pg=_FAKE_POINTS, dens=st.tuples(st.integers(1, 12), st.integers(1, 12)))
+def test_witness_weights_match_fraction_oracle_on_fake_sets(pa, pg, dens):
+    # two sets whose squares have different denominators: the numerators
+    # brought to den_a den_g give the Fraction points' weights
+    set_a = _fake_set([(F(x, dens[0]), F(y, dens[0])) for x, y in pa])
+    set_g = _fake_set([(F(x, dens[1]), F(y, dens[1])) for x, y in pg])
+    note("dens %d %d" % (set_a.den, set_g.den))
+    assert witness_weights(set_a, set_g) == admissible_oracle.witness_weights(set_a, set_g)
+
+
+@st.composite
+def _circle_set(draw, spec, radius_sq):
+    scale = draw(st.integers(1, 13))
+    u = draw(st.sampled_from(_UNIMODULAR))
+    return circle_points(dual_lattice(_scaled_image(spec, scale, u)), radius_sq)
+
+
+@st.composite
+def _circle_pair(draw):
+    # A and G from two duals of one test lattice, each at its own scale and
+    # basis: with different scales the two denominators differ
+    spec, own_h = draw(st.sampled_from(TEST_LATTICES))
+    h = draw(st.one_of(st.just(own_h), _h))
+    lam1, lam2 = 2 * (1 - h), 2 * (1 + h)
+    return draw(_circle_set(spec, lam1)), draw(_circle_set(spec, lam2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(pair=_circle_pair())
+def test_witness_weights_match_fraction_oracle_on_dual_lattices(pair):
+    set_a, set_g = pair
+    note("dens %d %d, counts %d %d" % (set_a.den, set_g.den, len(set_a.numerators),
+                                       len(set_g.numerators)))
+    assert witness_weights(set_a, set_g) == admissible_oracle.witness_weights(set_a, set_g)
+
+
 # ---------------------------------------------------------------------------
 # the decision
 
@@ -641,8 +702,8 @@ def test_admissible_pi_lattice_empty_for_all_h(h):
 def test_admissible_sqrt5_pseudo_umbilical():
     res = admissible(parse_lattice(LAT_SQRT5), F(3, 5))
     assert res.verdict == "exists_pseudo_umbilical"
-    assert res.set_a.points_exact == ((F(-4, 5), F(0)), (F(4, 5), F(0)))
-    assert res.set_g.points_exact == ((F(-16, 5), F(0)), (F(16, 5), F(0)))
+    assert exact_squares(res.set_a) == ((F(-4, 5), F(0)), (F(4, 5), F(0)))
+    assert exact_squares(res.set_g) == ((F(-16, 5), F(0)), (F(16, 5), F(0)))
     assert res.witness is not None and res.witness.m == 2 and res.witness.mp == 2
 
 
@@ -683,15 +744,15 @@ def test_admissible_builds_each_hull_once(monkeypatch):
 def test_admissible_none_hull():
     res = admissible(parse_lattice(LAT_RECT_NONE_HULL), F(3, 5))
     assert res.verdict == "none_hull"
-    assert res.set_a.points_exact == ((F(4, 5), F(0)),)
-    assert res.set_g.points_exact == ((F(16, 5), F(0)),)
+    assert exact_squares(res.set_a) == ((F(4, 5), F(0)),)
+    assert exact_squares(res.set_g) == ((F(16, 5), F(0)),)
 
 
 def test_admissible_none_infeasible():
     res = admissible(parse_lattice(LAT_RECT_INFEASIBLE), F(5, 13))
     assert res.verdict == "none_infeasible"
-    assert res.set_a.points_exact == ((F(16, 13), F(0)),)
-    assert res.set_g.points_exact == ((F(-36, 13), F(0)),)
+    assert exact_squares(res.set_a) == ((F(16, 13), F(0)),)
+    assert exact_squares(res.set_g) == ((F(-36, 13), F(0)),)
 
 
 def test_admissible_rejects_irrational_h():
@@ -751,7 +812,7 @@ def test_admissible_matches_fraction_oracle(case, scale, u):
     assert got.weights == want.weights
     for name in ("set_a", "set_g"):
         a, b = getattr(got, name), getattr(want, name)
-        for field in ("points_exact", "reps", "preimages"):
+        for field in ("numerators", "den", "reps", "preimages"):
             assert getattr(a, field) == getattr(b, field), (name, field)
 
 
@@ -774,7 +835,7 @@ def test_every_emitted_witness_is_certified(spec, scale, u):
         assert res.exists == (res.witness is not None)
         if not res.exists:
             continue
-        (ra, rg), pa, pg = res.weights, res.set_a.points_exact, res.set_g.points_exact
+        (ra, rg), pa, pg = res.weights, exact_squares(res.set_a), exact_squares(res.set_g)
         assert sum(ra) == 1 and sum(rg) == 1 and min(ra + rg) >= 0
         for i in range(2):
             assert sum(w * p[i] for w, p in zip(ra + rg, pa + pg)) == 0

@@ -18,6 +18,7 @@ from bihsurf.immersion import build, from_structure
 from bihsurf.geometry import verify_immersion
 from bihsurf.periodicity import Lattice2, torus_case_i, torus_case_ii, torus_exists
 from bihsurf.admissibility import admissible
+from admissible_oracle import exact_squares
 
 
 def test_torus_exists_finds_any_case_ii_mean_curvature(rng):
@@ -45,7 +46,7 @@ def test_case_i_lattice_is_admissible_at_its_mean_curvature(q):
     assert out.exists, out.verdict
     # the low-frequency circle holds exactly the one point -lambda1
     lam1 = 2 * (1 - res.h)
-    assert out.set_a.points_exact == ((-lam1, F(0)),)
+    assert exact_squares(out.set_a) == ((-lam1, F(0)),)
     im = build(out.witness)
     assert verify_immersion(im, samples=60, seed=13).passed
     psi0 = im.eval(np.zeros(2))

@@ -18,6 +18,8 @@ from bihsurf.parameters import (
     validate_miyata,
 )
 from bihsurf.immersion import build, sasahara_data
+from bihsurf.geometry import boruvka_params
+from bihsurf.periodicity import closing_ratios, direction_integrality, periodic_direction_search
 
 
 def test_structure_rho_zero_branch():
@@ -91,6 +93,37 @@ def test_t_of_s_domain_error():
         t_of_s(0.5, 0.2)  # below h/(1+h) = 1/3
     with pytest.raises(DomainError):
         t_of_s(0.5, 0.7)  # above 1/(1+h) = 2/3
+
+
+@pytest.mark.parametrize(
+    "call,phrase",
+    [
+        (lambda: rho_max("x"), "h must lie in the open interval"),
+        (lambda: rho_max(True), "h must lie in the open interval"),
+        (lambda: rho_max((0.5, 0.5)), "h must lie in the open interval"),
+        (lambda: closing_ratios(0.5, "x"), "s must lie strictly inside"),
+        (lambda: direction_integrality(0.5, 1, 2, "x"), "rho must lie in"),
+        (lambda: periodic_direction_search(0.5, 1, 2, ("a", "b")), "window must be contained"),
+        (lambda: periodic_direction_search("x", 1, 2, (0.1, 1.0)), "h must lie in the open interval"),
+        (lambda: boruvka_params("a", 3), "degrees must be >= 2"),
+        (lambda: boruvka_params(2.5, 3), "degrees must be >= 2"),
+        (lambda: t_of_s(0.5, math.nan), r"s=nan outside"),
+        (lambda: s_of_rho(0.5, "x"), "rho must lie in"),
+        (lambda: rho_tilde_of(0.5, "x"), "rho must lie in"),
+        (lambda: structure_params(0.5, "x"), "structure range"),
+    ],
+    ids=[
+        "rho_max-str", "rho_max-bool", "rho_max-tuple", "closing_ratios-s", "direction_integrality-rho",
+        "periodic_direction_search-window", "periodic_direction_search-h",
+        "boruvka_params-str", "boruvka_params-float", "t_of_s-nan",
+        "s_of_rho-rho", "rho_tilde_of-rho", "structure_params-rho",
+    ],
+)
+def test_non_real_parameters_are_refused_by_name(call, phrase):
+    # a string, a bool, a non-integer degree or a NaN weight is a DomainError
+    # naming the parameter, not a TypeError from a comparison or a NaN result
+    with pytest.raises(DomainError, match=phrase):
+        call()
 
 
 def test_rho_tilde_special_cases_exact():
