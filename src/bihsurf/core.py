@@ -9,6 +9,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+import numpy as np
+
 GEOMETRIC_TOL = 1e-9
 
 
@@ -32,6 +34,11 @@ def exact_rational(value, name: str) -> Fraction:
 def _is_real(value) -> bool:
     """A real number (int, float, Fraction, numpy scalar), but not a bool."""
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _is_int(value) -> bool:
+    """An integer (int, numpy integer), but not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def isqrt_exact(n: int) -> Optional[int]:

@@ -25,15 +25,16 @@ the partials at the origin, which are the symbols (`_symbols`), therefore
 gives in O(K) the symbol of every field and every scalar at every point. The
 per-point functions (`tension`, `bitension`, `mean_curvature`,
 `fundamental_forms`) read an `Immersion`'s vector outputs from those symbols
-at the points, each a symbol row times the trig pair of `eval`, and write
-each scalar output (g, |H|, K, the pseudo-umbilicity residual) as its
-constant; so memory is the outputs and the phases, and nothing is kept after
-the call but the immersion's own memo. `verify_immersion` computes its
-geometric checks from the same symbols: each residual is the sup of its
-check over the whole plane, not a maximum over samples. Only its unit_norm
-check reads psi at sample points, through `eval`, so it still covers the
-evaluator that users read; its blocks of points run on a thread pool when
-there are several of them and the process may use several CPUs.
+at the points, through the reader of `eval`, and write each scalar output
+(g, |H|, K, the pseudo-umbilicity residual) as its constant; so memory is
+the outputs and the phases, and nothing is kept after the call but the
+immersion's own memo. Every slot of the plane layout is read in `immersion`.
+`verify_immersion` computes its geometric checks from the same symbols:
+each residual is the sup of its check over the whole plane, not a maximum
+over samples. Only its unit_norm check reads psi at sample points, through
+`eval`, so it still covers the evaluator that users read; its blocks of
+points run on a thread pool when there are several of them and the process
+may use several CPUs.
 
 Explicit tables run the same kernel at each of their points, one point at a
 time: the `partial_table` of a map that is not an `Immersion`, the
@@ -53,8 +54,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import GEOMETRIC_TOL, Check, DomainError, VerificationReport, _is_real
-from .immersion import _ORDERS, Immersion, _as_points, _check_max_order, _is_int
+from .core import GEOMETRIC_TOL, Check, DomainError, VerificationReport, _is_int, _is_real
+from .immersion import _ORDERS, Immersion, _as_points, _check_max_order
+from .immersion import _plane_moduli, _split_blocks
 
 
 # ---------------------------------------------------------------------------
@@ -180,11 +182,9 @@ def _point_geometry(t) -> _PointGeometry:
 # kept as the real D-vector (Re s_0, Im s_0, Re s_1, ...), the field at the
 # origin, so the real dot of two symbols, sum_k Re(s_k conj t_k), is the
 # inner product of their fields at every point. The symbol of each order of
-# `_ORDERS` is its factor row on the cos slots (a+b even) or on the sin
-# slots (a+b odd); the dot of an even symbol with an odd one is 0.0.
-_AT_ORIGIN = np.array([(1.0, 0.0) if sum(o) % 2 == 0 else (0.0, 1.0) for o in _ORDERS])[:, None]
-
-
+# `_ORDERS` is its partial at the origin (`Immersion._origin`): its factor
+# row on the cos slots (a+b even) or on the sin slots (a+b odd); the dot of
+# an even symbol with an odd one is 0.0.
 def _symbols(im: Immersion) -> _PointGeometry:
     """The kernel at the origin of an Immersion, whose partials there are
     the symbols: its fields are the symbols of the fields, the same at
@@ -194,8 +194,7 @@ def _symbols(im: Immersion) -> _PointGeometry:
     0.0, or cancel to rounding: the tangential parts and beta are dots of
     an even symbol with an odd one, and alpha is the derivative of a
     constant."""
-    n = len(_ORDERS)
-    return _point_geometry((im._factors(_ORDERS).reshape(n, -1, 2) * _AT_ORIGIN).reshape(n, -1))
+    return _point_geometry(im._origin())
 
 
 def _per_point(table, max_order: int, *names) -> list[np.ndarray]:
@@ -220,24 +219,11 @@ def _per_point(table, max_order: int, *names) -> list[np.ndarray]:
 # from the kernel at each point of its `partial_table`
 
 
-def _read(im: Immersion, p, symbols) -> list[np.ndarray]:
-    """The fields of the even symbols (rows (D,), `_symbols`) at the points
-    p (..., 2), one C-ordered (..., D) array each: the symbol's cos slots, on
-    both slots of their plane, times (cos <w, p>, sin <w, p>), the read of
-    `eval` with another row. The last field is the trig pair itself, scaled
-    in place."""
-    pair = im._pair(p)
-    rows = [np.repeat(row[0::2], 2) for row in symbols]
-    fields = [pair * row for row in rows[:-1]]
-    pair *= rows[-1]
-    return fields + [pair]
-
-
 def tension(im: Immersion, p) -> np.ndarray:
     """tau = g^{ab} psi_ab + 2 psi (metric trace of the second fundamental
     form of the map into the sphere); equals 2H."""
     if isinstance(im, Immersion):
-        return _read(im, p, (_symbols(im).tau,))[0]
+        return im._read_symbols(p, (_symbols(im).tau,))[0]
     return _per_point(im.partial_table(p, 2), 2, "tau")[0]
 
 
@@ -246,7 +232,7 @@ def bitension(im: Immersion, p) -> np.ndarray:
     on every admissible construction and is order-one when the weight balance
     is broken."""
     if isinstance(im, Immersion):
-        return _read(im, p, (_symbols(im).tau2,))[0]
+        return im._read_symbols(p, (_symbols(im).tau2,))[0]
     return _per_point(im.partial_table(p, 4), 4, "tau2")[0]
 
 
@@ -273,7 +259,7 @@ def fundamental_forms(im, p) -> FundamentalForms:
     the normal space (orthogonal to psi, psi_x, psi_y)."""
     if isinstance(im, Immersion):
         s = _symbols(im)
-        forms = _read(im, p, s.forms)
+        forms = im._read_symbols(p, s.forms)
         return FundamentalForms(np.broadcast_to(s.g, forms[0].shape[:-1] + (2, 2)).copy(), *forms)
     g, forms = _per_point(im.partial_table(p, 2), 2, "g", "forms")
     return FundamentalForms(g, *np.moveaxis(forms, -2, 0).copy())
@@ -285,7 +271,7 @@ def mean_curvature(im, p) -> CurvatureSummary:
     max |<B_ab, H> - |H|^2 g_ab|."""
     if isinstance(im, Immersion):
         s = _symbols(im)
-        (h_vec,) = _read(im, p, (s.h,))
+        (h_vec,) = im._read_symbols(p, (s.h,))
         shape = h_vec.shape[:-1]
         return CurvatureSummary(*(np.full(shape, x) for x in (s.h_norm, s.gauss, s.umbilic)), h_vec)
     names = ("h_norm", "gauss", "umbilic", "h")
@@ -422,8 +408,10 @@ def diagonal_sum_check(r1: float, m: int = 2) -> DiagonalSumResult:
     -u^2 + u^2. The tau2 checks therefore measure only the rounding of
     these floats.
     """
-    if m < 1:
-        raise DomainError("m must be a positive integer")
+    if not (_is_real(r1) and math.isfinite(r1)):
+        raise DomainError("r1 must be a finite real number, got %r" % (r1,))
+    if not (_is_int(m) and m >= 1):
+        raise DomainError("m must be a positive integer, got %r" % (m,))
     if r1 <= 1.0 / math.sqrt(2.0):
         raise DomainError("r1 must exceed 1/sqrt(2): no companion radius exists")
     if abs(r1 - 1.0) < 1e-12:
@@ -512,11 +500,10 @@ _CHECKS = (
     ("bitension", 1e-7),
 )
 
-# Points evaluated together by verify_immersion's unit_norm check, whatever
-# the point count. The size was chosen on the sampled verifier that ran the
-# whole kernel: against 2048, blocks of 1024 ran the S^27 share of the
-# verify-dense round about 15% faster and the S^5 share about 18% slower;
-# blocks of 4096 ran it about 20% slower.
+# Points per `eval` of verify_immersion's unit_norm check. Medians of 9
+# alternating runs of a verify-dense round (seed 0, 2-core VM, 2 threads) at
+# blocks of 1024 / 2048 / 4096: S^5 share 47.8 / 35.6 / 27.4 ms, S^7 35.0 /
+# 24.9 / 22.4 ms, S^27 71.2 / 63.6 / 65.1 ms, round 152.5 / 129.7 / 116.9 ms.
 _BLOCK = 2048
 
 _EYE = np.eye(2)
@@ -530,14 +517,11 @@ def _symbol_residuals(im: Immersion) -> list[float]:
     numpy's, so a NaN symbol gives a NaN residual."""
     s = _symbols(im)
     k, m, h = im.num_planes, im.m, im.data.h
-    psi = s.frame[0]
     # <B_i, F_c>, then <tau, F_c>
     against = np.concatenate((s.forms, s.tau[None])) @ s.frame.T
 
     # the zero-padded spectral blocks t1, t2
-    blocks = np.zeros((2, 2 * k))
-    blocks[0, : 2 * m] = psi[: 2 * m]
-    np.subtract(psi, blocks[0], out=blocks[1])
+    blocks = np.array(_split_blocks(s.frame[0], m))
     (n1, orth), (_, n2) = (blocks @ blocks.T).tolist()
     # |s_k| by plane of 2 (H - h (t1 - t2)), Delta psi - lambda_i t_i and
     # tau - 2 H: the sup over R^2 of each real coordinate of plane k, since
@@ -547,7 +531,7 @@ def _symbol_residuals(im: Immersion) -> list[float]:
         s.lap - (im.data.lambda1, im.data.lambda2) @ blocks,
         s.tau - s.h * 2.0,
     ))
-    sup = np.hypot(coords[:, 0::2], coords[:, 1::2])
+    sup = _plane_moduli(coords)
     # the checks that take a max: the max of |x| over one segment each
     segments = ((s.g - _EYE).ravel(), against[:3].ravel(), against[3, 1:], sup.ravel())
     starts = (0, 4, 13, 15, 15 + k, 15 + k + m, 15 + 2 * k)
@@ -586,27 +570,20 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
-# process id -> the thread pool that runs unit_norm blocks in that process. A
-# forked child finds no pool under its own pid, so it never waits on threads
-# that stayed in the parent; the table is also emptied in every forked child,
-# so a child whose pid repeats a dead ancestor's cannot find that pool either.
-_POOLS: dict = {}
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_POOLS.clear)
-
-
+@functools.cache
 def _pool(threads: int):
-    """This process's pool of `threads` threads, made on first use."""
-    pool = _POOLS.get(os.getpid())
-    if pool is None:
-        from concurrent.futures import ThreadPoolExecutor
+    """The process's pool of `threads` threads for unit_norm blocks, made on
+    first use; a forked child forgets it, so never waits on the parent's. Of
+    two callers racing on first use, one may get a pool that is not kept: it
+    serves that call, and its threads end when it is dropped."""
+    from concurrent.futures import ThreadPoolExecutor
 
-        # setdefault keeps one pool when threads race here; a pool that loses
-        # has started no thread
-        pool = _POOLS.setdefault(
-            os.getpid(), ThreadPoolExecutor(threads, thread_name_prefix="bihsurf-unit-norm")
-        )
-    return pool
+    return ThreadPoolExecutor(threads, thread_name_prefix="bihsurf-unit-norm")
+
+
+if hasattr(os, "register_at_fork"):
+    # `_pool` looked up at fork time, so a replacement is cleared too
+    os.register_at_fork(after_in_child=lambda: _pool.cache_clear())
 
 
 def _sampled_unit_norm(im: Immersion, samples: int, seed: int, box: float) -> np.floating:

@@ -3,27 +3,26 @@ frequency/weight data. Every coordinate plane carries a circle
 c*(cos<w,p>, sin<w,p>), so every partial derivative is that same cos/sin pair
 scaled by w_1^a w_2^b and turned by a+b quarter turns: one evaluation of cos
 and sin serves every order. This module is the one place that knows that
-layout. An immersion's factor rows c*w_1^a*w_2^b (signed by the a+b quarter
-turns) are one table of all 15 orders a+b <= 4, computed in one vectorised
-pass the first time any order is read and kept for the immersion's life;
-every order tuple is a gather of its rows. `eval` keeps its own copy of the
-order-(0, 0) row, the amplitudes on both slots, so it never builds the
-table. `partial_table` and `partial` read each partial as its factor row
-times the trig pair of its parity, (cos, sin) per plane for even a+b and
-(sin, cos) for odd, from one evaluation of cos and sin, and return C-ordered
-arrays of the caller's point shape.
+layout, plane k on slots (2k, 2k+1). An immersion's one derived table holds
+the factor rows c*w_1^a*w_2^b (signed by the a+b quarter turns) of all 15
+orders a+b <= 4, computed in one vectorised pass on first use. One reader,
+`Immersion._read`, multiplies rows by the trig pair of their parity,
+(cos, sin) per plane for even a+b and (sin, cos) for odd, into C-ordered
+arrays of the caller's point shape: `eval` reads row (0, 0), `partial` one
+row, `partial_table` its odd rows from a slot-swapped copy of its one pair,
+and the geometry its symbols (`_read_symbols`). The geometry's other slot
+helpers live here too: `_origin`, `_split_blocks` and `_plane_moduli`.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import DomainError, VerificationReport
+from .core import DomainError, VerificationReport, _is_int
 from .parameters import (
     MiyataData,
     _check_h,
@@ -55,8 +54,7 @@ class Immersion:
     wave_vectors: np.ndarray  # (K, 2)
     amplitudes: np.ndarray  # (K,)
     # values derived from the fields above, computed once: the factor table
-    # ("factors"), its order-(0, 0) row on its own ("position") and
-    # validate_miyata's report on `data` ("validation")
+    # ("factors") and validate_miyata's report on `data` ("validation")
     _memo: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
@@ -90,19 +88,20 @@ class Immersion:
             raise DomainError("points must be finite, with every phase <w, p> finite")
         return theta
 
-    def _pair(self, p) -> np.ndarray:
-        """(cos<w, p>, sin<w, p>) on the two slots of each plane, shape
-        (..., D): the trig pair of the even orders at the points p."""
+    def _pair(self, p, odd: int = 0) -> np.ndarray:
+        """The trig pair of the orders of parity `odd` at the points p, shape
+        (..., D): (cos<w, p>, sin<w, p>) on the two slots of each plane for
+        even orders, (sin, cos) for odd ones."""
         theta = self._phases(p)
         out = np.empty(theta.shape[:-1] + (self.ambient_dim,))
-        np.cos(theta, out=out[..., 0::2])
-        np.sin(theta, out=out[..., 1::2])
+        np.cos(theta, out=out[..., odd::2])
+        np.sin(theta, out=out[..., 1 - odd::2])
         return out
 
-    def _factors(self, orders: tuple) -> np.ndarray:
-        """Factor rows (len(orders), D) of `orders`: per order (a, b),
+    def _factors(self) -> np.ndarray:
+        """The factor table (15, D): per order (a, b) of `_ORDERS`,
         c*w_1^a*w_2^b on both slots of each plane times the slot signs of
-        a+b quarter turns, gathered from the one table of `_ORDERS`."""
+        a+b quarter turns, computed in one pass on first use."""
         table = self._memo.get("factors")
         if table is None:
             # w^k (5, K, 2) from scalar exponents: numpy squares for k = 2,
@@ -111,7 +110,30 @@ class Immersion:
             rows = (self.amplitudes * powers[..., 0])[_ORDER_A] * powers[_ORDER_B, :, 1]
             table = rows[:, :, None] * _ORDER_SIGNS
             table = self._memo["factors"] = table.reshape(len(_ORDERS), -1)
-        return table.take(_rows(orders), axis=0)
+        return table
+
+    @staticmethod
+    def _read(pair: np.ndarray, rows: np.ndarray) -> list[np.ndarray]:
+        """Each row (D,) of rows (n, D) times the trig pair (..., D): all but
+        the last in one broadcast multiply, the last in place into the pair,
+        so each result is C-ordered and one row allocates only the pair."""
+        fields = []
+        if len(rows) > 1:
+            shape = (len(rows) - 1,) + (1,) * (pair.ndim - 1) + rows.shape[1:]
+            fields = list(rows[:-1].reshape(shape) * pair)
+        pair *= rows[-1]
+        return fields + [pair]
+
+    def _origin(self) -> np.ndarray:
+        """The partials (15, D) at p = 0, where the trig pair is (1, 0) per
+        plane for even orders and (0, 1) for odd ones: the symbols."""
+        n = len(_ORDERS)
+        return (self._factors().reshape(n, -1, 2) * _AT_ORIGIN).reshape(n, -1)
+
+    def _read_symbols(self, p, symbols) -> list[np.ndarray]:
+        """The fields of even symbols (n, D) at the points p: each symbol's
+        cos slots, on both slots of their plane, read as rows."""
+        return self._read(self._pair(p), np.repeat(np.asarray(symbols)[..., 0::2], 2, axis=-1))
 
     def _validation(self) -> VerificationReport:
         """validate_miyata's report on `data`, computed once; `build` keeps
@@ -123,12 +145,7 @@ class Immersion:
 
     def eval(self, p) -> np.ndarray:
         """psi(p); |psi| = 1 identically."""
-        psi = self._pair(p)
-        row = self._memo.get("position")
-        if row is None:
-            row = self._memo["position"] = np.repeat(self.amplitudes, 2)
-        psi *= row
-        return psi
+        return self._read(self._pair(p), self._factors()[:1])[0]
 
     def partial(self, p, ax: tuple[int, int]) -> np.ndarray:
         """Exact partial derivative of order ax = (a, b), a+b <= 4.
@@ -147,35 +164,27 @@ class Immersion:
                 "ax must be a pair (a, b) of non-negative integers of total "
                 "derivative order a + b <= 4, got %r" % (ax,)
             )
-        return self._entries(p, (ax,))[ax]
+        i = _ORDERS.index(ax)
+        return self._read(self._pair(p, int(_ORDER_ODD[i])), self._factors()[i : i + 1])[0]
 
     def partial_table(self, p, max_order: int = 4) -> dict[tuple[int, int], np.ndarray]:
         """All partials up to total order max_order, keyed by (a, b) in
-        order of a+b, each of shape (..., D), from one cos/sin evaluation."""
+        order of a+b, each of shape (..., D), from one cos/sin evaluation:
+        the even orders read the (cos, sin) pair, the odd ones a slot-swapped
+        copy of it."""
         _check_max_order(max_order)
-        return self._entries(p, _ORDERS[: (max_order + 1) * (max_order + 2) // 2])
-
-    def _entries(self, p, orders: tuple) -> dict[tuple[int, int], np.ndarray]:
-        """{order: partial} at the points p (..., 2): the factor rows of each
-        parity times its trig pair, written into one point-major
-        (len(orders), P, D) array, the even orders first, so each entry is
-        C-ordered."""
+        n = (max_order + 1) * (max_order + 2) // 2
+        table, odd = self._factors()[:n], _ORDER_ODD[:n]
         pair = self._pair(p)
-        shape, k = pair.shape[:-1], self.num_planes
-        # (P, K, 2), (cos, sin) per plane; its last axis reversed is the odd
-        # orders' (sin, cos)
-        pair = pair.reshape(-1, k, 2)
-        groups = ([], [])
-        for o in orders:
-            groups[sum(o) % 2].append(o)
-        even, odd = map(tuple, groups)
-        out = np.empty((len(orders),) + pair.shape)
-        parts = ((even, out[: len(even)], pair), (odd, out[len(even):], pair[..., ::-1]))
-        for group, rows, trig in parts:
-            if group:
-                np.multiply(self._factors(group).reshape(-1, 1, k, 2), trig, out=rows)
-        by_order = {o: x.reshape(shape + (self.ambient_dim,)) for o, x in zip(even + odd, out)}
-        return {o: by_order[o] for o in orders}
+        parts = [(~odd, pair)]
+        if max_order:
+            # (sin, cos) per plane, copied before the even read scales the pair
+            swapped = pair.reshape(pair.shape[:-1] + (self.num_planes, 2))[..., ::-1].copy()
+            parts.append((odd, swapped.reshape(pair.shape)))
+        by_order = {}
+        for rows, trig in parts:
+            by_order.update(zip(itertools.compress(_ORDERS, rows), self._read(trig, table[rows])))
+        return {o: by_order[o] for o in _ORDERS[:n]}
 
     def spectral_split(self, p) -> tuple[np.ndarray, np.ndarray]:
         """(psi_t1, psi_t2): low/high frequency blocks, zero-padded to full
@@ -192,18 +201,10 @@ _QUARTER_TURN_SIGNS = np.array(((1.0, 1.0), (-1.0, 1.0), (-1.0, -1.0), (1.0, -1.
 _ORDERS = tuple((a, n - a) for n in range(5) for a in range(n, -1, -1))
 _ORDER_A, _ORDER_B = np.array(_ORDERS).T
 _ORDER_SIGNS = _QUARTER_TURN_SIGNS[(_ORDER_A + _ORDER_B) % 4][:, None, :]
+_ORDER_ODD = (_ORDER_A + _ORDER_B) % 2 == 1
 
-
-@functools.lru_cache(maxsize=256)
-def _rows(orders: tuple) -> np.ndarray:
-    """The table rows of `orders` (read-only)."""
-    rows = np.array([_ORDERS.index(o) for o in orders], dtype=np.intp)
-    rows.flags.writeable = False
-    return rows
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+# the trig pair of each order at p = 0, per plane
+_AT_ORIGIN = np.where(_ORDER_ODD[:, None, None], (0.0, 1.0), (1.0, 0.0))
 
 
 def _check_max_order(max_order) -> None:
@@ -229,6 +230,11 @@ def _split_blocks(full: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     t1 = np.zeros_like(full)
     t1[..., : 2 * m] = full[..., : 2 * m]
     return t1, full - t1
+
+
+def _plane_moduli(x) -> np.ndarray:
+    """|x_k| per plane k of x (..., D): the hypot of the plane's two slots."""
+    return np.hypot(x[..., 0::2], x[..., 1::2])
 
 
 def build(data: MiyataData, validate: bool = True) -> Immersion:

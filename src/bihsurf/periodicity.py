@@ -14,11 +14,10 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (
-    MAX_SQUAREFREE, DomainError, _is_real, exact_rational, isqrt_exact, squarefree_decompose,
-)
+from .core import MAX_SQUAREFREE, DomainError, _is_int, _is_real, exact_rational, isqrt_exact
+from .core import squarefree_decompose
 from .parameters import _check_h, angle_family_data, rho_tilde_of, spectral_levels, t_of_s
-from .immersion import Immersion, _is_int, build
+from .immersion import Immersion, build
 
 
 @dataclass(frozen=True)
@@ -278,9 +277,16 @@ def _check_rho(rho) -> None:
         raise DomainError("rho must lie in (0, pi/2], got %r" % (rho,))
 
 
+def _check_k(k0, k1) -> None:
+    for name, k in (("k0", k0), ("k1", k1)):
+        if not _is_int(k):
+            raise DomainError("%s must be an integer, got %r" % (name, k))
+
+
 def direction_integrality(h: float, k0: int, k1: int, rho: float) -> float:
     """The quantity that must be an integer for (k0, k1) to close up at rho."""
     _check_h(h)
+    _check_k(k0, k1)
     _check_rho(rho)
     lam1, lam2 = spectral_levels(h)
     ratio = math.sqrt(lam2 / lam1)
@@ -305,6 +311,7 @@ def closing_ratios(h: float, s: float) -> tuple[float, float]:
 
 def period_vector(h: float, k0: int, k1: int, rho: float) -> tuple[float, float]:
     _check_h(h)
+    _check_k(k0, k1)
     _check_rho(rho)
     lam1, lam2 = spectral_levels(h)
     tx = (2.0 * math.pi / math.sin(rho)) * (k1 / math.sqrt(lam2) - k0 * math.cos(rho) / math.sqrt(lam1))
@@ -327,6 +334,7 @@ def periodic_direction_search(
     only roots whose period vector returns psi to psi(0) within 1e-8.
     """
     _check_h(h)
+    _check_k(k0, k1)
     try:
         lo, hi = window
     except (TypeError, ValueError):
@@ -447,6 +455,7 @@ class CaseIIResult:
 
     def member_condition(self, k0: int, k1: int) -> bool:
         """Is k1*v1 + k0*v2 a period? Exact integer congruence."""
+        _check_k(k0, k1)
         p, q, r, t = self.params.p, self.params.q, self.params.r, self.params.t
         return (k0 * q * t - k1 * q * r) % (p * t) == 0
 

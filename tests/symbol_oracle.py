@@ -62,7 +62,7 @@ def symbols(im: Immersion) -> _Symbols:
     derivative of a constant, whose alpha psi the projection onto psi^perp
     removes again."""
     n, k = len(_ORDERS), im.num_planes
-    sym = (im._factors(_ORDERS).reshape(n, k, 2) * _AT_ORIGIN).reshape(n, 2 * k)
+    sym = (im._factors().reshape(n, k, 2) * _AT_ORIGIN).reshape(n, 2 * k)
     frame, psi = sym[:3], sym[0]
     # <d^A psi, F_c> for the orders A <= 2 and the frame F = (psi, psi_x, psi_y)
     dots = sym[:6] @ frame.T

@@ -1,11 +1,11 @@
 import contextlib
+import functools
 import math
 import multiprocessing
 import os
 import subprocess
 import sys
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from unittest import mock
 
@@ -809,7 +809,7 @@ def test_verify_immersion_runs_no_per_point_kernel():
 
     with contextlib.ExitStack() as patches:
         patches.enter_context(mock.patch.object(immersion.Immersion, "partial_table", refuse))
-        patches.enter_context(mock.patch.object(geometry, "_read", refuse))
+        patches.enter_context(mock.patch.object(immersion.Immersion, "_read_symbols", refuse))
         patches.enter_context(mock.patch.object(geometry, "_point_geometry", kernel))
         for samples in (1, _B, 3 * _B + 7):
             del tables[:]
@@ -872,9 +872,9 @@ _ALL_ORDERS = tuple((a, n - a) for n in range(5) for a in range(n, -1, -1))
 @given(case=_family_verify_case())
 def test_factor_table_and_stacked_projection_match_oracle(case):
     admissible, im, samples, seed, box = case
-    for order in _ALL_ORDERS:
-        assert np.array_equal(im._factors((order,)), verify_oracle.factor_rows(im, (order,))), order
-    assert np.array_equal(im._factors(_ALL_ORDERS), verify_oracle.factor_rows(im, _ALL_ORDERS))
+    for i, order in enumerate(_ALL_ORDERS):
+        assert np.array_equal(im._factors()[i], verify_oracle.factor_rows(im, (order,))[0]), order
+    assert np.array_equal(im._factors(), verify_oracle.factor_rows(im, _ALL_ORDERS))
     got = verify_immersion(im, samples=samples, seed=seed, box=box)
     want = verify_oracle.verify_immersion(im, samples=samples, seed=seed, box=box)
     _assert_sup_of_samples(got, want, admissible)
@@ -950,11 +950,17 @@ def test_verify_immersion_nan_data_fails_as_the_sampled_oracle():
 
 @contextlib.contextmanager
 def _usable_cpus(n):
-    # verify_immersion as on n CPUs: this process's pool is one of n threads
-    with ThreadPoolExecutor(n) as pool, contextlib.ExitStack() as patches:
+    # verify_immersion as on n CPUs, with pools of its own that the library
+    # makes on first use and the block shuts down
+    pools = functools.cache(geometry._pool.__wrapped__)
+    with contextlib.ExitStack() as patches:
         patches.enter_context(mock.patch.object(geometry, "_cpus", lambda: n))
-        patches.enter_context(mock.patch.dict(geometry._POOLS, {os.getpid(): pool}, clear=True))
-        yield
+        patches.enter_context(mock.patch.object(geometry, "_pool", pools))
+        try:
+            yield
+        finally:
+            if pools.cache_info().currsize:
+                pools(n).shutdown()
 
 
 def _residuals(report):

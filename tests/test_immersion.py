@@ -4,6 +4,7 @@ from dataclasses import replace
 import construction_oracle
 import dict_table_oracle as oracle
 import numpy as np
+import reader_oracle
 import pytest
 from hypothesis import given, note, settings, strategies as st
 
@@ -26,6 +27,7 @@ from bihsurf.immersion import (
     sasahara_data,
     symmetric_weights_data,
 )
+from bihsurf import geometry
 from bihsurf.geometry import fd_partial_table, verify_immersion
 
 SQ2 = math.sqrt(2.0)
@@ -58,9 +60,9 @@ def _bits(x):
     return np.ascontiguousarray(x).view(np.int64)
 
 
-def test_first_eval_builds_no_factor_table(rng):
-    # eval reads its order-(0, 0) row on its own: the amplitudes on both
-    # slots, bit for bit the table's row, NaN weights included
+def test_eval_reads_the_position_row_of_the_factor_table(rng):
+    # eval reads the table's order-(0, 0) row: the amplitudes on both slots,
+    # bit for bit, NaN weights included
     s7 = extend_dimension(from_structure(0.4, 0.3))
     d = sasahara_data()
     nan_weight = build(MiyataData(d.h, d.mu, d.eta, d.r_weights, (math.nan, 0.5)), validate=False)
@@ -68,10 +70,9 @@ def test_first_eval_builds_no_factor_table(rng):
     for im in (from_structure(0.7, 0.2), s7, nan_weight):
         fresh = Immersion(im.data, im.wave_vectors, im.amplitudes)
         psi = fresh.eval(pts)
-        assert "factors" not in fresh._memo
         assert np.array_equal(_bits(fresh.eval(pts)), _bits(psi))
-        row = fresh._factors(((0, 0),))[0]
-        assert np.array_equal(_bits(fresh._memo["position"]), _bits(row))
+        row = fresh._factors()[0]
+        assert np.array_equal(_bits(np.repeat(fresh.amplitudes, 2)), _bits(row))
         if np.isfinite(row).all():
             assert np.array_equal(psi, fresh.partial(pts, (0, 0)))
 
@@ -254,6 +255,99 @@ def test_single_array_table_is_bit_exact(family, h, rho_frac, extensions, pts):
             if k == 4:
                 assert np.array_equal(im.partial(pts, ax), entry), ax
     assert np.array_equal(im.eval(pts), oracle.partials(im, pts, [(0, 0)])[(0, 0)])
+
+
+_ALL_ORDERS = tuple((a, n - a) for n in range(5) for a in range(n, -1, -1))
+
+
+def _outcome(call):
+    """The arrays a call returns, flattened, or its DomainError (type and
+    text)."""
+    try:
+        out = call()
+    except DomainError as err:
+        return type(err), str(err)
+    if isinstance(out, dict):
+        return [(k, v) for k, v in out.items()]
+    return list(vars(out).values()) if hasattr(out, "__dict__") else [out]
+
+
+def _assert_same_arrays(got, want, what):
+    assert type(got) is type(want), (what, got, want)
+    if isinstance(want, tuple):
+        assert got == want, what
+        return
+    assert len(got) == len(want), what
+    for x, y in zip(got, want):
+        if isinstance(y, tuple):
+            assert x[0] == y[0], what
+            x, y = x[1], y[1]
+        assert x.shape == y.shape and x.dtype == y.dtype, what
+        assert x.flags.c_contiguous and y.flags.c_contiguous, what
+        assert np.array_equal(_bits(x), _bits(y)), what
+
+
+@st.composite
+def _reader_case(draw):
+    family = draw(st.sampled_from(["structure", "equal_weight", "nan_weight", "nan_frequency"]))
+    h = draw(st.floats(0.05, 0.95))
+    if family == "equal_weight":
+        im = build(symmetric_weights_data(h))
+    else:
+        im = from_structure(h, draw(st.floats(0.0, 1.0)) * rho_max(h))
+    for _ in range(draw(st.integers(0, 6))):
+        im = extend_dimension(im)
+    d = im.data
+    if family == "nan_weight":
+        im = build(replace(d, rp_weights=(math.nan,) + d.rp_weights[1:]), validate=False)
+    elif family == "nan_frequency":
+        eta = (complex(math.nan, d.eta[0].imag),) + d.eta[1:]
+        im = build(replace(d, eta=eta), validate=False)
+    shape = draw(st.sampled_from([(), (0,), (1,), (7,), (3, 4), (0, 3)]))
+    box = 10.0 ** draw(st.floats(math.log10(6.0), 9.0))
+    pts = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(-box, box, shape + (2,))
+    bad = draw(st.sampled_from([None, "inf", "nan", "shape", "text", "far"]))
+    if bad == "inf" and pts.size:
+        pts[(0,) * pts.ndim] = math.inf
+    elif bad == "nan" and pts.size:
+        pts[(0,) * pts.ndim] = math.nan
+    elif bad == "shape":
+        pts = np.zeros(shape + (3,))
+    elif bad == "text":
+        pts = "points"
+    elif bad == "far" and pts.size:
+        pts[(0,) * pts.ndim] = 1e308
+    note("%s h=%r ambient_dim=%d shape=%s bad=%s" % (family, h, im.ambient_dim, shape, bad))
+    return im, pts
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_reader_case())
+def test_one_reader_matches_the_previous_readers_bit_for_bit(case):
+    # eval, partial, partial_table and the per-point functions read through
+    # Immersion._read: the same bits, shape and C-order as the readers they
+    # replaced (tests/reader_oracle.py), and the same DomainError text
+    im, pts = case
+    pairs = [
+        ("eval", lambda: im.eval(pts), lambda: reader_oracle.eval(im, pts)),
+        *(
+            ("partial %s" % (o,), lambda o=o: im.partial(pts, o),
+             lambda o=o: reader_oracle.partial(im, pts, o))
+            for o in _ALL_ORDERS
+        ),
+        *(
+            ("partial_table %d" % k, lambda k=k: im.partial_table(pts, k),
+             lambda k=k: reader_oracle.partial_table(im, pts, k))
+            for k in range(5)
+        ),
+        *(
+            (name, lambda name=name: getattr(geometry, name)(im, pts),
+             lambda name=name: getattr(reader_oracle, name)(im, pts))
+            for name in ("tension", "bitension", "fundamental_forms", "mean_curvature")
+        ),
+    ]
+    for what, got, want in pairs:
+        _assert_same_arrays(_outcome(got), _outcome(want), what)
 
 
 def test_partial_table_keys_in_order_of_total_order(sasahara_immersion):

@@ -18,8 +18,14 @@ from bihsurf.parameters import (
     validate_miyata,
 )
 from bihsurf.immersion import build, sasahara_data
-from bihsurf.geometry import boruvka_params
-from bihsurf.periodicity import closing_ratios, direction_integrality, periodic_direction_search
+from bihsurf.geometry import boruvka_params, diagonal_sum_check
+from bihsurf.periodicity import (
+    closing_ratios,
+    direction_integrality,
+    period_vector,
+    periodic_direction_search,
+    torus_case_ii,
+)
 
 
 def test_structure_rho_zero_branch():
@@ -122,6 +128,41 @@ def test_t_of_s_domain_error():
 def test_non_real_parameters_are_refused_by_name(call, phrase):
     # a string, a bool, a non-integer degree or a NaN weight is a DomainError
     # naming the parameter, not a TypeError from a comparison or a NaN result
+    with pytest.raises(DomainError, match=phrase):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call,phrase",
+    [
+        (lambda: direction_integrality(0.5, "a", 2, 0.3), "k0 must be an integer"),
+        (lambda: direction_integrality(0.5, 1.5, 2, 0.3), "k0 must be an integer"),
+        (lambda: direction_integrality(0.5, 1, True, 0.3), "k1 must be an integer"),
+        (lambda: period_vector(0.5, 1, "b", 0.3), "k1 must be an integer"),
+        (lambda: period_vector(0.5, 2.0, 1, 0.3), "k0 must be an integer"),
+        (lambda: periodic_direction_search(0.5, 1.5, 2, (0.1, 1.0)), "k0 must be an integer"),
+        (lambda: periodic_direction_search(0.5, True, 2, (0.1, 1.0)), "k0 must be an integer"),
+        (lambda: periodic_direction_search(0.5, 1, "a", (0.1, 1.0)), "k1 must be an integer"),
+        (lambda: torus_case_ii(1, 2, 1, 2).member_condition(1.0, 2), "k0 must be an integer"),
+        (lambda: torus_case_ii(1, 2, 1, 2).member_condition(1, 2.5), "k1 must be an integer"),
+        (lambda: diagonal_sum_check("a"), "r1 must be a finite real number"),
+        (lambda: diagonal_sum_check(math.nan), "r1 must be a finite real number"),
+        (lambda: diagonal_sum_check(2.0, 1.5), "m must be a positive integer"),
+        (lambda: diagonal_sum_check(2.0, True), "m must be a positive integer"),
+        (lambda: diagonal_sum_check(2.0, 0), "m must be a positive integer"),
+    ],
+    ids=[
+        "direction_integrality-k0-str", "direction_integrality-k0-float",
+        "direction_integrality-k1-bool", "period_vector-k1-str", "period_vector-k0-float",
+        "periodic_direction_search-k0-float", "periodic_direction_search-k0-bool",
+        "periodic_direction_search-k1-str", "member_condition-k0-float",
+        "member_condition-k1-float", "diagonal_sum_check-r1-str", "diagonal_sum_check-r1-nan",
+        "diagonal_sum_check-m-float", "diagonal_sum_check-m-bool", "diagonal_sum_check-m-zero",
+    ],
+)
+def test_non_integer_parameters_are_refused_by_name(call, phrase):
+    # a string, a bool or a non-integer float for an integer parameter is a
+    # DomainError naming the parameter, not a TypeError or a silent result
     with pytest.raises(DomainError, match=phrase):
         call()
 

@@ -15,9 +15,9 @@ import sys
 import numpy as np
 
 import dict_table_oracle as oracle
-from bihsurf.core import Check, DomainError, VerificationReport
-from bihsurf.geometry import _BLOCK, _CHECKS, _is_real, _tolerances
-from bihsurf.immersion import _QUARTER_TURN_SIGNS, Immersion, _is_int
+from bihsurf.core import Check, DomainError, VerificationReport, _is_int, _is_real
+from bihsurf.geometry import _BLOCK, _CHECKS, _tolerances
+from bihsurf.immersion import _QUARTER_TURN_SIGNS, Immersion
 
 
 def factor_rows(im: Immersion, orders: tuple) -> np.ndarray:
