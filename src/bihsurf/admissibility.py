@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .core import MAX_SQUAREFREE, DomainError, ExactnessError, exact_rational, squarefree_decompose
-from .parameters import MiyataData, _normal_form, spectral_levels
+from .parameters import MiyataData, _exact_h, _normal_form, spectral_levels
 from .periodicity import ExactBasis, Lattice2
 
 # hull and weight routines take int or Fraction coordinates and divide exactly
@@ -51,8 +51,10 @@ def parse_lattice_entry(text: str) -> tuple[Fraction, int]:
     """Parse one generator coordinate of the form [int*]pi[*sqrt(d)][/int].
 
     Returns (c, d) meaning c * pi * sqrt(d) with d squarefree; "0" gives
-    (0, 1).
+    (0, 1); an entry that is not a string or has a zero denominator is refused.
     """
+    if not isinstance(text, str):
+        raise DomainError("lattice entry must be a string such as '2*pi', got %r" % (text,))
     s = text.replace(" ", "")
     if s in ("0", "+0", "-0"):
         return Fraction(0), 1
@@ -61,7 +63,10 @@ def parse_lattice_entry(text: str) -> tuple[Fraction, int]:
         raise ValueError(
             "cannot parse lattice entry %r (expected [int*]pi[*sqrt(int)][/int] or 0)" % text
         )
-    c = Fraction(int(m.group("int") or 1), int(m.group("den") or 1))
+    den = int(m.group("den") or 1)
+    if den == 0:
+        raise DomainError("zero denominator in lattice entry %r" % text)
+    c = Fraction(int(m.group("int") or 1), den)
     if m.group("sign") == "-":
         c = -c
     d = int(m.group("surd") or 1)
@@ -81,11 +86,11 @@ def parse_lattice(obj) -> Lattice2:
     All nonzero entries must share one squarefree surd; mixed surds make the
     squared dual points irrational and are rejected.
     """
-    try:
-        rows_txt = obj["gens"]
-        entries = [[parse_lattice_entry(rows_txt[i][j]) for j in range(2)] for i in range(2)]
-    except (KeyError, IndexError, TypeError) as exc:
-        raise ValueError("lattice input must be {'gens': [[a,b],[c,d]]}") from exc
+    gens = obj.get("gens") if isinstance(obj, dict) else None
+    if not (isinstance(gens, (list, tuple)) and len(gens) == 2
+            and all(isinstance(row, (list, tuple)) and len(row) == 2 for row in gens)):
+        raise DomainError("lattice input must be {'gens': [[a,b],[c,d]]}, got %r" % (obj,))
+    entries = [[parse_lattice_entry(e) for e in row] for row in gens]
     surds = {d for row in entries for (c, d) in row if c != 0}
     if len(surds) > 1:
         raise ExactnessError(
@@ -262,10 +267,7 @@ def convex_hull(points) -> list[Point]:
         while len(upper) >= 2 and _cross(upper[-2], upper[-1], p) <= 0:
             upper.pop()
         upper.append(p)
-    hull = lower[:-1] + upper[:-1]
-    if len(hull) == 2 and hull[0] == hull[1]:
-        return hull[:1]
-    return hull
+    return lower[:-1] + upper[:-1]
 
 
 def point_in_hull(pt: Point, hull) -> bool:
@@ -510,9 +512,7 @@ def admissible(lat: Lattice2, h) -> AdmissibleResult:
     remaining cases either way. The hulls and weights run on the integer
     numerators of both circles, which share one denominator.
     """
-    h = exact_rational(h, "h")
-    if not (0 < h < 1):
-        raise DomainError("h must be a rational in (0,1), got %s" % h)
+    h = _exact_h(h)
     dual = dual_lattice(lat)
     lam1, lam2 = spectral_levels(h)
     set_a = circle_points(dual, lam1)

@@ -18,9 +18,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import DomainError, ExactnessError, rational_sqrt_exact
+from .core import DomainError, exact_rational, rational_sqrt_exact
 from .parameters import (
     MiyataData,
+    _exact_h,
     canonicalize,
     lift_structure,
     miyata_from_dict,
@@ -53,19 +54,13 @@ def _sig15(x: float) -> float:
 _FRACTION_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
 
-def parse_exact_fraction(text: str) -> Fraction:
-    """Exact rational from 'num/den' or an integer literal; decimals refused."""
+def parse_exact_fraction(text: str, name: str = "value") -> Fraction:
+    """Exact rational from 'num/den' or an integer literal; refusals name the flag."""
     if not _FRACTION_RE.match(text.strip()):
         raise DomainError(
-            "exact rational required (e.g. 1/2); decimal input %r refused" % text
+            "%s: exact rational required (e.g. 1/2); decimal input %r refused" % (name, text)
         )
-    return Fraction(text.strip())
-
-
-def _parse_h_loose(text: str) -> float:
-    if _FRACTION_RE.match(text.strip()):
-        return float(Fraction(text.strip()))
-    return float(text)
+    return exact_rational(text, name)
 
 
 def _load_data(path: str) -> MiyataData:
@@ -78,24 +73,15 @@ def _load_data(path: str) -> MiyataData:
 
 
 def cmd_construct(args) -> int:
-    if args.preset:
-        if args.preset != "sasahara":
-            raise DomainError("unknown preset %r" % args.preset)
+    if args.preset:  # argparse's choices allow "sasahara" only
         data = sasahara_data()
     elif args.extend:
         data = extend_dimension(build(_load_data(args.extend))).data
     else:
         if args.h is None or args.rho is None:
             raise DomainError("construct needs --h and --rho (or --preset / --extend)")
-        data = lift_structure(structure_params(_parse_h_loose(args.h), float(args.rho)))
+        data = lift_structure(structure_params(float(_exact_h(args.h, "--h")), float(args.rho)))
     data = canonicalize(data)
-    sp = None
-    if data.mp == 2:
-        sp = {
-            "R1p": data.rp_weights[0],
-            "R2p": data.rp_weights[1],
-            "rho_tilde": math.atan2(data.eta[1].imag, data.eta[1].real),
-        }
     echo = {
         "h": data.h,
         "lambda1": data.lambda1,
@@ -104,8 +90,12 @@ def cmd_construct(args) -> int:
         "mp": data.mp,
         "ambient_dim": data.ambient_dim,
     }
-    if sp:
-        echo.update(sp)
+    if data.mp == 2:
+        echo.update({
+            "R1p": data.rp_weights[0],
+            "R2p": data.rp_weights[1],
+            "rho_tilde": math.atan2(data.eta[1].imag, data.eta[1].real),
+        })
     print(json.dumps(echo, indent=2), file=sys.stderr)
     _emit(data.to_json(), args.out)
     return 0
@@ -159,11 +149,12 @@ def cmd_torus_exists(args) -> int:
     if args.a is not None or args.b is not None:
         if args.h is not None or args.a is None or args.b is None:
             raise DomainError("give either --h, or both --a and --b")
-        d = _case_ii_from_squares(parse_exact_fraction(args.a), parse_exact_fraction(args.b))
+        a, b = parse_exact_fraction(args.a, "--a"), parse_exact_fraction(args.b, "--b")
+        d = _case_ii_from_squares(a, b)
     else:
         if args.h is None:
             raise DomainError("torus-exists needs --h or --a/--b")
-        verdict = torus_exists(parse_exact_fraction(args.h), args.search_bound)
+        verdict = torus_exists(parse_exact_fraction(args.h, "--h"), args.search_bound)
         d = verdict.to_dict()
     d["generators"] = [[_sig15(x) for x in g] for g in d["generators"]]
     _emit(json.dumps(d, indent=2), args.out)
@@ -186,7 +177,7 @@ def _case_ii_from_squares(a: Fraction, b: Fraction) -> dict:
 def cmd_admissible(args) -> int:
     with open(args.lattice, "r", encoding="utf-8") as fh:
         lat = parse_lattice(json.load(fh))
-    res = admissible(lat, parse_exact_fraction(args.h))
+    res = admissible(lat, parse_exact_fraction(args.h, "--h"))
     _emit(json.dumps(res.to_dict(), indent=2), args.out)
     return 0
 
@@ -200,10 +191,8 @@ def _pca3(samples: np.ndarray) -> np.ndarray:
         j = int(np.argmax(np.abs(comps[i])))
         if comps[i, j] < 0:
             comps[i] = -comps[i]
-    proj = centered @ comps.T
-    if proj.shape[1] < 3:
-        proj = np.pad(proj, ((0, 0), (0, 3 - proj.shape[1])))
-    return proj
+    # an export has at least 4 points and 6 coordinates: always 3 components
+    return centered @ comps.T
 
 
 def cmd_export(args) -> int:
@@ -216,6 +205,8 @@ def cmd_export(args) -> int:
     ys = np.linspace(args.y_range[0], args.y_range[1], ny)
     pts = np.array([(x, y) for x in xs for y in ys])
     vals = im.eval(pts)
+    # before the first write, so that a refused search bound leaves no file
+    lat = period_lattice(im, args.search_bound)
     dim = im.ambient_dim
 
     header = "x,y," + ",".join("psi_%d" % (i + 1) for i in range(dim))
@@ -242,7 +233,6 @@ def cmd_export(args) -> int:
     _write_atomic(args.out + ".obj", "\n".join(obj) + "\n")
 
     written = [args.out + ".csv", args.out + ".obj"]
-    lat = period_lattice(im, args.search_bound)
     if lat.rank == 2:
         v1, v2 = (np.array(g) for g in lat.gens)
         poly = [np.zeros(2), v1, v1 + v2, v2]
@@ -321,8 +311,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (DomainError, ExactnessError, ValueError, OSError, RuntimeError,
-            json.JSONDecodeError) as exc:
+    except (ValueError, OSError, RuntimeError) as exc:  # DomainError, ExactnessError, JSON too
         # contract: only exit codes 0 (ok), 1 (verification failed), 2 (error)
         print("error: %s" % exc, file=sys.stderr)
         return 2

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -23,9 +24,13 @@ class ExactnessError(ValueError):
 
 
 def exact_rational(value, name: str) -> Fraction:
-    """value as a Fraction; NaN, infinities and non-numbers raise a
-    DomainError that names the parameter."""
+    """value as a Fraction; NaN, infinities, non-numbers and text with a
+    decimal exponent of 10^4 or more raise a DomainError that names the
+    parameter."""
     try:
+        # Fraction would build 10**exponent first: 2.2 s at "1e4000000"
+        if isinstance(value, str) and re.search(r"[eE][-+]?0*[1-9][\d_]{4,}", value):
+            raise ValueError("decimal exponent of 10^4 or more")
         return Fraction(value)
     except (TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
         raise DomainError("%s must be a finite rational number, got %r" % (name, value)) from exc

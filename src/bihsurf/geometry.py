@@ -13,10 +13,10 @@ combination (sum of second covariant derivatives of tau, traced with g^{ab})
 immersions are annihilated; the flipped curvature sign gives 4|tau|.
 
 One kernel computes the geometry. `_point_geometry` takes one point's
-partials, stacked (n, D) in `_ORDERS` order, and forms from them the metric
-(orders <= 1), then the forms, H, |H|, K, the pseudo-umbilicity residual,
-tau and Delta psi (orders <= 2), then the bitension (orders <= 4), keeping
-every term a varying metric or an inexact table needs.
+partials, stacked (15, D) in `_ORDERS` order, and forms from them, with one
+exit, the metric (orders <= 1), the forms, H, |H|, K, the pseudo-umbilicity
+residual, tau and Delta psi (orders <= 2) and the bitension (orders <= 4),
+keeping every term a varying metric or an inexact table needs.
 
 Plane k of an `Immersion` carries one circle, so every field formed from its
 partials is s_k e^{i<w_k, z>} on plane k with a constant symbol s in C^K,
@@ -39,7 +39,9 @@ may use several CPUs.
 Explicit tables run the same kernel at each of their points, one point at a
 time: the `partial_table` of a map that is not an `Immersion`, the
 finite-difference table of `fd_bitension_oracle` and the metric of
-`gaussian_brioschi_fd`. They serve oracles and test fixtures only.
+`gaussian_brioschi_fd`; a table that stops short of order 4 is filled with
+zeros, and only the fields of its own orders are read. They serve oracles
+and test fixtures only.
 """
 
 from __future__ import annotations
@@ -82,29 +84,28 @@ _FIELD_SLOTS = np.array(
 
 
 class _PointGeometry(NamedTuple):
-    """The geometry at one point (`_point_geometry`); the fields after det
-    are None when the partials stop short of their orders."""
+    """The geometry at one point (`_point_geometry`)."""
 
     frame: np.ndarray  # (3, D): psi, psi_x, psi_y
     g: np.ndarray  # (2, 2)
     det: float
-    forms: np.ndarray | None = None  # (3, D): B_xx, B_xy, B_yy
-    h: np.ndarray | None = None  # (D,): H
-    h_norm: float | None = None  # |H|
-    gauss: float | None = None  # K
-    umbilic: float | None = None  # max |<B_ab, H> - |H|^2 g_ab|
-    lap: np.ndarray | None = None  # (D,): Delta psi
-    tau: np.ndarray | None = None  # (D,)
-    tau2: np.ndarray | None = None  # (D,): the bitension
+    forms: np.ndarray  # (3, D): B_xx, B_xy, B_yy
+    h: np.ndarray  # (D,): H
+    h_norm: float  # |H|
+    gauss: float  # K
+    umbilic: float  # max |<B_ab, H> - |H|^2 g_ab|
+    lap: np.ndarray  # (D,): Delta psi
+    tau: np.ndarray  # (D,)
+    tau2: np.ndarray  # (D,): the bitension
 
 
 def _point_geometry(t) -> _PointGeometry:
-    """The geometry at one point from its partials t (n, D), the orders
-    `_ORDERS[:n]` stacked, in three steps: the metric from orders <= 1
-    (n = 3); the forms, H, |H|, K, the pseudo-umbilicity residual, Delta psi
-    and tau from orders <= 2 (n = 6); the bitension from orders <= 4
-    (n = 15). The metric algebra is on floats, and the fields are one
-    product of the coefficient table `_FIELD_TERMS` with t.
+    """The geometry at one point from its partials t (15, D), the orders
+    `_ORDERS` stacked: every field on every call. The metric comes from
+    orders <= 1; the forms, H, |H|, K, the pseudo-umbilicity residual,
+    Delta psi and tau from orders <= 2; the bitension from orders <= 4. The
+    metric algebra is on floats, and the fields are one product of the
+    coefficient table `_FIELD_TERMS` with t.
 
     With the frame F = (psi, psi_x, psi_y) and its dual F* = (psi,
     g^{xb} psi_b, g^{yb} psi_b), v - sum_c <v, F_c> F*_c takes out the psi
@@ -123,7 +124,7 @@ def _point_geometry(t) -> _PointGeometry:
     from the dots of the fields with the frame. Every term is kept: on an
     Immersion alpha, beta and the tangential parts are 0, but a varying
     metric, |psi| != 1 or an inexact table needs them."""
-    n, frame = len(t), t[:3]
+    frame = t[:3]
     # <d^A psi, F_c> for the orders A <= 2 of t
     dots = (t[:6] @ frame.T).tolist()
     (psi_sq, _, _), (px_psi, g00, g01), (py_psi, _, g11) = dots[:3]
@@ -132,8 +133,6 @@ def _point_geometry(t) -> _PointGeometry:
     if det < 1e-12:
         raise DomainError("degenerate immersion: metric determinant below 1e-12")
     i00, i01, i11 = g11 / det, -(g01 / det), g00 / det
-    if n < 6:
-        return _PointGeometry(frame, g, det)
     # each form's coefficients on the frame: -<psi_ab, psi> and
     # -g^{cd} <psi_ab, psi_d> for c = x, y
     proj = [(-r, -(i00 * x + i01 * y), -(i01 * x + i11 * y)) for r, x, y in dots[3:]]
@@ -150,8 +149,7 @@ def _point_geometry(t) -> _PointGeometry:
         + (2.0 * u0, 2.0 * u1, 2.0 * u2, u0 * u0, u0 * u1 + u1 * u0)
         + (u0 * u2 + u1 * u1 + u2 * u0, u1 * u2 + u2 * u1, u2 * u2)
     )
-    rows = len(_FIELD_TERMS) if n == len(_ORDERS) else 6
-    fields = coeffs.reshape(len(_FIELD_TERMS), len(_ORDERS))[:rows, :n] @ t
+    fields = coeffs.reshape(len(_FIELD_TERMS), len(_ORDERS)) @ t
     # <B_i, B_j>, <B_i, H> and |H|^2
     (_, _, b02, bh0), (_, b11, _, bh1), (*_, bh2), (*_, h_sq) = (
         fields[:4] @ fields[:4].T
@@ -159,8 +157,6 @@ def _point_geometry(t) -> _PointGeometry:
     # numpy's max, so that a NaN reaches the residual
     dev = np.abs((bh0 - h_sq * g00, bh1 - h_sq * g01, bh2 - h_sq * g11))
     scalars = math.sqrt(h_sq), (b02 - b11) / det + 1.0, float(dev.max())
-    if rows == 6:
-        return _PointGeometry(frame, g, det, fields[:3], fields[3], *scalars, *fields[4:])
     # <tau, F_c>, <J_x, F_c>, <J_y, F_c> and <L, F_c>
     (_, tau_x, tau_y), (jx, jxx, jxy), (jy, jyx, jyy), (l_psi, _, _) = (
         fields[5:] @ frame.T
@@ -197,12 +193,13 @@ def _symbols(im: Immersion) -> _PointGeometry:
     return _point_geometry(im._origin())
 
 
-def _per_point(table, max_order: int, *names) -> list[np.ndarray]:
-    """The kernel run at each point of an explicit table {(a, b): (..., D)}
-    of the orders a+b <= max_order, one point at a time; for each of the
-    `_PointGeometry` fields `names`, one array of the point shape followed by
-    the field's own shape, an empty batch included."""
-    t = np.stack([table[o] for o in _ORDERS[: (max_order + 1) * (max_order + 2) // 2]], axis=-2)
+def _per_point(table, *names) -> list[np.ndarray]:
+    """The kernel run at each point of an explicit table {(a, b): (..., D)},
+    one point at a time, the orders the table lacks read as zeros; for each
+    of the `_PointGeometry` fields `names`, one array of the point shape
+    followed by the field's own shape, an empty batch included."""
+    zero = np.zeros_like(table[(0, 0)])
+    t = np.stack([table.get(o, zero) for o in _ORDERS], axis=-2)
     shape, d = t.shape[:-2], t.shape[-1]
     points = [_point_geometry(x) for x in t.reshape((-1,) + t.shape[-2:])]
     tails = {"g": (2, 2), "forms": (3, d), "h_norm": (), "gauss": (), "umbilic": ()}
@@ -224,7 +221,7 @@ def tension(im: Immersion, p) -> np.ndarray:
     form of the map into the sphere); equals 2H."""
     if isinstance(im, Immersion):
         return im._read_symbols(p, (_symbols(im).tau,))[0]
-    return _per_point(im.partial_table(p, 2), 2, "tau")[0]
+    return _per_point(im.partial_table(p, 2), "tau")[0]
 
 
 def bitension(im: Immersion, p) -> np.ndarray:
@@ -233,7 +230,7 @@ def bitension(im: Immersion, p) -> np.ndarray:
     is broken."""
     if isinstance(im, Immersion):
         return im._read_symbols(p, (_symbols(im).tau2,))[0]
-    return _per_point(im.partial_table(p, 4), 4, "tau2")[0]
+    return _per_point(im.partial_table(p, 4), "tau2")[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -261,7 +258,7 @@ def fundamental_forms(im, p) -> FundamentalForms:
         s = _symbols(im)
         forms = im._read_symbols(p, s.forms)
         return FundamentalForms(np.broadcast_to(s.g, forms[0].shape[:-1] + (2, 2)).copy(), *forms)
-    g, forms = _per_point(im.partial_table(p, 2), 2, "g", "forms")
+    g, forms = _per_point(im.partial_table(p, 2), "g", "forms")
     return FundamentalForms(g, *np.moveaxis(forms, -2, 0).copy())
 
 
@@ -275,7 +272,7 @@ def mean_curvature(im, p) -> CurvatureSummary:
         shape = h_vec.shape[:-1]
         return CurvatureSummary(*(np.full(shape, x) for x in (s.h_norm, s.gauss, s.umbilic)), h_vec)
     names = ("h_norm", "gauss", "umbilic", "h")
-    return CurvatureSummary(*_per_point(im.partial_table(p, 2), 2, *names))
+    return CurvatureSummary(*_per_point(im.partial_table(p, 2), *names))
 
 
 # ---------------------------------------------------------------------------
@@ -330,8 +327,8 @@ def fd_bitension_oracle(im, p, step: float) -> np.ndarray:
     Agrees with the analytic route to O(step^4).
     """
     if not (_is_real(step) and 1e-4 <= step <= 1e-1):
-        raise DomainError("step must lie in [1e-4, 1e-1], got %r" % step)
-    return _per_point(fd_partial_table(im, p, step, 4), 4, "tau2")[0]
+        raise DomainError("step must lie in [1e-4, 1e-1], got %r" % (step,))
+    return _per_point(fd_partial_table(im, p, step, 4), "tau2")[0]
 
 
 def gaussian_brioschi_fd(im, p, step: float = 1e-3) -> float:
@@ -351,7 +348,7 @@ def gaussian_brioschi_fd(im, p, step: float = 1e-3) -> float:
     _check_step(step)
     offs = np.arange(-2, 3, dtype=float)
     grid = np.stack(np.meshgrid(offs, offs, indexing="ij"), axis=-1)
-    (g,) = _per_point(im.partial_table(p + step * grid, 1), 1, "g")
+    (g,) = _per_point(im.partial_table(p + step * grid, 1), "g")
     E, F, G = g[..., 0, 0], g[..., 0, 1], g[..., 1, 1]
     d1 = np.array([1, -8, 0, 8, -1]) / (12 * step)
     d2 = np.array([-1, 16, -30, 16, -1]) / (12 * step**2)

@@ -9,8 +9,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
+from fractions import Fraction
 
-from .core import Check, DomainError, VerificationReport, _is_real
+from .core import Check, DomainError, VerificationReport, _is_real, exact_rational
 
 _END_EPS = 8e-16  # endpoint snapping for s in [h/(1+h), 1/(1+h)]
 _PRE_SLACK = 1e-12  # slack on closed-interval preconditions
@@ -122,6 +123,14 @@ def unit_circle(angle: float) -> complex:
 def _check_h(h: float):
     if not (_is_real(h) and 0.0 < h < 1.0):
         raise DomainError("h must lie in the open interval (0,1), got %r" % (h,))
+
+
+def _exact_h(h, name: str = "h") -> Fraction:
+    """h as an exact rational in (0,1); anything else is refused by name."""
+    h = exact_rational(h, name)
+    if not (0 < h < 1):
+        raise DomainError("%s must be a rational in (0,1), got %s" % (name, h))
+    return h
 
 
 def rho_max(h: float) -> float:

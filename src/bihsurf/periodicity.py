@@ -16,7 +16,7 @@ import numpy as np
 
 from .core import MAX_SQUAREFREE, DomainError, _is_int, _is_real, exact_rational, isqrt_exact
 from .core import squarefree_decompose
-from .parameters import _check_h, angle_family_data, rho_tilde_of, spectral_levels, t_of_s
+from .parameters import _check_h, _exact_h, angle_family_data, rho_tilde_of, spectral_levels, t_of_s
 from .immersion import Immersion, build
 
 
@@ -356,12 +356,11 @@ def periodic_direction_search(
         fa, fb = fs[idx], fs[idx + 1]
         k_lo, k_hi = math.ceil(min(fa, fb)), math.floor(max(fa, fb))
         for k in range(k_lo, k_hi + 1):
+            # k lies between fa and fb: fa - k and fb - k never share a sign
             a, b = xs[idx], xs[idx + 1]
-            ga, gb = fa - k, fb - k
+            ga = fa - k
             if ga == 0.0:
                 roots.append((a, k))
-                continue
-            if ga * gb > 0:
                 continue
             for _ in range(80):
                 mid = 0.5 * (a + b)
@@ -606,9 +605,7 @@ def torus_exists(h, search_bound: int = 20) -> TorusVerdict:
     float enters the decision. search_bound is capped at
     sqrt(_MAX_GRID_PAIRS).
     """
-    h = exact_rational(h, "h")
-    if not (0 < h < 1):
-        raise DomainError("h must be a rational in (0,1), got %s" % h)
+    h = _exact_h(h)
     if not _is_int(search_bound) or search_bound < 1 or search_bound > math.isqrt(_MAX_GRID_PAIRS):
         raise DomainError(
             "search_bound must be a positive integer whose (p, q) grid has at most %d pairs, "

@@ -857,3 +857,73 @@ def test_admissible_witness_period_invariant(rng):
         for _ in range(10):
             a, b = (int(x) for x in rng.integers(-3, 4, 2))
             assert float(np.max(np.abs(im.eval(a * g1 + b * g2) - psi0))) <= 1e-8
+
+
+# ---------------------------------------------------------------------------
+# refusals and the clip to empty
+
+
+def test_disjoint_hulls_clip_to_empty():
+    # two polygons and two segments that do not meet: the clip loop empties
+    left = [(0, 0), (2, 0), (1, 2)]
+    right = [(5, 0), (7, 0), (6, 2)]
+    assert intersect_hulls(convex_hull(left), convex_hull(right)) == []
+    assert intersect_hulls(convex_hull([(0, 0), (1, 1)]), convex_hull([(0, 3), (1, 4)])) == []
+    # an empty hull meets nothing and holds no point
+    assert intersect_hulls([], convex_hull(left)) == [] and not point_in_hull((0, 0), [])
+    # conv(A) on y = 0 from x = 1 to 2; -conv(G) on y = x + 1: no balance
+    set_a = _fake_set([(F(1), F(0)), (F(2), F(0))])
+    set_g = _fake_set([(F(1), F(0)), (F(2), F(1))])
+    assert witness_weights(set_a, set_g) is None
+
+
+_FLOAT_LATTICE = Lattice2(rank=2, gens=((1.0, 0.0), (0.0, 1.0)))
+
+
+@pytest.mark.parametrize(
+    "call,exc,phrase",
+    [
+        (lambda: parse_lattice_entry("pi/0"), DomainError,
+         r"zero denominator in lattice entry 'pi/0'"),
+        (lambda: parse_lattice_entry("2*pi*sqrt(3)/0"), DomainError, r"zero denominator"),
+        (lambda: parse_lattice_entry(2), DomainError, r"lattice entry must be a string .*, got 2$"),
+        (lambda: parse_lattice_entry(["pi"]), DomainError,
+         r"lattice entry must be a string .*, got \['pi'\]"),
+        (lambda: parse_lattice_entry(None), DomainError,
+         r"lattice entry must be a string .*, got None"),
+        (lambda: parse_lattice_entry("pi*sqrt(0)"), ValueError,
+         r"sqrt argument must be positive in 'pi\*sqrt\(0\)'"),
+        (lambda: parse_lattice({"gens": [["pi", "0"], ["0", "pi"], ["pi", "pi"]]}), DomainError,
+         r"lattice input must be \{'gens'.*, got "),
+        (lambda: parse_lattice({"gens": [["pi", "0", "0"], ["0", "pi"]]}), DomainError,
+         r"lattice input must be \{'gens'.*, got "),
+        (lambda: parse_lattice({"gens": ["ab", "cd"]}), DomainError,
+         r"lattice input must be \{'gens'.*, got "),
+        (lambda: parse_lattice({"gens": [["pi", 0], ["0", "pi"]]}), DomainError,
+         r"lattice entry must be a string .*, got 0"),
+        (lambda: parse_lattice({"lattice": []}), DomainError, r"lattice input must be \{'gens'"),
+        (lambda: parse_lattice([1]), DomainError, r"lattice input must be \{'gens'"),
+        (lambda: unimodular_image(_FLOAT_LATTICE, ((1, 0), (0, 1))), ExactnessError,
+         r"unimodular_image needs exact generator data"),
+        (lambda: unimodular_image(parse_lattice(LAT_2PI), ((2, 0), (0, 1))), ValueError,
+         r"matrix is not unimodular"),
+        (lambda: circle_points(dual_lattice(parse_lattice(LAT_2PI)), 0), DomainError,
+         r"radius_sq must be positive"),
+        (lambda: circle_points(dual_lattice(parse_lattice(LAT_2PI)), F(-1, 2)), DomainError,
+         r"radius_sq must be positive"),
+        (lambda: admissible(parse_lattice(LAT_2PI), "1/0"), DomainError,
+         r"h must be a finite rational number, got '1/0'"),
+        (lambda: admissible(parse_lattice(LAT_2PI), 1), DomainError,
+         r"h must be a rational in \(0,1\), got 1"),
+    ],
+    ids=[
+        "entry-zero-denominator", "entry-surd-zero-denominator", "entry-number", "entry-list",
+        "entry-none", "entry-sqrt-zero", "gens-three-rows", "gens-three-columns", "gens-strings",
+        "gens-number-entry", "no-gens", "not-a-mapping", "unimodular-float-lattice",
+        "unimodular-det-2", "radius-zero", "radius-negative", "h-zero-denominator", "h-outside",
+    ],
+)
+def test_admissibility_refusals_name_the_parameter(call, exc, phrase):
+    with pytest.raises(exc, match=phrase) as info:
+        call()
+    assert type(info.value) is exc

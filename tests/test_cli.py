@@ -377,6 +377,88 @@ def test_export_bad_grid_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("bound", ["-1", "1e300"])
+def test_export_refused_search_bound_writes_no_file(tmp_path, capsys, bound):
+    params = tmp_path / "s.json"
+    run_cli(["construct", "--preset", "sasahara", "--out", str(params)], capsys)
+    code, _, err = run_cli(
+        ["export", "--params", str(params), "--grid", "4", "4", "--search-bound", bound,
+         "--out", str(tmp_path / "mesh")],
+        capsys,
+    )
+    assert code == 2 and "search_bound" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["s.json"]
+
+
+def test_construct_takes_h_as_num_den(tmp_path, capsys):
+    # "1/2" and "0.5" are the same double, so the same member
+    outs = []
+    for h in ("1/2", "0.5"):
+        out = tmp_path / ("%s.json" % h.replace("/", "_"))
+        code, _, _ = run_cli(["construct", "--h", h, "--rho", "0.3", "--out", str(out)], capsys)
+        assert code == 0
+        outs.append(out.read_text())
+    assert outs[0] == outs[1] and json.loads(outs[0])["h"] == 0.5
+
+
+# lattice files for the malformed-input cases, by name
+BAD_LATTICES = {
+    "zero_den.json": {"gens": [["pi/0", "0"], ["0", "2*pi"]]},
+    "number.json": {"gens": [[2, "0"], ["0", "2*pi"]]},
+    "list.json": {"gens": [[["pi"], "0"], ["0", "2*pi"]]},
+    "three_rows.json": {"gens": [["pi", "0"], ["0", "2*pi"], ["pi", "pi"]]},
+    "std2pi.json": {"gens": [["2*pi", "0"], ["0", "2*pi"]]},
+}
+
+
+@pytest.mark.parametrize(
+    "args, phrase",
+    [
+        (["torus-exists", "--h", "1/0"], "--h must be a finite rational number, got '1/0'"),
+        (["construct", "--h", "1/0", "--rho", "0"], "--h must be a finite rational number, got '1/0'"),
+        (["construct", "--h", "1e400", "--rho", "0"], "--h must be a rational in (0,1)"),
+        (["construct", "--h", "nan", "--rho", "0"], "--h must be a finite rational number, got 'nan'"),
+        (["construct", "--h", "1e-999999999", "--rho", "0"],
+         "--h must be a finite rational number, got '1e-999999999'"),
+        (["torus-exists", "--a", "1/0", "--b", "1/4"], "--a must be a finite rational number, got '1/0'"),
+        (["torus-exists", "--a", "1/4", "--b", "1/0"], "--b must be a finite rational number, got '1/0'"),
+        (["admissible", "--lattice", "{dir}/std2pi.json", "--h", "1/0"],
+         "--h must be a finite rational number, got '1/0'"),
+        (["admissible", "--lattice", "{dir}/zero_den.json", "--h", "1/2"], "'pi/0'"),
+        (["admissible", "--lattice", "{dir}/number.json", "--h", "1/2"],
+         "lattice entry must be a string such as '2*pi', got 2"),
+        (["admissible", "--lattice", "{dir}/list.json", "--h", "1/2"],
+         "lattice entry must be a string such as '2*pi', got ['pi']"),
+        (["admissible", "--lattice", "{dir}/three_rows.json", "--h", "1/2"],
+         "lattice input must be {'gens': [[a,b],[c,d]]}, got {'gens': [['pi', '0'], "),
+        (["construct", "--h", "0.5"], "construct needs --h and --rho"),
+        (["verify", "--params", "{dir}/member.json", "--tol", "bitension"],
+         "tolerance override must look like name=value, got 'bitension'"),
+        (["torus-exists", "--h", "1/2", "--a", "1/4", "--b", "1/4"],
+         "give either --h, or both --a and --b"),
+        (["torus-exists", "--a", "1/4"], "give either --h, or both --a and --b"),
+        (["torus-exists"], "torus-exists needs --h or --a/--b"),
+        (["torus-exists", "--a", "0", "--b", "1/4"], "--a and --b must be positive rationals"),
+        (["torus-exists", "--a", "1/4", "--b=-1/4"], "--a and --b must be positive rationals"),
+    ],
+    ids=[
+        "torus-h-zero-den", "construct-h-zero-den", "construct-h-overflow", "construct-h-nan",
+        "construct-h-huge-exponent",
+        "torus-a-zero-den", "torus-b-zero-den", "admissible-h-zero-den", "entry-zero-den",
+        "entry-number", "entry-list", "gens-three-rows", "construct-no-rho", "tol-no-equals",
+        "h-with-a", "a-without-b", "neither", "a-zero", "b-negative",
+    ],
+)
+def test_malformed_input_exits_2_naming_it(tmp_path, capsys, args, phrase):
+    for name, lattice in BAD_LATTICES.items():
+        (tmp_path / name).write_text(json.dumps(lattice))
+    run_cli(["construct", "--h", "0.5", "--rho", "0", "--out", str(tmp_path / "member.json")], capsys)
+    code, out, err = run_cli([a.format(dir=tmp_path) for a in args], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and phrase in err, err
+    assert "Traceback" not in err
+
+
 def test_cli_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "bihsurf.cli", "torus-exists", "--h", "4/5"],

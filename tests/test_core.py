@@ -8,6 +8,7 @@ from bihsurf.core import (
     Check,
     DomainError,
     VerificationReport,
+    exact_rational,
     isqrt_exact,
     rational_sqrt_exact,
     squarefree_decompose,
@@ -81,6 +82,39 @@ def test_squarefree_decompose_refuses_past_the_cap_at_once():
     assert time.perf_counter() - start < 0.1
     # below the cap a composite with small factors still returns at once
     assert squarefree_decompose(2**54) == (2**27, 1)
+
+
+@pytest.mark.parametrize(
+    "call,exc,phrase",
+    [
+        (lambda: squarefree_decompose(0), DomainError, r"requires n > 0, got 0"),
+        (lambda: squarefree_decompose(-12), DomainError, r"requires n > 0, got -12"),
+        (lambda: exact_rational("1/0", "--h"), DomainError,
+         r"--h must be a finite rational number, got '1/0'"),
+        (lambda: exact_rational("pi", "q"), DomainError,
+         r"q must be a finite rational number, got 'pi'"),
+        (lambda: exact_rational(None, "h"), DomainError,
+         r"h must be a finite rational number, got None"),
+        (lambda: exact_rational(float("inf"), "h"), DomainError,
+         r"h must be a finite rational number, got inf"),
+        # refused before Fraction would build 10**exponent
+        (lambda: exact_rational("1e999999999", "--h"), DomainError,
+         r"--h must be a finite rational number, got '1e999999999'"),
+        (lambda: exact_rational("5E-0010000", "h"), DomainError,
+         r"h must be a finite rational number, got '5E-0010000'"),
+    ],
+    ids=["squarefree-zero", "squarefree-negative", "rational-zero-denominator", "rational-text",
+         "rational-none", "rational-inf", "rational-huge-exponent", "rational-huge-negative-exponent"],
+)
+def test_core_refusals_name_the_parameter(call, exc, phrase):
+    with pytest.raises(exc, match=phrase) as info:
+        call()
+    assert type(info.value) is exc
+
+
+def test_exact_rational_keeps_exponents_below_ten_thousand():
+    assert exact_rational("1e-9999", "h") == Fraction(1, 10**9999)
+    assert exact_rational("25e-2", "h") == Fraction(1, 4)
 
 
 def test_check_passed_iff_residual_within_tolerance():

@@ -18,7 +18,7 @@ from bihsurf.parameters import (
     validate_miyata,
 )
 from bihsurf.immersion import build, sasahara_data
-from bihsurf.geometry import boruvka_params, diagonal_sum_check
+from bihsurf.geometry import boruvka_params, diagonal_sum_check, fd_bitension_oracle
 from bihsurf.periodicity import (
     closing_ratios,
     direction_integrality,
@@ -117,12 +117,16 @@ def test_t_of_s_domain_error():
         (lambda: s_of_rho(0.5, "x"), "rho must lie in"),
         (lambda: rho_tilde_of(0.5, "x"), "rho must lie in"),
         (lambda: structure_params(0.5, "x"), "structure range"),
+        (
+            lambda: fd_bitension_oracle(build(sasahara_data()), np.zeros(2), (1e-2, 1e-2)),
+            r"step must lie in \[1e-4, 1e-1\], got \(0\.01, 0\.01\)",
+        ),
     ],
     ids=[
         "rho_max-str", "rho_max-bool", "rho_max-tuple", "closing_ratios-s", "direction_integrality-rho",
         "periodic_direction_search-window", "periodic_direction_search-h",
         "boruvka_params-str", "boruvka_params-float", "t_of_s-nan",
-        "s_of_rho-rho", "rho_tilde_of-rho", "structure_params-rho",
+        "s_of_rho-rho", "rho_tilde_of-rho", "structure_params-rho", "fd_bitension_oracle-step-tuple",
     ],
 )
 def test_non_real_parameters_are_refused_by_name(call, phrase):
@@ -326,3 +330,19 @@ def test_angle_family_data_valid_on_open_range(rng):
         h = float(rng.uniform(0.05, 0.95))
         rho = float(rng.uniform(1e-3, math.pi / 2 - 1e-3))
         assert validate_miyata(angle_family_data(h, rho)).passed
+
+
+@pytest.mark.parametrize(
+    "fields,phrase",
+    [
+        (dict(mu=(1j,), r_weights=(0.5, 0.5)), "mu and r_weights lengths differ"),
+        (dict(eta=(1j,), rp_weights=(0.5, 0.5)), "eta and rp_weights lengths differ"),
+        (dict(mu=(), r_weights=()), "mu and eta must be nonempty"),
+        (dict(eta=(), rp_weights=()), "mu and eta must be nonempty"),
+    ],
+    ids=["mu-lengths", "eta-lengths", "empty-mu", "empty-eta"],
+)
+def test_miyata_data_refuses_mismatched_or_empty_blocks(fields, phrase):
+    base = dict(h=0.5, mu=(1 + 0j,), eta=(1 + 0j, 1j), r_weights=(1.0,), rp_weights=(0.5, 0.5))
+    with pytest.raises(ValueError, match=phrase):
+        MiyataData(**{**base, **fields})

@@ -12,7 +12,7 @@ from hypothesis import event, given, settings, strategies as st
 import direction_oracle
 import torus_oracle
 from bihsurf.core import MAX_SQUAREFREE, DomainError
-from bihsurf.parameters import angle_family_data, canonicalize, rho_max
+from bihsurf.parameters import MiyataData, angle_family_data, canonicalize, rho_max
 from bihsurf.immersion import build, extend_dimension, from_structure
 from bihsurf.periodicity import (
     ExactBasis,
@@ -736,3 +736,26 @@ def test_torus_verdict_json_shape():
     assert d["verdict"] == "case_ii"
     assert d["witness"]["p"] == 1
     assert len(d["generators"]) == 2
+
+
+# m = 1, mp = 1 data on the real axis: every wave vector lies on the x-axis
+_PARALLEL = MiyataData(h=0.5, mu=(1 + 0j,), eta=(1 + 0j,), r_weights=(1.0,), rp_weights=(1.0,))
+
+
+@pytest.mark.parametrize(
+    "call,exc,phrase",
+    [
+        (lambda: Lattice2(rank=1, gens=()), ValueError, "rank must equal the number of generators"),
+        (lambda: Lattice2(rank=2, gens=((1.0, 0.0),)), ValueError,
+         "rank must equal the number of generators"),
+        (lambda: period_lattice(build(_PARALLEL, validate=False), 10.0), ValueError,
+         "frequency wave vectors do not span the plane"),
+        (lambda: torus_exists("1/0"), DomainError, "h must be a finite rational number, got '1/0'"),
+        (lambda: torus_exists(Fraction(3, 2)), DomainError, r"h must be a rational in \(0,1\), got 3/2"),
+    ],
+    ids=["lattice-rank-1", "lattice-rank-2", "parallel-wave-vectors", "h-zero-denominator", "h-outside"],
+)
+def test_periodicity_refusals_name_the_parameter(call, exc, phrase):
+    with pytest.raises(exc, match=phrase) as info:
+        call()
+    assert type(info.value) is exc
