@@ -63,6 +63,14 @@ def parse_exact_fraction(text: str, name: str = "value") -> Fraction:
     return exact_rational(text, name)
 
 
+def _parse_real(text: str, name: str) -> float:
+    """A float from text; a refusal names the flag."""
+    try:
+        return float(text)
+    except ValueError:
+        raise DomainError("%s must be a real number, got %r" % (name, text)) from None
+
+
 def _load_data(path: str) -> MiyataData:
     with open(path, "r", encoding="utf-8") as fh:
         return miyata_from_dict(json.load(fh))
@@ -80,7 +88,8 @@ def cmd_construct(args) -> int:
     else:
         if args.h is None or args.rho is None:
             raise DomainError("construct needs --h and --rho (or --preset / --extend)")
-        data = lift_structure(structure_params(float(_exact_h(args.h, "--h")), float(args.rho)))
+        h = float(_exact_h(args.h, "--h"))
+        data = lift_structure(structure_params(h, _parse_real(args.rho, "--rho")))
     data = canonicalize(data)
     echo = {
         "h": data.h,

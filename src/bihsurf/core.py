@@ -26,7 +26,10 @@ class ExactnessError(ValueError):
 def exact_rational(value, name: str) -> Fraction:
     """value as a Fraction; NaN, infinities, non-numbers and text with a
     decimal exponent of 10^4 or more raise a DomainError that names the
-    parameter."""
+    parameter. A Fraction comes back as the same object: it is immutable,
+    so a copy buys nothing."""
+    if type(value) is Fraction:
+        return value
     try:
         # Fraction would build 10**exponent first: 2.2 s at "1e4000000"
         if isinstance(value, str) and re.search(r"[eE][-+]?0*[1-9][\d_]{4,}", value):

@@ -498,9 +498,10 @@ _CHECKS = (
 )
 
 # Points per `eval` of verify_immersion's unit_norm check. Medians of 9
-# alternating runs of a verify-dense round (seed 0, 2-core VM, 2 threads) at
-# blocks of 1024 / 2048 / 4096: S^5 share 47.8 / 35.6 / 27.4 ms, S^7 35.0 /
-# 24.9 / 22.4 ms, S^27 71.2 / 63.6 / 65.1 ms, round 152.5 / 129.7 / 116.9 ms.
+# alternating runs of the first verify-dense round (seed 0, 2-core VM, 2
+# threads, tan half-angle trig), timed in one process, at blocks of 1024 /
+# 2048 / 4096: S^5 share 16.5 / 9.6 / 8.0 ms, S^7 11.7 / 7.4 / 6.2 ms, S^27
+# 15.6 / 16.9 / 15.2 ms, round 44.2 / 35.4 / 29.7 ms.
 _BLOCK = 2048
 
 _EYE = np.eye(2)

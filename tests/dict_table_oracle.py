@@ -31,9 +31,12 @@ def _assemble(im, cos_part, sin_part):
 def partials(im, p, orders):
     """Quarter-turn kernel: one cos/sin evaluation; the (a, b) partial of
     plane c*(cos, sin) is that pair turned by a+b quarter turns (swapped
-    when a+b is odd), the turn's signs folded into c*w_1^a*w_2^b."""
-    theta = np.asarray(p, dtype=float) @ im.wave_vectors.T
-    cos, sin = np.cos(theta), np.sin(theta)
+    when a+b is odd), the turn's signs folded into c*w_1^a*w_2^b. The
+    (cos, sin) pair is the library's own `Immersion._pair` (tested against
+    np.cos/np.sin in tests/trig_oracle.py), so the table's arithmetic is
+    compared bit for bit, not the trig kernel."""
+    pair = im._pair(p)
+    cos, sin = pair[..., 0::2], pair[..., 1::2]
     out = {}
     for a, b in orders:
         swap, sign_c, sign_s = _QUARTER_TURNS[(a + b) % 4]

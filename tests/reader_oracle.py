@@ -1,7 +1,7 @@
-"""Reference readers: `Immersion._pair`, `eval` with its order-(0, 0) memo,
+"""Reference readers: `eval` with its order-(0, 0) memo,
 `_entries` with its gather of factor rows, and `geometry._read`, as they were
 before `Immersion._read` became the one reader, kept verbatim over the
-library's `_phases`, factor table and `_symbols`; and the per-point
+library's `_pair`, factor table and `_symbols`; and the per-point
 functions of an `Immersion` read through them. The memo that `eval` kept in
 the immersion lives here, keyed by immersion.
 """
@@ -18,12 +18,11 @@ _POSITION = weakref.WeakKeyDictionary()
 
 def pair(im: Immersion, p) -> np.ndarray:
     """(cos<w, p>, sin<w, p>) on the two slots of each plane, shape
-    (..., D): the trig pair of the even orders at the points p."""
-    theta = im._phases(p)
-    out = np.empty(theta.shape[:-1] + (im.ambient_dim,))
-    np.cos(theta, out=out[..., 0::2])
-    np.sin(theta, out=out[..., 1::2])
-    return out
+    (..., D): the trig pair of the even orders at the points p. It is the
+    library's `Immersion._pair` (tested against np.cos/np.sin in
+    tests/trig_oracle.py), so the readers are compared bit for bit, not
+    the trig kernel."""
+    return im._pair(p)
 
 
 def factors(im: Immersion, orders: tuple) -> np.ndarray:

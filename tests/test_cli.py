@@ -459,6 +459,19 @@ def test_malformed_input_exits_2_naming_it(tmp_path, capsys, args, phrase):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "args, line",
+    [
+        (["construct", "--h", "1e400", "--rho", "0"],
+         "error: --h must be a rational in (0,1), got 1e400\n"),
+        (["construct", "--h", "0.5", "--rho", "abc"], "error: --rho must be a real number, got 'abc'\n"),
+    ],
+    ids=["h-out-of-range-echoed", "rho-text"],
+)
+def test_refusal_is_one_short_line_naming_the_flag(capsys, args, line):
+    assert run_cli(args, capsys) == (2, "", line)
+
+
 def test_cli_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "bihsurf.cli", "torus-exists", "--h", "4/5"],

@@ -117,6 +117,20 @@ def test_exact_rational_keeps_exponents_below_ten_thousand():
     assert exact_rational("25e-2", "h") == Fraction(1, 4)
 
 
+def test_exact_rational_returns_a_fraction_itself():
+    q = Fraction(3, 7)
+    assert exact_rational(q, "h") is q
+
+    class Ratio(Fraction):
+        pass
+
+    # every other input is converted, a subclass of Fraction included
+    for value, want in (("3/7", q), (" -3/7 ", -q), ("0.25", Fraction(1, 4)), (2, Fraction(2)),
+                        (0.1, Fraction(3602879701896397, 36028797018963968)), (Ratio(3, 7), q)):
+        got = exact_rational(value, "h")
+        assert type(got) is Fraction and got == want, value
+
+
 def test_check_passed_iff_residual_within_tolerance():
     assert Check("x", 1e-10, 1e-9).passed
     assert not Check("x", 1e-8, 1e-9).passed

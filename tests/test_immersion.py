@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import construction_oracle
 import dict_table_oracle as oracle
+import kernel_oracle
 import numpy as np
 import reader_oracle
 import pytest
@@ -348,6 +349,68 @@ def test_one_reader_matches_the_previous_readers_bit_for_bit(case):
     ]
     for what, got, want in pairs:
         _assert_same_arrays(_outcome(got), _outcome(want), what)
+
+
+@st.composite
+def _phase_case(draw):
+    """A member whose first two planes get the unit wave vectors, so their
+    phases are the point coordinates themselves, and points whose
+    coordinates lie in a box of up to 1e300 or within 2000 ulp of a
+    multiple k pi/2, |k| up to 4e6 (0 included)."""
+    im = from_structure(draw(st.floats(0.05, 0.95)), 0.0)
+    for _ in range(draw(st.integers(0, 6))):
+        im = extend_dimension(im)
+    im = Immersion(
+        data=im.data,
+        wave_vectors=np.vstack((np.eye(2), im.wave_vectors)),
+        amplitudes=np.concatenate(((1.0, 1.0), im.amplitudes)),
+    )
+    shape = draw(st.sampled_from([(), (0,), (1,), (7,), (3, 4), (64,)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    box = 10.0 ** draw(st.floats(-3.0, 300.0))
+    pts = rng.uniform(-box, box, shape + (2,))
+    k_max = int(10.0 ** draw(st.floats(0.0, math.log10(4e6))))
+    quarter = rng.integers(-k_max, k_max + 1, pts.shape) * (math.pi / 2)
+    near = quarter + rng.integers(-2000, 2001, pts.shape) * np.spacing(quarter)
+    pts = np.where(rng.random(pts.shape) < draw(st.floats(0.0, 1.0)), near, pts)
+    note("ambient_dim=%d shape=%s box=%g k_max=%d" % (im.ambient_dim, shape, box, k_max))
+    return im, pts
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_phase_case(), odd=st.integers(0, 1))
+def test_half_angle_pair_matches_cos_and_sin(case, odd):
+    # the tan half-angle pair against np.cos/np.sin (tests/kernel_oracle.py):
+    # within 1e-15 absolute, exact at the origin, cos even and sin odd
+    im, pts = case
+    got, want = im._pair(pts, odd), kernel_oracle.pair(im, pts, odd)
+    assert got.shape == want.shape and got.flags.c_contiguous
+    assert np.all(np.abs(got - want) <= 1e-15), float(np.max(np.abs(got - want)))
+    cos, sin = slice(odd, None, 2), slice(1 - odd, None, 2)
+    flipped = im._pair(-pts, odd)
+    assert np.array_equal(flipped[..., cos], got[..., cos])
+    assert np.array_equal(flipped[..., sin], -got[..., sin])
+    at_origin = np.zeros(got.shape)
+    at_origin[..., cos] = 1.0
+    assert np.array_equal(im._pair(np.zeros(pts.shape), odd), at_origin)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    rows=st.lists(
+        st.tuples(*[st.floats(allow_nan=True, allow_infinity=True)] * 3), min_size=1, max_size=14
+    ),
+)
+def test_factor_table_matches_the_list_of_powers(rows):
+    # the powers written in place and the rows taken, bit for bit against
+    # the list of powers and fancy-indexed rows (tests/kernel_oracle.py),
+    # NaN and infinite entries included
+    table = np.array(rows)
+    im = Immersion(data=sasahara_data(), wave_vectors=table[:, :2], amplitudes=table[:, 2])
+    with np.errstate(all="ignore"):
+        got, want = im._factors(), kernel_oracle.factors(im)
+    assert got.shape == want.shape == (15, 2 * len(rows))
+    assert np.array_equal(got, want, equal_nan=True)
 
 
 def test_partial_table_keys_in_order_of_total_order(sasahara_immersion):
