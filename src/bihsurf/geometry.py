@@ -32,9 +32,8 @@ immersion's own memo. Every slot of the plane layout is read in `immersion`.
 `verify_immersion` computes its geometric checks from the same symbols:
 each residual is the sup of its check over the whole plane, not a maximum
 over samples. Only its unit_norm check reads psi at sample points, through
-`eval`, so it still covers the evaluator that users read; its blocks of
-points run on a thread pool when there are several of them and the process
-may use several CPUs.
+`eval`, so it still covers the evaluator that users read; it evaluates its
+blocks of points one after another, and the module starts no thread.
 
 Explicit tables run the same kernel at each of their points, one point at a
 time: the `partial_table` of a map that is not an `Immersion`, the
@@ -46,10 +45,8 @@ and test fixtures only.
 
 from __future__ import annotations
 
-import collections
 import functools
 import math
-import os
 import sys
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -498,10 +495,11 @@ _CHECKS = (
 )
 
 # Points per `eval` of verify_immersion's unit_norm check. Medians of 9
-# alternating runs of the first verify-dense round (seed 0, 2-core VM, 2
-# threads, tan half-angle trig), timed in one process, at blocks of 1024 /
-# 2048 / 4096: S^5 share 16.5 / 9.6 / 8.0 ms, S^7 11.7 / 7.4 / 6.2 ms, S^27
-# 15.6 / 16.9 / 15.2 ms, round 44.2 / 35.4 / 29.7 ms.
+# alternating runs of the first verify-dense round (seed 0, 2-core VM, one
+# thread, tan half-angle trig), timed in one process, at blocks of 1024 /
+# 2048 / 4096: S^5 share 8.6 / 7.2 / 6.5 ms, S^7 6.4 / 5.3 / 5.1 ms, S^27
+# 12.8 / 12.0 / 12.3 ms, round 27.9 / 24.5 / 24.3 ms (other runs of the same
+# script read up to 30% slower).
 _BLOCK = 2048
 
 _EYE = np.eye(2)
@@ -559,69 +557,20 @@ def _unit_norm(psi) -> np.floating:
     return np.abs(np.sqrt(np.einsum("pd,pd->p", psi, psi)) - 1.0).max()
 
 
-def _cpus() -> int:
-    """The CPUs this process may run on: its affinity set where the platform
-    reports one, else every CPU."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
-@functools.cache
-def _pool(threads: int):
-    """The process's pool of `threads` threads for unit_norm blocks, made on
-    first use; a forked child forgets it, so never waits on the parent's. Of
-    two callers racing on first use, one may get a pool that is not kept: it
-    serves that call, and its threads end when it is dropped."""
-    from concurrent.futures import ThreadPoolExecutor
-
-    return ThreadPoolExecutor(threads, thread_name_prefix="bihsurf-unit-norm")
-
-
-if hasattr(os, "register_at_fork"):
-    # `_pool` looked up at fork time, so a replacement is cleared too
-    os.register_at_fork(after_in_child=lambda: _pool.cache_clear())
-
-
 def _sampled_unit_norm(im: Immersion, samples: int, seed: int, box: float) -> np.floating:
     """The worst | |psi| - 1 | at `samples` seeded points of [-box, box]^2.
 
     The points are drawn in blocks of _BLOCK, in order, from the one stream
     default_rng(seed).uniform(-box, box): the same points as one draw of
-    (samples, 2). With more than one block and more than one usable CPU, the
-    blocks run on the process's thread pool, at most two per thread in
-    flight; numpy's trig releases the interpreter lock. The block results are
-    reduced in block order either way, so the residual is the serial one,
-    NaN included, and a block's DomainError is raised here.
+    (samples, 2). Each block is evaluated and reduced in turn, so a NaN
+    residual is kept and a block's DomainError is raised here.
     """
     rng = np.random.default_rng(seed)
     blocks = (
         rng.uniform(-box, box, size=(min(_BLOCK, samples - i), 2))
         for i in range(0, samples, _BLOCK)
     )
-
-    def block_norm(pts):
-        return _unit_norm(im.eval(pts))
-
-    threads = _cpus() if samples > _BLOCK else 1
-    if threads < 2:
-        return functools.reduce(np.maximum, map(block_norm, blocks))
-    pool, window, norms = _pool(threads), collections.deque(), []
-    try:
-        for pts in blocks:
-            if len(window) == 2 * threads:
-                norms.append(window.popleft().result())
-            window.append(pool.submit(block_norm, pts))
-        while window:
-            norms.append(window.popleft().result())
-    finally:
-        # after a block's error, no block runs on past the call: each one
-        # not yet started is cancelled, and each running one waited for
-        for future in window:
-            if not future.cancel():
-                future.exception()
-    return functools.reduce(np.maximum, norms)
+    return functools.reduce(np.maximum, (_unit_norm(im.eval(pts)) for pts in blocks))
 
 
 def _tolerances(overrides) -> dict[str, float]:
@@ -666,13 +615,8 @@ def verify_immersion(
     it. Only unit_norm depends on the samples: it evaluates psi, through
     `eval`, at `samples` seeded random points of [-box, box]^2, in blocks
     of 2048, so memory is O(2048 * ambient_dim) whatever the sample count,
-    and reports the worst | |psi| - 1 | among them.
-
-    A call with more than one block runs them on a thread pool shared by
-    the process, one thread per CPU the process may run on (its affinity
-    set), made on first use; with one CPU, or one block, no thread starts.
-    The report is the same, bit for bit, as from the serial loop. A forked
-    child makes its own pool. Nothing sets the thread count.
+    and reports the worst | |psi| - 1 | among them. The blocks run in
+    order on the calling thread; no thread is started.
     """
     if not _is_int(samples) or samples < 1:
         raise DomainError("samples must be a positive integer, got %r" % (samples,))

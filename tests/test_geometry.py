@@ -1,7 +1,5 @@
 import contextlib
-import functools
 import math
-import multiprocessing
 import os
 import subprocess
 import sys
@@ -11,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, note, settings, strategies as st
+from hypothesis import assume, example, given, note, settings, strategies as st
 
 import dict_table_oracle as oracle
 import symbol_oracle
@@ -736,8 +734,7 @@ def test_explicit_route_output_shapes(shape):
 
 def test_verify_immersion_blocks_equal_one_unblocked_evaluation():
     # unit_norm, the one sampled check, evaluates psi at every point once, in
-    # blocks of at most _BLOCK; its residual is the worst over all. Blocks may
-    # run on pool threads in any order, so each is placed by its first point
+    # blocks of at most _BLOCK taken in order; its residual is the worst over all
     im = build(_broken_balance(), validate=False)
     samples = 3 * _B + 7
     pts = np.random.default_rng(197).uniform(-6.0, 6.0, size=(samples, 2))
@@ -745,12 +742,7 @@ def test_verify_immersion_blocks_equal_one_unblocked_evaluation():
         immersion.Immersion, "eval", autospec=True, side_effect=immersion.Immersion.eval
     ) as spy:
         rep = verify_immersion(im, samples=samples, seed=197)
-    placed = {}
-    for call in spy.call_args_list:
-        block = call.args[1]
-        (offset,) = np.flatnonzero((pts == block[0]).all(axis=1))
-        placed[offset] = block
-    blocks = [placed[offset] for offset in sorted(placed)]
+    blocks = [call.args[1] for call in spy.call_args_list]
     assert [len(b) for b in blocks] == [_B, _B, _B, 7]
     assert np.array_equal(np.concatenate(blocks), pts)
     assert rep.check("unit_norm").residual == geometry._unit_norm(im.eval(pts))
@@ -944,23 +936,8 @@ def test_verify_immersion_nan_data_fails_as_the_sampled_oracle():
 
 
 # ---------------------------------------------------------------------------
-# unit_norm's blocks on the process's thread pool: the serial loop's residual
-# and errors, in a forked child too; one block starts no thread
-
-
-@contextlib.contextmanager
-def _usable_cpus(n):
-    # verify_immersion as on n CPUs, with pools of its own that the library
-    # makes on first use and the block shuts down
-    pools = functools.cache(geometry._pool.__wrapped__)
-    with contextlib.ExitStack() as patches:
-        patches.enter_context(mock.patch.object(geometry, "_cpus", lambda: n))
-        patches.enter_context(mock.patch.object(geometry, "_pool", pools))
-        try:
-            yield
-        finally:
-            if pools.cache_info().currsize:
-                pools(n).shutdown()
+# unit_norm's serial block loop: the sampled oracle's residuals and errors at
+# any sample count and box; several blocks start no thread
 
 
 def _residuals(report):
@@ -975,7 +952,7 @@ def _verify_or_error(verify, im, samples, seed, box):
 
 
 @st.composite
-def _pool_case(draw):
+def _unit_norm_case(draw):
     family = draw(st.sampled_from(
         ["structure", "broken_balance", "off_circle", "nan_weight", "nan_frequency"]
     ))
@@ -1005,84 +982,36 @@ def _pool_case(draw):
 
 
 @settings(max_examples=100, deadline=None)
-@given(case=_pool_case())
-def test_pooled_unit_norm_equals_the_serial_loop_and_the_oracle(case):
-    # more threads than CPUs and a short switch interval, so blocks finish
-    # out of order and race on the immersion's memo
+@given(case=_unit_norm_case())
+@example(case=(from_structure(0.4, 0.3), 3 * _B + 7, 0, sys.float_info.max / 2))
+def test_unit_norm_block_loop_equals_the_oracle(case):
+    # the data checks' and unit_norm's residuals, NaN included, and every
+    # DomainError, as the sampled oracle's one (samples, 2) draw gives them; at
+    # the widest box some phases leave the float range, and a block raises
     im, samples, seed, box = case
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with _usable_cpus(4):
-            pooled = _verify_or_error(verify_immersion, im, samples, seed, box)
-    finally:
-        sys.setswitchinterval(interval)
-    with _usable_cpus(1):
-        serial = _verify_or_error(verify_immersion, im, samples, seed, box)
+    got = _verify_or_error(verify_immersion, im, samples, seed, box)
     want = _verify_or_error(verify_oracle.verify_immersion, im, samples, seed, box)
     if isinstance(want, DomainError):
-        for got in (pooled, serial):
-            assert isinstance(got, DomainError) and str(got) == str(want)
+        assert isinstance(got, DomainError) and str(got) == str(want)
         return
-    assert [c.name for c in pooled.checks] == [c.name for c in serial.checks]
-    assert pooled.sample_count == serial.sample_count == samples
-    assert np.array_equal(_residuals(pooled), _residuals(serial), equal_nan=True)
-    got, want = pooled.check("unit_norm").residual, want.check("unit_norm").residual
-    assert got == want or math.isnan(got) and math.isnan(want), (got, want)
-
-
-def _verify_in_child(conn, im, samples):
-    conn.send(verify_immersion(im, samples=samples, seed=5))
-    conn.close()
-
-
-@pytest.mark.filterwarnings("ignore:This process .* use of fork:DeprecationWarning")
-def test_forked_child_verifies_after_the_parent_pool_ran():
-    # the parent's pool threads do not exist in a forked child: the child
-    # makes a pool of its own instead of waiting on them
-    im = extend_dimension(from_structure(0.4, 0.3))
-    samples = 3 * _B + 7
-    ctx = multiprocessing.get_context("fork")
-    with _usable_cpus(2):
-        want = verify_immersion(im, samples=samples, seed=5)
-        reader, writer = ctx.Pipe(duplex=False)
-        child = ctx.Process(target=_verify_in_child, args=(writer, im, samples))
-        child.start()
-    writer.close()
-    try:
-        assert reader.poll(60), "the forked child sent no report within 60 s"
-        got = reader.recv()
-        child.join(60)
-        assert not child.is_alive() and child.exitcode == 0
-    finally:
-        if child.is_alive():
-            child.kill()
-            child.join()
-        reader.close()
+    assert not isinstance(got, DomainError), got
     assert [c.name for c in got.checks] == [c.name for c in want.checks]
-    assert np.array_equal(_residuals(got), _residuals(want))
-    assert got.passed and got.sample_count == samples
-
-
-def test_pooled_block_error_reaches_the_caller():
-    # at the widest box some phases leave the float range: the pool block
-    # that meets them raises, and the pool serves the next call
-    im = from_structure(0.4, 0.3)
-    samples = 3 * _B + 7
-    with _usable_cpus(2):
-        with pytest.raises(DomainError, match="phase"):
-            verify_immersion(im, samples=samples, box=sys.float_info.max / 2)
-        assert verify_immersion(im, samples=samples).passed
+    assert got.sample_count == want.sample_count == samples
+    # the data checks, then unit_norm; the oracle's other checks are sampled
+    n = len(im._validation().checks) + 1
+    assert got.checks[n - 1].name == "unit_norm"
+    assert np.array_equal(_residuals(got)[:n], _residuals(want)[:n], equal_nan=True)
 
 
 def test_one_block_verify_starts_no_thread():
+    # several blocks run one after another on the calling thread
     code = (
         "import sys, threading\n"
         "from bihsurf.geometry import verify_immersion\n"
         "from bihsurf.immersion import from_structure\n"
         "assert verify_immersion(from_structure(0.4, 0.3), samples=%d).passed\n"
         "assert 'concurrent.futures' not in sys.modules\n"
-        "assert threading.active_count() == 1\n" % _B
+        "assert threading.active_count() == 1\n" % (3 * _B + 7)
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     proc = subprocess.run(
