@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import math
 import os
 import subprocess
@@ -936,8 +937,9 @@ def test_verify_immersion_nan_data_fails_as_the_sampled_oracle():
 
 
 # ---------------------------------------------------------------------------
-# unit_norm's serial block loop: the sampled oracle's residuals and errors at
-# any sample count and box; several blocks start no thread
+# unit_norm's block loop, its block norms pooled by np.maximum: the serial
+# loop's and the sampled oracle's residuals and errors at any sample count and
+# box; a block's error reaches the caller; several blocks start no thread
 
 
 def _residuals(report):
@@ -984,10 +986,11 @@ def _unit_norm_case(draw):
 @settings(max_examples=100, deadline=None)
 @given(case=_unit_norm_case())
 @example(case=(from_structure(0.4, 0.3), 3 * _B + 7, 0, sys.float_info.max / 2))
-def test_unit_norm_block_loop_equals_the_oracle(case):
+def test_pooled_unit_norm_equals_the_serial_loop_and_the_oracle(case):
     # the data checks' and unit_norm's residuals, NaN included, and every
     # DomainError, as the sampled oracle's one (samples, 2) draw gives them; at
-    # the widest box some phases leave the float range, and a block raises
+    # the widest box some phases leave the float range, and a block raises.
+    # unit_norm is also the worst of _B-point slices of that one draw
     im, samples, seed, box = case
     got = _verify_or_error(verify_immersion, im, samples, seed, box)
     want = _verify_or_error(verify_oracle.verify_immersion, im, samples, seed, box)
@@ -1001,6 +1004,22 @@ def test_unit_norm_block_loop_equals_the_oracle(case):
     n = len(im._validation().checks) + 1
     assert got.checks[n - 1].name == "unit_norm"
     assert np.array_equal(_residuals(got)[:n], _residuals(want)[:n], equal_nan=True)
+    pts = np.random.default_rng(seed).uniform(-box, box, size=(samples, 2))
+    loop = functools.reduce(np.maximum, (
+        geometry._unit_norm(im.eval(pts[i:i + _B])) for i in range(0, samples, _B)
+    ))
+    unit = got.check("unit_norm")
+    assert unit == Check("unit_norm", loop, unit.tolerance), (unit, loop)
+
+
+def test_pooled_block_error_reaches_the_caller():
+    # at the widest box some phases leave the float range: the block that
+    # meets them raises to the caller, and the immersion serves the next call
+    im = from_structure(0.4, 0.3)
+    samples = 3 * _B + 7
+    with pytest.raises(DomainError, match="phase"):
+        verify_immersion(im, samples=samples, box=sys.float_info.max / 2)
+    assert verify_immersion(im, samples=samples).passed
 
 
 def test_one_block_verify_starts_no_thread():
