@@ -24,7 +24,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import MAX_SQUAREFREE, DomainError, ExactnessError, exact_rational, squarefree_decompose
+from .core import MAX_SQUAREFREE, DomainError, ExactnessError, _is_int, exact_rational
+from .core import squarefree_decompose
 from .parameters import MiyataData, _exact_h, _normal_form, spectral_levels
 from .periodicity import ExactBasis, Lattice2
 
@@ -80,6 +81,15 @@ def parse_lattice_entry(text: str) -> tuple[Fraction, int]:
     return c * sq, d0
 
 
+def _is_2x2(rows) -> bool:
+    """Two rows of two entries each, as lists or tuples, or a 2 x 2 array."""
+    if isinstance(rows, np.ndarray):
+        return rows.shape == (2, 2)
+    return isinstance(rows, (list, tuple)) and len(rows) == 2 and all(
+        isinstance(row, (list, tuple)) and len(row) == 2 for row in rows
+    )
+
+
 def parse_lattice(obj) -> Lattice2:
     """Exact rank-2 lattice from {"gens": [[e, e], [e, e]]} entry strings.
 
@@ -87,8 +97,7 @@ def parse_lattice(obj) -> Lattice2:
     squared dual points irrational and are rejected.
     """
     gens = obj.get("gens") if isinstance(obj, dict) else None
-    if not (isinstance(gens, (list, tuple)) and len(gens) == 2
-            and all(isinstance(row, (list, tuple)) and len(row) == 2 for row in gens)):
+    if not _is_2x2(gens):
         raise DomainError("lattice input must be {'gens': [[a,b],[c,d]]}, got %r" % (obj,))
     entries = [[parse_lattice_entry(e) for e in row] for row in gens]
     surds = {d for row in entries for (c, d) in row if c != 0}
@@ -105,7 +114,9 @@ def unimodular_image(lat: Lattice2, u) -> Lattice2:
     """Same lattice in the basis U @ C (U integer, |det U| = 1)."""
     if lat.exact is None:
         raise ExactnessError("unimodular_image needs exact generator data")
-    (a, b), (c, d) = u
+    if not (_is_2x2(u) and all(_is_int(x) for row in u for x in row)):
+        raise DomainError("u must be a 2x2 matrix of integers, got %r" % (u,))
+    (a, b), (c, d) = (map(int, row) for row in u)  # a numpy integer's product wraps
     if abs(a * d - b * c) != 1:
         raise ValueError("matrix is not unimodular")
     r = lat.exact.rows
@@ -271,20 +282,16 @@ def convex_hull(points) -> list[Point]:
 
 
 def point_in_hull(pt: Point, hull) -> bool:
-    """Membership in a hull of any dimension (point, segment or polygon)."""
-    k = len(hull)
-    if k == 0:
-        return False
-    if k == 1:
-        return pt == hull[0]
-    if k == 2:
-        a, b = hull
-        if _cross(a, b, pt) != 0:
-            return False
-        lo = (a[0] - pt[0]) * (b[0] - pt[0]) + (a[1] - pt[1]) * (b[1] - pt[1])
-        return lo <= 0
-    for i in range(k):
-        if _cross(hull[i], hull[(i + 1) % k], pt) < 0:
+    """Membership in a hull of any dimension (point, segment or polygon).
+
+    No vertex holds nothing, and one vertex only itself. A hull of two or
+    more vertices holds the points on the left of every line of
+    `_half_planes(hull)`, the half-planes `intersect_hulls` clips with.
+    """
+    if len(hull) < 2:
+        return len(hull) == 1 and pt == hull[0]
+    for a, b in _half_planes(hull):
+        if _cross(a, b, pt) < 0:
             return False
     return True
 

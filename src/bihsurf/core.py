@@ -41,7 +41,7 @@ def exact_rational(value, name: str) -> Fraction:
 
 def _is_real(value) -> bool:
     """A real number (int, float, Fraction, numpy scalar), but not a bool."""
-    if type(value) is float or type(value) is int:
+    if isinstance(value, float) or type(value) is int:  # np.float64 is a float
         return True
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 

@@ -125,6 +125,11 @@ def _check_h(h: float):
         raise DomainError("h must lie in the open interval (0,1), got %r" % (h,))
 
 
+def _check_closed_rho(rho):
+    if not (_is_real(rho) and -_PRE_SLACK <= rho <= math.pi / 2 + _PRE_SLACK):
+        raise DomainError("rho must lie in [0, pi/2], got %r" % (rho,))
+
+
 def _exact_h(h, name: str = "h") -> Fraction:
     """h as an exact rational in (0,1); anything else is refused by name,
     echoing h as given (the exact value of "1e400" has 401 digits)."""
@@ -147,8 +152,7 @@ def s_of_rho(h: float, rho: float) -> float:
     with s(0) = h/(1+h) and s(pi/2) = 1/(1+h).
     """
     _check_h(h)
-    if not (_is_real(rho) and -_PRE_SLACK <= rho <= math.pi / 2 + _PRE_SLACK):
-        raise DomainError("rho must lie in [0, pi/2], got %r" % (rho,))
+    _check_closed_rho(rho)
     return 2.0 * h / ((1.0 + h) * (1.0 + h + (1.0 - h) * math.cos(2.0 * rho)))
 
 
@@ -177,8 +181,7 @@ def rho_tilde_of(h: float, rho: float) -> float:
     """Second frequency angle: -pi/2 at rho=0, 0 at rho=pi/2, otherwise
     arctan(-1/(h tan rho)); always in [-pi/2, 0]."""
     _check_h(h)
-    if not (_is_real(rho) and -_PRE_SLACK <= rho <= math.pi / 2 + _PRE_SLACK):
-        raise DomainError("rho must lie in [0, pi/2], got %r" % (rho,))
+    _check_closed_rho(rho)
     if rho <= 0.0 or h * math.tan(rho) == 0.0:  # the product underflows for subnormal rho
         return -math.pi / 2
     if rho >= math.pi / 2:
@@ -192,7 +195,6 @@ def structure_params(h: float, rho: float) -> StructureParams:
     rho is restricted to [0, rho_max(h)]; rho=0 returns the exact branch
     (h/(1+h), 1/(1+h), -pi/2).
     """
-    _check_h(h)
     rmax = rho_max(h)
     if not (_is_real(rho) and -_PRE_SLACK <= rho <= rmax + _PRE_SLACK):
         raise DomainError(

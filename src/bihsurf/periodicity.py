@@ -137,10 +137,6 @@ def same_lattice(gens_a, gens_b) -> bool:
 
 # (ki, kj) pairs `period_lattice` screens per numpy pass: bounds its memory
 _SCREEN_CHUNK = 16384
-# Slack of the screen, relative to the size of the terms it adds: the batched
-# products may round differently from the per-vector ones (a fused
-# multiply-add in one of them, say) by a few ulps of those terms.
-_SCREEN_SLACK = 1e-12
 # Most (ki, kj) pairs `period_lattice` screens in one call: about 20 s on a
 # 2-core VM, where the 7.6e6 pairs of search_bound 5000 took 1.7 s. It also
 # caps the (p, q) box of `torus_exists` at search_bound 10^4.
@@ -154,13 +150,14 @@ def period_lattice(im: Immersion, search_bound: float) -> Lattice2:
     congruences and keeps the z = M (ki, kj) in the disk |z| <= search_bound
     whose remaining phases are integers, then certifies each period by direct
     evaluation (|psi(z) - psi(0)| <= 1e-9). The grid is screened with numpy
-    in chunks of ki rows, about 16384 pairs each, with a slack that covers
-    the rounding of the batched products; memory follows the chunk, not the
-    grid (1.6 MB traced peak at search_bound 1500, where the grid has 690k
-    pairs). The exact per-candidate tests then run only on the pairs that
-    pass, so every period comes from the same per-vector arithmetic as a
-    pair-by-pair scan. search_bound truncates the reported window (a grid over
-    _MAX_GRID_PAIRS is refused); the basis is Lagrange-Gauss reduced.
+    in chunks of ki rows, about 16384 pairs each, and the screen decides:
+    its disk and phase tests are the only ones a pair meets, with no slack
+    and no per-candidate re-test. It stacks the matrix-vector and dot
+    products of a pair-by-pair scan, so each z and each test is that scan's,
+    bit for bit. Memory follows the chunk, not the grid (1.0 MB traced peak
+    at search_bound 1500, where the grid has 690k pairs). search_bound
+    truncates the reported window (a grid over _MAX_GRID_PAIRS is refused);
+    the basis is Lagrange-Gauss reduced.
     """
     try:
         valid = _is_real(search_bound) and math.isfinite(search_bound) and search_bound > 0
@@ -199,34 +196,26 @@ def period_lattice(im: Immersion, search_bound: float) -> Lattice2:
     cands = []
     for first in range(-ki_max, ki_max + 1, rows):
         ki_all = np.arange(first, min(first + rows, ki_max + 1), dtype=float)
-        for ki, kj in zip(*_screen(m2, v_rows[others], ki_all, kj_all, search_bound)):
-            if ki == 0 and kj == 0:
-                continue
-            z = m2 @ np.array([ki, kj], dtype=float)
-            if z @ z > search_bound**2:
-                continue
-            phases = (float(v_rows[l] @ z) for l in others)
-            if all(abs(ph - round(ph)) <= 1e-10 * max(1.0, abs(ph)) for ph in phases):
-                cands.append(z)
+        cands.extend(_screen(m2, v_rows[others], ki_all, kj_all, search_bound))
     off = np.max(np.abs(im.eval(np.reshape(cands, (-1, 2))) - im.eval(np.zeros(2))), axis=-1)
     return _lattice_of_periods([z for z, d in zip(cands, off) if d <= 1e-9])
 
 
 def _screen(m2, v_others, ki, kj, search_bound):
-    """The (ki, kj) of the grid ki x kj, in row-major order, that may pass
-    the per-candidate disk and phase tests of `period_lattice`: each test is
-    widened by _SCREEN_SLACK times the size of the terms it adds."""
+    """The z = M (ki, kj) of the grid ki x kj but the origin, in row-major
+    order, in the disk |z| <= search_bound and with every remaining phase an
+    integer to 1e-10 relative: the one test of each pair, with no slack and
+    no re-test. Each product stacks the ones `m2 @ (ki, kj)`, `z @ z` and
+    `v @ z` run on one pair, so z and the tests are a pair-by-pair scan's,
+    bit for bit; a batched `k @ m2.T` or `(z * z).sum(-1)` rounds otherwise
+    (fused multiply-adds) and moves pairs across the disk's edge."""
     k = np.stack(np.broadcast_arrays(ki[:, None], kj[None, :]), axis=-1)
-    z = k @ m2.T
-    size = np.abs(k) @ np.abs(m2).T
-    slack = _SCREEN_SLACK * (search_bound**2 + (size * size).sum(axis=-1))
-    inside = np.nonzero((z * z).sum(axis=-1) <= search_bound**2 + slack)
-    z, size = z[inside], size[inside]
-    phase = z @ v_others.T
-    tol = 1e-10 * np.maximum(1.0, np.abs(phase))
-    tol += _SCREEN_SLACK * (1.0 + size @ np.abs(v_others).T)
-    keep = np.all(np.abs(phase - np.rint(phase)) <= tol, axis=-1)
-    return ki[inside[0][keep]], kj[inside[1][keep]]
+    z = (m2 @ k[..., None])[..., 0]
+    inside = (z[..., None, :] @ z[..., None])[..., 0, 0] <= search_bound**2
+    z = z[inside & k.any(axis=-1)]
+    phase = (v_others[:, None, :] @ z[:, None, :, None])[..., 0, 0]
+    keep = np.all(np.abs(phase - np.rint(phase)) <= 1e-10 * np.maximum(1.0, np.abs(phase)), axis=-1)
+    return z[keep]
 
 
 def _lattice_of_periods(sols) -> Lattice2:

@@ -1,13 +1,34 @@
-"""Reference hull intersection: Sutherland-Hodgman for polygons, a
-Cyrus-Beck parameter clip for a segment against a hull, and a hand-written
-segment-segment case. The library clips hulls of every shape with one
-half-plane routine and is tested against these functions, kept as they were
-before that rewrite.
+"""Reference hull intersection and membership: Sutherland-Hodgman for
+polygons, a Cyrus-Beck parameter clip for a segment against a hull, a
+hand-written segment-segment case, and a membership test with a segment
+branch (a dot product) and a polygon branch (an edge loop). The library
+clips hulls of every shape, and tests membership in them, with one set of
+half-planes (`_half_planes`), and is tested against these functions, kept as
+they were before those rewrites.
 """
 
 from fractions import Fraction
 
-from bihsurf.admissibility import Point, _cross, point_in_hull
+from bihsurf.admissibility import Point, _cross
+
+
+def point_in_hull(pt: Point, hull) -> bool:
+    """Membership in a hull of any dimension (point, segment or polygon)."""
+    k = len(hull)
+    if k == 0:
+        return False
+    if k == 1:
+        return pt == hull[0]
+    if k == 2:
+        a, b = hull
+        if _cross(a, b, pt) != 0:
+            return False
+        lo = (a[0] - pt[0]) * (b[0] - pt[0]) + (a[1] - pt[1]) * (b[1] - pt[1])
+        return lo <= 0
+    for i in range(k):
+        if _cross(hull[i], hull[(i + 1) % k], pt) < 0:
+            return False
+    return True
 
 
 def _clip_polygon(poly: list[Point], a: Point, b: Point) -> list[Point]:

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import given, note, settings, strategies as st
+from hypothesis import event, given, note, settings, strategies as st
 
 import admissible_oracle
 import hull_oracle
@@ -495,6 +495,62 @@ def test_intersect_hulls_matches_clip_oracle(h1, h2):
         assert _centroid(got) == _centroid(want)  # the target admissible weighs
 
 
+# vertices of an octagon: affine images of subsets give hulls of up to 8 vertices
+_OCTAGON = ((3, 1), (1, 3), (-1, 3), (-3, 1), (-3, -1), (-1, -3), (1, -3), (3, -1))
+_UNIT = st.integers(1, 6).flatmap(lambda n: st.builds(F, st.integers(0, n), st.just(n)))
+_NONZERO = st.builds(F, st.sampled_from([*range(-6, 0), *range(1, 7)]), st.integers(1, 3))
+
+
+@st.composite
+def _hull_and_point(draw):
+    """A Fraction hull of 0-8 vertices and a point at a vertex, on an edge,
+    inside (a positive combination of the vertices), outside (a vertex pushed
+    away from the centroid) or anywhere."""
+    point = st.tuples(_COORD, _COORD)
+    if draw(st.booleans()):
+        hull = convex_hull(draw(st.lists(point, max_size=8)))
+    else:
+        corners = draw(st.lists(st.sampled_from(_OCTAGON), unique=True, max_size=8))
+        # the shear (1, 0; c, 1) after (a, b; 0, d): determinant a d, never 0
+        a, b, c, d = draw(st.tuples(_NONZERO, _COORD, _COORD, _NONZERO))
+        ex, ey = draw(point)
+        image = [(a * x + b * y, d * y) for x, y in corners]
+        hull = convex_hull([(x + ex, c * x + y + ey) for x, y in image])
+    kinds = ["vertex", "edge", "inside", "outside", "anywhere"] if hull else ["anywhere"]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "anywhere":
+        return hull, draw(point), kind
+    i = draw(st.integers(0, len(hull) - 1))
+    (ax, ay), (bx, by) = hull[i], hull[(i + 1) % len(hull)]
+    if kind == "vertex":
+        return hull, (ax, ay), kind
+    if kind == "edge":
+        t = draw(_UNIT)
+        return hull, (ax + t * (bx - ax), ay + t * (by - ay)), kind
+    if kind == "inside":
+        w = draw(st.lists(st.integers(1, 5), min_size=len(hull), max_size=len(hull)))
+        pt = tuple(sum(wk * p[c] for wk, p in zip(w, hull)) / F(sum(w)) for c in (0, 1))
+        return hull, pt, kind
+    cx, cy = _centroid(hull)
+    s = draw(st.integers(1, 6).flatmap(lambda n: st.builds(F, st.integers(1, n), st.just(n))))
+    return hull, (ax + s * (ax - cx), ay + s * (ay - cy)), kind
+
+
+@settings(max_examples=500, deadline=None)
+@given(case=_hull_and_point())
+def test_point_in_hull_matches_branch_oracle_on_fractions_and_integers(case):
+    hull, pt, kind = case
+    want = hull_oracle.point_in_hull(pt, hull)
+    event("%s, %d vertices, %s" % (kind, len(hull), "in" if want else "out"))
+    assert point_in_hull(pt, hull) == want
+    # the same question on integer numerators over one denominator
+    den = math.lcm(*(c.denominator for p in hull + [pt] for c in p))
+    ints = [(int(x * den), int(y * den)) for x, y in hull]
+    ipt = (int(pt[0] * den), int(pt[1] * den))
+    assert hull_oracle.point_in_hull(ipt, ints) == want
+    assert point_in_hull(ipt, ints) == want
+
+
 def _as_fractions(pts):
     return [(F(x), F(y)) for x, y in pts]
 
@@ -773,6 +829,7 @@ def test_admissible_unimodular_invariance(rng):
         a = int(rng.integers(-3, 4))
         c = int(rng.integers(-3, 4))
         u = ((1, a), (c, 1 + a * c))  # det = 1
+        assert unimodular_image(lat, np.array(u)) == unimodular_image(lat, u)
         assert admissible(unimodular_image(lat, u), F(3, 5)).verdict == "exists_pseudo_umbilical"
         assert admissible(unimodular_image(lat2, u), F(3, 5)).verdict == "exists"
     # strongly skewed bases of the same lattices: the verdict and the exact
@@ -878,6 +935,10 @@ def test_disjoint_hulls_clip_to_empty():
 
 
 _FLOAT_LATTICE = Lattice2(rank=2, gens=((1.0, 0.0), (0.0, 1.0)))
+# det 2^64 - 1, which the products of numpy int64 entries wrap to -1
+_INT64_WRAPPING_U = tuple(
+    tuple(np.int64(x) for x in row) for row in ((2**32 + 1, 0), (0, 2**32 - 1))
+)
 
 
 @pytest.mark.parametrize(
@@ -907,6 +968,20 @@ _FLOAT_LATTICE = Lattice2(rank=2, gens=((1.0, 0.0), (0.0, 1.0)))
          r"unimodular_image needs exact generator data"),
         (lambda: unimodular_image(parse_lattice(LAT_2PI), ((2, 0), (0, 1))), ValueError,
          r"matrix is not unimodular"),
+        # det 1 but not integer: it would build another lattice (none_hull at
+        # h = 3/5 on a lattice whose verdict is exists)
+        (lambda: unimodular_image(parse_lattice(LAT_RECT_EXISTS), ((F(1, 2), 0), (0, 2))),
+         DomainError, r"u must be a 2x2 matrix of integers, got \(\(Fraction\(1, 2\), 0\)"),
+        (lambda: unimodular_image(parse_lattice(LAT_2PI), ((1.0, 0), (0, 1))), DomainError,
+         r"u must be a 2x2 matrix of integers, got \(\(1\.0, 0\), \(0, 1\)\)"),
+        (lambda: unimodular_image(parse_lattice(LAT_2PI), np.eye(2)), DomainError,
+         r"u must be a 2x2 matrix of integers, got array"),
+        (lambda: unimodular_image(parse_lattice(LAT_2PI), ((True, 0), (0, 1))), DomainError,
+         r"u must be a 2x2 matrix of integers, got \(\(True, 0\)"),
+        (lambda: unimodular_image(parse_lattice(LAT_2PI), "ab"), DomainError,
+         r"u must be a 2x2 matrix of integers, got 'ab'"),
+        (lambda: unimodular_image(parse_lattice(LAT_2PI), _INT64_WRAPPING_U), ValueError,
+         r"matrix is not unimodular"),
         (lambda: circle_points(dual_lattice(parse_lattice(LAT_2PI)), 0), DomainError,
          r"radius_sq must be positive"),
         (lambda: circle_points(dual_lattice(parse_lattice(LAT_2PI)), F(-1, 2)), DomainError,
@@ -920,7 +995,10 @@ _FLOAT_LATTICE = Lattice2(rank=2, gens=((1.0, 0.0), (0.0, 1.0)))
         "entry-zero-denominator", "entry-surd-zero-denominator", "entry-number", "entry-list",
         "entry-none", "entry-sqrt-zero", "gens-three-rows", "gens-three-columns", "gens-strings",
         "gens-number-entry", "no-gens", "not-a-mapping", "unimodular-float-lattice",
-        "unimodular-det-2", "radius-zero", "radius-negative", "h-zero-denominator", "h-outside",
+        "unimodular-det-2", "unimodular-half-entry", "unimodular-float-entry",
+        "unimodular-float-array", "unimodular-bool-entry", "unimodular-string",
+        "unimodular-int64-det-wraps", "radius-zero", "radius-negative", "h-zero-denominator",
+        "h-outside",
     ],
 )
 def test_admissibility_refusals_name_the_parameter(call, exc, phrase):

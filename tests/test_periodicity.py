@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
 import direction_oracle
 import torus_oracle
@@ -181,6 +181,15 @@ _MEMBERS = st.one_of(
 @settings(max_examples=300, deadline=None)
 # half the draws unextended: no extended member drawn here closed up as a torus
 @given(member=_MEMBERS, steps=st.sampled_from((0, 0, 0, 1, 2, 3)), bound=st.floats(1.0, 40.0))
+# bounds at the float length of a generator, the disk's edge: there a batched
+# product (k @ m2.T, or (z * z).sum(-1)) rounds otherwise than the per-pair
+# ones and moves the last three of these across the edge
+@example(member=("rho_zero", 0.37), steps=0, bound=3.795811060554742)  # rank 1
+@example(member=("rho_zero", 0.8), steps=0, bound=9.934588265796101)  # rank 2
+@example(member=("case_ii", (1, 1, 5, 6)), steps=0, bound=5.1568498860621945)  # rank 1
+@example(member=("case_ii", (1, 1, 5, 6)), steps=0, bound=24.357193737715217)  # rank 2
+@example(member=("case_ii", (1, 1, 4, 5)), steps=0, bound=20.301593035756866)  # rank 1
+@example(member=("case_ii", (1, 1, 1, 4)), steps=0, bound=4.511768952112552)  # rank 0
 def test_period_lattice_matches_loop_oracle(member, steps, bound):
     im = _member(*member, steps)
     lat = period_lattice(im, bound)
