@@ -46,6 +46,14 @@ def _is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def _shown(value) -> str:
+    """repr of a refused value for its message; an int of over 64 bits shows
+    its bit length (repr refuses 4300 digits, and 30 are hard to read)."""
+    if isinstance(value, int) and value.bit_length() > 64:
+        return "an integer of %d bits" % value.bit_length()
+    return repr(value)
+
+
 def _is_int(value) -> bool:
     """An integer (int, numpy integer), but not a bool."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)

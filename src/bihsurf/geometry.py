@@ -53,7 +53,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import GEOMETRIC_TOL, Check, DomainError, VerificationReport, _is_int, _is_real
+from .core import GEOMETRIC_TOL, Check, DomainError, VerificationReport, _is_int, _is_real, _shown
 from .immersion import _ORDERS, Immersion, _as_points, _check_max_order
 from .immersion import _plane_moduli, _split_blocks
 
@@ -285,14 +285,15 @@ _STENCILS = {
 
 
 # the stencils divide by up to step**4, which must stay a normal double
+# (4.5e307 at the upper end)
 _MIN_STEP = sys.float_info.min**0.25
 
 
 def _check_step(step) -> None:
-    if not (_is_real(step) and math.isfinite(step) and step >= _MIN_STEP):
+    if not (_is_real(step) and _MIN_STEP <= step <= 1.0 / _MIN_STEP):
         raise DomainError(
-            "step must be a finite number >= %.4g (step**4 a normal double), got %r"
-            % (_MIN_STEP, step)
+            "step must be a finite number in [%.4g, %.4g] (step**4 a normal double), got %r"
+            % (_MIN_STEP, 1.0 / _MIN_STEP, step)
         )
 
 
@@ -373,6 +374,11 @@ def gaussian_brioschi_fd(im, p, step: float = 1e-3) -> float:
 # closed-form parameter checks
 
 
+# largest r1, m or degree of the closed-form checks: their squares, and
+# sums of two squares, stay doubles (below 1.8e308)
+_MAX_SCALE = 10**150
+
+
 @dataclass(frozen=True)
 class DiagonalSumResult:
     r1: float
@@ -395,17 +401,22 @@ def diagonal_sum_check(r1: float, m: int = 2) -> DiagonalSumResult:
     two diagonal components of the closed-form bitension coefficient
         m^2 [(alpha^2 u + beta^2 v) alpha + alpha u^2],  u = 1 - 1/r1^2,
         m^2 [(alpha^2 u + beta^2 v) beta + beta v^2],    v = 1 - 1/r2^2,
-    vanish. Reports |H|^2 = 1 - 1/(r1^2 r2^2).
+    vanish. Reports |H|^2 = 1 - 1/(r1^2 r2^2). r1 and m are at most 1e150,
+    so that their squares are doubles.
 
     Given 1/r1^2 + 1/r2^2 = 2 the two coefficients vanish identically:
     v = -u and alpha^2 u + beta^2 v = -u^2, so both brackets are
     -u^2 + u^2. The tau2 checks therefore measure only the rounding of
     these floats.
     """
-    if not (_is_real(r1) and math.isfinite(r1)):
-        raise DomainError("r1 must be a finite real number, got %r" % (r1,))
-    if not (_is_int(m) and m >= 1):
-        raise DomainError("m must be a positive integer, got %r" % (m,))
+    if not (_is_real(r1) and abs(r1) <= _MAX_SCALE):
+        raise DomainError(
+            "r1 must be a finite real number of at most %.4g, got %s" % (_MAX_SCALE, _shown(r1))
+        )
+    if not (_is_int(m) and 1 <= m <= _MAX_SCALE):
+        raise DomainError(
+            "m must be a positive integer of at most %.4g, got %s" % (_MAX_SCALE, _shown(m))
+        )
     if r1 <= 1.0 / math.sqrt(2.0):
         raise DomainError("r1 must exceed 1/sqrt(2): no companion radius exists")
     if abs(r1 - 1.0) < 1e-12:
@@ -448,9 +459,13 @@ class BoruvkaParams:
 
 def boruvka_params(n1: int, n2: int) -> BoruvkaParams:
     """Diagonal-sum parameters for two degree-n minimal sphere immersions,
-    q_i = n_i(n_i + 1)."""
-    if not (_is_int(n1) and _is_int(n2) and n1 >= 2 and n2 >= 2):
-        raise DomainError("degrees must be >= 2 (integers), got %r, %r" % (n1, n2))
+    q_i = n_i(n_i + 1); each degree is at most 1e150, so that q1 + q2 and
+    2 q_i are doubles."""
+    if not (_is_int(n1) and _is_int(n2) and 2 <= n1 <= _MAX_SCALE and 2 <= n2 <= _MAX_SCALE):
+        raise DomainError(
+            "degrees must be >= 2 (integers) and at most %.4g, got %s, %s"
+            % (_MAX_SCALE, _shown(n1), _shown(n2))
+        )
     if n1 == n2:
         raise DomainError("n1 = n2 is degenerate (harmonic, not proper)")
     q1 = n1 * (n1 + 1)

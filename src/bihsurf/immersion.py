@@ -35,7 +35,7 @@ from .parameters import (
     lift_structure,
     structure_params,
     t_of_s,
-    rho_tilde_of,
+    _rho_tilde_of,
     unit_circle,
     validate_miyata,
     _min_pm_distance,
@@ -311,9 +311,10 @@ _S_SCHEDULE_OFFSETS = [0.0] + [
 
 
 def _pair_for_weight(h: float, s: float) -> tuple[complex, complex]:
-    """Unit pair (e^{i rho}, e^{i rho~}) with weight s, from the t(s) formula."""
+    """Unit pair (e^{i rho}, e^{i rho~}) with weight s, from the t(s) formula;
+    t_of_s checks h, and rho = 2 atan(t) lies in [0, pi/2] for t in [0, 1]."""
     rho = 2.0 * math.atan(t_of_s(h, s))
-    return unit_circle(rho), unit_circle(rho_tilde_of(h, rho))
+    return unit_circle(rho), unit_circle(_rho_tilde_of(h, rho))
 
 
 def _schedule(h: float):

@@ -149,10 +149,15 @@ def s_of_rho(h: float, rho: float) -> float:
     """First high-frequency weight as a function of the angle rho.
 
     s = 2h / ((1+h)(1+h + (1-h) cos 2rho)); strictly increasing on [0, pi/2]
-    with s(0) = h/(1+h) and s(pi/2) = 1/(1+h).
+    with s(0) = h/(1+h) and s(pi/2) = 1/(1+h). Checks its input once; the
+    library's loops call the unchecked kernel `_s_of_rho` instead.
     """
     _check_h(h)
     _check_closed_rho(rho)
+    return _s_of_rho(h, rho)
+
+
+def _s_of_rho(h: float, rho: float) -> float:
     return 2.0 * h / ((1.0 + h) * (1.0 + h + (1.0 - h) * math.cos(2.0 * rho)))
 
 
@@ -179,9 +184,14 @@ def t_of_s(h: float, s: float) -> float:
 
 def rho_tilde_of(h: float, rho: float) -> float:
     """Second frequency angle: -pi/2 at rho=0, 0 at rho=pi/2, otherwise
-    arctan(-1/(h tan rho)); always in [-pi/2, 0]."""
+    arctan(-1/(h tan rho)); always in [-pi/2, 0]. Checks its input once;
+    the library's loops call the unchecked kernel `_rho_tilde_of` instead."""
     _check_h(h)
     _check_closed_rho(rho)
+    return _rho_tilde_of(h, rho)
+
+
+def _rho_tilde_of(h: float, rho: float) -> float:
     if rho <= 0.0 or h * math.tan(rho) == 0.0:  # the product underflows for subnormal rho
         return -math.pi / 2
     if rho >= math.pi / 2:
@@ -203,8 +213,8 @@ def structure_params(h: float, rho: float) -> StructureParams:
     if rho <= 0.0:
         s = h / (1.0 + h)
         return StructureParams(h, 0.0, -math.pi / 2, s, 1.0 / (1.0 + h), *spectral_levels(h))
-    s = s_of_rho(h, rho)
-    return StructureParams(h, rho, rho_tilde_of(h, rho), s, 1.0 - s, *spectral_levels(h))
+    s = _s_of_rho(h, rho)
+    return StructureParams(h, rho, _rho_tilde_of(h, rho), s, 1.0 - s, *spectral_levels(h))
 
 
 def _member(h: float, eta: tuple[complex, ...], rp_weights: tuple[float, ...]) -> MiyataData:
@@ -225,8 +235,10 @@ def angle_family_data(h: float, rho: float) -> MiyataData:
     The weight is s(rho); for rho past rho_max(h) this is the mirrored copy of
     a structure member (canonicalize maps it back).
     """
-    s = s_of_rho(h, rho)
-    return _member(h, (unit_circle(rho), unit_circle(rho_tilde_of(h, rho))), (s, 1.0 - s))
+    _check_h(h)
+    _check_closed_rho(rho)
+    s = _s_of_rho(h, rho)
+    return _member(h, (unit_circle(rho), unit_circle(_rho_tilde_of(h, rho))), (s, 1.0 - s))
 
 
 def _min_pm_distance(zs: tuple[complex, ...]) -> float:

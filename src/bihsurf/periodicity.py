@@ -8,15 +8,16 @@ cleared to integers); floats appear only in emitted generator vectors.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
 import numpy as np
 
-from .core import MAX_SQUAREFREE, DomainError, _is_int, _is_real, exact_rational, isqrt_exact
+from .core import MAX_SQUAREFREE, DomainError, _is_int, _is_real, _shown, exact_rational, isqrt_exact
 from .core import squarefree_decompose
-from .parameters import _check_h, _exact_h, angle_family_data, rho_tilde_of, spectral_levels, t_of_s
+from .parameters import _check_h, _exact_h, _rho_tilde_of, angle_family_data, spectral_levels, t_of_s
 from .immersion import Immersion, build
 
 
@@ -158,6 +159,12 @@ def period_lattice(im: Immersion, search_bound: float) -> Lattice2:
     at search_bound 1500, where the grid has 690k pairs). search_bound
     truncates the reported window (a grid over _MAX_GRID_PAIRS is refused);
     the basis is Lagrange-Gauss reduced.
+
+    A period whose float length equals search_bound can be dropped, because
+    the disk test's z @ z rounds above search_bound**2: the case-ii member
+    (1, 1, 1, 4) at 4.511768952112552, the float length of its shortest
+    generator, gives rank 0, as the loop oracle does. An exact period
+    lattice would decide membership without this rounding.
     """
     try:
         valid = _is_real(search_bound) and math.isfinite(search_bound) and search_bound > 0
@@ -266,20 +273,33 @@ def _check_rho(rho) -> None:
         raise DomainError("rho must lie in (0, pi/2], got %r" % (rho,))
 
 
+# largest |k0| and |k1|: the largest double, as an int (float(k) overflows
+# past it; an int bound compares faster than the float)
+_K_MAX = int(sys.float_info.max)
+
+
 def _check_k(k0, k1) -> None:
     for name, k in (("k0", k0), ("k1", k1)):
-        if not _is_int(k):
-            raise DomainError("%s must be an integer, got %r" % (name, k))
+        if not (_is_int(k) and -_K_MAX <= k <= _K_MAX):
+            raise DomainError(
+                "%s must be an integer of at most %.4g in magnitude (a double), got %s"
+                % (name, _K_MAX, _shown(k))
+            )
 
 
 def direction_integrality(h: float, k0: int, k1: int, rho: float) -> float:
-    """The quantity that must be an integer for (k0, k1) to close up at rho."""
+    """The quantity that must be an integer for (k0, k1) to close up at rho.
+    Checks its input once; loops call the unchecked `_direction_integrality`."""
     _check_h(h)
     _check_k(k0, k1)
     _check_rho(rho)
+    return _direction_integrality(h, k0, k1, rho)
+
+
+def _direction_integrality(h: float, k0: int, k1: int, rho: float) -> float:
     lam1, lam2 = spectral_levels(h)
     ratio = math.sqrt(lam2 / lam1)
-    rt = rho_tilde_of(h, rho)
+    rt = _rho_tilde_of(h, rho)
     return (math.sin(rt) / math.sin(rho)) * (k1 - ratio * k0 * math.cos(rho)) + ratio * k0 * math.cos(rt)
 
 
@@ -299,9 +319,15 @@ def closing_ratios(h: float, s: float) -> tuple[float, float]:
 
 
 def period_vector(h: float, k0: int, k1: int, rho: float) -> tuple[float, float]:
+    """The period vector of (k0, k1) at rho. Checks its input once; loops
+    call the unchecked `_period_vector`."""
     _check_h(h)
     _check_k(k0, k1)
     _check_rho(rho)
+    return _period_vector(h, k0, k1, rho)
+
+
+def _period_vector(h: float, k0: int, k1: int, rho: float) -> tuple[float, float]:
     lam1, lam2 = spectral_levels(h)
     tx = (2.0 * math.pi / math.sin(rho)) * (k1 / math.sqrt(lam2) - k0 * math.cos(rho) / math.sqrt(lam1))
     return (tx, 2.0 * math.pi * k0 / math.sqrt(lam1))
@@ -309,6 +335,10 @@ def period_vector(h: float, k0: int, k1: int, rho: float) -> tuple[float, float]
 
 # angles `periodic_direction_search` scans before bracketing its roots
 _DIRECTION_GRID = 4096
+# Most integer crossings `periodic_direction_search` bisects in one call:
+# about 20 s on a 2-core VM, where a crossing (its bisection, and its root's
+# check) took 106-123 us, e.g. 7.1 s for the 66 988 of (0.5, 1, 2, (4e-6, 1)).
+_MAX_CROSSINGS = 160_000
 
 
 def periodic_direction_search(
@@ -320,7 +350,11 @@ def periodic_direction_search(
     """All rho in the window where the closing quantity hits an integer.
 
     Scans a grid, brackets each integer crossing, bisects to 1e-12, and keeps
-    only roots whose period vector returns psi to psi(0) within 1e-8.
+    only roots whose period vector returns psi to psi(0) within 1e-8. Checks
+    its input once: the grid, the bisection and the period vectors call the
+    unchecked kernels. A window whose grid gives a non-finite closing
+    quantity, or over _MAX_CROSSINGS integer crossings, is refused before
+    any bisection.
     """
     _check_h(h)
     _check_k(k0, k1)
@@ -337,13 +371,20 @@ def periodic_direction_search(
     if not (_is_real(lo) and _is_real(hi) and 0.0 < lo < hi < math.pi / 2):
         raise DomainError("window must be contained in (0, pi/2)")
 
-    f = lambda rho: direction_integrality(h, k0, k1, rho)
+    f = lambda rho: _direction_integrality(h, k0, k1, rho)
     xs = np.linspace(lo, hi, _DIRECTION_GRID)
     fs = [f(x) for x in xs]
+    finite = all(map(math.isfinite, fs))
+    pairs = zip(fs, fs[1:]) if finite else ()
+    spans = [(math.ceil(min(fa, fb)), math.floor(max(fa, fb))) for fa, fb in pairs]
+    if not finite or sum(k_hi - k_lo + 1 for k_lo, k_hi in spans) > _MAX_CROSSINGS:
+        raise DomainError(
+            "window must keep the closing quantity finite, with at most %d integer crossings "
+            "on its %d-point grid; %r does not" % (_MAX_CROSSINGS, _DIRECTION_GRID, window)
+        )
     roots = []
-    for idx in range(_DIRECTION_GRID - 1):
-        fa, fb = fs[idx], fs[idx + 1]
-        k_lo, k_hi = math.ceil(min(fa, fb)), math.floor(max(fa, fb))
+    for idx, (k_lo, k_hi) in enumerate(spans):
+        fa = fs[idx]
         for k in range(k_lo, k_hi + 1):
             # k lies between fa and fb: fa - k and fb - k never share a sign
             a, b = xs[idx], xs[idx + 1]
@@ -367,7 +408,7 @@ def periodic_direction_search(
         if rho - last < 1e-10:
             continue
         last = rho
-        v = period_vector(h, k0, k1, rho)
+        v = _period_vector(h, k0, k1, rho)
         im = build(angle_family_data(h, rho))
         res = float(np.max(np.abs(im.eval(np.array(v)) - im.eval(np.zeros(2)))))
         if res <= 1e-8:
@@ -489,6 +530,10 @@ def _kernel_basis(alpha: int, beta: int, mod: int) -> tuple[tuple[int, int], tup
     return (mod // d, 0), (m1, n1)
 
 
+# largest p, q, r or t of `torus_case_ii`, whose floats it bounds
+_MAX_TORUS_INT = 10**50
+
+
 def torus_case_ii(p: int, q: int, r: int, t: int) -> CaseIIResult:
     """Torus member for a = p^2/q^2, b = r^2/t^2 with exact h and the closed
     generator vectors; the full period lattice follows from the integer
@@ -499,9 +544,20 @@ def torus_case_ii(p: int, q: int, r: int, t: int) -> CaseIIResult:
     pi sqrt(f/e)). Each radicand is a quotient of integers in the
     (A, B, D) of `TorusParams`, e/a = ((A-B)^2 + D(A+B)) / (D A) say, taken
     to a float by int / int, which rounds as float(Fraction) does.
+
+    p, q, r and t are at most _MAX_TORUS_INT = 10**50: every entry of v1 and
+    v2 is then at most 2 pi 10**50, every entry of the congruence's kernel
+    basis in (v2, v1) at most 4 pi 10**150, and every squared length (in the
+    Lagrange-Gauss reduction too) below 10**304, so all of them are doubles.
     """
     params = TorusParams(p, q, r, t)
     p, q, r, t = params.p, params.q, params.r, params.t
+    for name, v in zip("pqrt", (p, q, r, t)):
+        if v > _MAX_TORUS_INT:
+            raise DomainError(
+                "%s must be a positive integer of at most 10**50 (the torus generators and "
+                "their squared lengths stay doubles), got %s" % (name, _shown(v))
+            )
     big_a, big_b, big_d = _torus_squares(p, q, r, t)
     diff, total = big_a - big_b, big_a + big_b
     e_num = diff * diff + big_d * total  # e = e_num / D^2

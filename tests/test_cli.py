@@ -440,13 +440,16 @@ BAD_LATTICES = {
         (["torus-exists"], "torus-exists needs --h or --a/--b"),
         (["torus-exists", "--a", "0", "--b", "1/4"], "--a and --b must be positive rationals"),
         (["torus-exists", "--a", "1/4", "--b=-1/4"], "--a and --b must be positive rationals"),
+        # q = 10**200: the generators' squared lengths would leave the double range
+        (["torus-exists", "--a", "1/" + str(10**400), "--b", "1/1"],
+         "q must be a positive integer of at most 10**50"),
     ],
     ids=[
         "torus-h-zero-den", "construct-h-zero-den", "construct-h-overflow", "construct-h-nan",
         "construct-h-huge-exponent",
         "torus-a-zero-den", "torus-b-zero-den", "admissible-h-zero-den", "entry-zero-den",
         "entry-number", "entry-list", "gens-three-rows", "construct-no-rho", "tol-no-equals",
-        "h-with-a", "a-without-b", "neither", "a-zero", "b-negative",
+        "h-with-a", "a-without-b", "neither", "a-zero", "b-negative", "torus-a-huge",
     ],
 )
 def test_malformed_input_exits_2_naming_it(tmp_path, capsys, args, phrase):

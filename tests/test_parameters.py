@@ -18,7 +18,8 @@ from bihsurf.parameters import (
     validate_miyata,
 )
 from bihsurf.immersion import build, sasahara_data
-from bihsurf.geometry import boruvka_params, diagonal_sum_check, fd_bitension_oracle
+from bihsurf.geometry import boruvka_params, diagonal_sum_check, fd_bitension_oracle, fd_partial_table
+from bihsurf.geometry import gaussian_brioschi_fd
 from bihsurf.periodicity import (
     closing_ratios,
     direction_integrality,
@@ -121,12 +122,20 @@ def test_t_of_s_domain_error():
             lambda: fd_bitension_oracle(build(sasahara_data()), np.zeros(2), (1e-2, 1e-2)),
             r"step must lie in \[1e-4, 1e-1\], got \(0\.01, 0\.01\)",
         ),
+        # squares (r1, degrees) and fourth powers (steps) past the double range
+        (lambda: diagonal_sum_check(1e200), "r1 must be a finite real number"),
+        (lambda: boruvka_params(10**200, 3), "degrees must be >= 2"),
+        (lambda: fd_partial_table(build(sasahara_data()), np.zeros(2), 1e300), "step must be a finite"),
+        (lambda: gaussian_brioschi_fd(build(sasahara_data()), np.zeros(2), 1e300),
+         "step must be a finite"),
     ],
     ids=[
         "rho_max-str", "rho_max-bool", "rho_max-tuple", "closing_ratios-s", "direction_integrality-rho",
         "periodic_direction_search-window", "periodic_direction_search-h",
         "boruvka_params-str", "boruvka_params-float", "t_of_s-nan",
         "s_of_rho-rho", "rho_tilde_of-rho", "structure_params-rho", "fd_bitension_oracle-step-tuple",
+        "diagonal_sum_check-r1-huge", "boruvka_params-huge", "fd_partial_table-step-huge",
+        "gaussian_brioschi_fd-step-huge",
     ],
 )
 def test_non_real_parameters_are_refused_by_name(call, phrase):
@@ -154,6 +163,10 @@ def test_non_real_parameters_are_refused_by_name(call, phrase):
         (lambda: diagonal_sum_check(2.0, 1.5), "m must be a positive integer"),
         (lambda: diagonal_sum_check(2.0, True), "m must be a positive integer"),
         (lambda: diagonal_sum_check(2.0, 0), "m must be a positive integer"),
+        # integers that no double holds
+        (lambda: direction_integrality(0.5, 10**400, 1, 0.3), "k0 must be an integer"),
+        (lambda: period_vector(0.5, 1, 10**400, 0.3), "k1 must be an integer"),
+        (lambda: diagonal_sum_check(2.0, 10**200), "m must be a positive integer"),
     ],
     ids=[
         "direction_integrality-k0-str", "direction_integrality-k0-float",
@@ -162,6 +175,7 @@ def test_non_real_parameters_are_refused_by_name(call, phrase):
         "periodic_direction_search-k1-str", "member_condition-k0-float",
         "member_condition-k1-float", "diagonal_sum_check-r1-str", "diagonal_sum_check-r1-nan",
         "diagonal_sum_check-m-float", "diagonal_sum_check-m-bool", "diagonal_sum_check-m-zero",
+        "direction_integrality-k0-huge", "period_vector-k1-huge", "diagonal_sum_check-m-huge",
     ],
 )
 def test_non_integer_parameters_are_refused_by_name(call, phrase):

@@ -12,7 +12,8 @@ from hypothesis import event, example, given, settings, strategies as st
 import direction_oracle
 import torus_oracle
 from bihsurf.core import MAX_SQUAREFREE, DomainError
-from bihsurf.parameters import MiyataData, angle_family_data, canonicalize, rho_max
+from bihsurf.parameters import MiyataData, angle_family_data, canonicalize, rho_max, rho_tilde_of
+from bihsurf.parameters import s_of_rho
 from bihsurf.immersion import build, extend_dimension, from_structure
 from bihsurf.periodicity import (
     ExactBasis,
@@ -337,11 +338,60 @@ def test_closing_ratios_domain():
         pytest.param(lambda: direction_integrality(0.5, 1, 2, 0.0), "rho", id="integrality-rho"),
         pytest.param(lambda: period_vector(0.5, 1, 2, 0.0), "rho", id="vector-rho0"),
         pytest.param(lambda: period_vector(0.5, 1, 2, math.nan), "rho", id="vector-rho-nan"),
+        # the first grid cell spans about 1e300 integers; the call never returned
+        pytest.param(lambda: periodic_direction_search(0.5, 1, 2, (1e-300, 1.0)), "window",
+                     id="search-window-1e-300"),
+        pytest.param(lambda: periodic_direction_search(0.5, 10**300, 1, (0.1, 1.0)), "window",
+                     id="search-k0-1e300"),
+        # the closing quantity is infinite at the subnormal grid point
+        pytest.param(lambda: periodic_direction_search(0.5, 1, 2, (5e-324, 1.0)), "window",
+                     id="search-window-subnormal"),
     ],
 )
 def test_direction_helpers_reject_bad_input_by_name(call, name):
     with pytest.raises(DomainError, match="^%s must" % name):
         call()
+
+
+_H = st.floats(0.01, 0.99)
+_K = st.integers(-10**6, 10**6)
+
+
+def _bits(x):
+    return tuple(float(c).hex() for c in (x if isinstance(x, tuple) else (x,)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(h=_H, k0=_K, k1=_K, rho=st.floats(1e-300, math.pi / 2))
+@example(h=0.5, k0=3, k1=-4, rho=5e-324)
+@example(h=0.5, k0=3, k1=-4, rho=math.pi / 2)
+def test_checked_closed_forms_equal_the_oracle_copies_bit_for_bit(h, k0, k1, rho):
+    # each public function is its checks plus one kernel call: the same
+    # floats as its body before the split
+    assert _bits(direction_integrality(h, k0, k1, rho)) == _bits(
+        direction_oracle.direction_integrality(h, k0, k1, rho))
+    assert _bits(period_vector(h, k0, k1, rho)) == _bits(direction_oracle.period_vector(h, k0, k1, rho))
+    assert _bits(rho_tilde_of(h, rho)) == _bits(direction_oracle.rho_tilde_of(h, rho))
+    assert _bits(s_of_rho(h, rho)) == _bits(direction_oracle.s_of_rho(h, rho))
+    assert _bits(rho_tilde_of(h, 0.0)) == _bits(direction_oracle.rho_tilde_of(h, 0.0))
+    assert _bits(s_of_rho(h, 0.0)) == _bits(direction_oracle.s_of_rho(h, 0.0))
+
+
+def _search_or_refusal(search, h, k0, k1, window):
+    try:
+        return [(_bits(d.rho), d.k2, _bits(d.v)) for d in search(h, k0, k1, window)]
+    except DomainError as exc:
+        return str(exc)
+
+
+@settings(max_examples=40, deadline=None)
+@given(h=_H, k0=st.integers(-12, 12), k1=st.integers(-12, 12), lo=st.floats(0.05, 1.5),
+       width=st.floats(1e-3, 1.0))
+def test_periodic_direction_search_equals_the_oracle_bit_for_bit(h, k0, k1, lo, width):
+    window = (lo, min(lo + width, math.pi / 2 - 1e-3))
+    got = _search_or_refusal(periodic_direction_search, h, k0, k1, window)
+    event("refused" if isinstance(got, str) else "searched")
+    assert got == _search_or_refusal(direction_oracle.periodic_direction_search, h, k0, k1, window)
 
 
 def test_period_vector_formula_matches_congruences():
@@ -484,7 +534,9 @@ def test_case_ii_domain_error():
 @pytest.mark.parametrize(
     "pqrt, name",
     [((1.5, 2, 1, 2), "p"), ((1, Fraction(2), 1, 2), "q"), ((1, 2, "1", 2), "r"),
-     ((1, 2, 1, 0), "t"), ((-1, 2, 1, 2), "p")],
+     ((1, 2, 1, 0), "t"), ((-1, 2, 1, 2), "p"),
+     # generators or their squared lengths past the double range
+     ((1, 10**200, 1, 1), "q"), ((10**200, 10**200 + 1, 1, 1), "p")],
 )
 def test_case_ii_names_bad_parameter(pqrt, name):
     with pytest.raises(DomainError, match="%s must be a positive integer" % name):
