@@ -64,10 +64,8 @@ class Lattice2:
             if (a.numerator * d.numerator * b.denominator * c.denominator
                     == b.numerator * c.numerator * a.denominator * d.denominator):
                 raise ValueError("lattice generators are linearly dependent")
-        elif self.rank == 2:
-            (x0, y0), (x1, y1) = self.gens
-            if abs(x0 * y1 - y0 * x1) <= 1e-12 * math.hypot(x0, y0) * math.hypot(x1, y1):
-                raise ValueError("rank-2 generators are linearly dependent")
+        elif self.rank == 2 and not _independent(*self.gens):
+            raise ValueError("rank-2 generators are linearly dependent")
 
     def points(self, coeff_bound: int) -> np.ndarray:
         """All integer combinations with coefficients in [-bound, bound]."""
@@ -79,6 +77,11 @@ class Lattice2:
             return np.array([k * g for k in rng])
         g1, g2 = np.array(self.gens[0]), np.array(self.gens[1])
         return np.array([a * g1 + b * g2 for a in rng for b in rng])
+
+
+def _independent(u, v) -> bool:
+    """The float rank-2 test: |u x v| above 1e-12 |u| |v| (false for NaN)."""
+    return abs(u[0] * v[1] - u[1] * v[0]) > 1e-12 * math.hypot(*u) * math.hypot(*v)
 
 
 def lagrange_gauss(u, v):
@@ -149,16 +152,21 @@ def period_lattice(im: Immersion, search_bound: float) -> Lattice2:
 
     Enumerates integer right-hand sides (ki, kj) for the two best-conditioned
     congruences and keeps the z = M (ki, kj) in the disk |z| <= search_bound
-    whose remaining phases are integers, then certifies each period by direct
-    evaluation (|psi(z) - psi(0)| <= 1e-9). The grid is screened with numpy
-    in chunks of ki rows, about 16384 pairs each, and the screen decides:
-    its disk and phase tests are the only ones a pair meets, with no slack
-    and no per-candidate re-test. It stacks the matrix-vector and dot
-    products of a pair-by-pair scan, so each z and each test is that scan's,
-    bit for bit. Memory follows the chunk, not the grid (1.0 MB traced peak
-    at search_bound 1500, where the grid has 690k pairs). search_bound
-    truncates the reported window (a grid over _MAX_GRID_PAIRS is refused);
-    the basis is Lagrange-Gauss reduced.
+    whose remaining phases are integers. The grid is screened with numpy in
+    chunks of ki rows, about 16384 pairs each, and the screen decides: its
+    disk and phase tests are the only ones a pair meets, with no slack and
+    no per-candidate re-test. It stacks the matrix-vector and dot products
+    of a pair-by-pair scan, so each z and each test is that scan's, bit for
+    bit. Memory follows the chunk, not the grid (1.0 MB traced peak at
+    search_bound 1500, where the grid has 690k pairs). search_bound
+    truncates the reported window (a grid over _MAX_GRID_PAIRS is refused).
+
+    The candidates of all chunks form one (n, 2) array, and one `eval` of
+    the stacked points [origin; candidates] certifies them all
+    (|psi(z) - psi(0)| <= 1e-9). The tail reduces the certified periods as
+    arrays (`_lattice_of_periods`): one sort, one pick off the first
+    period's line, and one product each for the rank-1 and rank-2
+    membership tests; the basis is Lagrange-Gauss reduced.
 
     A period whose float length equals search_bound can be dropped, because
     the disk test's z @ z rounds above search_bound**2: the case-ii member
@@ -177,20 +185,24 @@ def period_lattice(im: Immersion, search_bound: float) -> Lattice2:
     if im.m != 1 or abs(im.data.mu[0] - 1.0) > 1e-12:
         raise ValueError("period_lattice requires canonical data (m = 1, mu_1 = 1)")
     v_rows = im.wave_vectors / (2.0 * math.pi)
-    n_rows = len(v_rows)
+    rows = v_rows.tolist()
     best, pair = -1.0, None
-    for i in range(n_rows):
-        for j in range(i + 1, n_rows):
-            d = abs(v_rows[i, 0] * v_rows[j, 1] - v_rows[i, 1] * v_rows[j, 0])
+    for i, (xi, yi) in enumerate(rows):
+        for j in range(i + 1, len(rows)):
+            d = abs(xi * rows[j][1] - yi * rows[j][0])
             if d > best:
                 best, pair = d, (i, j)
     if best <= 1e-12:
         raise ValueError("frequency wave vectors do not span the plane")
     i, j = pair
-    m2 = np.linalg.inv(np.array([v_rows[i], v_rows[j]]))
-    others = [l for l in range(n_rows) if l not in (i, j)]
+    best_rows = v_rows[[i, j]]
+    m2 = np.linalg.inv(best_rows)
+    others = [l for l in range(len(rows)) if l not in (i, j)]
 
-    widths = [float(np.linalg.norm(v_rows[l])) * search_bound for l in (i, j)]
+    # |v_i| and |v_j| from the stacked dot product, which is the 1-D x @ x
+    # that np.linalg.norm takes the square root of, bit for bit
+    norms2 = (best_rows[:, None, :] @ best_rows[:, :, None]).ravel().tolist()
+    widths = [math.sqrt(n2) * search_bound for n2 in norms2]
     pairs = (2.0 * widths[0] + 3.0) * (2.0 * widths[1] + 3.0)  # grid size, bar ceil
     if pairs > _MAX_GRID_PAIRS:
         raise DomainError(
@@ -199,13 +211,17 @@ def period_lattice(im: Immersion, search_bound: float) -> Lattice2:
         )
     ki_max, kj_max = (int(math.ceil(w)) + 1 for w in widths)
     kj_all = np.arange(-kj_max, kj_max + 1, dtype=float)
-    rows = max(1, _SCREEN_CHUNK // len(kj_all))
-    cands = []
-    for first in range(-ki_max, ki_max + 1, rows):
-        ki_all = np.arange(first, min(first + rows, ki_max + 1), dtype=float)
-        cands.extend(_screen(m2, v_rows[others], ki_all, kj_all, search_bound))
-    off = np.max(np.abs(im.eval(np.reshape(cands, (-1, 2))) - im.eval(np.zeros(2))), axis=-1)
-    return _lattice_of_periods([z for z, d in zip(cands, off) if d <= 1e-9])
+    step = max(1, _SCREEN_CHUNK // len(kj_all))
+    v_others = v_rows[others]
+    cands = np.concatenate([
+        _screen(m2, v_others, np.arange(first, min(first + step, ki_max + 1), dtype=float),
+                kj_all, search_bound)
+        for first in range(-ki_max, ki_max + 1, step)
+    ])
+    # one eval certifies every candidate: row 0 is the origin
+    psi = im.eval(np.concatenate((np.zeros((1, 2)), cands)))
+    off = np.max(np.abs(psi[1:] - psi[0]), axis=-1)
+    return _lattice_of_periods(cands[off <= 1e-9])
 
 
 def _screen(m2, v_others, ki, kj, search_bound):
@@ -225,35 +241,35 @@ def _screen(m2, v_others, ki, kj, search_bound):
     return z[keep]
 
 
-def _lattice_of_periods(sols) -> Lattice2:
-    """Reduced lattice generated by the certified periods `sols`: the
-    shortest period, then the shortest one off its line, Lagrange-Gauss
-    reduced; every period must lie in the lattice they span."""
-    if not sols:
+def _lattice_of_periods(sols: np.ndarray) -> Lattice2:
+    """Reduced lattice generated by the certified periods `sols` (n, 2):
+    the shortest period, then the shortest one off its line, Lagrange-Gauss
+    reduced; every period must lie in the lattice they span.
+
+    Ties fall as in a per-period loop with tuple sorts: |z|^2 is the stacked
+    dot product `_screen` uses (the 1-D z @ z, bit for bit); a stable
+    `np.lexsort` by (|z|^2, z0, z1) is the tuple sort's order, so the first
+    least area d in it is the pick by (d, |z|^2, z0, z1). The integer and
+    containment tests are one product each, read only through their 1e-6
+    thresholds."""
+    if len(sols) == 0:
         return Lattice2(rank=0, gens=())
-    sols.sort(key=lambda z: (z @ z, z[0], z[1]))
-    v1 = sols[0]
-    n1 = v1 @ v1
-    area = []
-    for z in sols:
-        d = abs(v1[0] * z[1] - v1[1] * z[0])
-        if d > 1e-9 * math.sqrt(n1 * (z @ z)):
-            area.append((d, z @ z, tuple(z)))
-    if not area:
-        for z in sols:
-            k = (z @ v1) / n1
-            if abs(k - round(k)) > 1e-6:
-                raise RuntimeError("period set is not generated by its shortest vector")
+    norms2 = (sols[:, None, :] @ sols[:, :, None])[:, 0, 0]
+    order = np.lexsort((sols[:, 1], sols[:, 0], norms2))
+    sols, norms2 = sols[order], norms2[order]
+    v1, n1 = sols[0], norms2[0]
+    area = np.abs(v1[0] * sols[:, 1] - v1[1] * sols[:, 0])
+    off_line = area > 1e-9 * np.sqrt(n1 * norms2)
+    if not off_line.any():
+        k = (sols @ v1) / n1
+        if np.max(np.abs(k - np.rint(k))) > 1e-6:
+            raise RuntimeError("period set is not generated by its shortest vector")
         return Lattice2(rank=1, gens=(_plain(_canonical_sign(v1)),))
-    area.sort()
-    v2 = np.array(area[0][2])
+    v2 = sols[off_line][np.argmin(area[off_line])]
     u, w = _reduced_pair(v1, v2)
-    basis = np.array([u, w])
-    inv = np.linalg.inv(basis)
-    for z in sols:
-        c = z @ inv
-        if np.max(np.abs(c - np.round(c))) > 1e-6:
-            raise RuntimeError("period basis does not generate all found periods")
+    c = sols @ np.linalg.inv(np.array([u, w]))
+    if np.max(np.abs(c - np.rint(c))) > 1e-6:
+        raise RuntimeError("period basis does not generate all found periods")
     return Lattice2(rank=2, gens=(u, w))
 
 
@@ -534,6 +550,10 @@ def _kernel_basis(alpha: int, beta: int, mod: int) -> tuple[tuple[int, int], tup
 _MAX_TORUS_INT = 10**50
 
 
+def _shown_pqrt(p: int, q: int, r: int, t: int) -> str:
+    return "(p, q, r, t) = (%s)" % ", ".join(_shown(v) for v in (p, q, r, t))
+
+
 def torus_case_ii(p: int, q: int, r: int, t: int) -> CaseIIResult:
     """Torus member for a = p^2/q^2, b = r^2/t^2 with exact h and the closed
     generator vectors; the full period lattice follows from the integer
@@ -549,6 +569,9 @@ def torus_case_ii(p: int, q: int, r: int, t: int) -> CaseIIResult:
     v2 is then at most 2 pi 10**50, every entry of the congruence's kernel
     basis in (v2, v1) at most 4 pi 10**150, and every squared length (in the
     Lagrange-Gauss reduction too) below 10**304, so all of them are doubles.
+    Within that bound two inputs are still refused by p, q, r and t: an h
+    whose double is 1 (rho needs h < 1), and a float kernel basis that fails
+    the rank-2 test of `Lattice2`, which the float reduction cannot reduce.
     """
     params = TorusParams(p, q, r, t)
     p, q, r, t = params.p, params.q, params.r, params.t
@@ -567,7 +590,13 @@ def torus_case_ii(p: int, q: int, r: int, t: int) -> CaseIIResult:
         / math.sqrt(e_num / (big_d * big_d)),
         math.pi * math.sqrt((e_num + big_d * (total + big_d)) / e_num),
     )
-    rho = 2.0 * math.atan(t_of_s(float(params.h), float(params.s)))
+    h = float(params.h)
+    if h == 1.0:  # h > 1/(2(D + A + B)) > 1e-201 does not round to 0
+        raise DomainError(
+            "p, q, r and t must give a mean curvature h that is a double below 1; "
+            "%s gives 1 - h = %.3g" % (_shown_pqrt(p, q, r, t), float(1 - params.h))
+        )
+    rho = 2.0 * math.atan(t_of_s(h, float(params.s)))
     cond = "m*%d/%d - n*%d/%d in Z" % (q, p, q * r, p * t)
     sub = (
         (p * v2[0], p * v2[1]),
@@ -576,6 +605,13 @@ def torus_case_ii(p: int, q: int, r: int, t: int) -> CaseIIResult:
     (m_a, n_a), (m_b, n_b) = _kernel_basis(q * t, -q * r, p * t)
     w1 = np.array([m_a * v2[0] + n_a * v1[0], m_a * v2[1] + n_a * v1[1]])
     w2 = np.array([m_b * v2[0] + n_b * v1[0], m_b * v2[1] + n_b * v1[1]])
+    # past the rank-2 test the float basis has lost the lattice (w1 = w2 to
+    # the last bit at (5e49, 1e50 - 2, 1e25, 1e50 - 2))
+    if not _independent(w1, w2):
+        raise DomainError(
+            "p, q, r and t must give a kernel basis of the period congruence that stays "
+            "independent in doubles; for %s it cancels" % _shown_pqrt(p, q, r, t)
+        )
     g1, g2 = _reduced_pair(w1, w2)
     return CaseIIResult(
         params=params,

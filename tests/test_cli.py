@@ -468,8 +468,12 @@ def test_malformed_input_exits_2_naming_it(tmp_path, capsys, args, phrase):
         (["construct", "--h", "1e400", "--rho", "0"],
          "error: --h must be a rational in (0,1), got 1e400\n"),
         (["construct", "--h", "0.5", "--rho", "abc"], "error: --rho must be a real number, got 'abc'\n"),
+        # a = b = 1e-24, so h = 1/(1 + 4e-24) rounds to 1: the torus parameters are named
+        (["torus-exists", "--a", "1/" + str(10**24), "--b", "1/" + str(10**24)],
+         "error: p, q, r and t must give a mean curvature h that is a double below 1; "
+         "(p, q, r, t) = (1, 1000000000000, 1, 1000000000000) gives 1 - h = 4e-24\n"),
     ],
-    ids=["h-out-of-range-echoed", "rho-text"],
+    ids=["h-out-of-range-echoed", "rho-text", "torus-h-rounds-to-one"],
 )
 def test_refusal_is_one_short_line_naming_the_flag(capsys, args, line):
     assert run_cli(args, capsys) == (2, "", line)

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import event, example, given, settings, strategies as st
+from hypothesis import assume, event, example, given, settings, strategies as st
 
 import direction_oracle
 import torus_oracle
@@ -106,7 +106,13 @@ def test_period_lattice_requires_canonical():
 
 def _loop_period_lattice(im, search_bound):
     """Oracle: the pair-by-pair scan `period_lattice` ran before it screened
-    the grid with numpy (validation left out)."""
+    the grid with numpy (validation left out), ending in the list-based tail
+    it had before its tail ran on arrays."""
+    return torus_oracle._lattice_of_periods(_loop_periods(im, search_bound))
+
+
+def _loop_periods(im, search_bound):
+    """The certified periods of the pair-by-pair scan, in its row-major order."""
     v_rows = im.wave_vectors / (2.0 * math.pi)
     n_rows = len(v_rows)
     best, pair = -1.0, None
@@ -138,7 +144,7 @@ def _loop_period_lattice(im, search_bound):
                     break
             if ok and np.max(np.abs(im.eval(z) - psi0)) <= 1e-9:
                 sols.append(z)
-    return _lattice_of_periods(sols)
+    return sols
 
 
 _CASE_II_SMALL = [
@@ -197,6 +203,82 @@ def test_period_lattice_matches_loop_oracle(member, steps, bound):
     expect = _loop_period_lattice(im, bound)
     event("rank %d" % expect.rank)
     assert (lat.rank, lat.gens) == (expect.rank, expect.gens)
+
+
+def _both_tails(sols):
+    """What the array tail and the list-based oracle tail make of the same
+    periods: (rank, gens), or the text of the RuntimeError raised."""
+    def outcome(tail, arg):
+        try:
+            lat = tail(arg)
+        except RuntimeError as exc:
+            return str(exc)
+        return lat.rank, lat.gens
+
+    rows = [np.array(z, dtype=float) for z in sols]
+    return (
+        outcome(_lattice_of_periods, np.array(rows).reshape(-1, 2)),
+        outcome(torus_oracle._lattice_of_periods, rows),
+    )
+
+
+@settings(max_examples=120, deadline=None)
+@given(member=_MEMBERS, steps=st.sampled_from((0, 0, 0, 1)), bound=st.floats(1.0, 40.0),
+       data=st.data())
+def test_period_tail_matches_list_oracle_on_member_periods(member, steps, bound, data):
+    sols = _loop_periods(_member(*member, steps), bound)
+    if data.draw(st.booleans(), label="permuted"):
+        sols = [sols[k] for k in data.draw(st.permutations(range(len(sols))), label="order")]
+    new, old = _both_tails(sols)
+    event("rank %d" % old[0] if isinstance(old, tuple) else "refused")
+    assert new == old
+
+
+_COORD = st.one_of(st.floats(-10.0, -1e-2), st.floats(1e-2, 10.0))
+
+
+@st.composite
+def _synthetic_periods(draw):
+    """Integer combinations of a random basis (its second vector optionally
+    a mirror of the first, so lengths tie exactly), maybe with gaps or a
+    half-integer point; multiples along one line, maybe with a half multiple;
+    or no period at all."""
+    kind = draw(st.sampled_from(("lattice", "lattice", "collinear", "empty")))
+    if kind == "empty":
+        return []
+    x, y = draw(_COORD), draw(_COORD)
+    b1 = np.array([x, y])
+    if kind == "collinear":
+        ks = draw(st.lists(st.sampled_from([k for k in range(-6, 7) if k]), min_size=1, max_size=8))
+        pts = [k * b1 for k in ks]
+        if draw(st.booleans()):
+            pts.append((draw(st.integers(-3, 3)) + 0.5) * b1)
+    else:
+        tie = draw(st.sampled_from(("none", "mirror_x", "mirror_y", "swap")))
+        b2 = {
+            "none": np.array([draw(_COORD), draw(_COORD)]),
+            "mirror_x": np.array([x, -y]),
+            "mirror_y": np.array([-x, y]),
+            "swap": np.array([y, x]),
+        }[tie]
+        assume(abs(x * b2[1] - y * b2[0]) > 0.05 * math.hypot(x, y) * math.hypot(*b2))
+        k = draw(st.integers(1, 3))
+        pts = [a * b1 + b * b2 for a in range(-k, k + 1) for b in range(-k, k + 1) if a or b]
+        if draw(st.booleans()):  # gaps: a subset may leave some period outside
+            pts = [z for z, keep in zip(pts, draw(st.lists(st.booleans(), min_size=len(pts),
+                                                           max_size=len(pts)))) if keep]
+        if draw(st.booleans()):
+            pts.append((draw(st.integers(-2, 2)) + 0.5) * b1 + draw(st.integers(-2, 2)) * b2)
+    order = draw(st.permutations(range(len(pts))))
+    return [pts[k] for k in order]
+
+
+@settings(max_examples=400, deadline=None)
+@given(sols=_synthetic_periods())
+def test_period_tail_matches_list_oracle_on_synthetic_periods(sols):
+    new, old = _both_tails(sols)
+    event("rank %d" % old[0] if isinstance(old, tuple) else "refused")
+    assert new == old
 
 
 def test_period_lattice_memory_bounded_by_chunk():
@@ -813,8 +895,16 @@ _PARALLEL = MiyataData(h=0.5, mu=(1 + 0j,), eta=(1 + 0j,), r_weights=(1.0,), rp_
          "frequency wave vectors do not span the plane"),
         (lambda: torus_exists("1/0"), DomainError, "h must be a finite rational number, got '1/0'"),
         (lambda: torus_exists(Fraction(3, 2)), DomainError, r"h must be a rational in \(0,1\), got 3/2"),
+        # a = b = 1e-24: h = 1/(1 + 4e-24) is a double of 1, which no caller passed
+        (lambda: torus_case_ii(1, 10**12, 1, 10**12), DomainError,
+         r"^p, q, r and t must give a mean curvature h that is a double below 1; \(p, q, r, t\) = "
+         r"\(1, 1000000000000, 1, 1000000000000\) gives 1 - h = 4e-24$"),
+        # the float kernel basis has w1 = w2, and its reduction would divide 0 by 0
+        (lambda: torus_case_ii(5 * 10**49, 10**50 - 2, 10**25, 10**50 - 2), DomainError,
+         "^p, q, r and t must give a kernel basis of the period congruence that stays independent"),
     ],
-    ids=["lattice-rank-1", "lattice-rank-2", "parallel-wave-vectors", "h-zero-denominator", "h-outside"],
+    ids=["lattice-rank-1", "lattice-rank-2", "parallel-wave-vectors", "h-zero-denominator", "h-outside",
+         "case-ii-h-rounds-to-one", "case-ii-kernel-basis-cancels"],
 )
 def test_periodicity_refusals_name_the_parameter(call, exc, phrase):
     with pytest.raises(exc, match=phrase) as info:

@@ -8,6 +8,12 @@ scan in Fraction arithmetic, with the case-i test as a `rational_sqrt_exact`
 of (1+h)/(1-h), and `brute_torus_exists` scans every (p, q, r, t). Both
 searches build their verdicts with this module's constructions. The
 library's integer routes are tested against all of them.
+
+`_lattice_of_periods` is the period-lattice tail as it was before it ran on
+arrays: a list of certified periods, Python tuple sorts and a loop per
+period for the off-line pick and the two membership tests. The library's
+array tail is tested against it, and the loop scan of `period_lattice` in
+the tests ends in it.
 """
 
 import math
@@ -25,7 +31,9 @@ from bihsurf.periodicity import (
     ExactBasis,
     Lattice2,
     TorusVerdict,
+    _canonical_sign,
     _kernel_basis,
+    _plain,
     _reduced_pair,
 )
 
@@ -173,3 +181,35 @@ def brute_torus_exists(h, search_bound):
                             case_ii=torus_case_ii(p, q, r, t),
                         )
     return TorusVerdict(h=h, kind="not_found")
+
+
+def _lattice_of_periods(sols) -> Lattice2:
+    """Reduced lattice generated by the certified periods `sols`: the
+    shortest period, then the shortest one off its line, Lagrange-Gauss
+    reduced; every period must lie in the lattice they span."""
+    if not sols:
+        return Lattice2(rank=0, gens=())
+    sols.sort(key=lambda z: (z @ z, z[0], z[1]))
+    v1 = sols[0]
+    n1 = v1 @ v1
+    area = []
+    for z in sols:
+        d = abs(v1[0] * z[1] - v1[1] * z[0])
+        if d > 1e-9 * math.sqrt(n1 * (z @ z)):
+            area.append((d, z @ z, tuple(z)))
+    if not area:
+        for z in sols:
+            k = (z @ v1) / n1
+            if abs(k - round(k)) > 1e-6:
+                raise RuntimeError("period set is not generated by its shortest vector")
+        return Lattice2(rank=1, gens=(_plain(_canonical_sign(v1)),))
+    area.sort()
+    v2 = np.array(area[0][2])
+    u, w = _reduced_pair(v1, v2)
+    basis = np.array([u, w])
+    inv = np.linalg.inv(basis)
+    for z in sols:
+        c = z @ inv
+        if np.max(np.abs(c - np.round(c))) > 1e-6:
+            raise RuntimeError("period basis does not generate all found periods")
+    return Lattice2(rank=2, gens=(u, w))
