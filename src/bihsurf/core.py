@@ -46,6 +46,19 @@ def _is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def _finite_float(value) -> float:
+    """value as a double, for a function that compares and computes in one
+    arithmetic: NaN if value is not a real number (`_is_real`), or is an int
+    or a Fraction past the double range, so that every range test refuses
+    it."""
+    if not _is_real(value):
+        return math.nan
+    try:
+        return float(value)
+    except OverflowError:
+        return math.nan
+
+
 def _shown(value) -> str:
     """repr of a refused value for its message; an int of over 64 bits shows
     its bit length (repr refuses 4300 digits, and 30 are hard to read)."""
@@ -71,8 +84,10 @@ def rational_sqrt_exact(q: Fraction) -> Optional[Fraction]:
     """Exact square root of a nonnegative rational, or None if irrational.
 
     A reduced fraction p/q is a rational square iff p and q are both
-    perfect squares.
+    perfect squares. q is an int or a Fraction (not a bool).
     """
+    if not (isinstance(q, (int, Fraction)) and not isinstance(q, bool)):
+        raise DomainError("q must be an int or a Fraction, got %r" % (q,))
     if q < 0:
         raise DomainError("rational_sqrt_exact requires q >= 0, got %s" % q)
     num = isqrt_exact(q.numerator)

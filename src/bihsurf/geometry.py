@@ -1,6 +1,6 @@
 """Differential-geometry verifier for sphere-valued immersions of the plane:
 fundamental forms, mean and Gaussian curvature, pseudo-umbilicity, tension and
-bitension fields, plus finite-difference cross-check oracles.
+bitension fields of an `Immersion`.
 
 Conventions: the Laplacian on functions is -(d^2/dx^2 + d^2/dy^2), so
 eigenblock checks read Delta psi_ti = lambda_i psi_ti. Tension and bitension
@@ -16,7 +16,9 @@ One kernel computes the geometry. `_point_geometry` takes one point's
 partials, stacked (15, D) in `_ORDERS` order, and forms from them, with one
 exit, the metric (orders <= 1), the forms, H, |H|, K, the pseudo-umbilicity
 residual, tau and Delta psi (orders <= 2) and the bitension (orders <= 4),
-keeping every term a varying metric or an inexact table needs.
+keeping every term a varying metric or an inexact table needs: the
+finite-difference and explicit-table oracles of `tests/fd_oracle.py` run it
+at each point of such tables.
 
 Plane k of an `Immersion` carries one circle, so every field formed from its
 partials is s_k e^{i<w_k, z>} on plane k with a constant symbol s in C^K,
@@ -34,13 +36,6 @@ each residual is the sup of its check over the whole plane, not a maximum
 over samples. Only its unit_norm check reads psi at sample points, through
 `eval`, so it still covers the evaluator that users read; it evaluates its
 blocks of points one after another, and the module starts no thread.
-
-Explicit tables run the same kernel at each of their points, one point at a
-time: the `partial_table` of a map that is not an `Immersion`, the
-finite-difference table of `fd_bitension_oracle` and the metric of
-`gaussian_brioschi_fd`; a table that stops short of order 4 is filled with
-zeros, and only the fields of its own orders are read. They serve oracles
-and test fixtures only.
 """
 
 from __future__ import annotations
@@ -54,8 +49,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import GEOMETRIC_TOL, Check, DomainError, VerificationReport, _is_int, _is_real, _shown
-from .immersion import _ORDERS, Immersion, _as_points, _check_max_order
-from .immersion import _plane_moduli, _split_blocks
+from .immersion import _ORDERS, Immersion, _plane_moduli, _split_blocks
 
 
 # ---------------------------------------------------------------------------
@@ -190,44 +184,30 @@ def _symbols(im: Immersion) -> _PointGeometry:
     return _point_geometry(im._origin())
 
 
-def _per_point(table, *names) -> list[np.ndarray]:
-    """The kernel run at each point of an explicit table {(a, b): (..., D)},
-    one point at a time, the orders the table lacks read as zeros; for each
-    of the `_PointGeometry` fields `names`, one array of the point shape
-    followed by the field's own shape, an empty batch included."""
-    zero = np.zeros_like(table[(0, 0)])
-    t = np.stack([table.get(o, zero) for o in _ORDERS], axis=-2)
-    shape, d = t.shape[:-2], t.shape[-1]
-    points = [_point_geometry(x) for x in t.reshape((-1,) + t.shape[-2:])]
-    tails = {"g": (2, 2), "forms": (3, d), "h_norm": (), "gauss": (), "umbilic": ()}
-    return [
-        np.array([getattr(x, name) for x in points], dtype=float).reshape(
-            shape + tails.get(name, (d,))
-        )
-        for name in names
-    ]
+def _check_immersion(im) -> None:
+    """The one check of the map argument of the per-point functions and of
+    `verify_immersion`: an `Immersion`, whose symbols they read."""
+    if not isinstance(im, Immersion):
+        raise DomainError("im must be an Immersion, got %s" % type(im).__name__)
 
 
 # ---------------------------------------------------------------------------
-# the per-point functions: an Immersion's from its symbols, any other map's
-# from the kernel at each point of its `partial_table`
+# the per-point functions: an Immersion's from its symbols
 
 
 def tension(im: Immersion, p) -> np.ndarray:
     """tau = g^{ab} psi_ab + 2 psi (metric trace of the second fundamental
     form of the map into the sphere); equals 2H."""
-    if isinstance(im, Immersion):
-        return im._read_symbols(p, (_symbols(im).tau,))[0]
-    return _per_point(im.partial_table(p, 2), "tau")[0]
+    _check_immersion(im)
+    return im._read_symbols(p, (_symbols(im).tau,))[0]
 
 
 def bitension(im: Immersion, p) -> np.ndarray:
     """Bitension field from exact order-<=4 partials; vanishes (to rounding)
     on every admissible construction and is order-one when the weight balance
     is broken."""
-    if isinstance(im, Immersion):
-        return im._read_symbols(p, (_symbols(im).tau2,))[0]
-    return _per_point(im.partial_table(p, 4), "tau2")[0]
+    _check_immersion(im)
+    return im._read_symbols(p, (_symbols(im).tau2,))[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -248,126 +228,24 @@ class CurvatureSummary:
     h_vector: np.ndarray
 
 
-def fundamental_forms(im, p) -> FundamentalForms:
+def fundamental_forms(im: Immersion, p) -> FundamentalForms:
     """g from first partials; B_ab = psi_ab + psi corrections projected onto
     the normal space (orthogonal to psi, psi_x, psi_y)."""
-    if isinstance(im, Immersion):
-        s = _symbols(im)
-        forms = im._read_symbols(p, s.forms)
-        return FundamentalForms(np.broadcast_to(s.g, forms[0].shape[:-1] + (2, 2)).copy(), *forms)
-    g, forms = _per_point(im.partial_table(p, 2), "g", "forms")
-    return FundamentalForms(g, *np.moveaxis(forms, -2, 0).copy())
+    _check_immersion(im)
+    s = _symbols(im)
+    forms = im._read_symbols(p, s.forms)
+    return FundamentalForms(np.broadcast_to(s.g, forms[0].shape[:-1] + (2, 2)).copy(), *forms)
 
 
-def mean_curvature(im, p) -> CurvatureSummary:
+def mean_curvature(im: Immersion, p) -> CurvatureSummary:
     """Mean curvature vector (metric trace of B over 2), Gauss-equation
     curvature for the unit-sphere ambient, and the pseudo-umbilicity residual
     max |<B_ab, H> - |H|^2 g_ab|."""
-    if isinstance(im, Immersion):
-        s = _symbols(im)
-        (h_vec,) = im._read_symbols(p, (s.h,))
-        shape = h_vec.shape[:-1]
-        return CurvatureSummary(*(np.full(shape, x) for x in (s.h_norm, s.gauss, s.umbilic)), h_vec)
-    names = ("h_norm", "gauss", "umbilic", "h")
-    return CurvatureSummary(*_per_point(im.partial_table(p, 2), *names))
-
-
-# ---------------------------------------------------------------------------
-# finite-difference oracles
-
-_STENCILS = {
-    0: {0: 1.0},
-    1: {-2: 1 / 12, -1: -8 / 12, 1: 8 / 12, 2: -1 / 12},
-    2: {-2: -1 / 12, -1: 16 / 12, 0: -30 / 12, 1: 16 / 12, 2: -1 / 12},
-    3: {-3: 1 / 8, -2: -1.0, -1: 13 / 8, 1: -13 / 8, 2: 1.0, 3: -1 / 8},
-    4: {-3: -1 / 6, -2: 2.0, -1: -39 / 6, 0: 56 / 6, 1: -39 / 6, 2: 2.0, 3: -1 / 6},
-}
-
-
-# the stencils divide by up to step**4, which must stay a normal double
-# (4.5e307 at the upper end)
-_MIN_STEP = sys.float_info.min**0.25
-
-
-def _check_step(step) -> None:
-    if not (_is_real(step) and _MIN_STEP <= step <= 1.0 / _MIN_STEP):
-        raise DomainError(
-            "step must be a finite number in [%.4g, %.4g] (step**4 a normal double), got %r"
-            % (_MIN_STEP, 1.0 / _MIN_STEP, step)
-        )
-
-
-def fd_partial_table(im, p, step: float, max_order: int = 4):
-    """Partial-derivative table built only from point evaluations.
-
-    Fourth-order central stencils, tensorized for mixed derivatives; the
-    independent route against the closed-form partials.
-    """
-    p = _as_points(p)
-    _check_step(step)
-    _check_max_order(max_order)
-    grid = np.array([(i, j) for i in range(-3, 4) for j in range(-3, 4)], dtype=float)
-    vals = im.eval(p[..., None, :] + step * grid)  # (..., 49, dim)
-    table = {}
-    for a in range(max_order + 1):
-        for b in range(max_order + 1 - a):
-            coeff = np.zeros(49)
-            for i, ci in _STENCILS[a].items():
-                for j, cj in _STENCILS[b].items():
-                    coeff[(i + 3) * 7 + (j + 3)] = ci * cj
-            table[(a, b)] = np.einsum("...sd,s->...d", vals, coeff) / step ** (a + b)
-    return table
-
-
-def fd_bitension_oracle(im, p, step: float) -> np.ndarray:
-    """Bitension with every derivative taken by finite differences of eval.
-
-    Agrees with the analytic route to O(step^4).
-    """
-    if not (_is_real(step) and 1e-4 <= step <= 1e-1):
-        raise DomainError("step must lie in [1e-4, 1e-1], got %r" % (step,))
-    return _per_point(fd_partial_table(im, p, step, 4), "tau2")[0]
-
-
-def gaussian_brioschi_fd(im, p, step: float = 1e-3) -> float:
-    """Intrinsic Gaussian curvature at one point p of shape (2,) from the
-    metric alone (Brioschi formula), with metric derivatives by finite
-    differences; oracle for the Gauss-equation route. E, F and G on the
-    5 x 5 stencil come from the map's first-order `partial_table` and the
-    kernel's metric step at each point.
-
-    On an `Immersion` the metric is the same constant at every point, so
-    every difference vanishes and this returns 0.0 up to rounding (below
-    1e-9 at step 1e-3, the stencils dividing by step^2); it is an oracle
-    only on maps with a varying metric."""
-    p = _as_points(p)
-    if p.shape != (2,):
-        raise DomainError("points must be one point of shape (2,), got shape %s" % (p.shape,))
-    _check_step(step)
-    offs = np.arange(-2, 3, dtype=float)
-    grid = np.stack(np.meshgrid(offs, offs, indexing="ij"), axis=-1)
-    (g,) = _per_point(im.partial_table(p + step * grid, 1), "g")
-    E, F, G = g[..., 0, 0], g[..., 0, 1], g[..., 1, 1]
-    d1 = np.array([1, -8, 0, 8, -1]) / (12 * step)
-    d2 = np.array([-1, 16, -30, 16, -1]) / (12 * step**2)
-    mid = np.array([0, 0, 1, 0, 0], dtype=float)
-
-    def apply(m, cu, cv):
-        return float(cu @ m @ cv)
-
-    e, f, g = E[2, 2], F[2, 2], G[2, 2]
-    e_u, e_v, e_vv = apply(E, d1, mid), apply(E, mid, d1), apply(E, mid, d2)
-    g_u, g_v, g_uu = apply(G, d1, mid), apply(G, mid, d1), apply(G, d2, mid)
-    f_u, f_v, f_uv = apply(F, d1, mid), apply(F, mid, d1), apply(F, d1, d1)
-    m1 = np.array(
-        [
-            [-0.5 * e_vv + f_uv - 0.5 * g_uu, 0.5 * e_u, f_u - 0.5 * e_v],
-            [f_v - 0.5 * g_u, e, f],
-            [0.5 * g_v, f, g],
-        ]
-    )
-    m2 = np.array([[0.0, 0.5 * e_v, 0.5 * g_u], [0.5 * e_v, e, f], [0.5 * g_u, f, g]])
-    return float((np.linalg.det(m1) - np.linalg.det(m2)) / (e * g - f * f) ** 2)
+    _check_immersion(im)
+    s = _symbols(im)
+    (h_vec,) = im._read_symbols(p, (s.h,))
+    shape = h_vec.shape[:-1]
+    return CurvatureSummary(*(np.full(shape, x) for x in (s.h_norm, s.gauss, s.umbilic)), h_vec)
 
 
 # ---------------------------------------------------------------------------
@@ -633,6 +511,7 @@ def verify_immersion(
     and reports the worst | |psi| - 1 | among them. The blocks run in
     order on the calling thread; no thread is started.
     """
+    _check_immersion(im)
     if not _is_int(samples) or samples < 1:
         raise DomainError("samples must be a positive integer, got %r" % (samples,))
     if not _is_int(seed) or seed < 0:

@@ -271,7 +271,7 @@ def build(data: MiyataData, validate: bool = True) -> Immersion:
         report = validate_miyata(data)
         if not report.passed:
             failing = ", ".join(c.name for c in report.failures())
-            raise ValueError("invalid immersion data (%s)" % failing)
+            raise DomainError("invalid immersion data (%s)" % failing)
     radii = (math.sqrt(data.lambda1),) * data.m + (math.sqrt(data.lambda2),) * data.mp
     rows, amps = [], []
     for r, z, w in zip(radii, (*data.mu, *data.eta), (*data.r_weights, *data.rp_weights)):

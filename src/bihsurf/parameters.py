@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .core import Check, DomainError, VerificationReport, _is_real, exact_rational
+from .core import Check, DomainError, VerificationReport, _finite_float, _is_real, _shown, exact_rational
 
 _END_EPS = 8e-16  # endpoint snapping for s in [h/(1+h), 1/(1+h)]
 _PRE_SLACK = 1e-12  # slack on closed-interval preconditions
@@ -171,8 +171,10 @@ def t_of_s(h: float, s: float) -> float:
     _check_h(h)
     lo = h / (1.0 + h)
     hi = 1.0 / (1.0 + h)
-    if not (_is_real(s) and lo - 1e-9 <= s <= hi + 1e-9):
-        raise DomainError("s=%r outside [h/(1+h), 1/(1+h)] = [%r, %r]" % (s, lo, hi))
+    x = _finite_float(s)
+    if not lo - 1e-9 <= x <= hi + 1e-9:
+        raise DomainError("s=%s outside [h/(1+h), 1/(1+h)] = [%r, %r]" % (_shown(s), lo, hi))
+    s = x
     if s - lo <= _END_EPS:
         return 0.0
     if hi - s <= _END_EPS:

@@ -15,8 +15,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import MAX_SQUAREFREE, DomainError, _is_int, _is_real, _shown, exact_rational, isqrt_exact
-from .core import squarefree_decompose
+from .core import MAX_SQUAREFREE, DomainError, _finite_float, _is_int, _is_real, _shown, exact_rational
+from .core import isqrt_exact, squarefree_decompose
 from .parameters import _check_h, _exact_h, _rho_tilde_of, angle_family_data, spectral_levels, t_of_s
 from .immersion import Immersion, build
 
@@ -328,7 +328,8 @@ def closing_ratios(h: float, s: float) -> tuple[float, float]:
     """
     _check_h(h)
     lo, hi = h / (1.0 + h), 1.0 / (1.0 + h)
-    if not (_is_real(s) and lo < s < hi):
+    s = _finite_float(s)
+    if not lo < s < hi:
         raise DomainError("s must lie strictly inside (h/(1+h), 1/(1+h))")
     den = (1.0 - s) * (s - (1.0 - s) * h)
     return math.sqrt(h / den), -math.sqrt(s * (1.0 - s - h * s) / den)

@@ -8,7 +8,8 @@ are tested against these functions, kept as they were before that rewrite.
 import numpy as np
 
 from bihsurf.core import DomainError
-from bihsurf.geometry import CurvatureSummary, FundamentalForms, fd_partial_table
+from bihsurf.geometry import CurvatureSummary, FundamentalForms
+from fd_oracle import fd_partial_table
 
 _JET2 = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
 

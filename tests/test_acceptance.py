@@ -20,7 +20,6 @@ from bihsurf.geometry import (
     bitension,
     boruvka_params,
     diagonal_sum_check,
-    fd_bitension_oracle,
     mean_curvature,
     verify_immersion,
 )
@@ -32,6 +31,7 @@ from bihsurf.periodicity import (
     torus_exists,
 )
 from bihsurf.admissibility import admissible, parse_lattice
+from fd_oracle import fd_bitension_oracle
 
 SQ2PI = math.sqrt(2.0) * math.pi
 

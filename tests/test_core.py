@@ -102,9 +102,12 @@ def test_squarefree_decompose_refuses_past_the_cap_at_once():
          r"--h must be a finite rational number, got '1e999999999'"),
         (lambda: exact_rational("5E-0010000", "h"), DomainError,
          r"h must be a finite rational number, got '5E-0010000'"),
+        (lambda: rational_sqrt_exact(0.5), DomainError, r"q must be an int or a Fraction, got 0\.5"),
+        (lambda: rational_sqrt_exact(True), DomainError, r"q must be an int or a Fraction, got True"),
     ],
     ids=["squarefree-zero", "squarefree-negative", "rational-zero-denominator", "rational-text",
-         "rational-none", "rational-inf", "rational-huge-exponent", "rational-huge-negative-exponent"],
+         "rational-none", "rational-inf", "rational-huge-exponent", "rational-huge-negative-exponent",
+         "rational-sqrt-float", "rational-sqrt-bool"],
 )
 def test_core_refusals_name_the_parameter(call, exc, phrase):
     with pytest.raises(exc, match=phrase) as info:

