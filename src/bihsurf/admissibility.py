@@ -138,16 +138,12 @@ class DualLattice:
     w_i = ints[i] / (den sqrt(surd)): ints are integer rows and den is the
     least common denominator of the rational rows, so the Gram form is
     ints ints^T / (den^2 surd) and every complex square of a dual vector is
-    an integer pair over den^2 surd. gens holds the float w_i.
+    an integer pair over den^2 surd. It holds no float data.
     """
 
     ints: tuple[tuple[int, int], tuple[int, int]]
     den: int
     surd: int
-    gens: tuple[tuple[float, float], tuple[float, float]]
-
-    def vector(self, m: int, n: int) -> np.ndarray:
-        return m * np.array(self.gens[0]) + n * np.array(self.gens[1])
 
 
 def dual_lattice(lat: Lattice2) -> DualLattice:
@@ -171,10 +167,7 @@ def dual_lattice(lat: Lattice2) -> DualLattice:
     g = math.gcd(det, 2 * k * math.gcd(a, b, c, d))
     unit = g if det > 0 else -g
     ints = tuple(tuple(2 * k * x // unit for x in v) for v in ((d, -c), (-b, a)))
-    den = abs(det) // g
-    scale = 1.0 / math.sqrt(lat.exact.surd)
-    gens = tuple(tuple(scale * (x / den) for x in row) for row in ints)
-    return DualLattice(ints=ints, den=den, surd=lat.exact.surd, gens=gens)
+    return DualLattice(ints=ints, den=abs(det) // g, surd=lat.exact.surd)
 
 
 @dataclass(frozen=True)
@@ -470,9 +463,12 @@ class AdmissibleResult:
 
 
 def _recover_frequency(dual: DualLattice, rep: tuple[int, int], lam: float) -> complex:
-    w = dual.vector(*rep)
-    wc = complex(w[0], w[1])
-    return (wc / complex(0.0, math.sqrt(lam))).conjugate()
+    """The unit frequency at level lam of the dual vector m w_0 + n w_1,
+    (m, n) = rep, in floats: w_i is scale * (x / den) per integer entry x."""
+    scale = 1.0 / math.sqrt(dual.surd)
+    (x0, y0), (x1, y1) = ((scale * (x / dual.den) for x in row) for row in dual.ints)
+    m, n = rep
+    return (complex(m * x0 + n * x1, m * y0 + n * y1) / complex(0.0, math.sqrt(lam))).conjugate()
 
 
 def _build_witness(h: Fraction, set_a, set_g, weights) -> MiyataData:
@@ -482,10 +478,10 @@ def _build_witness(h: Fraction, set_a, set_g, weights) -> MiyataData:
     = 0, checked on the integer numerators of the squares, which share one
     denominator as both sets come from one dual lattice. The squares are
     distinct, as circle_points keys them by exact value. The frequencies
-    come from the float dual basis, so on a skewed basis mu_1 leaves the
-    unit circle by rounding (|mu_1| - 1 is 4.7e-9 on rect-exists at skew
-    10^4, 2e-5 at 10^6); the normal form is taken without `canonicalize`'s
-    check on it."""
+    are floats from the integer dual rows (`_recover_frequency`), so on a
+    skewed basis mu_1 leaves the unit circle by rounding (|mu_1| - 1 is
+    4.7e-9 on rect-exists at skew 10^4, 2e-5 at 10^6); the normal form is
+    taken without `canonicalize`'s check on it."""
     ra, rg = weights
     if sum(ra) != 1 or sum(rg) != 1 or min(ra + rg) < 0:
         raise RuntimeError("witness weights are not convex combinations")

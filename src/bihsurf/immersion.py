@@ -13,10 +13,10 @@ turns) of all 15 orders a+b <= 4, computed in one vectorised pass on first
 use. One reader, `Immersion._read`, multiplies rows by the trig pair of
 their parity, (cos, sin) per plane for even a+b and (sin, cos) for odd, into
 C-ordered arrays of the caller's point shape: `eval` reads row (0, 0),
-`partial` one row, `partial_table` its odd rows from a slot-swapped copy of
-its one pair, and the geometry its symbols (`_read_symbols`). The geometry's
-other slot helpers live here too: `_origin`, `_split_blocks` and
-`_plane_moduli`.
+`partial` one row, `partial_table` its even rows against the even pair and
+its odd rows against the odd one, and the geometry its symbols
+(`_read_symbols`). The geometry's other slot helpers live here too:
+`_origin`, `_split_blocks` and `_plane_moduli`.
 """
 
 from __future__ import annotations
@@ -192,21 +192,17 @@ class Immersion:
 
     def partial_table(self, p, max_order: int = 4) -> dict[tuple[int, int], np.ndarray]:
         """All partials up to total order max_order, keyed by (a, b) in
-        order of a+b, each of shape (..., D), from one cos/sin evaluation:
-        the even orders read the (cos, sin) pair, the odd ones a slot-swapped
-        copy of it."""
+        order of a+b, each of shape (..., D): the even orders read the
+        (cos, sin) pair `_pair(p)`, the odd ones the (sin, cos) pair
+        `_pair(p, 1)` that `partial` reads."""
         _check_max_order(max_order)
         n = (max_order + 1) * (max_order + 2) // 2
         table, odd = self._factors()[:n], _ORDER_ODD[:n]
-        pair = self._pair(p)
-        parts = [(~odd, pair)]
-        if max_order:
-            # (sin, cos) per plane, copied before the even read scales the pair
-            swapped = pair.reshape(pair.shape[:-1] + (self.num_planes, 2))[..., ::-1].copy()
-            parts.append((odd, swapped.reshape(pair.shape)))
         by_order = {}
-        for rows, trig in parts:
-            by_order.update(zip(itertools.compress(_ORDERS, rows), self._read(trig, table[rows])))
+        for rows, parity in ((~odd, 0), (odd, 1)):
+            if rows.any():
+                orders = itertools.compress(_ORDERS, rows)
+                by_order.update(zip(orders, self._read(self._pair(p, parity), table[rows])))
         return {o: by_order[o] for o in _ORDERS[:n]}
 
     def spectral_split(self, p) -> tuple[np.ndarray, np.ndarray]:

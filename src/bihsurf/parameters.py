@@ -173,7 +173,9 @@ def t_of_s(h: float, s: float) -> float:
     hi = 1.0 / (1.0 + h)
     x = _finite_float(s)
     if not lo - 1e-9 <= x <= hi + 1e-9:
-        raise DomainError("s=%s outside [h/(1+h), 1/(1+h)] = [%r, %r]" % (_shown(s), lo, hi))
+        raise DomainError(
+            "s=%s outside [h/(1+h), 1/(1+h)] = [%r, %r]" % (_shown(s), float(lo), float(hi))
+        )
     s = x
     if s - lo <= _END_EPS:
         return 0.0

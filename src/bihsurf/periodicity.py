@@ -67,17 +67,6 @@ class Lattice2:
         elif self.rank == 2 and not _independent(*self.gens):
             raise ValueError("rank-2 generators are linearly dependent")
 
-    def points(self, coeff_bound: int) -> np.ndarray:
-        """All integer combinations with coefficients in [-bound, bound]."""
-        if self.rank == 0:
-            return np.zeros((1, 2))
-        rng = range(-coeff_bound, coeff_bound + 1)
-        if self.rank == 1:
-            g = np.array(self.gens[0])
-            return np.array([k * g for k in rng])
-        g1, g2 = np.array(self.gens[0]), np.array(self.gens[1])
-        return np.array([a * g1 + b * g2 for a in rng for b in rng])
-
 
 def _independent(u, v) -> bool:
     """The float rank-2 test: |u x v| above 1e-12 |u| |v| (false for NaN)."""
@@ -353,8 +342,8 @@ def _period_vector(h: float, k0: int, k1: int, rho: float) -> tuple[float, float
 # angles `periodic_direction_search` scans before bracketing its roots
 _DIRECTION_GRID = 4096
 # Most integer crossings `periodic_direction_search` bisects in one call:
-# about 20 s on a 2-core VM, where a crossing (its bisection, and its root's
-# check) took 106-123 us, e.g. 7.1 s for the 66 988 of (0.5, 1, 2, (4e-6, 1)).
+# about 22 s on a 2-core VM, where a crossing (its bisection, and its root's
+# check) took 137 us, e.g. 9.1 s for the 66 988 of (0.5, 1, 2, (4e-6, 1)).
 _MAX_CROSSINGS = 160_000
 
 
@@ -366,8 +355,11 @@ def periodic_direction_search(
 ) -> list[PeriodicDirection]:
     """All rho in the window where the closing quantity hits an integer.
 
-    Scans a grid, brackets each integer crossing, bisects to 1e-12, and keeps
-    only roots whose period vector returns psi to psi(0) within 1e-8. Checks
+    Scans a grid, brackets each integer crossing, bisects it until no float
+    lies strictly between the bracket's ends (or the quantity equals the
+    integer), and keeps only roots whose period vector returns psi to psi(0)
+    within 1e-8; a 1e-12 bracket kept 538 of the 9191 of (0.5, 3, -4) on
+    (1e-3, pi/2 - 1e-3), where the quantity is steep. Checks
     its input once: the grid, the bisection and the period vectors call the
     unchecked kernels. A window whose grid gives a non-finite closing
     quantity, or over _MAX_CROSSINGS integer crossings, is refused before
@@ -409,16 +401,17 @@ def periodic_direction_search(
             if ga == 0.0:
                 roots.append((a, k))
                 continue
-            for _ in range(80):
-                mid = 0.5 * (a + b)
+            mid = 0.5 * (a + b)
+            while a < mid < b:
                 gm = f(mid) - k
-                if gm == 0.0 or b - a < 1e-12:
+                if gm == 0.0:
                     break
                 if ga * gm < 0:
                     b = mid
                 else:
                     a, ga = mid, gm
-            roots.append((0.5 * (a + b), k))
+                mid = 0.5 * (a + b)
+            roots.append((mid, k))
     out = []
     last = -math.inf  # the roots come sorted, so the nearest kept root is the last
     for rho, k in sorted(roots):
@@ -570,9 +563,10 @@ def torus_case_ii(p: int, q: int, r: int, t: int) -> CaseIIResult:
     v2 is then at most 2 pi 10**50, every entry of the congruence's kernel
     basis in (v2, v1) at most 4 pi 10**150, and every squared length (in the
     Lagrange-Gauss reduction too) below 10**304, so all of them are doubles.
-    Within that bound two inputs are still refused by p, q, r and t: an h
-    whose double is 1 (rho needs h < 1), and a float kernel basis that fails
-    the rank-2 test of `Lattice2`, which the float reduction cannot reduce.
+    Within that bound three inputs are still refused by p, q, r and t: an h
+    whose double is 1 (rho needs h < 1), a float kernel basis that fails the
+    rank-2 test of `Lattice2`, which the float reduction cannot reduce, and
+    a reduced basis whose covolume is off by more than 1e-9 relative.
     """
     params = TorusParams(p, q, r, t)
     p, q, r, t = params.p, params.q, params.r, params.t
@@ -614,6 +608,15 @@ def torus_case_ii(p: int, q: int, r: int, t: int) -> CaseIIResult:
             "independent in doubles; for %s it cancels" % _shown_pqrt(p, q, r, t)
         )
     g1, g2 = _reduced_pair(w1, w2)
+    # the kernel basis's covolume is its determinant times |v2 x v1|; the
+    # float reduction keeps it unless it cancels
+    covolume = abs(m_a * n_b - n_a * m_b) * abs(v1[0] * v2[1])
+    off = abs(abs(g1[0] * g2[1] - g1[1] * g2[0]) - covolume) / covolume
+    if off > 1e-9:
+        raise DomainError(
+            "p, q, r and t must give a reduced period basis whose covolume matches the kernel "
+            "basis's to 1e-9 relative; for %s it is off by %.2g" % (_shown_pqrt(p, q, r, t), off)
+        )
     return CaseIIResult(
         params=params,
         v1=v1,

@@ -6,10 +6,17 @@ circle squares. This module keeps the route it replaced: the dual rows and
 Gram entries by chained Fraction operations, and every hull, weight and
 balance computation on the Fraction squares (`exact_squares`). It shares
 the library's generic hull routines, which take int or Fraction points.
+
+Its witness frequencies take the float route the library had while its
+dual lattice kept a float basis: the basis `float_dual_basis` from the
+integer rows, and each frequency from numpy vectors m g_0 + n g_1
+(`recover_frequency`).
 """
 
 import math
 from fractions import Fraction
+
+import numpy as np
 
 from bihsurf.admissibility import (
     VERDICT_EXISTS,
@@ -21,7 +28,6 @@ from bihsurf.admissibility import (
     DualLattice,
     _aligned_weights,
     _hull_weights,
-    _recover_frequency,
     circle_points,
     convex_hull,
     point_in_hull,
@@ -62,14 +68,27 @@ def fraction_dual(lat):
 
 
 def dual_lattice(lat) -> DualLattice:
-    """The Fraction rows over their least common denominator, and the float
-    generators from the Fraction rows."""
+    """The Fraction rows over their least common denominator."""
     rows, _ = fraction_dual(lat)
     den = math.lcm(*(x.denominator for row in rows for x in row))
     ints = tuple(tuple(int(x * den) for x in row) for row in rows)
-    scale = 1.0 / math.sqrt(lat.exact.surd)
-    gens = tuple(tuple(scale * float(x) for x in row) for row in rows)
-    return DualLattice(ints=ints, den=den, surd=lat.exact.surd, gens=gens)
+    return DualLattice(ints=ints, den=den, surd=lat.exact.surd)
+
+
+def float_dual_basis(dual):
+    """The float dual basis w_i = scale * (x / den) per integer entry x,
+    scale = 1 / sqrt(surd)."""
+    scale = 1.0 / math.sqrt(dual.surd)
+    return tuple(tuple(scale * (x / dual.den) for x in row) for row in dual.ints)
+
+
+def recover_frequency(dual, rep, lam: float) -> complex:
+    """The unit frequency of the dual vector of rep at level lam, from the
+    float basis as numpy vectors."""
+    gens = float_dual_basis(dual)
+    w = rep[0] * np.array(gens[0]) + rep[1] * np.array(gens[1])
+    wc = complex(w[0], w[1])
+    return (wc / complex(0.0, math.sqrt(lam))).conjugate()
 
 
 def witness_weights(set_a, set_g):
@@ -80,9 +99,10 @@ def witness_weights(set_a, set_g):
     return _hull_weights(pa, convex_hull(pa), pg, convex_hull(pg))
 
 
-def _build_witness(h: Fraction, set_a, set_g, weights) -> MiyataData:
+def build_witness(h: Fraction, set_a, set_g, weights) -> MiyataData:
     """Float witness data for exact weights, once a Fraction check on the
-    squares shows they certify it."""
+    squares shows they certify it, with the frequencies of
+    `recover_frequency`."""
     ra, rg = weights
     if sum(ra) != 1 or sum(rg) != 1 or min(ra + rg) < 0:
         raise RuntimeError("witness weights are not convex combinations")
@@ -94,12 +114,12 @@ def _build_witness(h: Fraction, set_a, set_g, weights) -> MiyataData:
     mu, r_w = [], []
     for k, w in enumerate(ra):
         if w != 0:
-            mu.append(_recover_frequency(set_a.dual, set_a.reps[k], lam1))
+            mu.append(recover_frequency(set_a.dual, set_a.reps[k], lam1))
             r_w.append(float(w))
     eta, rp_w = [], []
     for j, w in enumerate(rg):
         if w != 0:
-            eta.append(_recover_frequency(set_g.dual, set_g.reps[j], lam2))
+            eta.append(recover_frequency(set_g.dual, set_g.reps[j], lam2))
             rp_w.append(float(w))
     data = MiyataData(
         h=float(h), mu=tuple(mu), eta=tuple(eta),
@@ -134,5 +154,5 @@ def admissible(lat, h) -> AdmissibleResult:
         if weights is None:
             return AdmissibleResult(VERDICT_NONE_INFEASIBLE, h, set_a, set_g)
         verdict = VERDICT_EXISTS
-    witness = _build_witness(h, set_a, set_g, weights)
+    witness = build_witness(h, set_a, set_g, weights)
     return AdmissibleResult(verdict, h, set_a, set_g, weights, witness)

@@ -1,7 +1,11 @@
 """Reference cylinder-direction search: `periodic_direction_search` as it was
 when it dropped a root within 1e-10 of any root kept before it, a quadratic
 scan. The library compares each root with the last one kept only, and is
-tested against this function.
+tested against this function, which bisects as the library does: to float
+resolution (`bisect_to_resolution`). `bisect_1e12` is the bisection the
+search had before, 80 steps or a bracket under 1e-12 in rho, kept as the
+reference that the finer one must not lose a direction of
+(`periodic_direction_search_1e12`).
 
 The closed forms it calls are copies of `direction_integrality`,
 `period_vector`, `rho_tilde_of` and `s_of_rho` as they were before each was
@@ -62,16 +66,54 @@ def period_vector(h: float, k0: int, k1: int, rho: float) -> tuple[float, float]
     return (tx, 2.0 * math.pi * k0 / math.sqrt(lam1))
 
 
+def bisect_to_resolution(f, a, b, ga, k):
+    """The root of f = k in [a, b], f(a) - k = ga != 0: bisect until no
+    float lies strictly between a and b, or f hits k exactly."""
+    mid = 0.5 * (a + b)
+    while a < mid < b:
+        gm = f(mid) - k
+        if gm == 0.0:
+            break
+        if ga * gm < 0:
+            b = mid
+        else:
+            a, ga = mid, gm
+        mid = 0.5 * (a + b)
+    return mid
+
+
+def bisect_1e12(f, a, b, ga, k):
+    """The root of f = k in [a, b] by the earlier bisection: at most 80
+    steps, stopping once the bracket is under 1e-12."""
+    for _ in range(80):
+        mid = 0.5 * (a + b)
+        gm = f(mid) - k
+        if gm == 0.0 or b - a < 1e-12:
+            break
+        if ga * gm < 0:
+            b = mid
+        else:
+            a, ga = mid, gm
+    return 0.5 * (a + b)
+
+
+def periodic_direction_search_1e12(h, k0, k1, window):
+    """`periodic_direction_search` with the earlier 1e-12 bisection."""
+    return periodic_direction_search(h, k0, k1, window, bisect=bisect_1e12)
+
+
 def periodic_direction_search(
     h: float,
     k0: int,
     k1: int,
     window: tuple[float, float],
+    bisect=bisect_to_resolution,
 ) -> list[PeriodicDirection]:
     """All rho in the window where the closing quantity hits an integer.
 
-    Scans a grid, brackets each integer crossing, bisects to 1e-12, and keeps
-    only roots whose period vector returns psi to psi(0) within 1e-8.
+    Scans a grid, brackets each integer crossing, bisects each (`bisect`),
+    and keeps only roots whose period vector returns psi to psi(0) within
+    1e-8.
     """
     _check_h(h)
     try:
@@ -102,16 +144,7 @@ def periodic_direction_search(
                 continue
             if ga * gb > 0:
                 continue
-            for _ in range(80):
-                mid = 0.5 * (a + b)
-                gm = f(mid) - k
-                if gm == 0.0 or b - a < 1e-12:
-                    break
-                if ga * gm < 0:
-                    b = mid
-                else:
-                    a, ga = mid, gm
-            roots.append((0.5 * (a + b), k))
+            roots.append((bisect(f, a, b, ga, k), k))
     out = []
     seen = []
     for rho, k in sorted(roots):

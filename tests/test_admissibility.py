@@ -6,7 +6,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import event, given, note, settings, strategies as st
+from hypothesis import event, example, given, note, settings, strategies as st
 
 import admissible_oracle
 import hull_oracle
@@ -113,19 +113,24 @@ def test_parse_lattice_float_gens_match_exact():
 
 def test_dual_of_2pi_lattice_is_integer_lattice():
     d = dual_lattice(parse_lattice(LAT_2PI))
-    assert np.allclose(d.gens, [(1, 0), (0, 1)])
+    assert (d.ints, d.den, d.surd) == (((1, 0), (0, 1)), 1, 1)
     assert dual_gram(d) == ((F(1), F(0)), (F(0), F(1)))
 
 
 def test_dual_of_pi_lattice_is_doubled():
     d = dual_lattice(parse_lattice(LAT_PI))
-    assert np.allclose(d.gens, [(2, 0), (0, 2)])
+    assert (d.ints, d.den, d.surd) == (((2, 0), (0, 2)), 1, 1)
 
 
 def test_dual_of_sqrt5_lattice():
+    # w_i = ints[i] / (den sqrt(5)): (1/sqrt(5), 0) and (0, 1/sqrt(5))
     d = dual_lattice(parse_lattice(LAT_SQRT5))
-    assert np.allclose(d.gens, [(1 / math.sqrt(5), 0), (0, 1 / math.sqrt(5))])
+    assert (d.ints, d.den, d.surd) == (((1, 0), (0, 1)), 1, 5)
     assert dual_gram(d) == ((F(1, 5), F(0)), (F(0), F(1, 5)))
+
+
+def test_dual_lattice_holds_only_integer_data():
+    assert [f.name for f in dataclasses.fields(admissibility.DualLattice)] == ["ints", "den", "surd"]
 
 
 def test_dual_requires_exact_data(sasahara_immersion):
@@ -144,14 +149,16 @@ def test_dual_requires_rank_two():
 
 
 def test_dual_pairing_invariant():
-    for spec in (LAT_2PI, LAT_SQRT5, LAT_RECT_EXISTS, LAT_RECT_INFEASIBLE):
+    # <w_i, g_j> = 2 pi delta_ij with w_i = ints[i] / (den sqrt(s)) and
+    # g_j = pi sqrt(s) rows[j] is ints[i] . rows[j] = 2 den delta_ij, exactly
+    for spec in (LAT_2PI, LAT_SQRT5, LAT_RECT_EXISTS, LAT_RECT_INFEASIBLE, LAT_CROSSING):
         lat = parse_lattice(spec)
         d = dual_lattice(lat)
+        assert d.surd == lat.exact.surd
         for i in range(2):
             for j in range(2):
-                pairing = d.gens[i][0] * lat.gens[j][0] + d.gens[i][1] * lat.gens[j][1]
-                target = 2 * math.pi if i == j else 0.0
-                assert abs(pairing - target) <= 1e-9
+                pairing = sum(F(x) * c for x, c in zip(d.ints[i], lat.exact.rows[j]))
+                assert pairing == (2 * d.den if i == j else 0)
 
 
 def test_exact_gram_matches_float_gram():
@@ -189,7 +196,7 @@ def _unimodular(draw, bound):
 )
 def test_dual_lattice_matches_fraction_formula(spec, scale, u):
     # the integer rows over one denominator and the Gram entries equal the
-    # chained Fraction formula's, and so do the float generators
+    # chained Fraction formula's
     assert abs(u[0][0] * u[1][1] - u[0][1] * u[1][0]) == 1
     lat = _scaled_image(spec, scale, u)
     dual = dual_lattice(lat)
@@ -228,10 +235,11 @@ def test_circle_points_involution_structure(rng):
         cp = circle_points(d, radius)
         pre = set(cp.preimages)
         assert all((-m, -n) in pre for m, n in pre)
-        # squares of representatives land exactly on the recorded points
+        # squares of representatives land exactly on the recorded points:
+        # w = (m ints_0 + n ints_1) / (den sqrt(surd)), squared as Fractions
         for (m, n), pt in zip(cp.reps, exact_squares(cp)):
-            w = complex(*d.vector(m, n))
-            assert abs(w * w - complex(float(pt[0]), float(pt[1]))) <= 1e-9
+            x, y = (F(m * a + n * b, d.den) for a, b in zip(*d.ints))
+            assert ((x * x - y * y) / d.surd, 2 * x * y / d.surd) == pt
         if cp.numerators:
             assert len(cp.preimages) == 2 * len(cp.numerators) or len(cp.preimages) > 0
 
@@ -842,6 +850,24 @@ def test_admissible_unimodular_invariance(rng):
             u = ((n, n + 1), (n - 1, n))  # det = 1
             res = admissible(unimodular_image(parse_lattice(spec), u), F(3, 5))
             assert (res.verdict, res.weights) == (base.verdict, base.weights), n
+
+
+def _hex_parts(zs):
+    return [(z.real.hex(), z.imag.hex()) for z in zs]
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=st.sampled_from([LAT_RECT_EXISTS, LAT_SQRT5]), n=st.integers(1, 10**4))
+@example(spec=LAT_RECT_EXISTS, n=10**6)
+def test_witness_frequencies_equal_the_float_dual_basis_route(spec, n):
+    # frequencies formed from the integer dual rows are the float dual
+    # basis's, bit for bit, on skewed bases U = ((n, n+1), (n-1, n))
+    lat = unimodular_image(parse_lattice(spec), ((n, n + 1), (n - 1, n)))
+    h = F(3, 5)
+    res = admissible(lat, h)
+    want = admissible_oracle.build_witness(h, res.set_a, res.set_g, res.weights)
+    assert _hex_parts(res.witness.mu) == _hex_parts(want.mu)
+    assert _hex_parts(res.witness.eta) == _hex_parts(want.eta)
 
 
 # each lattice with its own h, where the exists and none_infeasible verdicts

@@ -141,6 +141,9 @@ def _plain_map():
         (lambda: closing_ratios(0.5, Fraction(1, 3)), "s must lie strictly inside"),
         (lambda: closing_ratios(np.float64(0.5), 10**400), "s must lie strictly inside"),
         (lambda: t_of_s(np.float64(0.5), 10**400), "s=an integer of 1329 bits outside"),
+        # a numpy h prints its interval as a float h does
+        (lambda: t_of_s(np.float64(0.5), 10**400),
+         r" = \[0\.3333333333333333, 0\.6666666666666666\]$"),
         # data that fails validation: the oldest weight underflows
         (lambda: from_structure(1e-300, 0), r"invalid immersion data \(weights_positive\)"),
         # a map that is not an Immersion, bare or with a table of its own
@@ -164,7 +167,7 @@ def _plain_map():
         "s_of_rho-rho", "rho_tilde_of-rho", "structure_params-rho", "fd_bitension_oracle-step-tuple",
         "diagonal_sum_check-r1-huge", "boruvka_params-huge", "fd_partial_table-step-huge",
         "gaussian_brioschi_fd-step-huge", "closing_ratios-s-fraction-at-end",
-        "closing_ratios-s-huge", "t_of_s-s-huge", "from_structure-h-tiny",
+        "closing_ratios-s-huge", "t_of_s-s-huge", "t_of_s-numpy-h-interval", "from_structure-h-tiny",
         "tension-object", "bitension-object", "fundamental_forms-object", "mean_curvature-object",
         "verify_immersion-object", "tension-plain-map", "bitension-plain-map",
         "fundamental_forms-plain-map", "mean_curvature-plain-map", "verify_immersion-plain-map",
