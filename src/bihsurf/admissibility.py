@@ -20,7 +20,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -188,6 +188,54 @@ class CircleSquareSet:
     den: int
 
 
+# Most values of m the circle walks of one call visit: `circle_points`' one
+# walk, or `admissible`'s two. A walk takes about 0.18 us per m: 4.8 s for
+# the 2.7e7 of the (10^7 pi) Z^2 lattice at h = 1/2 on a 2-core VM, so this
+# cap is about 18 s.
+_MAX_CIRCLE_STEPS = 10**8
+
+
+class _CircleWalk(NamedTuple):
+    """The set-up of one circle walk of `circle_points`: the entries B and
+    C of the dual rows' integer form and D0 = AC - B^2, CN, the squares'
+    denominator den^2 surd, and the largest |m| walked, -1 when N is not an
+    integer (an empty circle)."""
+
+    b: int
+    c: int
+    d0: int
+    cn: int
+    den: int
+    m_max: int
+
+    @property
+    def steps(self) -> int:
+        """Values of m the walk visits."""
+        return 2 * self.m_max + 1 if self.m_max >= 0 else 0
+
+
+def _circle_walk(dual: DualLattice, radius_sq: Fraction) -> _CircleWalk:
+    (r00, r01), (r10, r11) = dual.ints
+    a, b, c = r00 * r00 + r01 * r01, r00 * r10 + r01 * r11, r10 * r10 + r11 * r11
+    d0 = a * c - b * b
+    if d0 <= 0:
+        raise ValueError("dual Gram form is not positive definite")
+    den = dual.den * dual.den * dual.surd
+    big_n, rem = divmod(radius_sq.numerator * den, radius_sq.denominator)
+    m_max = -1 if rem else math.isqrt(c * big_n // d0)
+    return _CircleWalk(b, c, d0, c * big_n, den, m_max)
+
+
+def _check_steps(steps: int, name: str) -> None:
+    """Refuse, naming the parameter, circle walks of more than
+    _MAX_CIRCLE_STEPS values of m in all, before any of them runs."""
+    if steps > _MAX_CIRCLE_STEPS:
+        raise DomainError(
+            "%s must give circle walks of at most 10^8 values of m in all; it gives 10^%.1f"
+            % (name, math.log10(steps))
+        )
+
+
 def circle_points(dual: DualLattice, radius_sq) -> CircleSquareSet:
     """Enumerate {w in dual : |w|^2 = radius_sq} exactly and square them.
 
@@ -196,10 +244,11 @@ def circle_points(dual: DualLattice, radius_sq) -> CircleSquareSet:
     N = radius_sq den^2 surd. A non-integer N leaves the circle empty.
     Otherwise D0 = AC - B^2 > 0, and real roots n = (-Bm +- s)/C need
     s^2 = CN - D0 m^2 >= 0, so each |m| <= isqrt(CN // D0) costs one
-    integer square test: O(m_max) operations in all. N > 0 keeps (0, 0) off
-    the circle. Preimages are visited in (m, n) ascending order; w and -w
-    collapse to the same square, which keeps its first preimage as
-    representative.
+    integer square test: O(m_max) operations in all. A radius_sq whose walk
+    would visit more than 10^8 values of m is refused before any work. N > 0
+    keeps (0, 0) off the circle. Preimages are visited in (m, n) ascending
+    order; w and -w collapse to the same square, which keeps its first
+    preimage as representative.
 
     Each square is the integer pair (u^2 - v^2, 2uv) over den^2 surd, with
     (u, v) = m ints_0 + n ints_1, so the squares of every circle of one dual
@@ -208,20 +257,13 @@ def circle_points(dual: DualLattice, radius_sq) -> CircleSquareSet:
     radius_sq = exact_rational(radius_sq, "radius_sq")
     if radius_sq <= 0:
         raise DomainError("radius_sq must be positive")
+    walk = _circle_walk(dual, radius_sq)
+    _check_steps(walk.steps, "radius_sq")
     (r00, r01), (r10, r11) = dual.ints
-    a, b, c = r00 * r00 + r01 * r01, r00 * r10 + r01 * r11, r10 * r10 + r11 * r11
-    d0 = a * c - b * b
-    if d0 <= 0:
-        raise ValueError("dual Gram form is not positive definite")
-    den = dual.den * dual.den * dual.surd
-    big_n, rem = divmod(radius_sq.numerator * den, radius_sq.denominator)
-    if rem:
-        return CircleSquareSet(radius_sq, (), (), dual, (), den)
-    cn = c * big_n
-    m_max = math.isqrt(cn // d0)
+    b, c, d0, cn = walk.b, walk.c, walk.d0, walk.cn
     pre = []
     squares: dict[tuple[int, int], tuple[int, int]] = {}
-    for m in range(-m_max, m_max + 1):
+    for m in range(-walk.m_max, walk.m_max + 1):
         disc = cn - d0 * m * m
         s = math.isqrt(disc)
         if s * s != disc:
@@ -241,7 +283,7 @@ def circle_points(dual: DualLattice, radius_sq) -> CircleSquareSet:
         preimages=tuple(pre),
         dual=dual,
         numerators=order,
-        den=den,
+        den=walk.den,
     )
 
 
@@ -513,13 +555,15 @@ def admissible(lat: Lattice2, h) -> AdmissibleResult:
     pseudo-umbilical), origin outside the joint hull (nonexistence), then the
     general exact feasibility conv(A) meet -conv(G) which settles the
     remaining cases either way. The hulls and weights run on the integer
-    numerators of both circles, which share one denominator.
+    numerators of both circles, which share one denominator. A lattice whose
+    two circle walks visit more than 10^8 values of m in all is refused
+    before either walk.
     """
     h = _exact_h(h)
     dual = dual_lattice(lat)
-    lam1, lam2 = spectral_levels(h)
-    set_a = circle_points(dual, lam1)
-    set_g = circle_points(dual, lam2)
+    levels = spectral_levels(h)
+    _check_steps(sum(_circle_walk(dual, lam).steps for lam in levels), "lattice")
+    set_a, set_g = (circle_points(dual, lam) for lam in levels)
     pa, pg = set_a.numerators, set_g.numerators
     if not pa or not pg:
         return AdmissibleResult(VERDICT_NONE_EMPTY, h, set_a, set_g)

@@ -48,7 +48,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import GEOMETRIC_TOL, Check, DomainError, VerificationReport, _is_int, _is_real, _shown
+from .core import (
+    GEOMETRIC_TOL, Check, DomainError, VerificationReport, _finite_float, _is_int, _is_real, _shown
+)
 from .immersion import _ORDERS, Immersion, _plane_moduli, _split_blocks
 
 
@@ -287,7 +289,10 @@ def diagonal_sum_check(r1: float, m: int = 2) -> DiagonalSumResult:
     -u^2 + u^2. The tau2 checks therefore measure only the rounding of
     these floats.
     """
-    if not (_is_real(r1) and abs(r1) <= _MAX_SCALE):
+    # one double for r1 and one Python int for m, so that a numpy scalar
+    # neither warns in abs() nor wraps in a square
+    x = _finite_float(r1)
+    if not abs(x) <= _MAX_SCALE:
         raise DomainError(
             "r1 must be a finite real number of at most %.4g, got %s" % (_MAX_SCALE, _shown(r1))
         )
@@ -295,6 +300,7 @@ def diagonal_sum_check(r1: float, m: int = 2) -> DiagonalSumResult:
         raise DomainError(
             "m must be a positive integer of at most %.4g, got %s" % (_MAX_SCALE, _shown(m))
         )
+    r1, m = x, int(m)
     if r1 <= 1.0 / math.sqrt(2.0):
         raise DomainError("r1 must exceed 1/sqrt(2): no companion radius exists")
     if abs(r1 - 1.0) < 1e-12:
@@ -346,6 +352,7 @@ def boruvka_params(n1: int, n2: int) -> BoruvkaParams:
         )
     if n1 == n2:
         raise DomainError("n1 = n2 is degenerate (harmonic, not proper)")
+    n1, n2 = int(n1), int(n2)  # a numpy integer's product wraps, and its sum with a big int fails
     q1 = n1 * (n1 + 1)
     q2 = n2 * (n2 + 1)
     tot = q1 + q2
@@ -394,6 +401,11 @@ _CHECKS = (
 # 12.8 / 12.0 / 12.3 ms, round 27.9 / 24.5 / 24.3 ms (other runs of the same
 # script read up to 30% slower).
 _BLOCK = 2048
+# Most samples verify_immersion's unit_norm check evaluates in one call: the
+# time grows linearly in the samples, and 10^7 took 0.55 s on S^5 and 1.5 s
+# on S^27 (2-core VM), so this cap is about 15 s on S^27 (more on larger
+# spheres, whose points cost more).
+_MAX_SAMPLES = 10**8
 
 _EYE = np.eye(2)
 
@@ -509,11 +521,15 @@ def verify_immersion(
     `eval`, at `samples` seeded random points of [-box, box]^2, in blocks
     of 2048, so memory is O(2048 * ambient_dim) whatever the sample count,
     and reports the worst | |psi| - 1 | among them. The blocks run in
-    order on the calling thread; no thread is started.
+    order on the calling thread; no thread is started. More than 10^8
+    samples are refused before any work.
     """
     _check_immersion(im)
-    if not _is_int(samples) or samples < 1:
-        raise DomainError("samples must be a positive integer, got %r" % (samples,))
+    if not (_is_int(samples) and 1 <= samples <= _MAX_SAMPLES):
+        raise DomainError(
+            "samples must be a positive integer of at most %d, got %s"
+            % (_MAX_SAMPLES, _shown(samples))
+        )
     if not _is_int(seed) or seed < 0:
         raise DomainError("seed must be a non-negative integer, got %r" % (seed,))
     if not (_is_real(box) and 0 <= box <= sys.float_info.max / 2):

@@ -233,12 +233,17 @@ def _check_max_order(max_order) -> None:
 
 
 def _as_points(p) -> np.ndarray:
-    """p as a float array of shape (..., 2); `Immersion._phases` checks that
-    the points are finite."""
+    """p as a float array of shape (..., 2); an int past the double range is
+    refused here, and `Immersion._phases` checks that the points are
+    finite."""
     try:
         p = np.asarray(p, dtype=float)
     except (TypeError, ValueError):
         raise DomainError("points must be real numbers, got %s" % type(p).__name__) from None
+    except OverflowError:
+        raise DomainError(
+            "points must be finite doubles, got an integer past the double range"
+        ) from None
     if p.ndim == 0 or p.shape[-1] != 2:
         raise DomainError("points must have shape (..., 2), got shape %s" % (p.shape,))
     return p
@@ -330,7 +335,8 @@ def extend_dimension(im: Immersion) -> Immersion:
     inputs gain two blocks (ambient +4): existing high weights are halved and
     a fresh pair with weights (s/2, (1-s)/2) is appended. The fresh pair comes
     from the deterministic schedule s in {1/2, 1/2 +- 1/8, ...}, skipping any
-    s whose frequencies collide with existing ones.
+    s whose frequencies collide with existing ones. When every s collides, a
+    `ConstructionError` names the sphere S^n the input lies in.
     """
     data = im.data
     if data.m != 1:
@@ -351,4 +357,7 @@ def extend_dimension(im: Immersion) -> Immersion:
         eta, rp_weights = blocks(s, a, b)
         if _min_pm_distance(eta) > 1e-9:
             return build(replace(data, eta=eta, rp_weights=rp_weights))
-    raise ConstructionError("no admissible distinct frequency %s found" % what)
+    raise ConstructionError(
+        "no admissible distinct frequency %s found to extend the immersion in S^%d"
+        % (what, data.ambient_dim - 1)
+    )

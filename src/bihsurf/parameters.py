@@ -154,11 +154,23 @@ def s_of_rho(h: float, rho: float) -> float:
     """
     _check_h(h)
     _check_closed_rho(rho)
+    _check_s_defined(h, rho)
     return _s_of_rho(h, rho)
 
 
 def _s_of_rho(h: float, rho: float) -> float:
     return 2.0 * h / ((1.0 + h) * (1.0 + h + (1.0 - h) * math.cos(2.0 * rho)))
+
+
+def _check_s_defined(h: float, rho: float) -> None:
+    """The denominator of `_s_of_rho`, 1 + h + (1 - h) cos 2rho, is 2h at
+    rho = pi/2 but rounds to 0 there for h under about 1e-16 (h = 1e-300,
+    say); the public callers refuse such an h by name before dividing."""
+    if 1.0 + h + (1.0 - h) * math.cos(2.0 * rho) == 0.0:
+        raise DomainError(
+            "h must keep 1 + h + (1 - h) cos 2rho nonzero in doubles; h=%r does not at rho=%r"
+            % (h, rho)
+        )
 
 
 def t_of_s(h: float, s: float) -> float:
@@ -217,6 +229,7 @@ def structure_params(h: float, rho: float) -> StructureParams:
     if rho <= 0.0:
         s = h / (1.0 + h)
         return StructureParams(h, 0.0, -math.pi / 2, s, 1.0 / (1.0 + h), *spectral_levels(h))
+    _check_s_defined(h, rho)
     s = _s_of_rho(h, rho)
     return StructureParams(h, rho, _rho_tilde_of(h, rho), s, 1.0 - s, *spectral_levels(h))
 
@@ -241,6 +254,7 @@ def angle_family_data(h: float, rho: float) -> MiyataData:
     """
     _check_h(h)
     _check_closed_rho(rho)
+    _check_s_defined(h, rho)
     s = _s_of_rho(h, rho)
     return _member(h, (unit_circle(rho), unit_circle(_rho_tilde_of(h, rho))), (s, 1.0 - s))
 

@@ -961,6 +961,9 @@ def test_disjoint_hulls_clip_to_empty():
 
 
 _FLOAT_LATTICE = Lattice2(rank=2, gens=((1.0, 0.0), (0.0, 1.0)))
+# 10^9 pi Z^2: its dual circles at h = 1/2 span 2.7e9 values of m; the walks
+# at 10^6 pi Z^2 took 0.75 s, ten times that for each tenfold scale
+_LAT_FINE = {"gens": [["1000000000*pi", "0"], ["0", "1000000000*pi"]]}
 # det 2^64 - 1, which the products of numpy int64 entries wrap to -1
 _INT64_WRAPPING_U = tuple(
     tuple(np.int64(x) for x in row) for row in ((2**32 + 1, 0), (0, 2**32 - 1))
@@ -1016,6 +1019,12 @@ _INT64_WRAPPING_U = tuple(
          r"h must be a finite rational number, got '1/0'"),
         (lambda: admissible(parse_lattice(LAT_2PI), 1), DomainError,
          r"h must be a rational in \(0,1\), got 1"),
+        # circle walks past 10^8 values of m: refused before any walk (at
+        # 10^300 the walk never ended; at 10^9 pi Z^2 it would take minutes)
+        (lambda: circle_points(dual_lattice(parse_lattice(LAT_2PI)), 1e300), DomainError,
+         r"^radius_sq must give circle walks of at most 10\^8 values of m in all; it gives 10\^150\.3$"),
+        (lambda: admissible(parse_lattice(_LAT_FINE), F(1, 2)), DomainError,
+         r"^lattice must give circle walks of at most 10\^8 values of m in all; it gives 10\^9\.4$"),
     ],
     ids=[
         "entry-zero-denominator", "entry-surd-zero-denominator", "entry-number", "entry-list",
@@ -1024,7 +1033,7 @@ _INT64_WRAPPING_U = tuple(
         "unimodular-det-2", "unimodular-half-entry", "unimodular-float-entry",
         "unimodular-float-array", "unimodular-bool-entry", "unimodular-string",
         "unimodular-int64-det-wraps", "radius-zero", "radius-negative", "h-zero-denominator",
-        "h-outside",
+        "h-outside", "radius-walk-past-cap", "lattice-walks-past-cap",
     ],
 )
 def test_admissibility_refusals_name_the_parameter(call, exc, phrase):

@@ -408,6 +408,8 @@ BAD_LATTICES = {
     "list.json": {"gens": [[["pi"], "0"], ["0", "2*pi"]]},
     "three_rows.json": {"gens": [["pi", "0"], ["0", "2*pi"], ["pi", "pi"]]},
     "std2pi.json": {"gens": [["2*pi", "0"], ["0", "2*pi"]]},
+    # its dual circles at h = 1/2 span 2.7e9 values of m
+    "fine.json": {"gens": [["1000000000*pi", "0"], ["0", "1000000000*pi"]]},
 }
 
 
@@ -443,6 +445,11 @@ BAD_LATTICES = {
         # q = 10**200: the generators' squared lengths would leave the double range
         (["torus-exists", "--a", "1/" + str(10**400), "--b", "1/1"],
          "q must be a positive integer of at most 10**50"),
+        # loops with no bound of their own, refused before they start
+        (["verify", "--params", "{dir}/member.json", "--samples", "100000000000"],
+         "samples must be a positive integer of at most 100000000, got 100000000000"),
+        (["admissible", "--lattice", "{dir}/fine.json", "--h", "1/2"],
+         "lattice must give circle walks of at most 10^8 values of m in all"),
     ],
     ids=[
         "torus-h-zero-den", "construct-h-zero-den", "construct-h-overflow", "construct-h-nan",
@@ -450,6 +457,7 @@ BAD_LATTICES = {
         "torus-a-zero-den", "torus-b-zero-den", "admissible-h-zero-den", "entry-zero-den",
         "entry-number", "entry-list", "gens-three-rows", "construct-no-rho", "tol-no-equals",
         "h-with-a", "a-without-b", "neither", "a-zero", "b-negative", "torus-a-huge",
+        "verify-samples-past-cap", "admissible-lattice-past-cap",
     ],
 )
 def test_malformed_input_exits_2_naming_it(tmp_path, capsys, args, phrase):

@@ -162,3 +162,10 @@ def test_report_json_shape():
         "tolerance": 1e-9,
         "passed": True,
     }
+
+
+def test_report_check_of_an_unknown_name_raises_key_error():
+    rep = VerificationReport((Check("a", 0.0, 1e-9),), 3)
+    assert rep.check("a").name == "a"
+    with pytest.raises(KeyError, match="bitension"):
+        rep.check("bitension")

@@ -1,11 +1,13 @@
 import contextlib
 import functools
+import json
 import math
 import os
 import subprocess
 import sys
 import tracemalloc
 from dataclasses import replace
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -16,9 +18,9 @@ import dict_table_oracle as oracle
 import fd_oracle
 import symbol_oracle
 import verify_oracle
-from bihsurf import geometry, immersion, parameters
+from bihsurf import cli, geometry, immersion, parameters
 from bihsurf.core import GEOMETRIC_TOL, Check, DomainError, VerificationReport
-from bihsurf.parameters import MiyataData, rho_max, validate_miyata
+from bihsurf.parameters import MiyataData, miyata_from_dict, rho_max, validate_miyata
 from bihsurf.immersion import (
     _split_blocks,
     build,
@@ -266,7 +268,10 @@ def test_fd_partial_table_rejects_bad_max_order(max_order):
 
 @pytest.mark.parametrize(
     "pts",
-    ["ab", None, [math.nan, 0.0], [[0.0, 1.0], [0.0, -math.inf]], np.zeros(3), [1e308, 1e308]],
+    [
+        "ab", None, [math.nan, 0.0], [[0.0, 1.0], [0.0, -math.inf]], np.zeros(3), [1e308, 1e308],
+        [10**400, 0.0],
+    ],
 )
 def test_per_point_functions_reject_bad_points(pts):
     im = from_structure(0.5, 0.3)
@@ -433,7 +438,8 @@ def test_verify_immersion_clean(structure_grid, sasahara_immersion):
             assert rep.passed, (im.data.h, im.ambient_dim, box, [c.name for c in rep.failures()])
 
 
-@pytest.mark.parametrize("samples", [0, -1, 2.5, "10", True])
+# past 10^8 samples: 10^11 would take hours; refused before any work
+@pytest.mark.parametrize("samples", [0, -1, 2.5, "10", True, 10**8 + 1, 10**11, 10**400])
 def test_verify_immersion_rejects_bad_sample_counts(sasahara_immersion, samples):
     with pytest.raises(DomainError, match="samples"):
         verify_immersion(sasahara_immersion, samples=samples)
@@ -1070,3 +1076,42 @@ def test_per_point_outputs_are_c_ordered(shape):
     for x in outs:
         assert x.shape[: len(shape)] == shape
         assert x.flags.c_contiguous
+
+
+# ---------------------------------------------------------------------------
+# the S^27 chain of the console script against the oracles
+
+
+def _outputs(x) -> list:
+    """The arrays of a per-point function's output, in field order."""
+    return list(vars(x).values()) if hasattr(x, "__dict__") else [x]
+
+
+def test_s27_chain_geometry_against_the_oracles(tmp_path):
+    # built as `bihsurf construct --extend` builds it: S^5 at (h, rho) =
+    # (1/2, 0), then six extensions, each read back from its JSON file
+    prev = tmp_path / "s5.json"
+    assert cli.main(["construct", "--h", "0.5", "--rho", "0", "--out", str(prev)]) == 0
+    for dim in (7, 11, 15, 19, 23, 27):
+        out = tmp_path / ("s%d.json" % dim)
+        assert cli.main(["construct", "--extend", str(prev), "--out", str(out)]) == 0
+        prev = out
+    data = miyata_from_dict(json.loads(prev.read_text()))
+    im = build(data)
+    assert im.ambient_dim == 28
+    pts = np.random.default_rng(0).uniform(-6.0, 6.0, (2049, 2))
+    assert np.max(np.linalg.norm(bitension(im, pts), axis=-1)) <= 1e-7
+    assert np.max(np.abs(mean_curvature(im, pts).mean_curvature_norm - data.h)) <= 1e-9
+    fd = fd_bitension_oracle(im, pts[:9], 1e-2)
+    assert np.max(np.linalg.norm(fd, axis=-1)) <= 1e-4
+    # a plain map with only eval and partial_table: the explicit-table route
+    # runs the library's kernel at each point, and must give the symbols'
+    # outputs
+    plain = SimpleNamespace(eval=im.eval, partial_table=im.partial_table)
+    pts = pts[:64]
+    for call in (tension, bitension, fundamental_forms, mean_curvature):
+        table_route = getattr(fd_oracle, call.__name__)
+        for a, b in zip(_outputs(table_route(plain, pts)), _outputs(call(im, pts)), strict=True):
+            assert a.shape == b.shape, call.__name__
+            err = np.abs(a - b) / np.maximum(1.0, np.abs(b))
+            assert np.all(err <= 1e-12), (call.__name__, float(np.max(err)))

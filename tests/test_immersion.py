@@ -21,6 +21,7 @@ from bihsurf.parameters import (
     validate_miyata,
 )
 from bihsurf.immersion import (
+    ConstructionError,
     Immersion,
     build,
     extend_dimension,
@@ -157,6 +158,8 @@ def test_partial_table_rejects_bad_max_order(sasahara_immersion, max_order):
         [math.nan, 0.0],
         [[0.0, 1.0], [math.inf, 0.0]],
         [1e308, 1e308],
+        # a Python int that no double holds
+        [10**400, 0.0],
     ],
 )
 def test_points_rejected_by_name(sasahara_immersion, pts):
@@ -503,6 +506,21 @@ def test_extension_preserves_mean_curvature():
     im = extend_dimension(extend_dimension(from_structure(0.62, 0.3)))
     rep = verify_immersion(im, samples=80, seed=5)
     assert rep.check("mean_curvature_norm").residual <= 1e-9
+
+
+def test_extension_chain_ends_naming_the_sphere_reached():
+    # at h = 0.99 few weights s of the schedule fit in (h/(1+h), 1/(1+h)):
+    # the chain from S^5 takes 32 extensions, to S^131, and the next one
+    # finds no pair whose frequencies stay distinct
+    im = from_structure(0.99, 0.3)
+    for _ in range(32):
+        im = extend_dimension(im)
+    assert im.ambient_dim == 132
+    with pytest.raises(
+        ConstructionError,
+        match=r"^no admissible distinct frequency pair found to extend the immersion in S\^131$",
+    ):
+        extend_dimension(im)
 
 
 def test_extension_rejects_multi_mu():

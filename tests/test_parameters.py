@@ -105,6 +105,9 @@ def test_t_of_s_domain_error():
         t_of_s(0.5, 0.7)  # above 1/(1+h) = 2/3
 
 
+_S_UNDEFINED = r"^h must keep 1 \+ h \+ \(1 - h\) cos 2rho nonzero in doubles; h=1e-300 does not"
+
+
 def _plain_map():
     """A map with an immersion's `eval` and `partial_table`, but no Immersion."""
     im = build(sasahara_data())
@@ -159,6 +162,13 @@ def _plain_map():
         (lambda: mean_curvature(_plain_map(), np.zeros(2)),
          "im must be an Immersion, got SimpleNamespace"),
         (lambda: verify_immersion(_plain_map()), "im must be an Immersion, got SimpleNamespace"),
+        # 1 + h + (1 - h) cos 2rho rounds to 0 at rho = pi/2 for h = 1e-300
+        (lambda: s_of_rho(1e-300, math.pi / 2), _S_UNDEFINED),
+        (lambda: structure_params(1e-300, math.pi / 2), _S_UNDEFINED),
+        (lambda: angle_family_data(1e-300, math.pi / 2), _S_UNDEFINED),
+        (lambda: from_structure(1e-300, math.pi / 2), _S_UNDEFINED),
+        # abs() of the smallest int64 overflows
+        (lambda: diagonal_sum_check(np.int64(-2**63)), r"r1 must exceed 1/sqrt\(2\)"),
     ],
     ids=[
         "rho_max-str", "rho_max-bool", "rho_max-tuple", "closing_ratios-s", "direction_integrality-rho",
@@ -171,6 +181,8 @@ def _plain_map():
         "tension-object", "bitension-object", "fundamental_forms-object", "mean_curvature-object",
         "verify_immersion-object", "tension-plain-map", "bitension-plain-map",
         "fundamental_forms-plain-map", "mean_curvature-plain-map", "verify_immersion-plain-map",
+        "s_of_rho-h-tiny", "structure_params-h-tiny", "angle_family_data-h-tiny",
+        "from_structure-h-tiny-at-pi/2", "diagonal_sum_check-r1-int64-min",
     ],
 )
 def test_non_real_parameters_are_refused_by_name(call, phrase):
@@ -218,6 +230,13 @@ def test_non_integer_parameters_are_refused_by_name(call, phrase):
     # DomainError naming the parameter, not a TypeError or a silent result
     with pytest.raises(DomainError, match=phrase):
         call()
+
+
+def test_numpy_integer_arguments_compute_as_python_ints():
+    # np.int64(3) + 10**40 raised OverflowError, and np.int64 squares wrap
+    assert boruvka_params(10**20, np.int64(3)) == boruvka_params(10**20, 3)
+    assert diagonal_sum_check(np.int64(2**62)) == diagonal_sum_check(2**62)
+    assert diagonal_sum_check(2.0, np.int64(2**62)) == diagonal_sum_check(2.0, 2**62)
 
 
 def test_rho_tilde_special_cases_exact():

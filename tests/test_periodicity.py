@@ -302,6 +302,14 @@ def test_same_lattice_rejects_sublattice():
     assert not same_lattice([(1.0, 0.0), (0.0, 1.0)], [(2.0, 0.0), (0.0, 1.0)])
 
 
+def test_same_lattice_of_a_singular_basis_is_false():
+    # neither basis can be inverted when one is singular: no unimodular change
+    singular = [(1.0, 2.0), (2.0, 4.0)]
+    assert not same_lattice(singular, [(1.0, 0.0), (0.0, 1.0)])
+    assert not same_lattice([(1.0, 0.0), (0.0, 1.0)], singular)
+    assert not same_lattice(singular, singular)
+
+
 # ---------------------------------------------------------------------------
 # periodic directions
 
@@ -336,6 +344,26 @@ def test_periodic_direction_dedupe_matches_quadratic_oracle(h, k0, k1, window, c
     dirs = periodic_direction_search(h, k0, k1, window)
     assert dirs == direction_oracle.periodic_direction_search(h, k0, k1, window)
     assert len(dirs) == count
+
+
+@pytest.mark.parametrize("k0, k1, count", [(3, -4, 9191), (1, 2, 269)])
+def test_cylinder_directions_at_one_half_each_close(k0, k1, count):
+    # every certified direction of the window at h = 1/2 is a period of its
+    # member: psi(v) returns to psi(0) within 1e-10
+    dirs = periodic_direction_search(0.5, k0, k1, (1e-3, math.pi / 2 - 1e-3))
+    assert len(dirs) == count
+    worst = 0.0
+    for d in dirs:
+        im = build(angle_family_data(0.5, d.rho))
+        worst = max(worst, float(np.max(np.abs(im.eval(np.array(d.v)) - im.eval(np.zeros(2))))))
+    assert worst <= 1e-10, worst
+
+
+def test_window_of_about_1e300_crossings_is_refused_within_60_s():
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match="^window must"):
+        periodic_direction_search(0.5, 1, 2, (1e-300, 1.0))
+    assert time.perf_counter() - start < 60.0
 
 
 def test_direction_integrality_limit_at_right_end():
