@@ -2,16 +2,20 @@
 curvature h, decide whether an immersion with that mean curvature exists, and
 construct witness weights when it does.
 
-The decision path is exact and has one representation: the dual basis is
-cleared to integer rows over one denominator once, dual-lattice points on
-the two relevant circles are enumerated with the integer quadratic form of
-those rows, and each circle keeps its complex squares as integer numerators
-over one denominator per dual lattice. All hull / intersection predicates,
-the barycentric weights (in `admissible` and `witness_weights` alike) and
-the balance check run on those numerators: each is unchanged when every
-point is scaled by the same positive number, so the weights are the ones of
-the rational squares. The weights are exact Fractions; floats appear only in
-emitted vectors and the reconstructed witness data.
+The decision path is exact and runs on integers: the dual basis is cleared
+to integer rows over one denominator once, dual-lattice points on the two
+relevant circles are enumerated with the integer quadratic form of those
+rows (one walk per circle), and each circle keeps its complex squares as
+integer numerators over one denominator per dual lattice. All hull /
+intersection predicates, the barycentric weights (in `admissible` and
+`witness_weights` alike) and the certificate run on those numerators: each
+is unchanged when every point is scaled by the same positive number, so the
+weights are the ones of the rational squares. A weight's target is integer
+numerators over one denominator, and the certificate checks convexity and
+balance on the weights' numerators over their lcm. Fractions appear only
+where the clip of two hulls makes a vertex between lattice points and in
+the returned weights; floats only in emitted vectors and the reconstructed
+witness data.
 """
 
 from __future__ import annotations
@@ -259,6 +263,12 @@ def circle_points(dual: DualLattice, radius_sq) -> CircleSquareSet:
         raise DomainError("radius_sq must be positive")
     walk = _circle_walk(dual, radius_sq)
     _check_steps(walk.steps, "radius_sq")
+    return _circle_squares(dual, radius_sq, walk)
+
+
+def _circle_squares(dual: DualLattice, radius_sq: Fraction, walk: _CircleWalk) -> CircleSquareSet:
+    """The walk of `circle_points` over |m| <= walk.m_max, once its set-up
+    is built and its length checked."""
     (r00, r01), (r10, r11) = dual.ints
     b, c, d0, cn = walk.b, walk.c, walk.d0, walk.cn
     pre = []
@@ -384,54 +394,61 @@ def intersect_hulls(h1, h2) -> list[Point]:
     return poly
 
 
-def _combination_over_hull(target: Point, hull) -> list[tuple[Point, Fraction]]:
-    """Write target as a convex combination of hull vertices, exactly.
+def _combination_over_hull(target, hull) -> list[tuple[Point, Fraction]]:
+    """Write target = (x, y, d), the point (x / d, y / d) with d > 0, as a
+    convex combination of hull vertices, exactly.
 
-    Weights are strictly positive on the minimal face containing the target
-    (all vertices when it lies in the interior).
+    Every test runs on the hull scaled by d, and around the centroid of n
+    vertices by n d, so on integer vertices it divides nothing: only the
+    returned weights are Fractions. Weights are strictly positive on the
+    minimal face containing the target (all vertices when it lies in the
+    interior).
     """
+    x, y, d = target
     k = len(hull)
     if k == 1:
-        if target != hull[0]:
+        if (x, y) != (d * hull[0][0], d * hull[0][1]):
             raise ValueError("target is not the hull point")
         return [(hull[0], Fraction(1))]
     if k == 2:
         a, b = hull
         dx, dy = b[0] - a[0], b[1] - a[1]
-        u = Fraction((target[0] - a[0]) * dx + (target[1] - a[1]) * dy) / (dx * dx + dy * dy)
-        if _cross(a, b, target) != 0 or not (0 <= u <= 1):
+        rx, ry = x - d * a[0], y - d * a[1]
+        # the target is a + (num / den) (b - a)
+        num, den = rx * dx + ry * dy, d * (dx * dx + dy * dy)
+        if dx * ry - dy * rx != 0 or not (0 <= num <= den):
             raise ValueError("target is not on the hull segment")
-        return [(a, 1 - u), (b, u)]
-    n = Fraction(len(hull))
-    cx = sum(p[0] for p in hull) / n
-    cy = sum(p[1] for p in hull) / n
-    if (cx, cy) == target:
-        return [(p, 1 / n) for p in hull]
-    dx, dy = target[0] - cx, target[1] - cy
+        return [(a, Fraction(den - num, den)), (b, Fraction(num, den))]
+    # scaled by k d: the centroid c and the target
+    scale = k * d
+    cx, cy = d * sum(p[0] for p in hull), d * sum(p[1] for p in hull)
+    dx, dy = k * x - cx, k * y - cy
+    if dx == 0 and dy == 0:
+        return [(p, Fraction(1, k)) for p in hull]
     best = None
     for i in range(k):
         a, b = hull[i], hull[(i + 1) % k]
-        ex, ey = b[0] - a[0], b[1] - a[1]
-        rx, ry = a[0] - cx, a[1] - cy
+        ex, ey = scale * (b[0] - a[0]), scale * (b[1] - a[1])
+        rx, ry = scale * a[0] - cx, scale * a[1] - cy
         den = ex * dy - dx * ey
         if den == 0:
             continue
-        # centroid + t*(target-centroid) = a + u*(b-a)
-        t = (ex * ry - ey * rx) / den
-        u = (dx * ry - dy * rx) / den
-        if t <= 0 or not (0 <= u <= 1):
+        # c + t (target - c) = a + u (b - a) with t = tn / den, u = un / den
+        tn, un = ex * ry - ey * rx, dx * ry - dy * rx
+        if den < 0:
+            den, tn, un = -den, -tn, -un
+        if tn <= 0 or not (0 <= un <= den):
             continue
-        if best is None or t < best[0]:
-            best = (t, i, u)
-    if best is None or best[0] < 1:
+        if best is None or tn * best[1] < best[0] * den:
+            best = (tn, den, i, un)
+    if best is None or best[0] < best[1]:
         raise ValueError("target lies outside the hull")
-    t, i, u = best
-    lam = 1 / t  # target = (1 - lam) * centroid + lam * boundary point
-    weights = {p: (1 - lam) / n for p in hull}
-    a, b = hull[i], hull[(i + 1) % k]
-    weights[a] += lam * (1 - u)
-    weights[b] += lam * u
-    return [(p, w) for p, w in weights.items() if w != 0]
+    tn, den, i, un = best
+    # target = (1 - 1/t) c + (1/t) (a + u (b - a)); the weights over k tn
+    nums = [tn - den] * k
+    nums[i] += k * (den - un)
+    nums[(i + 1) % k] += k * un
+    return [(p, Fraction(w, k * tn)) for p, w in zip(hull, nums) if w != 0]
 
 
 def witness_weights(
@@ -456,20 +473,36 @@ def witness_weights(
 
 def _hull_weights(pa, hull_a, pg, hull_g):
     """witness_weights over two point lists and their already built hulls."""
-    hull_ng = convex_hull([(-x, -y) for x, y in pg])
-    region = intersect_hulls(hull_a, hull_ng)
+    region = intersect_hulls(hull_a, _negated_hull(hull_g))
     if not region:
         return None
-    n = Fraction(len(region))
-    target = (sum(p[0] for p in region) / n, sum(p[1] for p in region) / n)
-    return _aligned_weights(pa, hull_a, pg, hull_g, target)
+    return _aligned_weights(pa, hull_a, pg, hull_g, _centroid(region))
 
 
-def _aligned_weights(pa, hull_a, pg, hull_g, target: Point):
-    """Weights of target over hull_a and of -target over hull_g, aligned to
-    the point lists pa and pg (zero for a point the combination skips)."""
+def _negated_hull(hull) -> list[Point]:
+    """-conv(hull) as `convex_hull` lists it: the negated vertices, still
+    counter-clockwise, from the least one."""
+    neg = [(-x, -y) for x, y in hull]
+    i = neg.index(min(neg))
+    return neg[i:] + neg[:i]
+
+
+def _centroid(points) -> tuple[int, int, int]:
+    """The centroid of int or Fraction points as (x, y, d): integer
+    numerators over one positive denominator."""
+    den = math.lcm(*(c.denominator for p in points for c in p))
+    x = sum(p[0].numerator * (den // p[0].denominator) for p in points)
+    y = sum(p[1].numerator * (den // p[1].denominator) for p in points)
+    return x, y, den * len(points)
+
+
+def _aligned_weights(pa, hull_a, pg, hull_g, target):
+    """Weights of target (x, y, d) over hull_a and of -target over hull_g,
+    aligned to the point lists pa and pg (zero for a point the combination
+    skips)."""
+    x, y, d = target
     wa = dict(_combination_over_hull(target, hull_a))
-    wg = dict(_combination_over_hull((-target[0], -target[1]), hull_g))
+    wg = dict(_combination_over_hull((-x, -y, d), hull_g))
     return [wa.get(p, Fraction(0)) for p in pa], [wg.get(p, Fraction(0)) for p in pg]
 
 
@@ -517,18 +550,21 @@ def _build_witness(h: Fraction, set_a, set_g, weights) -> MiyataData:
     """Float witness data for exact weights, once an exact check shows they
     certify it: each list is a convex combination (sums to 1, no negative
     entry; a zero drops its point) and sum(alpha_k A_k) + sum(gamma_j G_j)
-    = 0, checked on the integer numerators of the squares, which share one
-    denominator as both sets come from one dual lattice. The squares are
-    distinct, as circle_points keys them by exact value. The frequencies
-    are floats from the integer dual rows (`_recover_frequency`), so on a
-    skewed basis mu_1 leaves the unit circle by rounding (|mu_1| - 1 is
-    4.7e-9 on rect-exists at skew 10^4, 2e-5 at 10^6); the normal form is
-    taken without `canonicalize`'s check on it."""
+    = 0, checked in integers: the weights as numerators over their lcm, the
+    squares as their numerators, which share one denominator as both sets
+    come from one dual lattice. The squares are distinct, as circle_points
+    keys them by exact value. The frequencies are floats from the integer
+    dual rows (`_recover_frequency`), so on a skewed basis mu_1 leaves the
+    unit circle by rounding (|mu_1| - 1 is 4.7e-9 on rect-exists at skew
+    10^4, 2e-5 at 10^6); the normal form is taken without `canonicalize`'s
+    check on it."""
     ra, rg = weights
-    if sum(ra) != 1 or sum(rg) != 1 or min(ra + rg) < 0:
+    den = math.lcm(*(w.denominator for w in ra + rg))
+    na, ng = ([w.numerator * (den // w.denominator) for w in ws] for ws in weights)
+    if sum(na) != den or sum(ng) != den or min(na + ng) < 0:
         raise RuntimeError("witness weights are not convex combinations")
     for i in range(2):
-        if sum(w * p[i] for w, p in zip(ra + rg, set_a.numerators + set_g.numerators)) != 0:
+        if sum(w * p[i] for w, p in zip(na + ng, set_a.numerators + set_g.numerators)) != 0:
             raise RuntimeError("witness weights do not balance")
     lam1, lam2 = spectral_levels(float(h))
     mu, r_w = [], []
@@ -562,8 +598,9 @@ def admissible(lat: Lattice2, h) -> AdmissibleResult:
     h = _exact_h(h)
     dual = dual_lattice(lat)
     levels = spectral_levels(h)
-    _check_steps(sum(_circle_walk(dual, lam).steps for lam in levels), "lattice")
-    set_a, set_g = (circle_points(dual, lam) for lam in levels)
+    walks = [_circle_walk(dual, lam) for lam in levels]
+    _check_steps(sum(walk.steps for walk in walks), "lattice")
+    set_a, set_g = (_circle_squares(dual, lam, walk) for lam, walk in zip(levels, walks))
     pa, pg = set_a.numerators, set_g.numerators
     if not pa or not pg:
         return AdmissibleResult(VERDICT_NONE_EMPTY, h, set_a, set_g)
@@ -572,7 +609,7 @@ def admissible(lat: Lattice2, h) -> AdmissibleResult:
     hull_g = convex_hull(pg)
     if point_in_hull(origin, hull_a) and point_in_hull(origin, hull_g):
         verdict = VERDICT_EXISTS_PU
-        weights = _aligned_weights(pa, hull_a, pg, hull_g, origin)
+        weights = _aligned_weights(pa, hull_a, pg, hull_g, (0, 0, 1))
     else:
         joint = convex_hull(pa + pg)
         if not point_in_hull(origin, joint):

@@ -193,16 +193,22 @@ class Immersion:
     def partial_table(self, p, max_order: int = 4) -> dict[tuple[int, int], np.ndarray]:
         """All partials up to total order max_order, keyed by (a, b) in
         order of a+b, each of shape (..., D): the even orders read the
-        (cos, sin) pair `_pair(p)`, the odd ones the (sin, cos) pair
-        `_pair(p, 1)` that `partial` reads."""
+        (cos, sin) pair `_pair(p)`, the odd ones the (sin, cos) pair that
+        `partial` reads from `_pair(p, 1)`, here copied from the even pair
+        with each plane's two slots swapped (the same values, one tan per
+        phase)."""
         _check_max_order(max_order)
         n = (max_order + 1) * (max_order + 2) // 2
         table, odd = self._factors()[:n], _ORDER_ODD[:n]
+        pairs = [self._pair(p)]
+        if max_order:
+            pairs.append(np.empty_like(pairs[0]))
+            even, odd_pair = (pair.reshape(-1, 2) for pair in pairs)
+            odd_pair[:, 0], odd_pair[:, 1] = even[:, 1], even[:, 0]
         by_order = {}
-        for rows, parity in ((~odd, 0), (odd, 1)):
-            if rows.any():
-                orders = itertools.compress(_ORDERS, rows)
-                by_order.update(zip(orders, self._read(self._pair(p, parity), table[rows])))
+        for rows, pair in zip((~odd, odd), pairs):
+            orders = itertools.compress(_ORDERS, rows)
+            by_order.update(zip(orders, self._read(pair, table[rows])))
         return {o: by_order[o] for o in _ORDERS[:n]}
 
     def spectral_split(self, p) -> tuple[np.ndarray, np.ndarray]:

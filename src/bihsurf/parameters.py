@@ -162,14 +162,22 @@ def _s_of_rho(h: float, rho: float) -> float:
     return 2.0 * h / ((1.0 + h) * (1.0 + h + (1.0 - h) * math.cos(2.0 * rho)))
 
 
+# Least denominator of `_s_of_rho` the public callers accept: it is formed
+# with an error of a few ulp of 1, so from here on s is off by at most about
+# 1e-9 of itself
+_S_DEN_MIN = 1e-6
+
+
 def _check_s_defined(h: float, rho: float) -> None:
     """The denominator of `_s_of_rho`, 1 + h + (1 - h) cos 2rho, is 2h at
-    rho = pi/2 but rounds to 0 there for h under about 1e-16 (h = 1e-300,
-    say); the public callers refuse such an h by name before dividing."""
-    if 1.0 + h + (1.0 - h) * math.cos(2.0 * rho) == 0.0:
+    rho = pi/2, where it cancels: for h = 1e-16 it rounds to 1.1e-16 and s to
+    1.80, far above 1/(1+h), and for h = 1e-300 to 0. The public callers
+    refuse, by name, an h that leaves it under _S_DEN_MIN (an h under 5e-7
+    near rho = pi/2) before dividing."""
+    if 1.0 + h + (1.0 - h) * math.cos(2.0 * rho) < _S_DEN_MIN:
         raise DomainError(
-            "h must keep 1 + h + (1 - h) cos 2rho nonzero in doubles; h=%r does not at rho=%r"
-            % (h, rho)
+            "h must keep 1 + h + (1 - h) cos 2rho at least %g in doubles; h=%r does not at rho=%r"
+            % (_S_DEN_MIN, h, rho)
         )
 
 

@@ -5,7 +5,12 @@ predicates, weights and balance check on the integer numerators of the
 circle squares. This module keeps the route it replaced: the dual rows and
 Gram entries by chained Fraction operations, and every hull, weight and
 balance computation on the Fraction squares (`exact_squares`). It shares
-the library's generic hull routines, which take int or Fraction points.
+the library's generic hull predicates (`convex_hull`, `point_in_hull`,
+`intersect_hulls`), which take int or Fraction points, but keeps its own
+copies of the weight routines as the library had them before they took
+their target as integer numerators over one denominator:
+`combination_over_hull`, `hull_weights` (with a second `convex_hull` for
+-conv(G)) and `aligned_weights`, each dividing Fractions step by step.
 
 Its witness frequencies take the float route the library had while its
 dual lattice kept a float basis: the basis `float_dual_basis` from the
@@ -26,10 +31,10 @@ from bihsurf.admissibility import (
     VERDICT_NONE_INFEASIBLE,
     AdmissibleResult,
     DualLattice,
-    _aligned_weights,
-    _hull_weights,
+    _cross,
     circle_points,
     convex_hull,
+    intersect_hulls,
     point_in_hull,
 )
 from bihsurf.core import DomainError, ExactnessError, exact_rational
@@ -91,12 +96,81 @@ def recover_frequency(dual, rep, lam: float) -> complex:
     return (wc / complex(0.0, math.sqrt(lam))).conjugate()
 
 
+def combination_over_hull(target, hull):
+    """Write target as a convex combination of hull vertices, exactly.
+
+    Weights are strictly positive on the minimal face containing the target
+    (all vertices when it lies in the interior).
+    """
+    k = len(hull)
+    if k == 1:
+        if target != hull[0]:
+            raise ValueError("target is not the hull point")
+        return [(hull[0], Fraction(1))]
+    if k == 2:
+        a, b = hull
+        dx, dy = b[0] - a[0], b[1] - a[1]
+        u = Fraction((target[0] - a[0]) * dx + (target[1] - a[1]) * dy) / (dx * dx + dy * dy)
+        if _cross(a, b, target) != 0 or not (0 <= u <= 1):
+            raise ValueError("target is not on the hull segment")
+        return [(a, 1 - u), (b, u)]
+    n = Fraction(len(hull))
+    cx = sum(p[0] for p in hull) / n
+    cy = sum(p[1] for p in hull) / n
+    if (cx, cy) == target:
+        return [(p, 1 / n) for p in hull]
+    dx, dy = target[0] - cx, target[1] - cy
+    best = None
+    for i in range(k):
+        a, b = hull[i], hull[(i + 1) % k]
+        ex, ey = b[0] - a[0], b[1] - a[1]
+        rx, ry = a[0] - cx, a[1] - cy
+        den = ex * dy - dx * ey
+        if den == 0:
+            continue
+        # centroid + t*(target-centroid) = a + u*(b-a)
+        t = (ex * ry - ey * rx) / den
+        u = (dx * ry - dy * rx) / den
+        if t <= 0 or not (0 <= u <= 1):
+            continue
+        if best is None or t < best[0]:
+            best = (t, i, u)
+    if best is None or best[0] < 1:
+        raise ValueError("target lies outside the hull")
+    t, i, u = best
+    lam = 1 / t  # target = (1 - lam) * centroid + lam * boundary point
+    weights = {p: (1 - lam) / n for p in hull}
+    a, b = hull[i], hull[(i + 1) % k]
+    weights[a] += lam * (1 - u)
+    weights[b] += lam * u
+    return [(p, w) for p, w in weights.items() if w != 0]
+
+
+def hull_weights(pa, hull_a, pg, hull_g):
+    """witness_weights over two point lists and their already built hulls."""
+    hull_ng = convex_hull([(-x, -y) for x, y in pg])
+    region = intersect_hulls(hull_a, hull_ng)
+    if not region:
+        return None
+    n = Fraction(len(region))
+    target = (sum(p[0] for p in region) / n, sum(p[1] for p in region) / n)
+    return aligned_weights(pa, hull_a, pg, hull_g, target)
+
+
+def aligned_weights(pa, hull_a, pg, hull_g, target):
+    """Weights of target over hull_a and of -target over hull_g, aligned to
+    the point lists pa and pg (zero for a point the combination skips)."""
+    wa = dict(combination_over_hull(target, hull_a))
+    wg = dict(combination_over_hull((-target[0], -target[1]), hull_g))
+    return [wa.get(p, Fraction(0)) for p in pa], [wg.get(p, Fraction(0)) for p in pg]
+
+
 def witness_weights(set_a, set_g):
     """The weights on the Fraction squares of both sets."""
     pa, pg = exact_squares(set_a), exact_squares(set_g)
     if not pa or not pg:
         return None
-    return _hull_weights(pa, convex_hull(pa), pg, convex_hull(pg))
+    return hull_weights(pa, convex_hull(pa), pg, convex_hull(pg))
 
 
 def build_witness(h: Fraction, set_a, set_g, weights) -> MiyataData:
@@ -145,12 +219,12 @@ def admissible(lat, h) -> AdmissibleResult:
     hull_g = convex_hull(pg)
     if point_in_hull(origin, hull_a) and point_in_hull(origin, hull_g):
         verdict = VERDICT_EXISTS_PU
-        weights = _aligned_weights(pa, hull_a, pg, hull_g, origin)
+        weights = aligned_weights(pa, hull_a, pg, hull_g, origin)
     else:
         joint = convex_hull(list(pa) + list(pg))
         if not point_in_hull(origin, joint):
             return AdmissibleResult(VERDICT_NONE_HULL, h, set_a, set_g)
-        weights = _hull_weights(pa, hull_a, pg, hull_g)
+        weights = hull_weights(pa, hull_a, pg, hull_g)
         if weights is None:
             return AdmissibleResult(VERDICT_NONE_INFEASIBLE, h, set_a, set_g)
         verdict = VERDICT_EXISTS

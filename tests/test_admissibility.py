@@ -584,10 +584,13 @@ def test_hull_routines_on_integer_points_match_fraction_points(h1, h2):
     assert got == intersect_hulls(_as_fractions(h1), _as_fractions(h2))
     for hull in (h1, h2):
         for target in (hull[0], _centroid(hull), _centroid([hull[0], hull[-1]])):
-            combo = admissibility._combination_over_hull(target, hull)
+            # the target as integer numerators over one denominator
+            over_one_den = admissibility._centroid([target])
+            combo = admissibility._combination_over_hull(over_one_den, hull)
             assert _exact_points(p for p, _ in combo)
             assert all(type(w) is F for _, w in combo)
-            assert combo == admissibility._combination_over_hull(
+            assert combo == admissibility._combination_over_hull(over_one_den, _as_fractions(hull))
+            assert combo == admissible_oracle.combination_over_hull(
                 (F(target[0]), F(target[1])), _as_fractions(hull)
             )
 
@@ -802,7 +805,7 @@ def test_admissible_builds_each_hull_once(monkeypatch):
     real = admissibility.convex_hull
     monkeypatch.setattr(admissibility, "convex_hull", lambda pts: calls.append(1) or real(pts))
     assert admissible(parse_lattice(LAT_RECT_EXISTS), F(3, 5)).verdict == "exists"
-    assert len(calls) == 4  # A, G, A and G joint, -G
+    assert len(calls) == 3  # A, G, A and G joint; -conv(G) is the negated hull of G
 
 
 def test_admissible_none_hull():
@@ -901,6 +904,135 @@ def test_admissible_matches_fraction_oracle(case, scale, u):
 
 _SMALL_BASES = (((1, 0), (0, 1)), ((1, 1), (0, 1)), ((1, 0), (1, 1)))
 _H_BELOW_30 = sorted({F(n, d) for d in range(2, 30) for n in range(1, d)})
+
+
+def _assert_weights_match_oracle(lat, h):
+    """The verdict, exact weights and JSON of `admissible`, and the weights
+    of `witness_weights` on its circles, equal the Fraction route's."""
+    got, want = admissible(lat, h), admissible_oracle.admissible(lat, h)
+    assert got.to_dict() == want.to_dict()
+    assert got.weights == want.weights
+    if got.set_a.numerators and got.set_g.numerators:
+        assert witness_weights(got.set_a, got.set_g) == admissible_oracle.witness_weights(
+            got.set_a, got.set_g
+        )
+    return got
+
+
+# the admissibility pool of the benchmark (`admissible_pool` in
+# bench/workloads.py): each test lattice at its own h, at scales 1-3 in
+# three small bases and at its three large scales in two skewed ones
+_LARGE_SCALES = ((11, 12, 13), (21, 22, 23), (5, 6, 7), (11, 12, 13), (11, 12, 13), (11, 12, 13))
+_SKEWED_BASES = (((2, 1), (1, 1)), ((1, 1), (1, 2)))
+_BENCH_POOL = tuple(
+    (spec, h, scale, u)
+    for (spec, h), large in zip(TEST_LATTICES, _LARGE_SCALES)
+    for scales, bases in (((1, 2, 3), _SMALL_BASES), (large, _SKEWED_BASES))
+    for scale in scales
+    for u in bases
+)
+
+
+def test_weights_match_fraction_oracle_on_the_benchmark_pool():
+    verdicts = set()
+    for spec, h, scale, u in _BENCH_POOL:
+        verdicts.add(_assert_weights_match_oracle(_scaled_image(spec, scale, u), h).verdict)
+    assert len(_BENCH_POOL) == 90
+    assert verdicts == {"none_empty_circle", "exists_pseudo_umbilical", "none_hull", "exists",
+                        "none_infeasible"}
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    case=st.sampled_from(TEST_LATTICES + ((LAT_CROSSING, F(1, 9)),)),
+    h=st.one_of(st.none(), _h),
+    n=st.integers(1, 10**4),
+)
+@example(case=(LAT_RECT_EXISTS, F(3, 5)), h=None, n=10**4)
+@example(case=(LAT_SQRT5, F(3, 5)), h=None, n=10**4)
+def test_weights_match_fraction_oracle_on_skewed_bases(case, h, n):
+    # U = ((n, n+1), (n-1, n)): the same lattice in a badly skewed basis
+    spec, own_h = case
+    _assert_weights_match_oracle(
+        unimodular_image(parse_lattice(spec), ((n, n + 1), (n - 1, n))), own_h if h is None else h
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(pa=_FAKE_POINTS, pg=_FAKE_POINTS, dens=st.tuples(st.integers(1, 12), st.integers(1, 12)))
+def test_hull_weights_on_integer_and_fraction_points_match_fraction_oracle(pa, pg, dens):
+    # the weight routines are generic: on integer points, and on the same
+    # points over a denominator as Fractions, they give the old route's
+    # weights
+    for den_a, den_g in ((1, 1), dens):
+        fa = sorted((F(x, den_a), F(y, den_a)) for x, y in pa)
+        fg = sorted((F(x, den_g), F(y, den_g)) for x, y in pg)
+        want = admissible_oracle.hull_weights(fa, convex_hull(fa), fg, convex_hull(fg))
+        got = admissibility._hull_weights(fa, convex_hull(fa), fg, convex_hull(fg))
+        assert got == want
+        if (den_a, den_g) == (1, 1):
+            ia, ig = sorted(pa), sorted(pg)
+            assert admissibility._hull_weights(ia, convex_hull(ia), ig, convex_hull(ig)) == want
+
+
+def _exists_results():
+    cases = [(spec, h, 1, ((1, 0), (0, 1))) for spec, h in TEST_LATTICES]
+    cases += [(LAT_CROSSING, F(1, 9), 1, ((1, 0), (0, 1)))] + list(_BENCH_POOL[::7])
+    results = [admissible(_scaled_image(spec, scale, u), h) for spec, h, scale, u in cases]
+    return [r for r in results if r.exists]
+
+
+def test_certificate_refuses_a_weight_moved_by_one_over_the_lcm():
+    results = _exists_results()
+    assert {r.verdict for r in results} == {"exists", "exists_pseudo_umbilical"}
+    for res in results:
+        ra, rg = res.weights
+        step = F(1, math.lcm(*(w.denominator for w in ra + rg)))
+        for side in range(2):
+            for k in range(len(res.weights[side])):
+                for delta in (step, -step):
+                    moved = [list(ra), list(rg)]
+                    moved[side][k] += delta
+                    with pytest.raises(RuntimeError, match="not convex combinations"):
+                        admissibility._build_witness(res.h, res.set_a, res.set_g, tuple(moved))
+                # a weight of -1/lcm, its list still summing to 1
+                moved = [list(ra), list(rg)]
+                j = (k + 1) % len(moved[side])
+                moved[side][j] += moved[side][k] + step
+                moved[side][k] = -step
+                with pytest.raises(RuntimeError, match="not convex combinations"):
+                    admissibility._build_witness(res.h, res.set_a, res.set_g, tuple(moved))
+
+
+def _moved_points(nums, ws):
+    """Each way of moving points of one circle that unbalances weights ws:
+    two points of different weights swapped, and a weighted point mirrored
+    in either axis (which moves only the other coordinate of the sum)."""
+    for k in range(len(ws)):
+        for j in range(k + 1, len(ws)):
+            if ws[k] != ws[j]:
+                moved = list(nums)
+                moved[k], moved[j] = nums[j], nums[k]
+                yield "swap", moved
+        (x, y) = nums[k]
+        for kind, mirrored, moves in (("x", (-x, y), x), ("y", (x, -y), y)):
+            if ws[k] and moves:
+                yield kind, nums[:k] + [mirrored] + nums[k + 1:]
+
+
+def test_certificate_refuses_a_swapped_point():
+    # the weights stay convex combinations but no longer balance
+    kinds = set()
+    for res in _exists_results():
+        for name, ws in zip(("set_a", "set_g"), res.weights):
+            cs = getattr(res, name)
+            for kind, nums in _moved_points(list(cs.numerators), ws):
+                sets = {"set_a": res.set_a, "set_g": res.set_g}
+                sets[name] = dataclasses.replace(cs, numerators=tuple(nums))
+                with pytest.raises(RuntimeError, match="do not balance"):
+                    admissibility._build_witness(res.h, sets["set_a"], sets["set_g"], res.weights)
+                kinds.add(kind)
+    assert kinds == {"swap", "x", "y"}
 
 
 @settings(max_examples=60, deadline=None)

@@ -422,6 +422,21 @@ def test_partial_table_keys_in_order_of_total_order(sasahara_immersion):
     assert list(table) == [(a, n - a) for n in range(5) for a in range(n, -1, -1)]
 
 
+def test_eval_and_partial_table_take_one_tan_per_phase(sasahara_immersion, monkeypatch):
+    # partial_table's odd pair is the even one with each plane's slots
+    # swapped, the same values as a second tan would give
+    im, pts = sasahara_immersion, np.linspace(-3.0, 3.0, 14).reshape(7, 2)
+    want = {k: im.partial_table(pts, k) for k in range(5)}
+    tans = []
+    real_tan = np.tan
+    monkeypatch.setattr(np, "tan", lambda x, **kw: tans.append(x.size) or real_tan(x, **kw))
+    for k in range(5):
+        got = im.partial_table(pts, k)
+        assert all(np.array_equal(got[o], want[k][o]) for o in want[k])
+    assert np.array_equal(im.eval(pts), want[0][(0, 0)])
+    assert tans == [7 * im.num_planes] * 6
+
+
 def test_spectral_split_closed_form(sasahara_immersion):
     t1, t2 = sasahara_immersion.spectral_split((0.0, 0.0))
     assert np.allclose(t1, (1 / SQ2, 0, 0, 0, 0, 0), atol=1e-15)

@@ -4,6 +4,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bihsurf.core import DomainError
 from bihsurf.parameters import (
@@ -71,6 +72,24 @@ def test_s_of_rho_endpoints(h):
     assert s_of_rho(h, math.pi / 2) == pytest.approx(1 / (1 + h), abs=1e-15)
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    log_h=st.floats(-20.0, -1e-3),
+    rho=st.one_of(st.floats(0.0, math.pi / 2), st.just(math.pi / 2)),
+)
+def test_s_of_rho_stays_in_its_range_or_is_refused(log_h, rho):
+    # s lies in [h/(1+h), 1/(1+h)]; a small h near rho = pi/2, where the
+    # denominator cancels, is refused rather than given a weight outside it
+    h = 10.0**log_h
+    try:
+        s = s_of_rho(h, rho)
+    except DomainError as exc:
+        assert str(exc).startswith("h must keep 1 + h + (1 - h) cos 2rho at least 1e-06")
+        assert h < 5e-7
+        return
+    assert h / (1 + h) * (1 - 1e-9) <= s <= 1 / (1 + h) * (1 + 1e-9)
+
+
 def test_s_of_rho_hand_value():
     rho = 0.5 * math.acos(-1.0 / 3.0)
     assert s_of_rho(0.5, rho) == pytest.approx(0.5, abs=1e-12)
@@ -105,7 +124,7 @@ def test_t_of_s_domain_error():
         t_of_s(0.5, 0.7)  # above 1/(1+h) = 2/3
 
 
-_S_UNDEFINED = r"^h must keep 1 \+ h \+ \(1 - h\) cos 2rho nonzero in doubles; h=1e-300 does not"
+_S_UNDEFINED = r"^h must keep 1 \+ h \+ \(1 - h\) cos 2rho at least 1e-06 in doubles; h=%s does not"
 
 
 def _plain_map():
@@ -163,10 +182,15 @@ def _plain_map():
          "im must be an Immersion, got SimpleNamespace"),
         (lambda: verify_immersion(_plain_map()), "im must be an Immersion, got SimpleNamespace"),
         # 1 + h + (1 - h) cos 2rho rounds to 0 at rho = pi/2 for h = 1e-300
-        (lambda: s_of_rho(1e-300, math.pi / 2), _S_UNDEFINED),
-        (lambda: structure_params(1e-300, math.pi / 2), _S_UNDEFINED),
-        (lambda: angle_family_data(1e-300, math.pi / 2), _S_UNDEFINED),
-        (lambda: from_structure(1e-300, math.pi / 2), _S_UNDEFINED),
+        (lambda: s_of_rho(1e-300, math.pi / 2), _S_UNDEFINED % "1e-300"),
+        (lambda: structure_params(1e-300, math.pi / 2), _S_UNDEFINED % "1e-300"),
+        (lambda: angle_family_data(1e-300, math.pi / 2), _S_UNDEFINED % "1e-300"),
+        (lambda: from_structure(1e-300, math.pi / 2), _S_UNDEFINED % "1e-300"),
+        # and to half its value for h = 1e-16, which made s = 1.80 > 1/(1+h)
+        # and the weights (1.80, -0.80)
+        (lambda: s_of_rho(1e-16, math.pi / 2), _S_UNDEFINED % "1e-16"),
+        (lambda: angle_family_data(1e-16, math.pi / 2), _S_UNDEFINED % "1e-16"),
+        (lambda: structure_params(1e-16, rho_max(1e-16)), _S_UNDEFINED % "1e-16"),
         # abs() of the smallest int64 overflows
         (lambda: diagonal_sum_check(np.int64(-2**63)), r"r1 must exceed 1/sqrt\(2\)"),
     ],
@@ -182,7 +206,8 @@ def _plain_map():
         "verify_immersion-object", "tension-plain-map", "bitension-plain-map",
         "fundamental_forms-plain-map", "mean_curvature-plain-map", "verify_immersion-plain-map",
         "s_of_rho-h-tiny", "structure_params-h-tiny", "angle_family_data-h-tiny",
-        "from_structure-h-tiny-at-pi/2", "diagonal_sum_check-r1-int64-min",
+        "from_structure-h-tiny-at-pi/2", "s_of_rho-h-1e-16", "angle_family_data-h-1e-16",
+        "structure_params-h-1e-16-at-rho_max", "diagonal_sum_check-r1-int64-min",
     ],
 )
 def test_non_real_parameters_are_refused_by_name(call, phrase):
